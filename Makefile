@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchcheck benchjson chaos fuzz lint obs service profile verify clean
+.PHONY: all build vet test race bench benchcheck chaos fuzz lint obs service profile verify clean
 
 all: build
 
@@ -13,8 +13,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# bench/ is a nested module (BENCHMARK.json) that the root ./... skips; its
+# tests include a smoke run byte-compared against bench/golden.
 test:
 	$(GO) test ./...
+	cd bench && GOWORK=off $(GO) test ./...
 
 # The runner package is the only concurrency in the tree (stats tables are
 # its shared sink), so those two get the race detector on every verify —
@@ -45,14 +48,6 @@ fuzz:
 # API drift without paying for real measurement.
 benchcheck:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
-
-# Perf-trajectory gate: run BenchmarkFigure9 + the translation
-# microbenchmarks (min of 3 × -benchtime 3x), append one
-# {pr, bench, ns_per_op, allocs_per_op} record per bench to
-# BENCH_trident.json, and fail on a >15% ns/op regression vs each bench's
-# last recorded entry from an earlier PR.
-benchjson:
-	$(GO) run ./cmd/benchjson
 
 # Determinism & layering lint (tridentlint, DESIGN.md §8): type-resolved
 # wall-clock ban in the simulated world, math/rand confined to

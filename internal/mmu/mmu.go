@@ -47,8 +47,8 @@ type MMU struct {
 	// full page-table walk per hit, so it must stay off outside tests.
 	ShadowCheck bool
 
-	// sweepSizes is TranslateBatch's reusable per-reference page-size
-	// scratch, sized to the largest batch seen.
+	// sweepSizes is TranslateRuns' reusable per-run page-size scratch,
+	// sized to the longest run slice seen.
 	sweepSizes []uint8
 }
 
@@ -84,16 +84,10 @@ func (m *MMU) Translate(pt *pagetable.Table, va uint64, write bool) bool {
 	return ok
 }
 
-// translateL1Missed is Translate for a reference already proven (by
-// tlb.SweepL1) to miss every L1: the probe starts at the L2 stage. The
+// resolveL1Missed is Translate for a reference already proven (by
+// tlb.SweepL1Runs) to miss every L1: the probe starts at the L2 stage. The
 // skipped L1 probes are stateless misses, so the outcome and every state
-// transition match Translate exactly.
-func (m *MMU) translateL1Missed(pt *pagetable.Table, va uint64, write bool) bool {
-	_, ok := m.resolveL1Missed(pt, va, write)
-	return ok
-}
-
-// resolveL1Missed is translateL1Missed reporting the page size the
+// transition match Translate exactly. It reports the page size the
 // reference resolved at. The run-coalesced pipeline needs the size to
 // bulk-charge the rest of the run: resolving the leading reference leaves
 // its page's tag MRU in the L1 of that size (ProbeL2's insertMissed and the
@@ -187,16 +181,10 @@ func (m *MMU) TranslateNested(gpt, hpt *pagetable.Table, va uint64, write bool) 
 	return ok
 }
 
-// translateNestedL1Missed is TranslateNested with the L1 probes skipped,
-// for references tlb.SweepL1 already proved miss every L1.
-func (m *MMU) translateNestedL1Missed(gpt, hpt *pagetable.Table, va uint64, write bool) bool {
-	_, ok := m.resolveNestedL1Missed(gpt, hpt, va, write)
-	return ok
-}
-
-// resolveNestedL1Missed is resolveL1Missed for the nested path: the
-// reported size is the effective (combined gVA→hPA) page size the TLB entry
-// was installed at, which is what the rest of the run hits in the L1.
+// resolveNestedL1Missed is resolveL1Missed for the nested path
+// (TranslateNested with the L1 probes skipped): the reported size is the
+// effective (combined gVA→hPA) page size the TLB entry was installed at,
+// which is what the rest of the run hits in the L1.
 func (m *MMU) resolveNestedL1Missed(gpt, hpt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
 	if eff, ok := m.TLB.ProbeL2(va); ok {
 		return eff, m.hitNested(gpt, hpt, va, eff, tlb.HitL2)
@@ -250,79 +238,27 @@ func (m *MMU) missNested(gpt, hpt *pagetable.Table, va uint64, write bool) (unit
 	return eff, true
 }
 
-// TranslateBatch translates a batch of references in stream order and
-// returns how many it completed. A return value short of len(batch) means
-// batch[done] faulted (Faults has been charged, exactly as Translate would);
-// the caller services the fault and re-enters with the remainder of the
-// batch, which re-probes from scratch — the fault handler may have remapped
-// pages and shot down entries, so nothing precomputed survives it.
+// TranslateRuns translates a slice of page runs in stream order: one probe
+// or walk per run, counters weighted by Run.Len. It returns how many runs it
+// completed; a short return means runs[done]'s leading reference faulted
+// (Faults has been charged, exactly as Translate would). The caller
+// services the fault and re-enters with runs[done:], which re-probes from
+// scratch — the fault handler may have remapped pages and shot down
+// entries, so nothing precomputed survives it. A skipped reference is
+// expressed by decrementing runs[done].Len (the remainder of the run
+// re-coalesces in place, same page), dropping the run once Len reaches
+// zero.
 //
-// The pipeline alternates two régimes: tlb.SweepL1 consumes maximal runs of
-// L1 hits in a tight loop over the flat tag arrays, then the first reference
-// that misses every L1 is resolved through the ordinary scalar path
-// (L2 probe, page walk, or fault) before the sweep resumes. Splitting at
-// exactly that boundary is what keeps the batch byte-identical to scalar
-// translation: L1 hits never change TLB membership, while L2 hits and walks
-// insert/evict entries that later probes must observe (DESIGN.md §5b).
+// The pipeline alternates two régimes: tlb.SweepL1Runs consumes maximal
+// prefixes of L1-hitting runs in a tight loop over the flat tag arrays,
+// then the first run whose leading reference misses every L1 is resolved
+// through the L2 probe, page walk or fault path before the sweep resumes.
+// Splitting at exactly that boundary keeps the order of TLB state changes
+// that of scalar translation: L1 hits never change TLB membership, while L2
+// hits and walks insert/evict entries that later probes must observe.
 //
 // hpt selects the mode: nil translates natively against gpt; non-nil runs
 // the nested gVA→hPA path.
-func (m *MMU) TranslateBatch(gpt, hpt *pagetable.Table, batch []stream.Access) int {
-	if cap(m.sweepSizes) < len(batch) {
-		m.sweepSizes = make([]uint8, len(batch))
-	}
-	sizes := m.sweepSizes[:len(batch)]
-	done := 0
-	for done < len(batch) {
-		n := m.TLB.SweepL1(batch[done:], sizes[done:])
-		if n > 0 {
-			if m.ShadowCheck {
-				// The sweep touches only TLB LRU state, never the page
-				// tables, so checking its hits after the run sees the same
-				// tables a per-hit check would have.
-				for k := done; k < done+n; k++ {
-					s := units.PageSize(sizes[k])
-					if hpt != nil {
-						m.shadowCheckNested(gpt, hpt, batch[k].VA, s)
-					} else {
-						m.shadowCheckNative(gpt, batch[k].VA, s)
-					}
-				}
-			}
-			for k := done; k < done+n; k++ {
-				m.BySize[sizes[k]].Accesses++
-			}
-			done += n
-			if done == len(batch) {
-				break
-			}
-		}
-		// batch[done] missed every L1: resolve it exactly as the scalar
-		// path would from its L2 probe on (SweepL1 already performed the
-		// L1 probes, and misses touch no state, so re-probing them would
-		// be pure waste).
-		a := batch[done]
-		var ok bool
-		if hpt != nil {
-			ok = m.translateNestedL1Missed(gpt, hpt, a.VA, a.Write)
-		} else {
-			ok = m.translateL1Missed(gpt, a.VA, a.Write)
-		}
-		if !ok {
-			return done
-		}
-		done++
-	}
-	return done
-}
-
-// TranslateRuns is TranslateBatch over page runs: one probe or walk per
-// run, counters weighted by Run.Len. It returns how many runs it completed;
-// a short return means runs[done]'s leading reference faulted (Faults has
-// been charged, exactly as Translate would). The caller services the fault
-// and re-enters with runs[done:]; a skipped reference is expressed by
-// decrementing runs[done].Len (the remainder of the run re-coalesces in
-// place, same page), dropping the run once Len reaches zero.
 //
 // Byte-identity with the expanded per-reference loop rests on two facts
 // (DESIGN.md §5c): (1) only a run's leading reference can fault — the

@@ -224,71 +224,15 @@ func BenchmarkTranslateWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkTranslateBatch measures the batched pipeline in its two
-// régimes. hit-heavy: a working set inside one 1GB page, where after warmup
-// every reference is consumed by the L1 tag sweep. miss-heavy: a stride
-// over four times the L2 TLB reach in 4KB pages, where nearly every
-// reference parks the sweep and takes the walk-only-misses path. Reported
-// per batch of 2000 references.
-func BenchmarkTranslateBatch(b *testing.B) {
-	const batchLen = 2000
-	b.Run("hit-heavy", func(b *testing.B) {
-		m := New(tlb.Skylake())
-		pt := pagetable.New()
-		if err := pt.Map(0, 0, units.Size1G); err != nil {
-			b.Fatal(err)
-		}
-		rng := xrand.New(1)
-		batch := make([]stream.Access, batchLen)
-		for i := range batch {
-			batch[i] = stream.Access{VA: rng.Uint64n(units.Page1G)}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if done := m.TranslateBatch(pt, nil, batch); done != len(batch) {
-				b.Fatalf("batch faulted at %d", done)
-			}
-		}
-	})
-	b.Run("miss-heavy", func(b *testing.B) {
-		m := New(tlb.Skylake())
-		pt := pagetable.New()
-		// 4× the 1536-entry shared L2's 4KB reach: the stride cycles every
-		// page before revisiting it, so probes miss and each reference walks.
-		const pages = 4 * 1536
-		for i := uint64(0); i < pages; i++ {
-			if err := pt.Map(i*units.Page4K, i, units.Size4K); err != nil {
-				b.Fatal(err)
-			}
-		}
-		batch := make([]stream.Access, batchLen)
-		next := uint64(0)
-		refill := func() {
-			for i := range batch {
-				batch[i] = stream.Access{VA: next * units.Page4K}
-				next = (next + 1) % pages
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			refill()
-			if done := m.TranslateBatch(pt, nil, batch); done != len(batch) {
-				b.Fatalf("batch faulted at %d", done)
-			}
-		}
-	})
-}
-
-// BenchmarkTranslateRuns measures the run-coalesced pipeline in the same
-// two régimes as BenchmarkTranslateBatch, with runs of 4 references (the
-// shape the pipeline is built to exploit: one probe or walk per run, bulk
-// counter adds for the rest). hit-heavy: 500 runs inside one 1GB page —
-// after warmup, one MRU L1 hit plus one bulkHits add per run. miss-heavy:
-// a 4KB stride over four times the shared L2's reach — the lead reference
-// of every run walks, the remaining three take BulkL1Hits. Reported per
-// 2000 expanded references, directly comparable to BenchmarkTranslateBatch.
+// BenchmarkTranslateRuns measures the run-coalesced pipeline in its two
+// régimes, with runs of 4 references (the shape the pipeline is built to
+// exploit: one probe or walk per run, bulk counter adds for the rest).
+// hit-heavy: 500 runs inside one 1GB page — after warmup, one MRU L1 hit
+// plus one bulkHits add per run, all consumed by the L1 tag sweep.
+// miss-heavy: a 4KB stride over four times the shared L2's reach — the lead
+// reference of every run parks the sweep and walks, the remaining three
+// take BulkL1Hits. Reported per 2000 expanded references (the sim loop's
+// batch size).
 func BenchmarkTranslateRuns(b *testing.B) {
 	const nRuns, runLen = 500, 4 // 2000 references per op
 	b.Run("hit-heavy", func(b *testing.B) {

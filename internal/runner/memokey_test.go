@@ -14,7 +14,9 @@ import (
 // MemoKeyExclusions — never both, never neither. A new Config field fails
 // here (and at lint time) until its cache semantics are declared, which is
 // what stops it from silently aliasing distinct configs in the memo cache
-// the way an unkeyed Obs field almost did.
+// the way an unkeyed Obs field almost did. sim.Config must have no
+// unexported fields: keyOf cannot read them from outside package sim, so
+// such a field could never be fingerprinted.
 func TestMemoKeyCoversConfig(t *testing.T) {
 	cfgT := reflect.TypeOf(sim.Config{})
 	keyT := reflect.TypeOf(cacheKey{})
@@ -27,6 +29,7 @@ func TestMemoKeyCoversConfig(t *testing.T) {
 	for i := 0; i < cfgT.NumField(); i++ {
 		f := cfgT.Field(i)
 		if !f.IsExported() {
+			t.Errorf("sim.Config.%s is unexported: cacheKey cannot fingerprint it from package runner, so it would silently alias distinct configs; export it and key it, or keep the state out of Config", f.Name)
 			continue
 		}
 		_, excluded := MemoKeyExclusions[f.Name]

@@ -522,19 +522,15 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *check
 // Config field fails both until it is either keyed or listed here.
 var MemoKeyExclusions = map[string]string{
 	"Obs":             "observability only: a recorder observes a run and never influences it, so configs differing only in Obs must share a cache slot",
-	"ScalarTranslate": "loop-shape only: the scalar and batched translation pipelines are byte-identical by construction (DESIGN.md §5b, enforced by TestBatchScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
-	"RunCoalesce":     "loop-shape only: the run-coalesced and per-reference pipelines are byte-identical by construction (DESIGN.md §5c, enforced by TestRunScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
+	"ScalarTranslate": "loop-shape only: the scalar oracle and the run-coalesced translation pipeline are byte-identical by construction (DESIGN.md §5c, enforced by TestRunScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
 }
 
 // cacheKey is the canonical, comparable fingerprint of a normalized
 // sim.Config. The Workload spec and TLB geometry are embedded by value, so
 // distinct pointers to equal specs (workload.All allocates fresh specs per
-// call) still hit. A reflection guard in runner_test.go pins sim.Config's
-// field count: adding a Config field without extending this key (or
-// documenting its exclusion in the guard) fails tests. Config.Obs is the
-// one deliberate exclusion — a recorder only observes a run, so two
-// configs differing only in Obs compute the same Result and must share a
-// cache slot.
+// call) still hit. Adding a Config field without extending this key or
+// listing it in MemoKeyExclusions fails TestMemoKeyCoversConfig and the
+// tridentlint memokey check.
 // Every field is plain value data (no pointers), so fmt's %#v rendering of a
 // key is stable across processes — the checkpoint journal hashes it to name
 // files.

@@ -35,19 +35,6 @@ import (
 	"repro/internal/zerofill"
 )
 
-// RunCoalesceMode selects the translation loop shape (see
-// Config.RunCoalesce). The zero value is the run-coalesced pipeline so a
-// zero Config gets the fastest loop.
-type RunCoalesceMode uint8
-
-const (
-	// RunCoalesceOn translates per page run (NextRuns → TranslateRuns).
-	RunCoalesceOn RunCoalesceMode = iota
-	// RunCoalesceOff forces the per-reference batched pipeline
-	// (NextBatch → TranslateBatch).
-	RunCoalesceOff
-)
-
 // PolicyKind selects the memory-management configuration under test.
 type PolicyKind int
 
@@ -193,25 +180,16 @@ type Config struct {
 	// unaffected; only tests should set it.
 	ShadowCheck bool
 
-	// ScalarTranslate forces the pre-batching one-reference-at-a-time
-	// loops (inst.Next → translateWithFaults) instead of the batched
-	// pipeline (inst.NextBatch → mmu.TranslateBatch). The two paths are
-	// byte-identical by construction (DESIGN.md §5b) and the equivalence is
-	// pinned by TestBatchScalarEquivalence, so this knob exists only as the
+	// ScalarTranslate forces the one-reference-at-a-time oracle loop
+	// (inst.Next → translateWithFaults) instead of the run-coalesced
+	// pipeline (inst.NextRuns → mmu.TranslateRuns). The two paths are
+	// byte-identical by construction (DESIGN.md §5c) and the equivalence is
+	// pinned by TestRunScalarEquivalence, so this knob exists only as the
 	// scalar reference for that test and for bisecting any future
 	// divergence. Like Obs, it cannot affect results and is therefore
 	// excluded from the runner package's memo-cache key
-	// (runner.MemoKeyExclusions). It overrides RunCoalesce.
+	// (runner.MemoKeyExclusions).
 	ScalarTranslate bool
-
-	// RunCoalesce selects between the run-coalesced translation pipeline
-	// (inst.NextRuns → mmu.TranslateRuns, the zero-value default) and the
-	// PR-6 batched pipeline (inst.NextBatch → mmu.TranslateBatch). Like
-	// ScalarTranslate this is a loop-shape knob, not a model parameter: the
-	// pipelines are byte-identical by construction (DESIGN.md §5c, pinned
-	// by TestRunScalarEquivalence), so it exists only for bisecting and as
-	// the equivalence test's second leg, and is excluded from the memo key.
-	RunCoalesce RunCoalesceMode
 
 	// Chaos configures deterministic fault injection (internal/chaos):
 	// seed-driven forced buddy-allocation failures, zero-pool exhaustion
@@ -360,9 +338,6 @@ type runner struct {
 	obsBase  obsBase
 	stallNs  float64
 
-	// batch is the reusable reference buffer of the batched translation
-	// pipeline (one allocation per run, filled by workload.NextBatch).
-	batch []stream.Access
 	// runs is the run-coalesced pipeline's reusable buffer; NextRuns
 	// returns at most one run per drawn reference, so batchAccesses
 	// capacity never reallocates.
@@ -943,62 +918,42 @@ func (r *runner) measureEarly(n int) error {
 // without recording request latencies; faults are serviced silently. The
 // context is checked every batchAccesses references.
 func (r *runner) accessBatch(n int) error {
-	if r.cfg.ScalarTranslate {
-		for i := 0; i < n; i++ {
-			va, write := r.inst.Next()
-			r.translateWithFaults(va, write)
-			if (i+1)%batchAccesses == 0 {
-				if r.cfg.Obs.BatchDone(batchAccesses) {
-					r.obsSample()
-				}
-				if err := r.ctxErr(); err != nil {
-					return err
-				}
-				if r.auditErr != nil {
-					return r.auditErr
-				}
-			}
-		}
-		return nil
-	}
-	coalesce := r.cfg.RunCoalesce == RunCoalesceOn
 	for i := 0; i < n; {
-		c := batchAccesses
-		if rem := n - i; rem < c {
-			c = rem
-		}
-		if coalesce {
-			r.translateRuns(r.inst.NextRuns(r.runsBuf(), c))
-		} else {
-			buf := r.batchBuf()[:c]
-			r.inst.NextBatch(buf)
-			r.translateBatch(buf)
-		}
+		c := min(batchAccesses, n-i)
+		r.translateChunk(c)
 		i += c
-		// Boundary work fires exactly where the scalar loop's
-		// (i+1)%batchAccesses == 0 check did: after each full batch, never
-		// after a short tail.
-		if c == batchAccesses {
-			if r.cfg.Obs.BatchDone(batchAccesses) {
-				r.obsSample()
-			}
-			if err := r.ctxErr(); err != nil {
-				return err
-			}
-			if r.auditErr != nil {
-				return r.auditErr
-			}
+		// Boundary work fires after each full batch, never after a short
+		// tail.
+		if c < batchAccesses {
+			continue
+		}
+		if r.cfg.Obs.BatchDone(batchAccesses) {
+			r.obsSample()
+		}
+		if err := r.ctxErr(); err != nil {
+			return err
+		}
+		if r.auditErr != nil {
+			return r.auditErr
 		}
 	}
 	return nil
 }
 
-// batchBuf returns the run's reusable batch buffer.
-func (r *runner) batchBuf() []stream.Access {
-	if r.batch == nil {
-		r.batch = make([]stream.Access, batchAccesses)
+// translateChunk draws the next c references and translates them, servicing
+// faults, through the run-coalesced pipeline — or, under ScalarTranslate,
+// through the one-reference-at-a-time oracle loop. It returns the chunk's
+// accumulated synchronous fault stall.
+func (r *runner) translateChunk(c int) float64 {
+	if !r.cfg.ScalarTranslate {
+		return r.translateRuns(r.inst.NextRuns(r.runsBuf(), c))
 	}
-	return r.batch
+	var stall float64
+	for j := 0; j < c; j++ {
+		va, write := r.inst.Next()
+		stall += r.translateWithFaults(va, write)
+	}
+	return stall
 }
 
 // runsBuf returns the run's reusable page-run buffer.
@@ -1009,64 +964,22 @@ func (r *runner) runsBuf() []stream.Run {
 	return r.runs
 }
 
-// translateBatch drives one drawn batch through mmu.TranslateBatch,
-// servicing faults between re-entries with translateWithFaults' exact
-// per-reference semantics: up to three translate attempts, each failure
-// followed by one policy.Handle, and a Handle error (or a third failed
-// attempt) skips the reference. Each re-entry re-probes the remainder of
-// the batch from scratch — the fault handler may have remapped pages and
-// shot down TLB entries. Returns the accumulated synchronous fault stall.
-func (r *runner) translateBatch(batch []stream.Access) float64 {
-	var stall float64
-	gpt := r.task.AS.PT
-	var hpt *pagetable.Table
-	if r.vm != nil {
-		hpt = r.vm.HostPT()
-	}
-	off := 0
-	attempts := 0
-	faultIdx := -1
-	for off < len(batch) {
-		n := r.m.TranslateBatch(gpt, hpt, batch[off:])
-		off += n
-		if off == len(batch) {
-			break
-		}
-		// batch[off] faulted. Count attempts per reference so a reference
-		// that keeps faulting gets exactly the scalar path's three
-		// translate+Handle rounds before being skipped.
-		if off != faultIdx {
-			faultIdx, attempts = off, 0
-		}
-		attempts++
-		res, err := r.policy.Handle(r.task, batch[off].VA)
-		if err != nil {
-			// The address lies in a gap VMA page that cannot be mapped —
-			// should not happen; treat as a skipped access.
-			off++
-			continue
-		}
-		stall += res.LatencyNs
-		if attempts == 3 {
-			off++
-		}
-	}
-	return stall
-}
-
-// translateRuns is translateBatch for the run-coalesced pipeline. Fault
-// servicing keeps the scalar path's exact per-reference semantics: only a
-// run's leading reference can fault (its resolution maps the page for the
-// rest of the run), each faulting reference gets up to three
-// translate+Handle rounds, and skipping a reference — after a Handle error
-// or the third round — decrements the run's Len so the remainder
-// re-coalesces in place. The remainder keeps the leading reference's VA and
-// write flag, which is observably identical: every consumer of a reference
-// depends on it only through its page (fault policies align the VA to the
-// mapped size, TLB tags shift it down) and the dirty bit set by
-// pagetable.Translate is never read back (DESIGN.md §5c). After a skip the
-// attempt counter re-arms, so the next reference of a still-unmapped page
-// gets its own three rounds, exactly as the scalar loop would.
+// translateRuns drives one chunk of page runs through mmu.TranslateRuns,
+// servicing faults between re-entries; each re-entry re-probes the
+// remainder from scratch, because the fault handler may have remapped pages
+// and shot down TLB entries. Fault servicing keeps translateWithFaults'
+// exact per-reference semantics: only a run's leading reference can fault
+// (its resolution maps the page for the rest of the run), each faulting
+// reference gets up to three translate+Handle rounds, and skipping a
+// reference — after a Handle error or the third round — decrements the
+// run's Len so the remainder re-coalesces in place. The remainder keeps the
+// leading reference's VA and write flag, which is observably identical:
+// every consumer of a reference depends on it only through its page (fault
+// policies align the VA to the mapped size, TLB tags shift it down) and the
+// dirty bit set by pagetable.Translate is never read back (DESIGN.md §5c).
+// After a skip the attempt counter re-arms, so the next reference of a
+// still-unmapped page gets its own three rounds, exactly as the scalar loop
+// would.
 func (r *runner) translateRuns(runs []stream.Run) float64 {
 	r.runs = runs[:0] // retain a grown buffer for the next batch
 	var stall float64
@@ -1165,31 +1078,18 @@ func (r *runner) measure() error {
 	var reqStall float64
 	var totalStall float64
 
-	// flushReq closes one request window (one batch of accesses) for
-	// throughput workloads: everything accumulated since the previous flush
-	// — walk cycles, L2 overheads, fault stalls — lands in one recorded
-	// request latency. It reads only the cumulative counters, so it needs
-	// no loop index; batched and scalar loops flush at the same boundaries
-	// with the same accumulated state, keeping the p99 histogram identical.
-	flushReq := func() {
-		if !wl.Throughput {
-			return
+	for i := 0; i < r.cfg.Accesses; {
+		c := min(batchAccesses, r.cfg.Accesses-i)
+		stall := r.translateChunk(c)
+		totalStall += stall
+		reqStall += stall
+		i += c
+		// Boundary work — request flush, observability sample, cancellation
+		// and audit checks — fires after each full batch, never after a
+		// short tail.
+		if c < batchAccesses {
+			continue
 		}
-		tot := r.m.Totals()
-		walkCycles := float64(tot.WalkMemAccesses-reqWalkBase.WalkMemAccesses)*perfmodel.WalkAccessCycles +
-			float64(tot.L2Hits-reqWalkBase.L2Hits)*perfmodel.L2TLBHitCycles
-		lat := wl.RequestBaseNs + perfmodel.CyclesToNs(walkCycles*wl.Model.Overlap) + reqStall
-		reqHist.Record(lat)
-		reqWalkBase = tot
-		reqStall = 0
-	}
-
-	batch := 0
-	// boundary is the per-batch bookkeeping both loops share, run after the
-	// final reference of every full batch (i is that reference's index):
-	// request flush, observability sample, cancellation and audit checks —
-	// the scalar loop's (i+1)%batchAccesses == 0 block, verbatim.
-	boundary := func(i int) error {
 		if wl.Throughput {
 			// The store keeps inserting: allocation interleaves with serving.
 			if wl.RequestInsertBytes > 0 {
@@ -1197,9 +1097,18 @@ func (r *runner) measure() error {
 					reqStall += ns
 				}
 			}
-			flushReq()
+			// Close one request window (one batch of accesses): everything
+			// accumulated since the previous flush — walk cycles, L2
+			// overheads, fault stalls — lands in one recorded request
+			// latency.
+			tot := r.m.Totals()
+			walkCycles := float64(tot.WalkMemAccesses-reqWalkBase.WalkMemAccesses)*perfmodel.WalkAccessCycles +
+				float64(tot.L2Hits-reqWalkBase.L2Hits)*perfmodel.L2TLBHitCycles
+			lat := wl.RequestBaseNs + perfmodel.CyclesToNs(walkCycles*wl.Model.Overlap) + reqStall
+			reqHist.Record(lat)
+			reqWalkBase = tot
+			reqStall = 0
 		}
-		batch++
 		r.stallNs = totalStall
 		if r.cfg.Obs.BatchDone(batchAccesses) {
 			r.obsSample()
@@ -1210,48 +1119,10 @@ func (r *runner) measure() error {
 		if r.auditErr != nil {
 			return r.auditErr
 		}
-		if r.cfg.AuditEvery > 0 && batch%r.cfg.AuditEvery == 0 {
+		// Every chunk before a short tail is full, so i counts whole batches.
+		if r.cfg.AuditEvery > 0 && (i/batchAccesses)%r.cfg.AuditEvery == 0 {
 			if err := r.audit(); err != nil {
-				return fmt.Errorf("sim: audit at access %d: %w", i+1, err)
-			}
-		}
-		return nil
-	}
-
-	if r.cfg.ScalarTranslate {
-		for i := 0; i < r.cfg.Accesses; i++ {
-			va, write := r.inst.Next()
-			stall := r.translateWithFaults(va, write)
-			totalStall += stall
-			reqStall += stall
-			if (i+1)%batchAccesses == 0 {
-				if err := boundary(i); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		coalesce := r.cfg.RunCoalesce == RunCoalesceOn
-		for i := 0; i < r.cfg.Accesses; {
-			c := batchAccesses
-			if rem := r.cfg.Accesses - i; rem < c {
-				c = rem
-			}
-			var stall float64
-			if coalesce {
-				stall = r.translateRuns(r.inst.NextRuns(r.runsBuf(), c))
-			} else {
-				buf := r.batchBuf()[:c]
-				r.inst.NextBatch(buf)
-				stall = r.translateBatch(buf)
-			}
-			totalStall += stall
-			reqStall += stall
-			i += c
-			if c == batchAccesses {
-				if err := boundary(i - 1); err != nil {
-					return err
-				}
+				return fmt.Errorf("sim: audit at access %d: %w", i, err)
 			}
 		}
 	}

@@ -464,137 +464,104 @@ func TestPvRestoresHostMappings(t *testing.T) {
 	}
 }
 
-// TestBatchScalarEquivalence pins the batched-pipeline contract (DESIGN.md
-// §5b): a configuration run through the scalar one-reference-at-a-time loop
-// (ScalarTranslate) and through the batched NextBatch → SweepL1 →
-// walk-only-misses pipeline must produce a byte-identical Result and an
-// identical per-batch time-series CSV. This is what licenses the memo-key
-// exclusion of ScalarTranslate (internal/runner) and every probe-skip the
-// batched path performs.
-func TestBatchScalarEquivalence(t *testing.T) {
-	cases := []struct {
-		workload string
-		policy   PolicyKind
-	}{
-		{"GUPS", PolicyTrident},
-		{"SVM", Policy4K},
-		{"Redis", PolicyHawkEye},
+// runWithSeries runs cfg with an observer recording the per-batch time
+// series and returns the Result together with the series CSV bytes.
+func runWithSeries(t *testing.T, cfg Config, name string) (*Result, []byte) {
+	t.Helper()
+	series := filepath.Join(t.TempDir(), "series.csv")
+	ob := obs.NewObserver("", series, 1, false)
+	r := ob.NewRun(name)
+	cfg.Obs = r
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.workload, func(t *testing.T) {
-			run := func(scalar bool) (*Result, []byte) {
-				cfg := testConfig(tc.workload, tc.policy)
-				cfg.Accesses = 80_000
-				cfg.ScalarTranslate = scalar
-				series := filepath.Join(t.TempDir(), "series.csv")
-				ob := obs.NewObserver("", series, 1, false)
-				r := ob.NewRun(tc.workload)
-				cfg.Obs = r
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ob.Flush(r)
-				if err := ob.Close(); err != nil {
-					t.Fatal(err)
-				}
-				csv, err := os.ReadFile(series)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, csv
-			}
-			sres, scsv := run(true)
-			bres, bcsv := run(false)
-			if !reflect.DeepEqual(sres, bres) {
-				t.Errorf("batched result differs from scalar:\nscalar:  %+v\nbatched: %+v", sres, bres)
-			}
-			if !bytes.Equal(scsv, bcsv) {
-				t.Errorf("batched series CSV differs from scalar:\nscalar:\n%s\nbatched:\n%s", scsv, bcsv)
-			}
-		})
+	ob.Flush(r)
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, csv
+}
+
+// assertScalarEquivalent runs cfg once through the scalar
+// one-reference-at-a-time oracle (ScalarTranslate) and once through the
+// default run-coalesced pipeline, and fails unless both produce a
+// byte-identical Result and an identical per-batch time-series CSV.
+func assertScalarEquivalent(t *testing.T, cfg Config, name string) {
+	t.Helper()
+	scfg, rcfg := cfg, cfg
+	scfg.ScalarTranslate = true
+	rcfg.ScalarTranslate = false
+	sres, scsv := runWithSeries(t, scfg, name)
+	rres, rcsv := runWithSeries(t, rcfg, name)
+	if !reflect.DeepEqual(sres, rres) {
+		t.Errorf("runs result differs from scalar:\nscalar: %+v\nruns:   %+v", sres, rres)
+	}
+	if !bytes.Equal(scsv, rcsv) {
+		t.Errorf("runs series CSV differs from scalar:\nscalar:\n%s\nruns:\n%s", scsv, rcsv)
 	}
 }
 
+// TestBatchScalarEquivalence pins scalar/run-pipeline equivalence in the
+// production configuration every bench workload runs: ShadowCheck off and an
+// access count that is a whole number of batches, so every chunk takes the
+// batch-boundary work (observability sample, cancellation and audit checks).
+// TestRunScalarEquivalence covers the shadow-checked ragged-tail side.
+func TestBatchScalarEquivalence(t *testing.T) {
+	t.Run("GUPS", func(t *testing.T) {
+		cfg := testConfig("GUPS", PolicyTrident)
+		cfg.Accesses = 40 * batchAccesses
+		assertScalarEquivalent(t, cfg, "GUPS")
+	})
+}
+
 // TestRunScalarEquivalence pins the run-coalesced pipeline contract
-// (DESIGN.md §5c): a configuration run through the scalar loop
-// (ScalarTranslate), through the batched per-reference pipeline
-// (RunCoalesceOff), and through the run-coalesced NextRuns → SweepL1Runs →
-// walk-only-lead-misses pipeline (RunCoalesceOn, the default) must produce
-// a byte-identical Result and an identical per-batch time-series CSV —
-// with ShadowCheck cross-checking every TLB-derived size against the page
-// table, under ragged access counts that leave a short final batch. This
-// is what licenses the memo-key exclusion of RunCoalesce (internal/runner)
-// and every probe and counter increment the run pipeline bulk-applies.
+// (DESIGN.md §5c): a configuration run through the scalar
+// one-reference-at-a-time oracle (ScalarTranslate) and through the default
+// run-coalesced NextRuns → SweepL1Runs → walk-only-lead-misses pipeline
+// must produce a byte-identical Result and an identical per-batch
+// time-series CSV — with ShadowCheck cross-checking every TLB-derived size
+// against the page table, under ragged access counts that leave a short
+// final batch. The Redis case is the throughput workload: it drives the
+// per-batch request flush, the measurement-time Extend and the p99
+// histogram through both loops. This is what licenses the memo-key
+// exclusion of ScalarTranslate (internal/runner) and every probe skip and
+// counter increment the run pipeline bulk-applies.
 func TestRunScalarEquivalence(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(*Config)
+		name     string
+		workload string
+		policy   PolicyKind
+		mutate   func(*Config)
 	}{
-		{"trident", func(c *Config) {
-			c.Policy = PolicyTrident
-		}},
-		{"hawkeye-fragmented", func(c *Config) {
-			c.Policy = PolicyHawkEye
+		{"trident", "GUPS", PolicyTrident, func(c *Config) {}},
+		{"hawkeye-fragmented", "GUPS", PolicyHawkEye, func(c *Config) {
 			c.Fragment = true
 		}},
-		{"trident-pv-virtualized", func(c *Config) {
-			c.Policy = PolicyTrident
+		{"trident-pv-virtualized", "GUPS", PolicyTrident, func(c *Config) {
 			c.Virtualized = true
 			c.HostPolicy = PolicyTrident
 			c.Pv = true
 			c.KhugepagedBudgetFrac = 0.10
 		}},
-	}
-	type mode struct {
-		name   string
-		mutate func(*Config)
-	}
-	modes := []mode{
-		{"scalar", func(c *Config) { c.ScalarTranslate = true }},
-		{"batched", func(c *Config) { c.RunCoalesce = RunCoalesceOff }},
-		{"runs", func(c *Config) { c.RunCoalesce = RunCoalesceOn }},
+		{"svm-4k", "SVM", Policy4K, func(c *Config) {}},
+		{"redis-hawkeye", "Redis", PolicyHawkEye, func(c *Config) {}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(m mode) (*Result, []byte) {
-				cfg := testConfig("GUPS", PolicyTrident)
-				// Ragged: not a multiple of the 2000-access batch, so the
-				// final short batch takes the run pipeline too.
-				cfg.Accesses = 70_003
-				cfg.ShadowCheck = true
-				tc.mutate(&cfg)
-				m.mutate(&cfg)
-				series := filepath.Join(t.TempDir(), "series.csv")
-				ob := obs.NewObserver("", series, 1, false)
-				r := ob.NewRun(tc.name)
-				cfg.Obs = r
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ob.Flush(r)
-				if err := ob.Close(); err != nil {
-					t.Fatal(err)
-				}
-				csv, err := os.ReadFile(series)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, csv
-			}
-			sres, scsv := run(modes[0])
-			for _, m := range modes[1:] {
-				mres, mcsv := run(m)
-				if !reflect.DeepEqual(sres, mres) {
-					t.Errorf("%s result differs from scalar:\nscalar: %+v\n%s: %+v", m.name, sres, m.name, mres)
-				}
-				if !bytes.Equal(scsv, mcsv) {
-					t.Errorf("%s series CSV differs from scalar:\nscalar:\n%s\n%s:\n%s", m.name, scsv, m.name, mcsv)
-				}
-			}
+			cfg := testConfig(tc.workload, tc.policy)
+			// Ragged: not a multiple of the 2000-access batch, so the
+			// final short batch takes the run pipeline too.
+			cfg.Accesses = 70_003
+			cfg.ShadowCheck = true
+			tc.mutate(&cfg)
+			assertScalarEquivalent(t, cfg, tc.name)
 		})
 	}
 }

@@ -1,13 +1,13 @@
 // Package stream holds the flat reference-stream types shared by the
-// batched translation pipeline: workload.NextBatch fills a []Access buffer,
-// tlb.SweepL1 and mmu.TranslateBatch consume it. It is a leaf package (like
-// units and xrand) so every layer of the pipeline can exchange buffers
-// without introducing cross-layer imports.
+// run-coalesced translation pipeline: workload.NextRuns fills a []Run
+// buffer, tlb.SweepL1Runs and mmu.TranslateRuns consume it. It is a leaf
+// package (like units and xrand) so every layer of the pipeline can
+// exchange buffers without introducing cross-layer imports.
 package stream
 
 // Access is one memory reference drawn from a workload: a virtual address
 // and whether the reference writes. The struct is deliberately flat (16
-// bytes, no pointers) so a batch is a single contiguous allocation that the
+// bytes, no pointers) so a []Run is a single contiguous allocation that the
 // pipeline reuses across batches.
 type Access struct {
 	VA    uint64

@@ -3,7 +3,6 @@ package tlb
 import (
 	"testing"
 
-	"repro/internal/stream"
 	"repro/internal/units"
 )
 
@@ -38,30 +37,6 @@ func BenchmarkHierarchyProbeMiss(b *testing.B) {
 		// Distinct unmapped VAs: nothing is ever inserted, so all miss.
 		if _, _, ok := h.Probe(uint64(i) * units.Page1G); ok {
 			b.Fatal("probe hit on an empty hierarchy")
-		}
-	}
-}
-
-// BenchmarkProbeSweep measures the batched L1 tag sweep on a warm working
-// set that fits the 4KB L1 — the régime the batched translation pipeline
-// spends most of its time in (a full batch consumed as one tight loop, no
-// scalar fallback). Reported per batch of 2000 references.
-func BenchmarkProbeSweep(b *testing.B) {
-	h := NewHierarchy(Skylake())
-	const pages = 32 // 2 per set of the 16-set 4-way L1: all resident
-	for i := 0; i < pages; i++ {
-		h.Access(uint64(i)*units.Page4K, units.Size4K)
-	}
-	batch := make([]stream.Access, 2000)
-	sizes := make([]uint8, len(batch))
-	for i := range batch {
-		batch[i] = stream.Access{VA: uint64(i%pages) * units.Page4K}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if h.SweepL1(batch, sizes) != len(batch) {
-			b.Fatal("sweep parked on a warm working set")
 		}
 	}
 }

@@ -444,7 +444,7 @@ type Hierarchy struct {
 	l2Hits   [units.NumPageSizes]uint64
 	walks    [units.NumPageSizes]uint64
 
-	// sweepHint is the page size of SweepL1's most recent L1 hit. Streams
+	// sweepHint is the page size of SweepL1Runs' most recent L1 hit. Streams
 	// are heavily biased toward one page size at a time, so probing the
 	// last-hitting size first resolves most sweep references with a single
 	// lookup. Pure performance state: probe order across sizes cannot
@@ -549,62 +549,24 @@ func (h *Hierarchy) Probe(va uint64) (Level, units.PageSize, bool) {
 	return HitL1, 0, false
 }
 
-// SweepL1 is the batched fast path: it consumes the longest prefix of batch
-// whose references all hit an L1 TLB, writes each consumed reference's page
-// size (recovered from the size-salted tag that hit) into sizes, and returns
-// the consumed count. The sweep parks at the first reference that misses
-// every L1 — that reference and the rest of the batch are untouched, and the
-// caller resolves the parked reference through the ordinary L2/walk path.
+// SweepL1Runs is the run-coalesced fast path: it consumes the longest
+// prefix of runs whose leading references all hit an L1 TLB, writes each
+// consumed run's page size (recovered from the size-salted tag that hit)
+// into sizes, charges each consumed run's full weight (Run.Len accesses and
+// L1 hits) in bulk, and returns the consumed count. It parks at the first
+// run whose leading reference misses every L1 — that run and the rest are
+// untouched, and the caller resolves the parked reference through the
+// L2/walk path and bulk-applies the rest of its run.
 //
-// Byte-identity with per-reference Probe calls holds because the sweep stops
-// before any state transition that could alter a later probe's outcome: an
-// L1 hit only reorders LRU ranks within the hitting set (membership is
-// unchanged, so every later probe sees the same hit/miss outcome), whereas
-// an L2 hit or a walk would insert entries and evict others. Counter updates
-// per consumed reference are exactly Probe's L1-hit updates.
-func (h *Hierarchy) SweepL1(batch []stream.Access, sizes []uint8) int {
-	hint := h.sweepHint
-	k := 0
-sweep:
-	for ; k < len(batch); k++ {
-		va := batch[k].VA
-		if h.l1[hint].lookupHit(tag(va, hint)) {
-			h.accesses[hint]++
-			h.l1Hits[hint]++
-			sizes[k] = uint8(hint)
-			continue
-		}
-		for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-			if s == hint || !h.l1[s].hasSize(s) {
-				continue
-			}
-			t := tag(va, s)
-			if h.l1[s].mayContain(t, s) && h.l1[s].lookupHit(t) {
-				h.accesses[s]++
-				h.l1Hits[s]++
-				sizes[k] = uint8(s)
-				hint = s
-				continue sweep
-			}
-		}
-		break
-	}
-	h.sweepHint = hint
-	return k
-}
-
-// SweepL1Runs is SweepL1 over page runs: it consumes the longest prefix of
-// runs whose leading references all hit an L1 TLB, charging each consumed
-// run's full weight (Run.Len accesses and L1 hits) in bulk, and returns the
-// consumed count. Only the leading reference probes: a hit promotes the tag
-// to MRU of its set, so each of the run's remaining Len-1 references —
-// same page, hence same tag — would take the MRU fast path, which
-// increments the hit counter and changes nothing else (see bulkHits). The
-// sweep therefore performs exactly the state transitions and counter
-// updates SweepL1 over the expanded references would, byte-identically
-// (DESIGN.md §5c). It parks at the first run whose leading reference misses
-// every L1; the caller resolves that reference through the L2/walk path and
-// bulk-applies the rest of its run.
+// Byte-identity with per-reference Probe calls holds for two reasons
+// (DESIGN.md §5c). The sweep stops before any state transition that could
+// alter a later probe's outcome: an L1 hit only reorders LRU ranks within
+// the hitting set (membership is unchanged, so every later probe sees the
+// same hit/miss outcome), whereas an L2 hit or a walk would insert entries
+// and evict others. And only the leading reference probes: a hit promotes
+// the tag to MRU of its set, so each of the run's remaining Len-1
+// references — same page, hence same tag — would take the MRU fast path,
+// which increments the hit counter and changes nothing else (see bulkHits).
 func (h *Hierarchy) SweepL1Runs(runs []stream.Run, sizes []uint8) int {
 	hint := h.sweepHint
 	k := 0
@@ -651,7 +613,7 @@ sweep:
 // fast path — the run-coalesced pipeline's non-leading references qualify
 // because resolving the leading reference left the page's tag MRU in its L1
 // (an L1 hit promotes it, and both the L2-hit install and the walk install
-// insert at MRU). Counter updates are exactly n SweepL1 L1-hit updates.
+// insert at MRU). Counter updates are exactly n Probe L1-hit updates.
 func (h *Hierarchy) BulkL1Hits(s units.PageSize, n uint64) {
 	h.accesses[s] += n
 	h.l1Hits[s] += n
@@ -659,7 +621,7 @@ func (h *Hierarchy) BulkL1Hits(s units.PageSize, n uint64) {
 }
 
 // ProbeL2 is Probe for a reference already proven to miss every L1 — the
-// state SweepL1 leaves its parked reference in. It performs exactly what
+// state SweepL1Runs leaves its parked reference in. It performs exactly what
 // Probe's L2 stage would: the skipped L1 probes are lookupHit misses, which
 // touch no state and no counters, so skipping them is invisible. On an L2
 // hit the entry is installed in its L1 (charging the L1 miss) exactly as
@@ -712,14 +674,14 @@ func (h *Hierarchy) probeL2Hit(s units.PageSize, t uint64) {
 	l1.countMiss()
 	h.accesses[s]++
 	h.l2Hits[s]++
-	l1.insertMissed(t) // SweepL1 proved t absent from this L1
+	l1.insertMissed(t) // SweepL1Runs proved t absent from this L1
 }
 
 // AccessMissedAll performs Access's Miss arm for a reference already proven
-// — by a completed Probe, or by SweepL1 followed by ProbeL2 — to miss every
-// structure in the hierarchy. The guaranteed-miss lookups collapse to miss
-// counts and the installs skip their duplicate-promotion scans; counter and
-// content transitions are exactly Access's on a full miss.
+// — by a completed Probe, or by SweepL1Runs followed by ProbeL2 — to miss
+// every structure in the hierarchy. The guaranteed-miss lookups collapse to
+// miss counts and the installs skip their duplicate-promotion scans; counter
+// and content transitions are exactly Access's on a full miss.
 func (h *Hierarchy) AccessMissedAll(va uint64, size units.PageSize) {
 	h.accesses[size]++
 	t := tag(va, size)

@@ -33,35 +33,12 @@ func BenchmarkInstanceNext(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkNextBatch measures the precompiled batched draw path — the
-// producer stage of the batched translation pipeline. Reported per batch of
-// 2000 references (the pipeline's batch size), so ns/op ÷ 2000 is the
-// steady-state per-draw cost.
-func BenchmarkNextBatch(b *testing.B) {
-	spec, ok := ByName("GUPS")
-	if !ok {
-		b.Fatal("unknown workload GUPS")
-	}
-	k := kernel.New(2*units.Page1G, units.TridentMaxOrder)
-	task := k.NewTask("bench")
-	inst, err := spec.Instantiate(k, task, fault.NewTHP(k), 42, testScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]stream.Access, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst.NextBatch(buf)
-	}
-}
-
 // BenchmarkNextRuns measures the run-coalescing draw path — the producer
-// stage of the run-coalesced translation pipeline. Same draws as
-// BenchmarkNextBatch plus the per-reference page comparison; uniform
-// workloads coalesce almost nothing (runs of length 1), so this bench pins
-// the overhead coalescing adds to the draw loop. Reported per batch of
-// 2000 references.
+// stage of the run-coalesced translation pipeline: precompiled draws plus
+// the per-reference page comparison. Uniform workloads coalesce almost
+// nothing (runs of length 1), so this bench is dominated by the draw loop
+// itself. Reported per batch of 2000 references (the sim loop's batch
+// size), so ns/op ÷ 2000 is the steady-state per-draw cost.
 func BenchmarkNextRuns(b *testing.B) {
 	spec, ok := ByName("GUPS")
 	if !ok {

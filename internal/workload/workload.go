@@ -303,10 +303,10 @@ type Instance struct {
 	coldThresh   float64 // StackFrac + FringeFrac + ColdFrac
 	hasStack     bool
 	hasFringe    bool
-	// plan holds the compiled draw stream for NextBatch: the rejection
+	// plan holds the compiled draw stream for NextRuns: the rejection
 	// bounds of every bounded draw, precomputed once per heap geometry (see
-	// refreshPlan) so the batched hot loop is pure splitmix64 arithmetic
-	// plus flat lut reads, with no per-draw modulus setup.
+	// refreshPlan) so the run-coalescing hot loop is pure splitmix64
+	// arithmetic plus flat lut reads, with no per-draw modulus setup.
 	plan drawPlan
 	// Faults counts demand faults serviced during population, churn and
 	// Extend; FaultNs is their summed synchronous latency. (Table 5's tail
@@ -575,7 +575,7 @@ func (inst *Instance) buildSegments(scale float64) {
 // draws from, the splitmix64 rejection bound Uint64n would recompute per
 // draw (math.MaxUint64 - math.MaxUint64%n). Draw semantics are untouched —
 // the same raw 64-bit values are accepted, rejected and reduced — so the
-// batched stream is bit-identical to repeated Next calls.
+// NextRuns stream is bit-identical to repeated Next calls.
 type drawPlan struct {
 	stackBound  uint64
 	fringeBound uint64
@@ -632,54 +632,29 @@ func (inst *Instance) Next() (uint64, bool) {
 	}
 }
 
-// NextBatch fills buf with the next len(buf) references of the stream and
-// returns the count drawn. It consumes exactly the raw splitmix64 values
-// len(buf) Next calls would consume, in the same order with the same
-// accept/reject decisions, so interleaving NextBatch calls of any sizes
-// reproduces Next's stream bit-for-bit (pinned by TestNextBatchDeterminism).
-// The per-draw work is inlined splitmix64 plus a precompiled rejection
-// bound and the flat segment-offset lut — no per-draw bound arithmetic.
-func (inst *Instance) NextBatch(buf []stream.Access) int {
-	rng := inst.rng
-	for i := range buf {
-		// rng.Bool(writeFrac) and rng.Float64(), spelled out so the
-		// compiler keeps the whole draw inline.
-		write := float64(rng.Uint64()>>11)/(1<<53) < inst.writeFrac
-		r := float64(rng.Uint64()>>11) / (1 << 53)
-		var va uint64
-		switch {
-		case r < inst.stackThresh && inst.hasStack:
-			va = inst.StackVA + draw(rng, inst.StackBytes, inst.plan.stackBound)
-		case r < inst.fringeThresh && inst.hasFringe:
-			va = inst.fringe.at(draw(rng, inst.fringe.total, inst.plan.fringeBound))
-		case r < inst.coldThresh:
-			va = inst.heap.at(draw(rng, inst.heap.total, inst.plan.heapBound))
-		default:
-			va = inst.heap.at(draw(rng, inst.hotBytes, inst.plan.hotBound))
-		}
-		buf[i] = stream.Access{VA: va, Write: write}
-	}
-	return len(buf)
-}
-
-// NextRuns draws the next n references of the stream — consuming exactly
-// the raw splitmix64 values n Next calls would, like NextBatch — and
-// coalesces consecutive references to the same page into stream.Runs at
-// draw time. The page boundary is the finest configured page size (4KB), so
-// every reference of a run lies in one page at every size a TLB could map
-// it with. buf is the reusable backing array (its contents are overwritten;
-// it grows only if n exceeds its capacity); the returned slice's Len fields
-// sum to n. Expanding each run to Len copies of its first reference's page
-// reproduces the page sequence of NextBatch bit-for-bit (pinned by
-// TestNextRunsDeterminism across ragged draw counts).
+// NextRuns draws the next n references of the stream and coalesces
+// consecutive references to the same page into stream.Runs at draw time.
+// It consumes exactly the raw splitmix64 values n Next calls would consume,
+// in the same order with the same accept/reject decisions, so interleaving
+// NextRuns calls of any sizes never drifts from Next's stream. The page
+// boundary is the finest configured page size (4KB), so every reference of
+// a run lies in one page at every size a TLB could map it with. buf is the
+// reusable backing array (its contents are overwritten; it grows only if n
+// exceeds its capacity); the returned slice's Len fields sum to n. Each
+// run's leading reference is Next's draw verbatim, and expanding each run
+// to Len copies of that page reproduces Next's page sequence bit-for-bit
+// (pinned by TestNextRunsDeterminism across ragged draw counts). The
+// per-draw work is inlined splitmix64 plus a precompiled rejection bound
+// and the flat segment-offset lut — no per-draw bound arithmetic.
 func (inst *Instance) NextRuns(buf []stream.Run, n int) []stream.Run {
 	rng := inst.rng
 	runs := buf[:0]
 	curPage := ^uint64(0) // no canonical VA shifts down to this sentinel
 	pageShift := units.Size4K.Shift()
 	for i := 0; i < n; i++ {
-		// The draw body is NextBatch's, verbatim: same raw values, same
-		// accept/reject decisions, same reduction.
+		// rng.Bool(writeFrac) and rng.Float64(), spelled out so the
+		// compiler keeps the whole draw inline; then Next's window
+		// selection and reduction with the hoisted rejection bounds.
 		write := float64(rng.Uint64()>>11)/(1<<53) < inst.writeFrac
 		r := float64(rng.Uint64()>>11) / (1 << 53)
 		var va uint64

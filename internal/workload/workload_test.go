@@ -309,84 +309,95 @@ func TestWriteFractionRoughlyHonored(t *testing.T) {
 	}
 }
 
-// TestNextBatchDeterminism pins the batched draw contract: NextBatch must
-// reproduce the exact reference stream Next produces, for any sequence of
-// batch sizes. Two instances of the same (workload, seed) are advanced in
-// lockstep — one scalar, one through NextBatch with deliberately ragged
-// batch sizes — and every (VA, write) pair must match positionally, so the
-// batched pipeline cannot drift from the scalar stream at batch-size
-// boundaries (accept/reject loops inside a draw straddle them).
+// TestNextBatchDeterminism pins the batch-grouping contract the sim loop
+// relies on when it draws its reference stream in fixed-size batches with a
+// short tail: the run stream must not depend on how draws are grouped into
+// NextRuns calls. Two instances of the same (workload, seed) draw the same
+// total, one in deliberately ragged batch sizes and one in a single call;
+// once runs split by a batch boundary are rejoined (a boundary can cut a
+// run, never move a draw), both sequences must match run for run — leading
+// VA, write flag and Len.
 func TestNextBatchDeterminism(t *testing.T) {
 	for _, name := range []string{"GUPS", "Redis", "SVM"} {
 		t.Run(name, func(t *testing.T) {
-			scalar, _ := instantiate(t, name, 2, thp)
-			batched, _ := instantiate(t, name, 2, thp)
+			ragged, _ := instantiate(t, name, 2, thp)
+			whole, _ := instantiate(t, name, 2, thp)
 
 			// Ragged sizes: primes and powers, including 1, so draws land
 			// on every alignment relative to the batch boundary.
 			sizes := []int{1, 3, 17, 256, 7, 64, 1000, 5, 129, 2}
-			buf := make([]stream.Access, 1000)
-			drawn := 0
+			pageShift := units.Size4K.Shift()
+			var joined []stream.Run
+			total := 0
 			for _, n := range sizes {
-				got := batched.NextBatch(buf[:n])
-				if got != n {
-					t.Fatalf("NextBatch(%d) = %d", n, got)
-				}
-				for i := 0; i < n; i++ {
-					va, write := scalar.Next()
-					if buf[i].VA != va || buf[i].Write != write {
-						t.Fatalf("draw %d: batch (%#x, %v) != scalar (%#x, %v)",
-							drawn+i, buf[i].VA, buf[i].Write, va, write)
+				for k, r := range ragged.NextRuns(nil, n) {
+					last := len(joined) - 1
+					if k == 0 && last >= 0 && joined[last].VA>>pageShift == r.VA>>pageShift {
+						joined[last].Len += r.Len
+						continue
 					}
+					joined = append(joined, r)
 				}
-				drawn += n
+				total += n
+			}
+			want := whole.NextRuns(nil, total)
+			if len(joined) != len(want) {
+				t.Fatalf("ragged batches give %d runs, one batch gives %d", len(joined), len(want))
+			}
+			for k := range want {
+				if joined[k] != want[k] {
+					t.Fatalf("run %d: ragged batches %+v != one batch %+v", k, joined[k], want[k])
+				}
 			}
 		})
 	}
 }
 
-// TestNextRunsDeterminism pins the run-coalesced draw contract: NextRuns
-// must consume exactly the raw values NextBatch would and produce maximal
-// runs whose expansion — Len references, all in the leading reference's
-// page — reproduces NextBatch's page sequence bit-for-bit, for any sequence
-// of ragged draw counts. Three instances of the same (workload, seed) are
-// advanced in lockstep: one through NextBatch (the reference stream), one
-// through NextRuns, and one through Next to prove the rng cursor of the
-// runs instance never drifts at draw-count boundaries.
+// TestNextRunsDeterminism pins the run-coalesced draw contract against the
+// scalar draw oracle: NextRuns must consume exactly the raw values n Next
+// calls would and produce maximal runs whose leading reference is Next's
+// draw verbatim (VA and write flag) and whose expansion — Len references,
+// all in the leading reference's page — reproduces Next's page sequence
+// bit-for-bit, for any sequence of ragged draw counts. Two instances of the
+// same (workload, seed) are advanced in lockstep, one through Next (the
+// reference stream) and one through NextRuns, so the runs instance cannot
+// drift from the scalar stream at draw-count boundaries (accept/reject
+// loops inside a draw straddle them).
 func TestNextRunsDeterminism(t *testing.T) {
 	for _, name := range []string{"GUPS", "Redis", "SVM"} {
 		t.Run(name, func(t *testing.T) {
-			batched, _ := instantiate(t, name, 2, thp)
+			scalar, _ := instantiate(t, name, 2, thp)
 			coalesced, _ := instantiate(t, name, 2, thp)
 
 			// Ragged counts: primes and powers, including 1, so runs end
 			// on every alignment relative to the draw-count boundary.
 			sizes := []int{1, 3, 17, 256, 7, 64, 1000, 5, 129, 2}
-			batch := make([]stream.Access, 1000)
+			want := make([]stream.Access, 1000)
 			runBuf := make([]stream.Run, 0, 1000)
 			pageShift := units.Size4K.Shift()
 			drawn := 0
 			for _, n := range sizes {
-				if got := batched.NextBatch(batch[:n]); got != n {
-					t.Fatalf("NextBatch(%d) = %d", n, got)
+				for i := range want[:n] {
+					va, write := scalar.Next()
+					want[i] = stream.Access{VA: va, Write: write}
 				}
 				runs := coalesced.NextRuns(runBuf, n)
 				total := 0
-				i := 0 // position within batch[:n]
+				i := 0 // position within want[:n]
 				for k, r := range runs {
 					if r.Len < 1 {
 						t.Fatalf("run %d has Len %d", k, r.Len)
 					}
 					// The leading reference is the draw itself, verbatim.
-					if r.VA != batch[i].VA || r.Write != batch[i].Write {
-						t.Fatalf("draw %d: run lead (%#x, %v) != batch (%#x, %v)",
-							drawn+i, r.VA, r.Write, batch[i].VA, batch[i].Write)
+					if r.VA != want[i].VA || r.Write != want[i].Write {
+						t.Fatalf("draw %d: run lead (%#x, %v) != scalar (%#x, %v)",
+							drawn+i, r.VA, r.Write, want[i].VA, want[i].Write)
 					}
 					// Every coalesced reference shares the leading page.
 					for j := 1; j < r.Len; j++ {
-						if batch[i+j].VA>>pageShift != r.VA>>pageShift {
-							t.Fatalf("draw %d: coalesced into run at page %#x but batch page is %#x",
-								drawn+i+j, r.VA>>pageShift, batch[i+j].VA>>pageShift)
+						if want[i+j].VA>>pageShift != r.VA>>pageShift {
+							t.Fatalf("draw %d: coalesced into run at page %#x but scalar page is %#x",
+								drawn+i+j, r.VA>>pageShift, want[i+j].VA>>pageShift)
 						}
 					}
 					// Runs are maximal: the next run starts a new page.
