@@ -49,14 +49,15 @@ fuzz:
 benchcheck:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Determinism & layering lint (tridentlint, DESIGN.md §8): type-resolved
-# wall-clock ban in the simulated world, math/rand confined to
-# internal/xrand, no order-sensitive emission from map iteration, the
-# declared import DAG, sim.Config/memo-key coverage, and the
-# interprocedural call-graph checks (detertaint, errdrop, lockflow,
-# ctxleak). The second half is the negative gate: the seeded-violation
-# fixture must still make the linter exit 1 — as a whole and per
-# interprocedural check — so the checks themselves cannot silently rot.
+# Determinism & layering lint (tridentlint, DESIGN.md §8), seven checks:
+# the dependency table (layering: import DAG, no host clock in the
+# simulated world, math/rand only in internal/xrand), sim.Config/memo-key
+# coverage (memokey), memo-key purity (obspure), and the interprocedural
+# call-graph checks (detertaint: ambient values and map order into
+# results or output; errdrop, lockflow, ctxleak). The second half is the
+# negative gate: the seeded-violation fixture must still make the linter
+# exit 1 — as a whole and per check — so the checks themselves cannot
+# silently rot.
 lint:
 	$(GO) run ./cmd/tridentlint ./...
 	@rc=0; $(GO) run ./cmd/tridentlint internal/lint/testdata/bad >/dev/null || rc=$$?; \
@@ -64,7 +65,7 @@ lint:
 	  echo "tridentlint negative gate: exit $$rc on seeded violations, want 1" >&2; \
 	  exit 1; \
 	fi
-	@for check in detertaint errdrop lockflow ctxleak; do \
+	@for check in layering memokey obspure detertaint errdrop lockflow ctxleak; do \
 	  rc=0; $(GO) run ./cmd/tridentlint -checks $$check internal/lint/testdata/bad >/dev/null || rc=$$?; \
 	  if [ "$$rc" -ne 1 ]; then \
 	    echo "tridentlint negative gate ($$check): exit $$rc on seeded violations, want 1" >&2; \

@@ -22,14 +22,14 @@ set -eux
 go build ./...
 go vet ./...
 
-# Determinism & layering lint (tridentlint, DESIGN.md §8): type-resolved
-# wall-clock ban in the simulated world, math/rand confined to
-# internal/xrand, no order-sensitive emission from map iteration, the
-# declared import DAG, sim.Config/memo-key coverage, memo-key purity, and
-# the interprocedural call-graph checks — ambient-source taint into
-# results/reports/journals/memo keys (detertaint), discarded durability
-# errors (errdrop), mutex misuse (lockflow), unstoppable serving-path
-# goroutines (ctxleak). Self-clean gate:
+# Determinism & layering lint (tridentlint, DESIGN.md §8), seven checks:
+# the dependency table — import DAG, no host clock in the simulated world,
+# math/rand only in internal/xrand (layering) — sim.Config/memo-key
+# coverage (memokey), memo-key purity (obspure), and the interprocedural
+# call-graph checks — ambient-source and map-order taint into
+# results/reports/journals/memo keys and map-order output (detertaint),
+# discarded durability errors (errdrop), mutex misuse (lockflow),
+# unstoppable serving-path goroutines (ctxleak). Self-clean gate:
 go run ./cmd/tridentlint ./...
 
 # Archive the machine-readable self-scan so a regression investigation can
@@ -45,10 +45,10 @@ lintrc=0
 go run ./cmd/tridentlint internal/lint/testdata/bad >/dev/null || lintrc=$?
 test "$lintrc" -eq 1
 
-# Per-check negative gate: each interprocedural check must fire on its own
-# seeded violations when run alone — a check that stops registering or
-# stops matching its fixture exits 0 here and fails the gate.
-for check in detertaint errdrop lockflow ctxleak; do
+# Per-check negative gate: every registered check (tridentlint -list) must
+# fire on its own seeded violations when run alone — a check that stops
+# registering or stops matching its fixture exits 0 here and fails the gate.
+for check in layering memokey obspure detertaint errdrop lockflow ctxleak; do
   rc=0
   go run ./cmd/tridentlint -checks "$check" internal/lint/testdata/bad >/dev/null || rc=$?
   test "$rc" -eq 1

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	tridentlint [-json] [-checks wallclock,maporder,...] [-list] [pattern ...]
+//	tridentlint [-json] [-checks layering,detertaint,...] [-list] [pattern ...]
 //
 // Each pattern names a directory (a trailing "/..." is accepted and
 // ignored — the whole enclosing module is always analyzed, found by

@@ -13,8 +13,10 @@ import (
 // are ambient-nondeterminism entry points; sinks are the result-bearing
 // surfaces the byte-identical contracts protect. Components missing from
 // a module (fixtures for other checks) simply disable their sinks.
+// Randomness has no entry here: math/rand is fenced off at the import
+// level by the layering table.
 var deterSpec = struct {
-	// Sinks.
+	// Result sinks: both taint kinds.
 	simRel, resultType  string          // assignments into sim.Result fields
 	statsRel, tableType string          // stats.Table method arguments
 	runnerRel           string          // memo fingerprint functions...
@@ -22,24 +24,26 @@ var deterSpec = struct {
 	serviceRel          string          // event journal methods...
 	journalType         string
 	journalMethods      map[string]bool
+	// Emission sinks, order taint only: fmt.Print*/Fprint*, Write* methods
+	// of io.Writer implementations, and methods of obsRel's types.
+	obsRel string
 	// Sources.
-	timeFuncs      map[string]bool
-	osFuncs        map[string]bool
-	randAllowedRel string // math/rand calls outside here are ambient
+	timeFuncs map[string]bool
+	osFuncs   map[string]bool
 }{
 	simRel: "internal/sim", resultType: "Result",
 	statsRel: "internal/stats", tableType: "Table",
-	runnerRel: "internal/runner",
-	memoFuncs: map[string]bool{"keyOf": true, "fingerprintKey": true, "Fingerprint": true},
+	runnerRel:   "internal/runner",
+	memoFuncs:   map[string]bool{"keyOf": true, "fingerprintKey": true, "Fingerprint": true},
 	serviceRel:  "internal/service",
 	journalType: "eventLog",
 	// ephemeral/state events deliberately carry wall-clock timestamps and
 	// are never journaled (DESIGN.md §10); only the durable journal verbs
 	// are sinks.
 	journalMethods: map[string]bool{"journaled": true, "sweepStarted": true, "row": true, "sweepDone": true},
+	obsRel:         "internal/obs",
 	timeFuncs:      map[string]bool{"Now": true, "Since": true, "Until": true},
 	osFuncs:        map[string]bool{"Getenv": true, "Getpid": true, "Environ": true, "Hostname": true},
-	randAllowedRel: "internal/xrand",
 }
 
 // deterAnalysis is the per-module detertaint run: resolved sink types,
@@ -60,11 +64,13 @@ type deterAnalysis struct {
 }
 
 // checkDeterTaint is the registered check: interprocedural taint from
-// ambient sources (wall clock, environment, unseeded rand, map order) to
+// ambient sources (wall clock, environment) and map iteration order to
 // deterministic-output sinks (sim.Result fields, stats.Table cells, CSV
-// and event-journal bytes, the memo fingerprint). It subsumes wallclock's
-// source list: a wrapper returning time.Now() is caught any number of
-// call hops away from the sink.
+// and event-journal bytes, the memo fingerprint), plus map order to
+// emission sinks (printing, io.Writer output, obs events). A wrapper
+// returning time.Now() is caught any number of call hops away from the
+// sink; the simulated world's flat ban on the host clock is a layering
+// rule.
 func checkDeterTaint(m *Module) []Finding {
 	a := &deterAnalysis{m: m, g: m.graph(), sums: newTaintSummaries(), seen: map[string]bool{}}
 	a.resultNamed = namedIn(m, deterSpec.simRel, deterSpec.resultType)
@@ -112,7 +118,7 @@ func namedIn(m *Module, rel, name string) *types.Named {
 
 func (a *deterAnalysis) report(pos token.Pos, sink string, v taintVal) {
 	f := a.m.finding(pos, "detertaint", "value derived from %s reaches %s: %s", v.why, sink,
-		"results, reports, journaled events and memo fingerprints must be pure functions of sim.Config")
+		"results, reports, journaled events and memo fingerprints must be pure functions of sim.Config, and no output may follow map iteration order")
 	key := fmt.Sprintf("%s:%d:%d:%s", f.File, f.Line, f.Col, f.Message)
 	if a.seen[key] {
 		return
@@ -139,7 +145,7 @@ func (a *deterAnalysis) summarize(n *callNode) {
 	// Parameter-sink scans: one per parameter, marker taint injected.
 	// Functions that ARE named sinks are excluded — calls to them are
 	// classified directly, and scanning them would double-report.
-	if a.isNamedSinkFunc(n.fn) {
+	if a.sinkName(n.fn) != "" {
 		return
 	}
 	params := funcParams(n)
@@ -177,21 +183,6 @@ func (a *deterAnalysis) summarize(n *callNode) {
 		}
 		pfs.run()
 	}
-}
-
-// isNamedSinkFunc reports whether fn is itself one of the named sinks.
-func (a *deterAnalysis) isNamedSinkFunc(fn *types.Func) bool {
-	if recv := recvNamed(fn); recv != nil {
-		if recv == a.tableNamed || (recv == a.journalNamed && deterSpec.journalMethods[fn.Name()]) {
-			return true
-		}
-	}
-	if fn.Pkg() != nil {
-		if rel, ok := a.m.relOf(fn.Pkg().Path()); ok && rel == deterSpec.runnerRel && deterSpec.memoFuncs[fn.Name()] {
-			return true
-		}
-	}
-	return false
 }
 
 // recvNamed returns the (pointer-elided) named receiver type of a method.
@@ -259,14 +250,16 @@ func (fs *funcScan) call(call *ast.CallExpr) taintVal {
 	a, info := fs.a, fs.info()
 	fun := peel(call.Fun)
 
-	// Resolve a static callee if there is one.
-	var callee *types.Func
+	// Resolve the called function: fn is the declared function or method
+	// (interface methods included, for sink classification); callee is fn
+	// only when the call dispatches statically.
+	var fn, callee *types.Func
 	var sel *ast.SelectorExpr
 	switch f := fun.(type) {
 	case *ast.Ident:
 		switch obj := info.Uses[f].(type) {
 		case *types.Func:
-			callee = obj
+			fn, callee = obj, obj
 		case *types.Builtin:
 			return fs.builtinCall(obj, call)
 		case *types.TypeName:
@@ -274,9 +267,10 @@ func (fs *funcScan) call(call *ast.CallExpr) taintVal {
 		}
 	case *ast.SelectorExpr:
 		sel = f
-		if fn, ok := info.Uses[f.Sel].(*types.Func); ok {
+		if obj, ok := info.Uses[f.Sel].(*types.Func); ok {
+			fn = obj
 			if s := info.Selections[f]; s == nil || !isInterface(s.Recv()) {
-				callee = fn
+				callee = obj
 			}
 		}
 	case *ast.FuncLit:
@@ -298,38 +292,50 @@ func (fs *funcScan) call(call *ast.CallExpr) taintVal {
 	}
 	in := argVal.or(recvVal)
 
+	if callee != nil {
+		// Ambient sources.
+		if src := sourceName(callee); src != "" {
+			return in.or(taintVal{kind: taintAmbient, why: src})
+		}
+		// Order sanitizers: sort.X(s) / slices.Sort*(s) clear order taint on s.
+		if isSortCall(callee) {
+			for _, arg := range call.Args {
+				if obj, path := pathOf(info, arg); obj != nil {
+					fs.state.sanitizeOrder(obj, path)
+				}
+			}
+			return in.stripOrder()
+		}
+	}
+
+	// Sinks: one report per call, at the first tainted argument. A sink
+	// called inside a map-range body runs once per entry in iteration
+	// order, so it is order-tainted even when its arguments are clean.
+	if fs.onSink != nil && fn != nil {
+		if sink, kinds := a.sinkOf(info, sel, fn); sink != "" {
+			var v taintVal
+			pos := call.Pos()
+			for _, arg := range call.Args {
+				if av := fs.eval(arg).only(kinds); av.kind != 0 {
+					if v.kind == 0 {
+						pos = arg.Pos()
+					}
+					v = v.or(av)
+				}
+			}
+			if v = v.or(fs.mapOrder.only(kinds)); v.kind != 0 {
+				fs.onSink(pos, sink, v)
+			}
+		} else if node := a.g.nodeOf(callee); node != nil {
+			fs.applyParamSinks(call, node)
+		}
+	}
+
 	if callee == nil {
 		// Unknown callee (function value / interface dispatch): result is
 		// whatever flowed in; tainted args vanishing into unknown callees
 		// are a documented precision limit.
 		return in
-	}
-
-	// Ambient sources.
-	if src := a.sourceName(fs.n.pkg, callee); src != "" {
-		return in.or(taintVal{kind: taintAmbient, why: src})
-	}
-	// Order sanitizers: sort.X(s) / slices.Sort*(s) clear order taint on s.
-	if isSortCall(callee) {
-		for _, arg := range call.Args {
-			if obj, path := pathOf(info, arg); obj != nil {
-				fs.state.sanitizeOrder(obj, path)
-			}
-		}
-		return in.stripOrder()
-	}
-
-	// Sinks.
-	if fs.onSink != nil {
-		if sink := a.sinkName(callee); sink != "" {
-			for _, arg := range call.Args {
-				if v := fs.eval(arg); v.kind != 0 {
-					fs.onSink(arg.Pos(), sink, v)
-				}
-			}
-		} else if node := a.g.nodeOf(callee); node != nil {
-			fs.applyParamSinks(call, node)
-		}
 	}
 
 	// Result taint: callee's return summary plus whatever flowed in.
@@ -401,7 +407,7 @@ func (fs *funcScan) builtinCall(b *types.Builtin, call *ast.CallExpr) taintVal {
 }
 
 // sourceName classifies an external call as an ambient source.
-func (a *deterAnalysis) sourceName(from *Package, fn *types.Func) string {
+func sourceName(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return ""
 	}
@@ -414,15 +420,68 @@ func (a *deterAnalysis) sourceName(from *Package, fn *types.Func) string {
 		if deterSpec.osFuncs[fn.Name()] {
 			return "os." + fn.Name()
 		}
-	case "math/rand", "math/rand/v2":
-		if from.Rel != deterSpec.randAllowedRel {
-			return "unseeded " + fn.Pkg().Path()
+	}
+	return ""
+}
+
+// sinkOf classifies a called function as a sink, returning its description
+// and the taint kinds it rejects. Result sinks reject both kinds. Emission
+// sinks reject only order taint: logs, diagnostics and the metrics side of
+// obs may carry wall-clock readings, but nothing may come out in map order.
+func (a *deterAnalysis) sinkOf(info *types.Info, sel *ast.SelectorExpr, fn *types.Func) (string, taintKind) {
+	if sink := a.sinkName(fn); sink != "" {
+		return sink, taintAmbient | taintOrder
+	}
+	if sink := a.emissionName(info, sel, fn); sink != "" {
+		return sink, taintOrder
+	}
+	return "", 0
+}
+
+// emissionName classifies a call as order-sensitive output: fmt.Print* /
+// fmt.Fprint*, a Write* method on an io.Writer, or a method of a type
+// declared in the obs package.
+func (a *deterAnalysis) emissionName(info *types.Info, sel *ast.SelectorExpr, fn *types.Func) string {
+	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
+		(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
+		return "fmt." + fn.Name()
+	}
+	if sel == nil {
+		return ""
+	}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return ""
+	}
+	recv := s.Recv()
+	if strings.HasPrefix(fn.Name(), "Write") && implementsWriter(recv) {
+		return "io.Writer output (" + types.TypeString(recv, nil) + ")." + fn.Name()
+	}
+	if n := derefNamed(recv); n != nil && n.Obj().Pkg() != nil {
+		if rel, ok := a.m.relOf(n.Obj().Pkg().Path()); ok && rel == deterSpec.obsRel {
+			return "obs event emission ." + fn.Name()
 		}
 	}
 	return ""
 }
 
-// sinkName classifies a static callee as a named sink.
+// writerIface is io.Writer, constructed structurally so the check needs no
+// import of the io package from the target module.
+var writerIface = func() *types.Interface {
+	params := types.NewTuple(types.NewVar(token.NoPos, nil, "p", types.NewSlice(types.Typ[types.Byte])))
+	results := types.NewTuple(
+		types.NewVar(token.NoPos, nil, "n", types.Typ[types.Int]),
+		types.NewVar(token.NoPos, nil, "err", types.Universe.Lookup("error").Type()),
+	)
+	sig := types.NewSignatureType(nil, nil, nil, params, results, false)
+	return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Write", sig)}, nil).Complete()
+}()
+
+func implementsWriter(t types.Type) bool {
+	return types.Implements(t, writerIface) || types.Implements(types.NewPointer(t), writerIface)
+}
+
+// sinkName classifies a function as a named result sink.
 func (a *deterAnalysis) sinkName(fn *types.Func) string {
 	if recv := recvNamed(fn); recv != nil {
 		switch {

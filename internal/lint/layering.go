@@ -1,20 +1,59 @@
 package lint
 
 import (
+	"go/ast"
+	"go/types"
+	"slices"
 	"strings"
 )
 
-// LayerRule declares one edge class forbidden by the import DAG. From and
-// Deny entries are module-relative directories; a trailing "/..." matches
-// the directory and everything beneath it, and the special pattern "..."
-// matches every module-internal package.
-type LayerRule struct {
-	From []string
-	Deny []string
-	Why  string
+// simulatedPackages are the module-relative directories that make up the
+// simulated world: everything whose behavior must be a pure function of
+// sim.Config. Reading the wall clock (or scheduling against it) inside any
+// of them would leak host timing into results and break the bit-exact
+// determinism contract (TestParallelDeterminism, TestCheckpointKillAndResume,
+// TestObsPureObserver). Wall-clock usage belongs in runner/ and cmd/ only.
+// A new machine package slots in by adding one line.
+var simulatedPackages = []string{
+	"internal/audit",
+	"internal/buddy",
+	"internal/chaos",
+	"internal/compact",
+	"internal/core",
+	"internal/fault",
+	"internal/fragment",
+	"internal/hawkeye",
+	"internal/kernel",
+	"internal/mmu",
+	"internal/obs",
+	"internal/pagetable",
+	"internal/perfmodel",
+	"internal/phys",
+	"internal/promote",
+	"internal/sim",
+	"internal/stream",
+	"internal/tlb",
+	"internal/virt",
+	"internal/vmm",
+	"internal/workload",
+	"internal/zerofill",
 }
 
-// layerRules is the declared import DAG (DESIGN.md §8). The architecture,
+// LayerRule declares one class of forbidden dependency. From and Except
+// are module-relative directory patterns: a trailing "/..." matches the
+// directory and everything beneath it, and the special pattern "..."
+// matches every module-internal package. Deny lists module-internal
+// packages in the same notation. DenyStd lists standard-library import
+// paths ("math/rand") and package-level functions ("time.Now").
+type LayerRule struct {
+	From    []string
+	Except  []string
+	Deny    []string
+	DenyStd []string
+	Why     string
+}
+
+// layerRules is the dependency table (DESIGN.md §8). The architecture,
 // bottom to top:
 //
 //	units, stats, xrand, stream              (leaves: no internal imports)
@@ -23,13 +62,26 @@ type LayerRule struct {
 //	runner                                   (experiment engine)
 //	experiments, repro (root), cmd/*         (drivers)
 //
-// A new package slots in by adding it to simulatedPackages (wallclock.go)
-// or to a rule here.
+// Below the package DAG sit two standard-library fences: the simulated
+// world never touches the host clock, and only xrand may import math/rand.
+// A new package slots in by adding it to simulatedPackages or to a rule.
 var layerRules = []LayerRule{
 	{
 		From: simulatedPackages,
 		Deny: []string{"internal/runner", "internal/experiments", "cmd/..."},
 		Why:  "the simulated world sits below the experiment engine; a Result must be a pure function of sim.Config",
+	},
+	{
+		From: simulatedPackages,
+		DenyStd: []string{"time.Now", "time.Since", "time.Until", "time.Sleep", "time.Tick",
+			"time.After", "time.AfterFunc", "time.NewTicker", "time.NewTimer"},
+		Why: "timestamps in the simulated world must be simulated event time (DESIGN.md §7); duration constants and arithmetic stay legal",
+	},
+	{
+		From:    []string{"..."},
+		Except:  []string{"internal/xrand"},
+		DenyStd: []string{"math/rand", "math/rand/v2"},
+		Why:     "all randomness must flow from seeded internal/xrand streams",
 	},
 	{
 		From: []string{"internal/obs"},
@@ -74,39 +126,70 @@ func matchLayer(pattern, rel string) bool {
 	return rel == pattern
 }
 
-// checkLayering enforces layerRules over the non-test import graph.
-// Test files are exempt: integration tests legitimately reach across
-// layers (sim's determinism tests drive the runner, for instance).
+func matchAny(patterns []string, rel string) bool {
+	return slices.ContainsFunc(patterns, func(p string) bool { return matchLayer(p, rel) })
+}
+
+// checkLayering enforces layerRules. Module-internal edges and banned
+// functions are checked in non-test files only: integration tests
+// legitimately reach across layers (sim's determinism tests drive the
+// runner), and tests may time themselves. A banned standard-library
+// package is banned in test files too — a stray rand.Shuffle in a test
+// makes its failures unreproducible. Banned functions are resolved through
+// go/types, so an aliased import (`import t "time"; t.Now()`), a dot
+// import or a captured function value (`f := time.Now`) cannot slip past.
 func checkLayering(m *Module) []Finding {
 	var out []Finding
 	for _, pkg := range m.Packages {
 		for _, rule := range layerRules {
-			applies := false
-			for _, from := range rule.From {
-				if matchLayer(from, pkg.Rel) {
-					applies = true
-					break
-				}
-			}
-			if !applies {
+			if !matchAny(rule.From, pkg.Rel) || matchAny(rule.Except, pkg.Rel) {
 				continue
 			}
-			for _, f := range pkg.Files {
+			files := append(slices.Clip(pkg.Files), pkg.TestFiles...)
+			for i, f := range files {
+				test := i >= len(pkg.Files)
 				for _, imp := range f.Imports {
-					rel, ok := m.relOf(strings.Trim(imp.Path.Value, `"`))
-					if !ok {
+					path := strings.Trim(imp.Path.Value, `"`)
+					dep, internal := m.relOf(path)
+					switch {
+					case internal && !test && matchAny(rule.Deny, dep):
+					case !internal && slices.Contains(rule.DenyStd, path):
+						dep = path
+					default:
 						continue
 					}
-					for _, deny := range rule.Deny {
-						if matchLayer(deny, rel) {
-							out = append(out, m.finding(imp.Pos(), "layering",
-								"%s must not import %s: %s", pkg.Rel, rel, rule.Why))
-							break
-						}
-					}
+					out = append(out, m.finding(imp.Pos(), "layering",
+						"%s must not import %s: %s", pkg.Rel, dep, rule.Why))
 				}
 			}
+			if len(rule.DenyStd) > 0 && pkg.Info != nil {
+				out = append(out, m.deniedFuncs(pkg, rule)...)
+			}
 		}
+	}
+	return out
+}
+
+// deniedFuncs reports every use in pkg's non-test files of a package-level
+// function that rule.DenyStd names.
+func (m *Module) deniedFuncs(pkg *Package, rule LayerRule) []Finding {
+	var out []Finding
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := pkg.Info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+				return true
+			}
+			if name := fn.Pkg().Path() + "." + fn.Name(); slices.Contains(rule.DenyStd, name) {
+				out = append(out, m.finding(id.Pos(), "layering",
+					"%s must not use %s: %s", pkg.Rel, name, rule.Why))
+			}
+			return true
+		})
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,14 +26,15 @@ type want struct {
 
 // TestBadFixtureFindings pins the seeded-violation module: every check
 // must fire on its violation, the malformed suppression must be reported,
-// and nothing else may appear.
+// and nothing else may appear. Every registered check must own at least
+// one seed, so the per-check negative gate has something to fire on.
 func TestBadFixtureFindings(t *testing.T) {
 	m := load(t, filepath.Join("testdata", "bad"))
 	got := Run(m, Checks())
 	wants := []want{
-		{"randomness", "internal/kernel/kernel.go", "import of math/rand outside internal/xrand"},
+		{"layering", "internal/kernel/kernel.go", "internal/kernel must not import math/rand"},
 		{"ignore", "internal/kernel/kernel.go", "malformed //lint:ignore"},
-		{"wallclock", "internal/kernel/kernel.go", "time.Sleep in simulated-world package internal/kernel"},
+		{"layering", "internal/kernel/kernel.go", "internal/kernel must not use time.Sleep"},
 		{"layering", "internal/obs/obs.go", "internal/obs must not import internal/sim"},
 		{"memokey", "internal/runner/runner.go", `MemoKeyExclusions entry "Obs" matches no exported sim.Config field`},
 		{"memokey", "internal/runner/runner.go", "sim.Config.Shape is fingerprinted by cacheKey AND listed in MemoKeyExclusions"},
@@ -41,11 +43,12 @@ func TestBadFixtureFindings(t *testing.T) {
 		{"layering", "internal/service/service.go", "internal/service must not import internal/experiments"},
 		{"obspure", "internal/runner/runner.go", "log/slog.Info inside memo-key function fingerprintKey"},
 		{"memokey", "internal/sim/sim.go", "sim.Config.Extra is neither fingerprinted"},
-		{"wallclock", "internal/sim/sim.go", "time.Now in simulated-world package internal/sim"},
-		{"maporder", "internal/sim/sim.go", "fmt.Println inside range over map"},
-		// Interprocedural checks (PR 10). The first is the acceptance
-		// proof: a wall-clock read two call hops away from the Result
-		// assignment, invisible to the single-function wallclock check.
+		{"layering", "internal/sim/sim.go", "internal/sim must not use time.Now"},
+		{"detertaint", "internal/sim/sim.go", "map iteration order reaches fmt.Println"},
+		{"detertaint", "internal/sim/sim.go", "map iteration order reaches io.Writer output (io.Writer).Write"},
+		// Interprocedural flows. The first is the acceptance proof: a
+		// wall-clock read two call hops away from the Result assignment,
+		// outside the simulated world the layering fence covers.
 		{"detertaint", "internal/experiments/experiments.go", "time.Now (via internal/runner.hostStamp) (via internal/runner.StampWrapper) reaches sim.Result field Stamp"},
 		{"detertaint", "internal/experiments/experiments.go", "os.Getenv reaches stats.Table.AddRow (report cell) via internal/experiments.emit (argument 1)"},
 		{"detertaint", "internal/experiments/experiments.go", "map iteration order reaches stats.Table.AddRow (report cell)"},
@@ -85,6 +88,11 @@ func TestBadFixtureFindings(t *testing.T) {
 			t.Errorf("finding without position: %+v", f)
 		}
 	}
+	for _, c := range Checks() {
+		if !slices.ContainsFunc(wants, func(w want) bool { return w.check == c.Name }) {
+			t.Errorf("check %s has no seeded violation in testdata/bad", c.Name)
+		}
+	}
 }
 
 // TestGoodFixtureClean pins the clean module: sorted emission, duration
@@ -101,14 +109,14 @@ func TestGoodFixtureClean(t *testing.T) {
 
 // TestIgnoreSuppressesOnlyWithReason proves the suppression actually
 // swallowed a live finding in the good fixture (rather than the check not
-// firing at all): running the wallclock check raw sees the violation, Run
+// firing at all): running the layering check raw sees the violation, Run
 // with directives does not. The bad fixture's reasonless directive is the
 // negative half, pinned in TestBadFixtureFindings.
 func TestIgnoreSuppressesOnlyWithReason(t *testing.T) {
 	m := load(t, filepath.Join("testdata", "good"))
-	raw := checkWallclock(m)
+	raw := checkLayering(m)
 	if len(raw) != 1 || !strings.Contains(raw[0].Message, "time.Now") {
-		t.Fatalf("raw wallclock check on good fixture = %v, want exactly the suppressed time.Now", raw)
+		t.Fatalf("raw layering check on good fixture = %v, want exactly the suppressed time.Now", raw)
 	}
 	if got := Run(m, Checks()); len(got) != 0 {
 		t.Errorf("reasoned //lint:ignore did not suppress: %v", got)
@@ -159,8 +167,7 @@ func TestSelfClean(t *testing.T) {
 // TestCheckRegistry pins the contract checks by name so a dropped
 // registration cannot go unnoticed.
 func TestCheckRegistry(t *testing.T) {
-	want := []string{"wallclock", "randomness", "maporder", "layering", "memokey", "obspure",
-		"detertaint", "errdrop", "lockflow", "ctxleak"}
+	want := []string{"layering", "memokey", "obspure", "detertaint", "errdrop", "lockflow", "ctxleak"}
 	var got []string
 	for _, c := range Checks() {
 		got = append(got, c.Name)

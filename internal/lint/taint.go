@@ -10,10 +10,10 @@ import (
 // Forward value-taint lattice for detertaint (DESIGN.md §8). Two taint
 // kinds flow through the module:
 //
-//   - ambient: the value derives from a wall-clock read, the process
-//     environment, or unseeded randomness. Ambient taint survives every
-//     operation — hashing, arithmetic, formatting — because any function
-//     of a nondeterministic input is nondeterministic.
+//   - ambient: the value derives from a wall-clock read or the process
+//     environment. Ambient taint survives every operation — hashing,
+//     arithmetic, formatting — because any function of a
+//     nondeterministic input is nondeterministic.
 //   - order: the value derives from map iteration order. Order taint dies
 //     at order-insensitive operations: numeric arithmetic (commutative
 //     aggregation over a map is deterministic), stores into map cells,
@@ -64,6 +64,23 @@ func (v taintVal) or(o taintVal) taintVal {
 		out.why = o.why
 	}
 	return out
+}
+
+// only keeps the bits a sink rejecting kinds (ambient and/or order) cares
+// about, marker twins included.
+func (v taintVal) only(kinds taintKind) taintVal {
+	var keep taintKind
+	if kinds&taintAmbient != 0 {
+		keep |= taintAmbient | taintMarkA
+	}
+	if kinds&taintOrder != 0 {
+		keep |= orderLike
+	}
+	v.kind &= keep
+	if v.kind == 0 {
+		v.why = ""
+	}
+	return v
 }
 
 func (v taintVal) stripOrder() taintVal {
@@ -249,6 +266,9 @@ type funcScan struct {
 	onSink func(pos token.Pos, sink string, v taintVal)
 	// retOut accumulates return-value taint when non-nil.
 	retOut *taintVal
+	// mapOrder is the order taint of the enclosing map-range bodies: the
+	// control dependence of every call made inside them.
+	mapOrder taintVal
 }
 
 func (fs *funcScan) info() *types.Info { return fs.n.pkg.Info }
@@ -375,9 +395,12 @@ func (fs *funcScan) rangeStmt(st *ast.RangeStmt) {
 	base := fs.eval(st.X)
 	t := fs.info().TypeOf(st.X)
 	var loopVar taintVal
+	outer := fs.mapOrder
 	switch {
 	case t != nil && isMapType(t):
-		loopVar = base.or(taintVal{kind: taintOrder, why: "map iteration order"})
+		order := taintVal{kind: taintOrder, why: "map iteration order"}
+		loopVar = base.or(order)
+		fs.mapOrder = order
 	case t != nil && isChanType(t):
 		loopVar = taintVal{}
 	default:
@@ -392,6 +415,7 @@ func (fs *funcScan) rangeStmt(st *ast.RangeStmt) {
 		}
 	}
 	fs.stmt(st.Body)
+	fs.mapOrder = outer
 }
 
 func isMapType(t types.Type) bool  { _, ok := t.Underlying().(*types.Map); return ok }

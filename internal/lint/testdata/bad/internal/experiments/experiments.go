@@ -1,6 +1,6 @@
 // Package experiments seeds the interprocedural detertaint violations —
 // an ambient timestamp crossing two call hops into a sim.Result field
-// (the shape the old single-function wallclock check cannot see), an
+// (read outside the simulated world, so the layering fence cannot see it), an
 // environment read relayed into a report cell through a helper's
 // parameter, and raw map-iteration order reaching the report — plus a
 // discarded error from the store's durable Seal. It also still provides

@@ -1,6 +1,8 @@
-// Package kernel seeds a randomness violation and a malformed suppression
-// directive: the //lint:ignore below names a check but gives no reason, so
-// it must be reported itself AND fail to suppress the wallclock finding.
+// Package kernel seeds two layering violations against the standard
+// library — a math/rand import outside internal/xrand and a host-clock
+// sleep in the simulated world — and a malformed suppression directive:
+// the //lint:ignore below names a check but gives no reason, so it must be
+// reported itself AND fail to suppress the time.Sleep finding.
 package kernel
 
 import (
@@ -16,6 +18,6 @@ func Roll() int {
 // Nap sleeps on the host clock; the reasonless directive above it must not
 // silence the finding.
 func Nap() {
-	//lint:ignore wallclock
+	//lint:ignore layering
 	time.Sleep(time.Millisecond)
 }

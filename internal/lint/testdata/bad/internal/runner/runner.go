@@ -38,9 +38,10 @@ var _ = fingerprintKey
 // Touch exists so the fixture sim package has something to import.
 func Touch() {}
 
-// hostStamp reads the wall clock. The runner sits outside the wallclock
-// check's simulated-world scope, so that check stays silent here — only
-// the interprocedural taint analysis can follow the value onward.
+// hostStamp reads the wall clock. The runner sits outside the simulated
+// world that layering fences off from the host clock, so that rule stays
+// silent here — only the interprocedural taint analysis can follow the
+// value onward.
 func hostStamp() int64 {
 	return time.Now().UnixNano()
 }

@@ -1,11 +1,13 @@
 // Package sim seeds deliberate violations for tridentlint's golden tests
-// and the CI negative gate: an aliased wall-clock read, an unsorted
-// map-order emission, a layering breach (sim importing the runner), and a
-// Config field missing from the runner's memo key.
+// and the CI negative gate: an aliased wall-clock read and a layering
+// breach (sim importing the runner) for the layering table, two unsorted
+// map-order emissions for detertaint, and a Config field missing from the
+// runner's memo key.
 package sim
 
 import (
 	"fmt"
+	"io"
 	tt "time"
 
 	"bad/internal/runner"
@@ -42,5 +44,18 @@ func Stamp() int64 {
 func Dump(m map[string]int) {
 	for k, v := range m {
 		fmt.Println(k, v)
+	}
+}
+
+// Mark writes a constant line per entry through an interface, but which
+// line comes first follows map iteration order: only the control
+// dependence of the call on the range catches it.
+func Mark(w io.Writer, m map[string]bool) {
+	for _, hot := range m {
+		line := "cold\n"
+		if hot {
+			line = "hot\n"
+		}
+		w.Write([]byte(line))
 	}
 }

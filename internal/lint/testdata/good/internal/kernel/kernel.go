@@ -1,5 +1,5 @@
-// Package kernel demonstrates the sorted-emission idiom: collect, sort,
-// then print in slice order.
+// Package kernel demonstrates the sorted-emission idiom — collect, sort,
+// then print in slice order — and order-insensitive aggregation.
 package kernel
 
 import (
@@ -17,4 +17,14 @@ func Dump(m map[string]int) {
 	for _, k := range keys {
 		fmt.Println(k, m[k])
 	}
+}
+
+// Total prints a sum over the map: addition commutes, so the printed value
+// does not depend on iteration order.
+func Total(m map[string]int) {
+	total := 0
+	for _, v := range m {
+		total += v
+	}
+	fmt.Println(total)
 }

@@ -59,7 +59,7 @@ func (h *Hub) bump() {
 
 // Render emits map contents in sorted order: the sort kills the
 // iteration-order taint before any value reaches a report cell, so
-// detertaint (and maporder) stay quiet.
+// detertaint stays quiet.
 func Render(t *stats.Table, m map[string]int) {
 	keys := make([]string, 0, len(m))
 	for k := range m {

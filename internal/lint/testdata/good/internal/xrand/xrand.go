@@ -1,5 +1,5 @@
-// Package xrand is the one place math/rand may be imported: the
-// randomness check must stay quiet here.
+// Package xrand is the one place math/rand may be imported: the layering
+// table exempts it from the math/rand ban.
 package xrand
 
 import "math/rand"
