@@ -38,10 +38,12 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestAuditEvery|TestObs' ./internal/sim
 
 # Fuzz smoke: ten seconds of audit-checked random kernel-op sequences under
-# chaos-injected buddy failures. The seed corpus alone runs on plain
+# chaos-injected buddy failures, and ten of the fragmenter's computed fill
+# against its per-page reference. The seed corpora alone run on plain
 # `make test`; this exercises the mutator too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz FuzzApplyEquivalence -fuzztime 10s ./internal/fragment
 
 # Bench-rot gate: compile and run every benchmark in the tree exactly once
 # (no test functions: -run matches nothing). Catches benchmarks broken by

@@ -1,11 +1,13 @@
 #!/bin/sh
 # Tier-1 verification (ROADMAP.md): build, vet, full tests, the race
 # detector on the concurrent packages, the shadow-coherence tests and the
-# chaos/audit robustness suites, a 10s fuzz smoke of the audit-checked
-# kernel-op fuzzer, a one-iteration sweep of every benchmark (bench-rot
+# chaos/audit robustness suites, 10s fuzz smokes of the audit-checked
+# kernel-op fuzzer and of the fragmenter's computed-vs-per-page
+# equivalence, a one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
-# outputs against bench/golden), the tridentlint determinism & layering
+# outputs against bench/golden) plus a short fragmented-memory benchmark
+# run checked against bench/golden, the tridentlint determinism & layering
 # suite (self-clean gate plus a negative gate on seeded violations,
 # DESIGN.md §8), a traced experiment validated by tracecheck
 # (observability gate, DESIGN.md §7), and the durable-service crash gate
@@ -60,6 +62,7 @@ go test -race -run 'TestShadowCoherence' ./internal/sim
 go test -race ./internal/chaos ./internal/audit
 go test -race -run 'TestChaos|TestAuditEvery|TestObs' ./internal/sim
 go test -run '^$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
+go test -run '^$' -fuzz FuzzApplyEquivalence -fuzztime 10s ./internal/fragment
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Benchmark-harness gate: bench/ is its own module (BENCHMARK.json), so the
@@ -69,13 +72,18 @@ go test -run '^$' -bench=. -benchtime=1x ./...
 # `bash bench/run.sh --workload W --seed N`, not from this gate.
 (cd bench && GOWORK=off go test ./...)
 
+# TestSmoke skips fig10-frag, the workload that runs the fragmenter: one
+# short run must still match bench/golden (run.sh exits 1 if not).
+obsdir=$(mktemp -d)
+svcdir=$(mktemp -d)
+benchdir=$(mktemp -d)
+trap 'rm -rf "$obsdir" "$svcdir" "$benchdir"; kill -9 $svcpid 2>/dev/null || true' EXIT
+svcpid=""
+bash bench/run.sh --workload fig10-frag --seed 1 --seconds 1 --trace 0 -out "$benchdir" >/dev/null
+
 # Observability gate: a small traced experiment must produce a valid
 # Perfetto trace (parse, monotonic per-track timestamps, balanced spans)
 # and a non-empty per-batch time series.
-obsdir=$(mktemp -d)
-svcdir=$(mktemp -d)
-trap 'rm -rf "$obsdir" "$svcdir"; kill -9 $svcpid 2>/dev/null || true' EXIT
-svcpid=""
 go run ./cmd/experiments -quick -only fig9 -trace -out "$obsdir" >/dev/null
 go run ./cmd/tracecheck "$obsdir"/trace/figure9.json
 test -s "$obsdir"/trace/figure9-series.csv

@@ -17,7 +17,6 @@ package fragment
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/kernel"
 	"repro/internal/units"
@@ -43,89 +42,144 @@ type Fragmenter struct {
 	Cache *kernel.Task
 
 	rng *xrand.Rand
-	// held groups cache-page VAs by the 1GB physical region of their frame,
-	// so reclaim can apply per-region pressure.
-	held map[uint64][]uint64
+	// held groups cache-page VAs by the 1GB physical region of their frame
+	// (indexed by region), so reclaim can apply per-region pressure.
+	held [][]uint64
 	// weight orders regions by reclaim pressure (a shuffled rank per
-	// region; higher rank means drained harder).
-	weight map[uint64]float64
+	// region; higher rank means drained harder), indexed like held.
+	weight []float64
 	total  uint64 // held pages
 }
 
 // Apply fragments k's physical memory per cfg and returns the fragmenter
 // for later reclamation.
+//
+// The page-cache fill and the first reclaim are computed, not replayed:
+// the machine ends in exactly the state that mapping a cache page over
+// every free frame and then unmapping the reclaimed ones would leave
+// (buddy free lists, page table, reverse map, region counters, the held
+// lists and the rng position), but only the pages that survive reclaim
+// are ever allocated and mapped. kernel.Ops counts that work alone.
 func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	f := &Fragmenter{
 		K:     k,
 		Cache: k.NewTask("pagecache"),
 		rng:   xrand.New(cfg.Seed),
 	}
-
-	// 1. Clustered unmovable kernel objects: ~50% density in the lowest
-	// regions until UnmovableBytes are placed.
-	if cfg.UnmovableBytes > 0 {
-		placed := uint64(0)
-		for region := uint64(0); region < k.Mem.NumRegions() && placed < cfg.UnmovableBytes; region++ {
-			base := region * units.FramesPerRegion
-			for i := uint64(0); i < units.FramesPerRegion/2 && placed < cfg.UnmovableBytes; i++ {
-				pfn := base + f.rng.Uint64n(units.FramesPerRegion)
-				if k.Mem.IsAllocated(pfn) {
-					continue
-				}
-				if err := k.Buddy.AllocSpecific(pfn, 0, true); err != nil {
-					continue
-				}
-				placed += units.Page4K
-			}
-		}
-		if placed < cfg.UnmovableBytes {
-			return nil, fmt.Errorf("fragment: placed only %d of %d unmovable bytes",
-				placed, cfg.UnmovableBytes)
-		}
+	// 1. Clustered unmovable kernel objects.
+	if err := f.placeUnmovable(cfg.UnmovableBytes); err != nil {
+		return nil, err
 	}
 
-	// 2. Page-cache fill: consume all remaining free memory with movable,
-	// mapped 4KB pages.
+	// 2. Page-cache fill order: repeated Alloc(0) over all free memory
+	// hands out the free chunks of order 0, then order 1, and so on, lowest
+	// address first within an order and frames ascending within a chunk
+	// (splitting a chunk refills only lower orders, which the rest of that
+	// chunk then drains). The i-th page of that order maps at va + i*4KB.
 	fillPages := k.Mem.FreeFrames()
-	vmaBytes := units.AlignUp(fillPages*units.Page4K, units.Page4K)
-	va, err := f.Cache.AS.MMap(vmaBytes, vmm.KindAnon)
+	va, err := f.Cache.AS.MMap(units.AlignUp(fillPages*units.Page4K, units.Page4K), vmm.KindAnon)
 	if err != nil {
 		return nil, fmt.Errorf("fragment: cache VMA: %w", err)
 	}
-	f.held = make(map[uint64][]uint64)
-	for i := uint64(0); i < fillPages; i++ {
-		pfn, err := k.Buddy.Alloc(0, false)
-		if err != nil {
-			return nil, fmt.Errorf("fragment: fill alloc: %w", err)
+	f.initHeld()
+	heads := make([][]uint64, k.Buddy.MaxOrder()+1)
+	pageVA := va
+	for o := range heads {
+		heads[o] = k.Buddy.FreeChunkHeads(o)
+		for _, h := range heads[o] {
+			r := units.RegionOfFrame(h) // chunks never straddle a 1GB region
+			for end := pageVA + units.Page4K<<uint(o); pageVA < end; pageVA += units.Page4K {
+				f.held[r] = append(f.held[r], pageVA)
+			}
 		}
-		pageVA := va + i*units.Page4K
-		if err := k.MapSpecific(f.Cache, pageVA, pfn, units.Size4K); err != nil {
-			return nil, fmt.Errorf("fragment: fill map: %w", err)
-		}
-		region := units.RegionOfFrame(pfn)
-		f.held[region] = append(f.held[region], pageVA)
-		f.total++
 	}
-	// Assign each region a reclaim pressure: a shuffled rank, cubed, so a
-	// few regions drain almost entirely while others stay nearly full.
-	// (minResidentPages keeps even the hardest-drained region scattered.)
-	regions := make([]uint64, 0, len(f.held))
+	f.total = fillPages
+	f.assignWeights()
+
+	// 3. Random reclamation, chosen exactly as ReclaimRandom chooses, but
+	// the chosen pages are only marked: they were never mapped.
+	reclaimed := make([]uint64, (fillPages+63)/64)
+	got := f.reclaim(cfg.FreeBytes, func(v uint64) {
+		i := (v - va) / units.Page4K
+		reclaimed[i/64] |= 1 << (i % 64)
+	})
+
+	// 4. Commit: allocate and map the surviving pages.
+	i := uint64(0)
+	for o, hs := range heads {
+		for _, h := range hs {
+			for pfn := h; pfn < h+uint64(1)<<uint(o); pfn, i = pfn+1, i+1 {
+				if reclaimed[i/64]&(1<<(i%64)) != 0 {
+					continue
+				}
+				if err := k.Buddy.AllocSpecific(pfn, 0, false); err != nil {
+					return nil, fmt.Errorf("fragment: fill alloc: %w", err)
+				}
+				if err := k.MapSpecific(f.Cache, va+i*units.Page4K, pfn, units.Size4K); err != nil {
+					return nil, fmt.Errorf("fragment: fill map: %w", err)
+				}
+			}
+		}
+	}
+	if got < cfg.FreeBytes {
+		return nil, fmt.Errorf("fragment: reclaimed only %d of %d bytes", got, cfg.FreeBytes)
+	}
+	return f, nil
+}
+
+// placeUnmovable places clustered unmovable kernel objects: ~50% density
+// in the lowest regions until bytes are placed.
+func (f *Fragmenter) placeUnmovable(bytes uint64) error {
+	if bytes == 0 {
+		return nil
+	}
+	k := f.K
+	placed := uint64(0)
+	for region := uint64(0); region < k.Mem.NumRegions() && placed < bytes; region++ {
+		base := region * units.FramesPerRegion
+		for i := uint64(0); i < units.FramesPerRegion/2 && placed < bytes; i++ {
+			pfn := base + f.rng.Uint64n(units.FramesPerRegion)
+			if k.Mem.IsAllocated(pfn) {
+				continue
+			}
+			if err := k.Buddy.AllocSpecific(pfn, 0, true); err != nil {
+				continue
+			}
+			placed += units.Page4K
+		}
+	}
+	if placed < bytes {
+		return fmt.Errorf("fragment: placed only %d of %d unmovable bytes", placed, bytes)
+	}
+	return nil
+}
+
+// initHeld sizes the per-region held lists for a fill of all free memory.
+func (f *Fragmenter) initHeld() {
+	n := f.K.Mem.NumRegions()
+	f.held = make([][]uint64, n)
 	for r := range f.held {
-		regions = append(regions, r)
+		f.held[r] = make([]uint64, 0, f.K.Mem.Region(uint64(r)).Free)
 	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
+	f.weight = make([]float64, n)
+}
+
+// assignWeights gives each region that holds cache pages a reclaim
+// pressure: a shuffled rank, cubed, so a few regions drain almost entirely
+// while others stay nearly full. (minResidentPages keeps even the
+// hardest-drained region scattered.)
+func (f *Fragmenter) assignWeights() {
+	var regions []int
+	for r, vas := range f.held {
+		if len(vas) > 0 {
+			regions = append(regions, r)
+		}
+	}
 	f.rng.Shuffle(len(regions), func(i, j int) { regions[i], regions[j] = regions[j], regions[i] })
-	f.weight = make(map[uint64]float64, len(regions))
 	for rank, r := range regions {
 		w := float64(rank+1) / float64(len(regions))
 		f.weight[r] = w * w * w
 	}
-
-	// 3. Random reclamation: free scattered pages until FreeBytes are free.
-	if got := f.ReclaimRandom(cfg.FreeBytes); got < cfg.FreeBytes {
-		return nil, fmt.Errorf("fragment: reclaimed only %d of %d bytes", got, cfg.FreeBytes)
-	}
-	return f, nil
 }
 
 // ReclaimRandom frees randomly chosen cache pages until `bytes` more bytes
@@ -146,10 +200,22 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 const minResidentPages = 1024
 
 func (f *Fragmenter) ReclaimRandom(bytes uint64) uint64 {
+	return f.reclaim(bytes, func(va uint64) {
+		if err := f.K.UnmapFree(f.Cache, va, units.Size4K); err != nil {
+			panic("fragment: reclaim of held page failed: " + err.Error())
+		}
+	})
+}
+
+// reclaim is ReclaimRandom's selection: it drops the chosen pages from the
+// held lists and hands each one's VA to free.
+func (f *Fragmenter) reclaim(bytes uint64, free func(va uint64)) uint64 {
 	want := bytes / units.Page4K
 	if want == 0 {
 		return 0
 	}
+	// Summed in ascending region order: float addition is not associative,
+	// and a 1-ulp difference in sumW can flip an integer quota.
 	var sumW float64
 	for r, vas := range f.held {
 		if len(vas) > 0 {
@@ -164,11 +230,8 @@ func (f *Fragmenter) ReclaimRandom(bytes uint64) uint64 {
 	// leftovers spill into whatever still holds pages.
 	for freed < want && f.total > 0 {
 		progressed := false
-		for r := uint64(0); r < f.K.Mem.NumRegions() && freed < want; r++ {
+		for r := 0; r < len(f.held) && freed < want; r++ {
 			vas := f.held[r]
-			if len(vas) == 0 {
-				continue
-			}
 			if len(vas) <= minResidentPages {
 				continue
 			}
@@ -184,9 +247,7 @@ func (f *Fragmenter) ReclaimRandom(bytes uint64) uint64 {
 				va := vas[i]
 				vas[i] = vas[len(vas)-1]
 				vas = vas[:len(vas)-1]
-				if err := f.K.UnmapFree(f.Cache, va, units.Size4K); err != nil {
-					panic("fragment: reclaim of held page failed: " + err.Error())
-				}
+				free(va)
 				freed++
 				f.total--
 				progressed = true

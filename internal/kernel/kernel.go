@@ -65,6 +65,11 @@ type Kernel struct {
 	// NewTask reuses them so a pooled kernel's next run populates into warm
 	// page-table node arenas instead of re-allocating them.
 	asPool []*vmm.AddressSpace
+
+	// spareBuddy is the allocator of the other flavour that Reflavour last
+	// swapped out. It was Reset before that and is unused since, so it is
+	// in its just-booted state.
+	spareBuddy *buddy.Allocator
 }
 
 // OpStats counts the kernel's primitive page-table operations.
@@ -130,6 +135,23 @@ func (k *Kernel) Reset() {
 	k.Ops = OpStats{}
 	k.Mem.Reset()
 	k.Buddy.Reset()
+}
+
+// Reflavour switches a just-Reset kernel to another buddy flavour: it
+// swaps in the spare allocator if that has maxOrder, and boots a fresh one
+// over the all-free memory otherwise; the allocator swapped out becomes
+// the spare. Every other arena is kept. The kernel is then observably
+// identical to New(memBytes, maxOrder), which lets the machine pool
+// (internal/sim) hand a kernel to a run of either flavour.
+func (k *Kernel) Reflavour(maxOrder int) {
+	if k.Mem.FreeFrames() != k.Mem.Frames() || len(k.tasks) != 0 {
+		panic("kernel: Reflavour of a kernel that is not Reset")
+	}
+	next := k.spareBuddy
+	if next == nil || next.MaxOrder() != maxOrder {
+		next = buddy.New(k.Mem, maxOrder)
+	}
+	k.Buddy, k.spareBuddy = next, k.Buddy
 }
 
 // TaskByID returns the task whose address space has the given ID.

@@ -17,11 +17,9 @@ import (
 // level by the layering table.
 var deterSpec = struct {
 	// Result sinks: both taint kinds.
-	simRel, resultType  string          // assignments into sim.Result fields
-	statsRel, tableType string          // stats.Table method arguments
-	runnerRel           string          // memo fingerprint functions...
-	memoFuncs           map[string]bool // ...by name
-	serviceRel          string          // event journal methods...
+	simRel, resultType  string // assignments into sim.Result fields
+	statsRel, tableType string // stats.Table method arguments
+	serviceRel          string // event journal methods...
 	journalType         string
 	journalMethods      map[string]bool
 	// Emission sinks, order taint only: fmt.Print*/Fprint*, Write* methods
@@ -33,8 +31,6 @@ var deterSpec = struct {
 }{
 	simRel: "internal/sim", resultType: "Result",
 	statsRel: "internal/stats", tableType: "Table",
-	runnerRel:   "internal/runner",
-	memoFuncs:   map[string]bool{"keyOf": true, "fingerprintKey": true, "Fingerprint": true},
 	serviceRel:  "internal/service",
 	journalType: "eventLog",
 	// ephemeral/state events deliberately carry wall-clock timestamps and
@@ -496,8 +492,8 @@ func (a *deterAnalysis) sinkName(fn *types.Func) string {
 		return ""
 	}
 	if fn.Pkg() != nil {
-		if rel, ok := a.m.relOf(fn.Pkg().Path()); ok && rel == deterSpec.runnerRel && deterSpec.memoFuncs[fn.Name()] {
-			return "the memo fingerprint (" + deterSpec.runnerRel + "." + fn.Name() + ")"
+		if rel, ok := a.m.relOf(fn.Pkg().Path()); ok && rel == memoKeySpec.runnerRel && memoKeySpec.keyFuncs[fn.Name()] {
+			return "the memo fingerprint (" + memoKeySpec.runnerRel + "." + fn.Name() + ")"
 		}
 	}
 	return ""

@@ -14,14 +14,19 @@ import (
 // field that is neither in the key struct nor on the documented exclusion
 // list can silently alias distinct configs in the cache — the bug
 // Config.Obs nearly introduced before its exclusion was made deliberate.
+// keyFuncs are the runner's key pipeline (sim.Config → cacheKey → content
+// address), the memo-key surface obspure keeps observation-free and
+// detertaint treats as a sink.
 var memoKeySpec = struct {
 	simRel, configType string
 	runnerRel, keyType string
 	exclusionsVar      string
+	keyFuncs           map[string]bool
 }{
 	simRel: "internal/sim", configType: "Config",
 	runnerRel: "internal/runner", keyType: "cacheKey",
 	exclusionsVar: "MemoKeyExclusions",
+	keyFuncs:      map[string]bool{"keyOf": true, "fingerprintKey": true, "Fingerprint": true},
 }
 
 // checkMemoKey statically proves sim.Config ⊆ runner.cacheKey ∪

@@ -5,21 +5,6 @@ import (
 	"go/types"
 )
 
-// obsPureSpec names the memo-key computation surface. The named functions
-// are the canonical key pipeline (sim.Config → cacheKey → content address);
-// on top of the names, any function that mentions the cacheKey type at all
-// is treated as part of the surface, so a new helper cannot dodge the check
-// by picking a fresh name.
-var obsPureSpec = struct {
-	runnerRel string
-	keyType   string
-	funcs     []string
-}{
-	runnerRel: "internal/runner",
-	keyType:   "cacheKey",
-	funcs:     []string{"keyOf", "fingerprintKey", "Fingerprint"},
-}
-
 // fmtStreamFuncs are the fmt functions that write to a stream. They are
 // observable side effects; the pure renderers (Sprintf, Sprint, Errorf, the
 // Append family) stay legal — fingerprintKey's %#v rendering depends on
@@ -42,9 +27,12 @@ var fmtStreamFuncs = map[string]bool{
 // results are served — breaking the contract that reports are byte-identical
 // with and without it (TestObsPureObserver is the runtime twin).
 //
-// Modules without internal/runner (fixtures for other checks) are skipped.
+// The key surface is memoKeySpec.keyFuncs plus any function that mentions
+// the cacheKey type at all, so a new helper cannot dodge the check by
+// picking a fresh name. Modules without internal/runner (fixtures for other
+// checks) are skipped.
 func checkObsPure(m *Module) []Finding {
-	pkg := m.ByRel(obsPureSpec.runnerRel)
+	pkg := m.ByRel(memoKeySpec.runnerRel)
 	if pkg == nil || pkg.Types == nil || pkg.Info == nil {
 		return nil
 	}
@@ -52,11 +40,6 @@ func checkObsPure(m *Module) []Finding {
 		m.Path + "/internal/obs":     "internal/obs",
 		m.Path + "/internal/service": "internal/service",
 	}
-	named := map[string]bool{}
-	for _, name := range obsPureSpec.funcs {
-		named[name] = true
-	}
-
 	// usesKeyType reports whether the declaration (signature included)
 	// mentions the cacheKey type by name.
 	usesKeyType := func(fd *ast.FuncDecl) bool {
@@ -67,7 +50,7 @@ func checkObsPure(m *Module) []Finding {
 				return !found
 			}
 			if tn, ok := pkg.Info.Uses[id].(*types.TypeName); ok &&
-				tn.Name() == obsPureSpec.keyType && tn.Pkg() == pkg.Types {
+				tn.Name() == memoKeySpec.keyType && tn.Pkg() == pkg.Types {
 				found = true
 			}
 			return !found
@@ -82,7 +65,7 @@ func checkObsPure(m *Module) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if !named[fd.Name.Name] && !usesKeyType(fd) {
+			if !memoKeySpec.keyFuncs[fd.Name.Name] && !usesKeyType(fd) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -29,13 +29,13 @@ func BenchmarkKernelReuse(b *testing.B) {
 		}
 	}
 	b.Run("pooled", func(b *testing.B) {
-		releaseKernel(memBytes, maxOrder, kernel.New(memBytes, maxOrder))
+		releaseKernel(memBytes, kernel.New(memBytes, maxOrder))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := acquireKernel(memBytes, maxOrder)
 			dirty(b, k)
-			releaseKernel(memBytes, maxOrder, k)
+			releaseKernel(memBytes, k)
 		}
 	})
 	b.Run("boot", func(b *testing.B) {

@@ -411,9 +411,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 func (r *runner) releaseMachine() {
 	memBytes := r.cfg.MemGB * units.Page1G
 	if r.cfg.Virtualized {
-		releaseKernel(memBytes, maxOrderFor(r.cfg.HostPolicy), r.host)
+		releaseKernel(memBytes, r.host)
 	} else {
-		releaseKernel(memBytes, maxOrderFor(r.cfg.Policy), r.k)
+		releaseKernel(memBytes, r.k)
 	}
 }
 

@@ -604,3 +604,39 @@ func TestKernelReuseDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelReflavourDeterminism extends the machine-pool contract across
+// buddy flavours: the pool is keyed by memory size alone, so a kernel parked
+// by a stock-buddy run serves a Trident run (kernel.Reflavour) and back, and
+// each such run must equal the same run on a freshly booted kernel. The
+// memory size is unique to this test, so the first run boots.
+func TestKernelReflavourDeterminism(t *testing.T) {
+	thp := testConfig("GUPS", PolicyTHP)
+	thp.MemGB = 9
+	thp.Accesses = 40_000
+	thp.Fragment = true
+	thp.ShadowCheck = true
+	tri := thp
+	tri.Policy = PolicyTrident
+	run := func(cfg Config) *Result {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	freshTHP := run(thp)
+	triOnStock := run(tri)
+	// Hold the parked kernel out of the pool so the next run boots.
+	held := acquireKernel(thp.MemGB*units.Page1G, units.TridentMaxOrder)
+	freshTri := run(tri)
+	releaseKernel(thp.MemGB*units.Page1G, held)
+	thpOnTrident := run(thp)
+	if !reflect.DeepEqual(freshTri, triOnStock) {
+		t.Errorf("Trident run on a reflavoured stock kernel differs from a fresh one:\nfresh:       %+v\nreflavoured: %+v", freshTri, triOnStock)
+	}
+	if !reflect.DeepEqual(freshTHP, thpOnTrident) {
+		t.Errorf("THP run on a reflavoured Trident kernel differs from a fresh one:\nfresh:       %+v\nreflavoured: %+v", freshTHP, thpOnTrident)
+	}
+}
