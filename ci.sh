@@ -2,8 +2,9 @@
 # Tier-1 verification (ROADMAP.md): build, vet, full tests, the race
 # detector on the concurrent packages, the shadow-coherence tests and the
 # chaos/audit robustness suites, 10s fuzz smokes of the audit-checked
-# kernel-op fuzzer and of the fragmenter's computed-vs-per-page
-# equivalence, a one-iteration sweep of every benchmark (bench-rot
+# kernel-op fuzzer, of the fragmenter's computed-vs-per-page equivalence
+# and of its two bulk-commit primitives against their per-page
+# definitions (buddy carve, run mapping), a one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
 # outputs against bench/golden) plus a short fragmented-memory benchmark
@@ -63,6 +64,8 @@ go test -race ./internal/chaos ./internal/audit
 go test -race -run 'TestChaos|TestAuditEvery|TestObs' ./internal/sim
 go test -run '^$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzApplyEquivalence -fuzztime 10s ./internal/fragment
+go test -run '^$' -fuzz FuzzCarveEquivalence -fuzztime 10s ./internal/buddy
+go test -run '^$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Benchmark-harness gate: bench/ is its own module (BENCHMARK.json), so the

@@ -251,6 +251,80 @@ func (a *Allocator) AllocSpecific(pfn uint64, order int, unmovable bool) error {
 	return nil
 }
 
+// Carve allocates, as movable, every frame of the free chunk
+// [head, head+2^order) whose bit in free (a bitmap indexed by PFN) is
+// clear, and leaves the frames whose bit is set free. The free lists end
+// exactly as AllocSpecific(pfn, 0, false) on each of those frames, in any
+// order, would leave them: each such call splits the chunk covering its
+// frame and frees the halves that miss it, so afterwards a block of the
+// chunk is on a free list iff it is wholly free and its parent block is
+// not — the chunk's free frames decomposed into maximal aligned blocks,
+// which carveFree inserts directly (DESIGN.md §5c). Surviving frames are
+// marked a word at a time. Unlike AllocSpecific, Carve does not consult
+// FailAlloc.
+func (a *Allocator) Carve(head uint64, order int, free []uint64) {
+	a.removeFree(head, order) // panics unless (head, order) is a free chunk
+	if a.carveFree(head, order, free) {
+		a.insertFree(head, order) // every frame stays free: so does the chunk
+		return
+	}
+	a.mem.MarkAllocatedExcept(head, uint64(1)<<uint(order), free)
+}
+
+// carveFree reports whether every frame of [head, head+2^order) is free in
+// free; if not, it inserts the block's free frames as maximal aligned
+// blocks. Up to order 6 a block lies inside one bitmap word and is decided
+// with bit arithmetic; above, the halves recurse down to whole words.
+func (a *Allocator) carveFree(head uint64, order int, free []uint64) bool {
+	if order > 6 {
+		half := uint64(1) << uint(order-1)
+		lo := a.carveFree(head, order-1, free)
+		hi := a.carveFree(head+half, order-1, free)
+		if lo && hi {
+			return true
+		}
+		if lo {
+			a.insertFree(head, order-1)
+		}
+		if hi {
+			a.insertFree(head+half, order-1)
+		}
+		return false
+	}
+	n := uint(1) << uint(order)
+	// full[o] has bit b set iff the order-o block at head+b (b a multiple
+	// of 2^o) is wholly free.
+	var full [7]uint64
+	full[0] = free[head/64] >> (head % 64)
+	if n < 64 {
+		full[0] &= 1<<n - 1
+	}
+	for o := 0; o < order; o++ {
+		full[o+1] = full[o] & (full[o] >> (1 << uint(o))) & alignedBits[o+1]
+	}
+	if full[order]&1 != 0 {
+		return true
+	}
+	for o := 0; o < order; o++ {
+		parent := full[o+1] | full[o+1]<<(1<<uint(o))
+		for blocks := full[o] &^ parent; blocks != 0; blocks &= blocks - 1 {
+			a.insertFree(head+uint64(bits.TrailingZeros64(blocks)), o)
+		}
+	}
+	return false
+}
+
+// alignedBits[o] has every bit whose index is a multiple of 2^o.
+var alignedBits = [7]uint64{
+	^uint64(0),
+	0x5555555555555555,
+	0x1111111111111111,
+	0x0101010101010101,
+	0x0001000100010001,
+	0x0000000100000001,
+	0x0000000000000001,
+}
+
 // Free releases the chunk [pfn, pfn+2^order), coalescing with free buddies.
 func (a *Allocator) Free(pfn uint64, order int) {
 	if order < 0 || order > a.maxOrder {

@@ -17,6 +17,8 @@ package fragment
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/kernel"
 	"repro/internal/units"
@@ -42,9 +44,12 @@ type Fragmenter struct {
 	Cache *kernel.Task
 
 	rng *xrand.Rand
-	// held groups cache-page VAs by the 1GB physical region of their frame
-	// (indexed by region), so reclaim can apply per-region pressure.
-	held [][]uint64
+	// base is the cache VMA's start: fill page i maps at base + i*4KB.
+	base uint64
+	// held groups cache pages, by fill index, under the 1GB physical region
+	// of their frame (indexed by region), so reclaim can apply per-region
+	// pressure.
+	held [][]uint32
 	// weight orders regions by reclaim pressure (a shuffled rank per
 	// region; higher rank means drained harder), indexed like held.
 	weight []float64
@@ -59,7 +64,8 @@ type Fragmenter struct {
 // every free frame and then unmapping the reclaimed ones would leave
 // (buddy free lists, page table, reverse map, region counters, the held
 // lists and the rng position), but only the pages that survive reclaim
-// are ever allocated and mapped. kernel.Ops counts that work alone.
+// are ever allocated and mapped, a buddy chunk and a run of pages at a
+// time. kernel.Ops counts that work alone.
 func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	f := &Fragmenter{
 		K:     k,
@@ -75,56 +81,116 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	// hands out the free chunks of order 0, then order 1, and so on, lowest
 	// address first within an order and frames ascending within a chunk
 	// (splitting a chunk refills only lower orders, which the rest of that
-	// chunk then drains). The i-th page of that order maps at va + i*4KB.
+	// chunk then drains). The i-th page of that order maps at base + i*4KB.
 	fillPages := k.Mem.FreeFrames()
-	va, err := f.Cache.AS.MMap(units.AlignUp(fillPages*units.Page4K, units.Page4K), vmm.KindAnon)
-	if err != nil {
-		return nil, fmt.Errorf("fragment: cache VMA: %w", err)
+	if err := f.mapCache(fillPages); err != nil {
+		return nil, err
 	}
 	f.initHeld()
 	heads := make([][]uint64, k.Buddy.MaxOrder()+1)
-	pageVA := va
+	i := uint32(0)
 	for o := range heads {
 		heads[o] = k.Buddy.FreeChunkHeads(o)
 		for _, h := range heads[o] {
 			r := units.RegionOfFrame(h) // chunks never straddle a 1GB region
-			for end := pageVA + units.Page4K<<uint(o); pageVA < end; pageVA += units.Page4K {
-				f.held[r] = append(f.held[r], pageVA)
+			held := f.held[r]
+			pages := held[len(held) : len(held)+1<<uint(o)] // initHeld reserved them
+			for j := range pages {
+				pages[j] = i
+				i++
 			}
+			f.held[r] = held[:len(held)+len(pages)]
 		}
 	}
 	f.total = fillPages
 	f.assignWeights()
 
 	// 3. Random reclamation, chosen exactly as ReclaimRandom chooses, but
-	// the chosen pages are only marked: they were never mapped.
+	// the chosen pages are only marked (by fill index): they were never
+	// mapped.
 	reclaimed := make([]uint64, (fillPages+63)/64)
-	got := f.reclaim(cfg.FreeBytes, func(v uint64) {
-		i := (v - va) / units.Page4K
+	got := f.reclaim(cfg.FreeBytes, func(i uint32) {
 		reclaimed[i/64] |= 1 << (i % 64)
 	})
 
-	// 4. Commit: allocate and map the surviving pages.
-	i := uint64(0)
+	// 4. Commit, one fill chunk at a time. Fill index and PFN advance
+	// together inside a chunk, so the chunk's slice of the reclaimed
+	// bitmap, shifted to the chunk's head, is its free-frame mask. The
+	// buddy carves the chunk by that mask, and each run of surviving frames
+	// maps as one run of pages.
+	free := make([]uint64, (k.Mem.Frames()+63)/64)
+	fill := uint64(0)
 	for o, hs := range heads {
+		n := uint64(1) << uint(o)
 		for _, h := range hs {
-			for pfn := h; pfn < h+uint64(1)<<uint(o); pfn, i = pfn+1, i+1 {
-				if reclaimed[i/64]&(1<<(i%64)) != 0 {
-					continue
+			copyBits(free, h, reclaimed, fill, n)
+			k.Buddy.Carve(h, o, free)
+			for pfn, end := h, h+n; ; {
+				if pfn = nextBit(free, pfn, end, false); pfn == end {
+					break
 				}
-				if err := k.Buddy.AllocSpecific(pfn, 0, false); err != nil {
-					return nil, fmt.Errorf("fragment: fill alloc: %w", err)
-				}
-				if err := k.MapSpecific(f.Cache, va+i*units.Page4K, pfn, units.Size4K); err != nil {
+				stop := nextBit(free, pfn, end, true)
+				if err := k.MapRun(f.Cache, f.base+(fill+pfn-h)*units.Page4K, pfn, stop-pfn); err != nil {
 					return nil, fmt.Errorf("fragment: fill map: %w", err)
 				}
+				pfn = stop
 			}
+			fill += n
 		}
 	}
 	if got < cfg.FreeBytes {
 		return nil, fmt.Errorf("fragment: reclaimed only %d of %d bytes", got, cfg.FreeBytes)
 	}
 	return f, nil
+}
+
+// mapCache maps the cache VMA for a fill of pages pages.
+func (f *Fragmenter) mapCache(pages uint64) error {
+	if pages > math.MaxUint32 {
+		return fmt.Errorf("fragment: %d fill pages overflow the held lists' indexes", pages)
+	}
+	va, err := f.Cache.AS.MMap(units.AlignUp(pages*units.Page4K, units.Page4K), vmm.KindAnon)
+	if err != nil {
+		return fmt.Errorf("fragment: cache VMA: %w", err)
+	}
+	f.base = va
+	return nil
+}
+
+// copyBits copies bits [from, from+n) of src to bits [to, to+n) of dst,
+// where to is a multiple of n and n a power of two: a word at a time when
+// n >= 64, else into one word of dst.
+func copyBits(dst []uint64, to uint64, src []uint64, from, n uint64) {
+	for k := uint64(0); k < n; k += 64 {
+		pos := from + k
+		w, s := pos/64, pos%64
+		v := src[w] >> s
+		if s != 0 && s+min(n, 64) > 64 {
+			v |= src[w+1] << (64 - s)
+		}
+		if n < 64 {
+			v &= 1<<n - 1
+			dst[to/64] = dst[to/64]&^((1<<n-1)<<(to%64)) | v<<(to%64)
+			return
+		}
+		dst[(to+k)/64] = v
+	}
+}
+
+// nextBit returns the first index in [pos, end) whose bit in b is set (if
+// want) or clear (if not), or end if there is none.
+func nextBit(b []uint64, pos, end uint64, want bool) uint64 {
+	for pos < end {
+		w := b[pos/64]
+		if !want {
+			w = ^w
+		}
+		if w >>= pos % 64; w != 0 {
+			return min(pos+uint64(bits.TrailingZeros64(w)), end)
+		}
+		pos = (pos/64 + 1) * 64
+	}
+	return end
 }
 
 // placeUnmovable places clustered unmovable kernel objects: ~50% density
@@ -157,9 +223,9 @@ func (f *Fragmenter) placeUnmovable(bytes uint64) error {
 // initHeld sizes the per-region held lists for a fill of all free memory.
 func (f *Fragmenter) initHeld() {
 	n := f.K.Mem.NumRegions()
-	f.held = make([][]uint64, n)
+	f.held = make([][]uint32, n)
 	for r := range f.held {
-		f.held[r] = make([]uint64, 0, f.K.Mem.Region(uint64(r)).Free)
+		f.held[r] = make([]uint32, 0, f.K.Mem.Region(uint64(r)).Free)
 	}
 	f.weight = make([]float64, n)
 }
@@ -170,8 +236,8 @@ func (f *Fragmenter) initHeld() {
 // hardest-drained region scattered.)
 func (f *Fragmenter) assignWeights() {
 	var regions []int
-	for r, vas := range f.held {
-		if len(vas) > 0 {
+	for r, pages := range f.held {
+		if len(pages) > 0 {
 			regions = append(regions, r)
 		}
 	}
@@ -200,16 +266,16 @@ func (f *Fragmenter) assignWeights() {
 const minResidentPages = 1024
 
 func (f *Fragmenter) ReclaimRandom(bytes uint64) uint64 {
-	return f.reclaim(bytes, func(va uint64) {
-		if err := f.K.UnmapFree(f.Cache, va, units.Size4K); err != nil {
+	return f.reclaim(bytes, func(i uint32) {
+		if err := f.K.UnmapFree(f.Cache, f.base+uint64(i)*units.Page4K, units.Size4K); err != nil {
 			panic("fragment: reclaim of held page failed: " + err.Error())
 		}
 	})
 }
 
 // reclaim is ReclaimRandom's selection: it drops the chosen pages from the
-// held lists and hands each one's VA to free.
-func (f *Fragmenter) reclaim(bytes uint64, free func(va uint64)) uint64 {
+// held lists and hands each one's fill index to free.
+func (f *Fragmenter) reclaim(bytes uint64, free func(i uint32)) uint64 {
 	want := bytes / units.Page4K
 	if want == 0 {
 		return 0
@@ -217,8 +283,8 @@ func (f *Fragmenter) reclaim(bytes uint64, free func(va uint64)) uint64 {
 	// Summed in ascending region order: float addition is not associative,
 	// and a 1-ulp difference in sumW can flip an integer quota.
 	var sumW float64
-	for r, vas := range f.held {
-		if len(vas) > 0 {
+	for r, pages := range f.held {
+		if len(pages) > 0 {
 			sumW += f.weight[r]
 		}
 	}
@@ -231,28 +297,28 @@ func (f *Fragmenter) reclaim(bytes uint64, free func(va uint64)) uint64 {
 	for freed < want && f.total > 0 {
 		progressed := false
 		for r := 0; r < len(f.held) && freed < want; r++ {
-			vas := f.held[r]
-			if len(vas) <= minResidentPages {
+			pages := f.held[r]
+			if len(pages) <= minResidentPages {
 				continue
 			}
 			quota := uint64(float64(want) * f.weight[r] / sumW)
 			if quota == 0 {
 				quota = 1
 			}
-			if max := uint64(len(vas) - minResidentPages); quota > max {
+			if max := uint64(len(pages) - minResidentPages); quota > max {
 				quota = max
 			}
-			for q := uint64(0); q < quota && freed < want && len(vas) > minResidentPages; q++ {
-				i := f.rng.Intn(len(vas))
-				va := vas[i]
-				vas[i] = vas[len(vas)-1]
-				vas = vas[:len(vas)-1]
-				free(va)
+			for q := uint64(0); q < quota && freed < want && len(pages) > minResidentPages; q++ {
+				j := f.rng.Intn(len(pages))
+				i := pages[j]
+				pages[j] = pages[len(pages)-1]
+				pages = pages[:len(pages)-1]
+				free(i)
 				freed++
 				f.total--
 				progressed = true
 			}
-			f.held[r] = vas
+			f.held[r] = pages
 		}
 		if !progressed {
 			break

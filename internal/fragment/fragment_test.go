@@ -10,7 +10,6 @@ import (
 	"repro/internal/pagetable"
 	"repro/internal/phys"
 	"repro/internal/units"
-	"repro/internal/vmm"
 	"repro/internal/xrand"
 )
 
@@ -27,9 +26,8 @@ func applyPerPage(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 		return nil, err
 	}
 	fillPages := k.Mem.FreeFrames()
-	va, err := f.Cache.AS.MMap(units.AlignUp(fillPages*units.Page4K, units.Page4K), vmm.KindAnon)
-	if err != nil {
-		return nil, fmt.Errorf("fragment: cache VMA: %w", err)
+	if err := f.mapCache(fillPages); err != nil {
+		return nil, err
 	}
 	f.initHeld()
 	for i := uint64(0); i < fillPages; i++ {
@@ -37,12 +35,11 @@ func applyPerPage(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fragment: fill alloc: %w", err)
 		}
-		pageVA := va + i*units.Page4K
-		if err := k.MapSpecific(f.Cache, pageVA, pfn, units.Size4K); err != nil {
+		if err := k.MapSpecific(f.Cache, f.base+i*units.Page4K, pfn, units.Size4K); err != nil {
 			return nil, fmt.Errorf("fragment: fill map: %w", err)
 		}
 		region := units.RegionOfFrame(pfn)
-		f.held[region] = append(f.held[region], pageVA)
+		f.held[region] = append(f.held[region], uint32(i))
 		f.total++
 	}
 	f.assignWeights()
@@ -117,6 +114,9 @@ func requireSameFragmenter(t *testing.T, what string, got, want *Fragmenter) {
 	if got.HeldBytes() != want.HeldBytes() {
 		t.Fatalf("%s: held %d bytes, want %d", what, got.HeldBytes(), want.HeldBytes())
 	}
+	if got.base != want.base {
+		t.Fatalf("%s: cache VMA at %#x, want %#x", what, got.base, want.base)
+	}
 	if !slices.Equal(got.weight, want.weight) {
 		t.Fatalf("%s: weights %v, want %v", what, got.weight, want.weight)
 	}
@@ -184,6 +184,32 @@ func FuzzApplyEquivalence(f *testing.F) {
 		requireSameState(t, "after ReclaimRandom", stateOf(t, k, cache), stateOf(t, ref, cacheRef))
 		requireSameFragmenter(t, "after ReclaimRandom", fk, fr)
 	})
+}
+
+// The fill index at which a chunk of order o starts is congruent to minus
+// the allocated frame count modulo 2^o, so with FuzzApplyEquivalence's
+// whole-MiB unmovable sizes no chunk's slice of the reclaimed bitmap ever
+// straddles two words. Odd page counts start chunks at every offset, which
+// exercises the cross-word shifts that build each chunk's free-frame mask.
+func TestApplyUnalignedFillMatchesPerPage(t *testing.T) {
+	for _, pages := range []uint64{1, 3, 37, 1001} {
+		for _, maxOrder := range []int{units.StockMaxOrder, units.TridentMaxOrder} {
+			cfg := Config{Seed: pages, UnmovableBytes: pages * units.Page4K, FreeBytes: 700 * units.MiB}
+			ref := kernel.New(2*units.Page1G, maxOrder)
+			fr, err := applyPerPage(ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := kernel.New(2*units.Page1G, maxOrder)
+			fk, err := Apply(k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%d unmovable pages, max order %d", pages, maxOrder)
+			requireSameState(t, what, stateOf(t, k, fk.Cache), stateOf(t, ref, fr.Cache))
+			requireSameFragmenter(t, what, fk, fr)
+		}
+	}
 }
 
 // Region counts that are not powers of two make the float reclaim weights

@@ -47,12 +47,12 @@ type Kernel struct {
 	// affected page.
 	Shootdown func(t *Task, va uint64, size units.PageSize)
 
-	// kernelAllocs tracks frames held by unmovable kernel allocations as a
-	// flat per-frame array: kernelAllocs[pfn] is order+1 for the head of a
-	// live kernel chunk, 0 otherwise. The fragmenter churns kernel
-	// allocations by the hundred thousand, so this replaced a
-	// map[uint64]int — and as a side effect ForEachKernelAlloc's
-	// iteration order became deterministic (ascending PFN).
+	// kernelAllocs tracks frames held by KernelAlloc's unmovable
+	// allocations as a flat per-frame array: kernelAllocs[pfn] is order+1
+	// for the head of a live kernel chunk, 0 otherwise. Being an array, it
+	// makes ForEachKernelAlloc's iteration order deterministic (ascending
+	// PFN). (The fragmenter's unmovable objects bypass it: they are
+	// allocated with Buddy.AllocSpecific directly.)
 	kernelAllocs []uint8
 
 	// Ops counts completed page-table operations since boot. The counters
@@ -202,6 +202,20 @@ func (k *Kernel) mapOwned(t *Task, va, pfn uint64, size units.PageSize) error {
 	k.Mem.SetOwner(pfn, phys.Owner{Space: t.AS.ID, VA: va, Size: size})
 	k.Ops.Maps++
 	return nil
+}
+
+// MapRun maps count already-allocated 4KB frames at consecutive VAs,
+// va+j*4KB → pfn+j. Its effect is exactly MapSpecific(t, va+j*4KB, pfn+j,
+// units.Size4K) for j = 0, 1, … up to count or the first error, which it
+// returns; it descends the page table once per leaf table instead of once
+// per page. The fragmenter commits the page cache's surviving runs with it.
+func (k *Kernel) MapRun(t *Task, va, pfn, count uint64) error {
+	n, err := t.AS.PT.MapRun(va, pfn, count)
+	for j := uint64(0); j < n; j++ {
+		k.Mem.SetOwner(pfn+j, phys.Owner{Space: t.AS.ID, VA: va + j*units.Page4K, Size: units.Size4K})
+	}
+	k.Ops.Maps += n
+	return err
 }
 
 // UnmapFree removes the mapping of the given size at va and returns its
@@ -394,18 +408,6 @@ func (k *Kernel) ForEachKernelAlloc(fn func(pfn uint64, order int) bool) {
 			return
 		}
 	}
-}
-
-// MovableAlloc allocates a movable chunk that is NOT mapped by any task —
-// modelling movable page-cache data. The fragmenter uses this for the
-// file-caching phase of the §3 methodology. Returns the head PFN.
-func (k *Kernel) MovableAlloc(order int) (uint64, error) {
-	return k.Buddy.Alloc(order, false)
-}
-
-// MovableFree releases a MovableAlloc chunk.
-func (k *Kernel) MovableFree(pfn uint64, order int) {
-	k.Buddy.Free(pfn, order)
 }
 
 func (k *Kernel) shootdown(t *Task, va uint64, size units.PageSize) {

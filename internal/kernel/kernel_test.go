@@ -222,18 +222,3 @@ func TestKernelAllocUnmovable(t *testing.T) {
 		t.Error("unmovable frames leaked")
 	}
 }
-
-func TestMovableAllocFree(t *testing.T) {
-	k := newKernel(t, 1)
-	pfn, err := k.MovableAlloc(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Mem.IsUnmovable(pfn) {
-		t.Error("movable alloc marked unmovable")
-	}
-	k.MovableFree(pfn, 0)
-	if k.Mem.AllocatedFrames() != 0 {
-		t.Error("leak")
-	}
-}

@@ -282,6 +282,42 @@ func (t *Table) Map(va, pfn uint64, size units.PageSize) error {
 	return nil
 }
 
+// MapRun maps count 4KB pages, va+j*4KB → pfn+j, and returns how many it
+// mapped. It is exactly Map(va+j*4KB, pfn+j, Size4K) for j = 0, 1, … up
+// to count or the first error, which it returns: the same entries, nodes,
+// counters and walk cache. Only the first page in each leaf table goes
+// through Map's descent; the rest of the table's pages are written
+// straight into the leaf table that Map left in the walk cache.
+func (t *Table) MapRun(va, pfn, count uint64) (uint64, error) {
+	var done uint64
+	for done < count {
+		if err := t.Map(va+done*units.Page4K, pfn+done, units.Size4K); err != nil {
+			return done, err
+		}
+		done++
+		// MaxVA is 2MB-aligned, so the rest of the leaf table lies below it.
+		n, first := t.wc.leaf, t.wc.leafIdx+1
+		last := min(512, first+int(count-done))
+		i := first
+		for ; i < last && n.entries[i]&flagPresent == 0; i++ {
+			n.entries[i] = flagPresent | (pfn+done+uint64(i-first))<<pfnShift
+		}
+		if mapped := uint64(i - first); mapped > 0 {
+			n.live += i - first
+			t.mappedBytes[units.Size4K] += mapped * units.Page4K
+			t.mappedPages[units.Size4K] += mapped
+			done += mapped
+			t.wc.leafIdx = i - 1
+			t.wc.leafLo = va + (done-1)*units.Page4K
+			t.wc.leafHi = t.wc.leafLo + units.Page4K
+		}
+		if i < last {
+			return done, ErrOverlap
+		}
+	}
+	return done, nil
+}
+
 // Overlaps reports whether any leaf mapping intersects the naturally
 // aligned page range [va, va+size) in O(depth). One descent along va
 // decides everything:

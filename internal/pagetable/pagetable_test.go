@@ -399,3 +399,59 @@ func BenchmarkTranslate4K(b *testing.B) {
 		pt.Translate(rng.Uint64n(1024)*units.Page4K, false)
 	}
 }
+
+// MapRun must leave the walk cache exactly where per-page Map calls leave
+// it: the kernel-level equivalence tests can only observe the cache
+// through the first lookup after the run, which refreshes it.
+func TestMapRunWalkCacheMatchesMap(t *testing.T) {
+	const page = units.Page4K
+	type cached struct {
+		leafIdx              int
+		leafLo, leafHi, pdLo uint64
+		leafSize             units.PageSize
+		entry                uint64
+		pd                   bool
+	}
+	cacheOf := func(tb *Table) cached {
+		c := cached{tb.wc.leafIdx, tb.wc.leafLo, tb.wc.leafHi, tb.wc.pdLo, tb.wc.leafSize, 0, tb.wc.pd != nil}
+		if tb.wc.leaf != nil {
+			c.entry = tb.wc.leaf.entries[tb.wc.leafIdx]
+		}
+		return c
+	}
+	for _, c := range []struct {
+		va, n uint64
+		pre   []Mapping
+	}{
+		{va: 5 * page, n: 3},
+		{va: units.Page2M - 3*page, n: 1030},
+		{va: units.Page1G - page, n: 2},
+		{va: 9 * page, n: 20, pre: []Mapping{{VA: 15 * page, Size: units.Size4K}}},
+		{va: units.Page2M - 4*page, n: 20, pre: []Mapping{{VA: units.Page2M, Size: units.Size2M}}},
+		{va: 3 * page, n: 4, pre: []Mapping{{VA: 3 * page, Size: units.Size4K}}},
+		{va: MaxVA - 2*page, n: 4},
+	} {
+		run, ref := New(), New()
+		for _, tb := range []*Table{run, ref} {
+			for _, m := range c.pre {
+				if err := tb.Map(m.VA, 1, m.Size); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, errRun := run.MapRun(c.va, 100, c.n)
+		var want uint64
+		var errRef error
+		for ; want < c.n; want++ {
+			if errRef = ref.Map(c.va+want*page, 100+want, units.Size4K); errRef != nil {
+				break
+			}
+		}
+		if got != want || errRun != errRef {
+			t.Fatalf("MapRun(%#x, %d) mapped %d (%v), Map loop %d (%v)", c.va, c.n, got, errRun, want, errRef)
+		}
+		if g, w := cacheOf(run), cacheOf(ref); g != w {
+			t.Fatalf("MapRun(%#x, %d) walk cache %+v, Map loop %+v", c.va, c.n, g, w)
+		}
+	}
+}

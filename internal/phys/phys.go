@@ -191,6 +191,29 @@ func (m *Memory) MarkAllocated(pfn, count uint64, unmovable bool) {
 	}
 }
 
+// MarkAllocatedExcept is MarkAllocated(f, 1, false) for every frame f in
+// [pfn, pfn+count) whose bit in keepFree (a bitmap indexed by frame) is
+// clear, done a word at a time: the buddy allocator's carve marks a
+// chunk's surviving frames with it. Those frames must currently be free.
+func (m *Memory) MarkAllocatedExcept(pfn, count uint64, keepFree []uint64) {
+	m.checkRange(pfn, count)
+	for w := pfn / 64; w <= (pfn+count-1)/64; w++ {
+		mask := ^keepFree[w] & rangeMask(w, pfn, count)
+		if hit := m.allocated[w] & mask; hit != 0 {
+			panic(fmt.Sprintf("phys: double allocation of frame %d", w*64+uint64(bits.TrailingZeros64(hit))))
+		}
+		if mask == 0 {
+			continue
+		}
+		m.allocated[w] |= mask
+		n := uint64(bits.OnesCount64(mask))
+		r := &m.regions[units.RegionOfFrame(w*64)] // a word never straddles a region
+		r.Free -= n
+		r.Zeroed = false
+		m.allocFrames += n
+	}
+}
+
 // MarkFree records that frames [pfn, pfn+count) transitioned from allocated
 // to free. Any owner registered at pfn is cleared; owners registered at
 // interior frames must have been cleared by the caller first.
