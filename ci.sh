@@ -11,7 +11,9 @@
 # run checked against bench/golden, the tridentlint determinism & layering
 # suite (self-clean gate plus a negative gate on seeded violations,
 # DESIGN.md §8), a traced experiment validated by tracecheck
-# (observability gate, DESIGN.md §7), and the durable-service crash gate
+# (observability gate, DESIGN.md §7) and then resumed from its result
+# store without executing anything (batch resume gate, DESIGN.md §6), and
+# the durable-service crash gate
 # (DESIGN.md §9): kill -9 a running sweep service mid-sweep, restart with
 # -resume, and require the finished report byte-identical to an
 # uninterrupted run's. The crash gate doubles
@@ -90,6 +92,16 @@ bash bench/run.sh --workload fig10-frag --seed 1 --seconds 1 --trace 0 -out "$be
 go run ./cmd/experiments -quick -only fig9 -trace -out "$obsdir" >/dev/null
 go run ./cmd/tracecheck "$obsdir"/trace/figure9.json
 test -s "$obsdir"/trace/figure9-series.csv
+
+# Batch resume gate (DESIGN.md §6): re-running the same experiment with
+# -resume into the same directory must execute nothing, reload all 24
+# simulations from the <out>/checkpoint result store, and rewrite a
+# byte-identical CSV.
+cp "$obsdir"/figure9.csv "$obsdir"/figure9.first.csv
+go run ./cmd/experiments -quick -only fig9 -resume -out "$obsdir" >/dev/null
+cmp "$obsdir"/figure9.first.csv "$obsdir"/figure9.csv
+grep -q '^  "unique_simulations": 0,$' "$obsdir"/perf.json
+grep -q '^  "store_hits": 24,$' "$obsdir"/perf.json
 
 # Durable-service gate (DESIGN.md §9): the sweep service must survive
 # kill -9 mid-sweep. Sequence: serve → submit → wait for one durably

@@ -9,10 +9,10 @@
 //	experiments -parallel 8      # 8 simulation workers (output is identical)
 //	experiments -timeout 2m      # bound each simulation job
 //	experiments -deadline 30m    # bound the whole run
-//	experiments -resume          # reuse <out>/checkpoint from a killed run
+//	experiments -resume          # reuse the <out>/checkpoint store of a killed run
 //	experiments -trace           # Perfetto trace + time series per experiment
 //	experiments -http :8080      # live /metrics, /progress, /debug/pprof
-//	experiments -store fs:cache  # reuse results published by any previous run
+//	experiments -store fs:cache  # shared store instead: reuse any previous run's results
 //	experiments -serve -http :8080 -store fs:cache
 //	                             # durable sweep service: POST /sweeps, drain on SIGTERM
 //
@@ -57,9 +57,7 @@ type perfRecord struct {
 	WallMillis float64 `json:"wall_ms"`
 	CacheHits  uint64  `json:"cache_hits"`
 	CacheMiss  uint64  `json:"cache_misses"`
-	// Resumed counts jobs reloaded from the checkpoint journal; StoreHits
-	// counts jobs reloaded from the persistent result store.
-	Resumed   int `json:"checkpoint_resumed,omitempty"`
+	// StoreHits counts jobs reloaded from the persistent result store.
 	StoreHits int `json:"store_hits,omitempty"`
 	// PhaseWallMs breaks the executed jobs' wall time down by simulation
 	// phase (build/populate/measure-early/daemons/measure), summed across
@@ -73,7 +71,6 @@ type perfSummary struct {
 	WallMillis   float64      `json:"wall_ms"`
 	UniqueSims   uint64       `json:"unique_simulations"`
 	CacheHits    uint64       `json:"cache_hits"`
-	Resumed      uint64       `json:"checkpoint_resumed"`
 	StoreHits    uint64       `json:"store_hits"`
 	CacheEntries int          `json:"cache_entries"`
 	Experiments  []perfRecord `json:"experiments"`
@@ -131,13 +128,13 @@ func run() error {
 		memprofile = flag.String("memprofile", "", "write heap profile to file on exit")
 		timeout    = flag.Duration("timeout", 0, "per-job time limit; a job over it is recorded as failed (0 = none)")
 		deadline   = flag.Duration("deadline", 0, "whole-run time limit; remaining jobs are skipped past it (0 = none)")
-		resume     = flag.Bool("resume", false, "reload results journaled under <out>/checkpoint by a previous run; without it the journal is cleared at startup")
+		resume     = flag.Bool("resume", false, "reload results stored under <out>/checkpoint by a previous run; without it that store is cleared at startup")
 		trace      = flag.Bool("trace", false, "write a Perfetto trace (<out>/trace/<experiment>.json) and per-batch time series (<out>/trace/<experiment>-series.csv) per experiment; results are unchanged")
 		sampleEach = flag.Int("sample-every", 1, "with -trace: record one time-series sample every N measurement batches (0 disables the series)")
 		httpAddr   = flag.String("http", "", "serve /metrics (Prometheus), /progress (JSON) and /debug/pprof on this address while running (e.g. :8080)")
 		logJSON    = flag.Bool("logjson", false, "emit diagnostics as JSON (slog) instead of text; tables still print to stdout")
 		logLevel   = flag.String("loglevel", "info", "diagnostics verbosity: debug (per-job delivery lines), info, warn or error")
-		storeURL   = flag.String("store", "", `persistent result store ("fs:<dir>" or "mem:"): reuse results published by previous runs and publish new ones`)
+		storeURL   = flag.String("store", "", `persistent result store: reuse results published by previous runs and publish new ones. A batch run takes "fs:<dir>" (shared, never cleared) in place of <out>/checkpoint; -serve also takes "mem:"`)
 		serve      = flag.Bool("serve", false, "run as the sweep service instead of a batch: accept sweep submissions on the -http server (POST /sweeps) until SIGTERM, then drain and exit 0")
 	)
 	flag.Usage = func() {
@@ -151,7 +148,7 @@ Examples:
   experiments -timeout 2m           give up on any single simulation after 2 minutes
   experiments -deadline 30m         stop the whole run after 30 minutes
   experiments -resume               after a crash or kill: reuse the <out>/checkpoint
-                                    journal and recompute only unfinished experiments
+                                    store and recompute only unfinished experiments
   experiments -trace -only fig9     write report/trace/figure9.json (open in
                                     https://ui.perfetto.dev) and figure9-series.csv
   experiments -http :8080           watch a long run live: curl /progress, /metrics
@@ -212,37 +209,24 @@ Examples:
 		return err
 	}
 
-	// Completed simulations are journaled under the report directory; with
-	// -resume a re-run reloads them (byte-identically — the journal key is
-	// the memo-cache fingerprint) and computes only what is missing. Without
-	// -resume the journal is cleared so stale results can never leak in.
+	// Completed simulations are published to an fs: result store keyed by
+	// the memo-cache fingerprint; a re-run reloads them byte-identically and
+	// computes only what is missing. -store fs:DIR names a shared store
+	// that is never cleared. Otherwise the store is <out>/checkpoint,
+	// cleared at startup unless -resume so stale results never leak in.
 	ckptDir := filepath.Join(*out, "checkpoint")
-	if !*resume {
+	if *storeURL != "" {
+		scheme, dir, _ := strings.Cut(*storeURL, ":")
+		if scheme != "fs" || dir == "" {
+			return fmt.Errorf("-store %q: a batch run needs a durable fs:<dir> store (a mem: store dies with the process, and the memo cache already covers that)", *storeURL)
+		}
+		ckptDir = dir
+	} else if !*resume {
 		if err := os.RemoveAll(ckptDir); err != nil {
-			return fmt.Errorf("clearing checkpoint journal: %w", err)
+			return fmt.Errorf("clearing checkpoint store: %w", err)
 		}
 	}
 	settings.Checkpoint = ckptDir
-
-	// The persistent store is the cross-process tier behind the journal:
-	// results published by any previous run (or by the sweep service) are
-	// reloaded instead of recomputed.
-	var st *store.Store
-	if *storeURL != "" {
-		var err error
-		if st, err = store.Open(*storeURL); err != nil {
-			return err
-		}
-		st.SetLogger(slog.Default().With("component", "store"))
-		defer func() {
-			// Close flushes the store; a failed flush means results this
-			// run believed durable may not be on disk.
-			if cerr := st.Close(); cerr != nil {
-				slog.Error("closing store (published results may not be durable)", "err", cerr)
-			}
-		}()
-		settings.Store = st
-	}
 
 	ctx := context.Background()
 	if *deadline > 0 {
@@ -317,7 +301,6 @@ Examples:
 			CacheMiss:  after.Misses - before.Misses,
 		}
 		if p, ok := runner.ProgressFor(e.name); ok {
-			rec.Resumed = p.Resumed
 			rec.StoreHits = p.StoreHits
 			if len(p.PhaseWallMs) > 0 {
 				rec.PhaseWallMs = p.PhaseWallMs
@@ -331,22 +314,13 @@ Examples:
 	totalElapsed := time.Since(totalStart).Round(time.Millisecond)
 	slog.Info("run complete", "experiments", len(records), "wall", totalElapsed.String(),
 		"workers", workers, "unique_simulations", cs.Misses, "cache_hits", cs.Hits,
-		"checkpoint_resumed", cs.Resumed, "store_hits", cs.StoreHits)
-	if st != nil {
-		if err := st.Flush(); err != nil {
-			slog.Warn("store flush failed; published results may not be durable", "err", err)
-		}
-		ss := st.Stats()
-		slog.Info("store", "hits", ss.Hits, "misses", ss.Misses, "puts", ss.Puts,
-			"corrupt", ss.Corrupt, "retries", ss.Retries, "put_errors", ss.PutErrors)
-	}
+		"store_hits", cs.StoreHits)
 
 	summary := perfSummary{
 		Workers:      workers,
 		WallMillis:   float64(totalElapsed) / float64(time.Millisecond),
 		UniqueSims:   cs.Misses,
 		CacheHits:    cs.Hits,
-		Resumed:      cs.Resumed,
 		StoreHits:    cs.StoreHits,
 		CacheEntries: cs.Entries,
 		Experiments:  records,
@@ -382,7 +356,11 @@ Examples:
 		for i := range fl {
 			slog.Error("job did not complete; its rows are missing from the CSVs", "job", fl[i].Reason())
 		}
-		return fmt.Errorf("%d job(s) failed (re-run with -resume to retry only the unfinished work)", len(fl))
+		retry := "re-run with -resume"
+		if *storeURL != "" {
+			retry = "re-run with the same -store"
+		}
+		return fmt.Errorf("%d job(s) failed (%s to retry only the unfinished work)", len(fl), retry)
 	}
 	return nil
 }
@@ -391,8 +369,8 @@ Examples:
 // service. The -http server grows the service API (POST /sweeps, status,
 // reports, /healthz, /readyz) next to the usual diagnostics endpoints, and
 // the process runs until SIGTERM/SIGINT — then drains: admission stops,
-// the in-flight sweep checkpoints at its batch boundary, the store
-// flushes, and the process exits 0. Restarting with -resume finishes
+// the in-flight sweep stops at its batch boundary, the store flushes, and
+// the process exits 0. Restarting with -resume finishes
 // every interrupted sweep to byte-identical reports.
 func runServe(out, addr, storeURL string, parallel int, timeout time.Duration, seed uint64, resume bool) error {
 	if addr == "" {
@@ -515,9 +493,6 @@ func newMetrics() *obs.Registry {
 	})
 	reg.GaugeFunc("trident_cache_misses_total", "unique simulations executed", func() float64 {
 		return float64(runner.Cache().Misses)
-	})
-	reg.GaugeFunc("trident_checkpoint_resumed_total", "simulations reloaded from the checkpoint journal", func() float64 {
-		return float64(runner.Cache().Resumed)
 	})
 	reg.GaugeFunc("trident_store_loaded_total", "simulations reloaded from the persistent result store", func() float64 {
 		return float64(runner.Cache().StoreHits)

@@ -219,7 +219,7 @@ const (
 )
 
 // wait blocks until the sweep is done (or, with -completed N, until N of
-// its simulations are durably journaled — the hook the crash-recovery
+// its simulations are in the durable result store — the hook the crash-recovery
 // gate uses to kill the service only after real progress exists). With
 // -follow it consumes the live event stream instead of polling, narrating
 // rows to stderr as they land, and falls back to polling if the stream

@@ -110,7 +110,6 @@ type experimentProgress struct {
 	Done      int     `json:"done"`
 	Failed    int     `json:"failed"`
 	CacheHits int     `json:"cache_hits"`
-	Resumed   int     `json:"checkpoint_resumed"`
 	StoreHits int     `json:"store_hits"`
 	Active    bool    `json:"active"`
 	WallMs    float64 `json:"wall_ms"`
@@ -238,9 +237,9 @@ func render(base string, s *snapshot, ansi bool) string {
 			if p.Active {
 				marker = "*"
 			}
-			fmt.Fprintf(&b, "  %s %-24s %s %3d/%-3d done  run %d  fail %d  cache %d  ckpt %d  store %d\n",
+			fmt.Fprintf(&b, "  %s %-24s %s %3d/%-3d done  run %d  fail %d  cache %d  store %d\n",
 				marker, trim(p.Label, 24), progressBar(p.Done, p.Jobs, 20),
-				p.Done, p.Jobs, p.Running, p.Failed, p.CacheHits, p.Resumed, p.StoreHits)
+				p.Done, p.Jobs, p.Running, p.Failed, p.CacheHits, p.StoreHits)
 		}
 	}
 

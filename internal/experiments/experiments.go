@@ -51,17 +51,14 @@ type Settings struct {
 	Ctx context.Context
 	// Timeout bounds each simulator job individually; 0 = no limit.
 	Timeout time.Duration
-	// Checkpoint, when non-empty, is the runner's journal directory:
-	// completed results are saved there and reloaded on a resumed run.
+	// Checkpoint, when non-empty, is the directory of an fs: result store,
+	// the durable memo tier behind the in-process cache. Results computed
+	// here are published to it, and results a previous run (or another
+	// process) published are reloaded instead of recomputed —
+	// byte-identically, keyed by the memo fingerprint. Store IO failures
+	// degrade to recomputation and durability notes, never to different
+	// results (cmd/experiments wires <out>/checkpoint or its -store here).
 	Checkpoint string
-	// Store, when non-nil, is the persistent result store: a third memo
-	// tier behind the in-process cache and the checkpoint journal. Results
-	// computed here are published to it, and results another process (or a
-	// previous run of this one) published are reloaded instead of
-	// recomputed — byte-identically, keyed by the same fingerprint as the
-	// journal. Store IO failures degrade to recomputation, never to
-	// different results (cmd/experiments wires its -store flag here).
-	Store *store.Store
 	// Failures, when non-nil, collects failed jobs so the driver finishes
 	// its table with the rows that did complete. When nil, the first
 	// failure panics (the pre-Report fail-fast behavior benchmarks and
@@ -155,16 +152,32 @@ func (s Settings) run(label string, jobs []runner.Job) {
 	if s.Obs != nil {
 		ob = s.Obs(label)
 	}
+	// A store that cannot open or flush costs durability, not results: the
+	// batch runs (or has run) regardless, and the trouble becomes a note.
+	var storeErr error
+	var st *store.Store
+	if s.Checkpoint != "" {
+		if st, storeErr = store.Open("fs:" + s.Checkpoint); st != nil {
+			st.SetLogger(s.Log)
+		}
+	}
 	rep := runner.Execute(jobs, runner.Options{
 		Parallelism: s.Parallelism,
 		Label:       label,
 		Context:     s.Ctx,
 		JobTimeout:  s.Timeout,
-		Checkpoint:  s.Checkpoint,
-		Store:       s.Store,
+		Store:       st,
 		Obs:         ob,
 		Log:         s.Log,
 	})
+	if st != nil {
+		storeErr = st.Close()
+	}
+	if storeErr != nil {
+		rep.Notes = append(rep.Notes, runner.Failure{
+			Experiment: label, Name: "store", Phase: "durability", Err: storeErr,
+		})
+	}
 	if err := ob.Close(); err != nil {
 		// Losing a trace must not discard the experiment's rows: record it
 		// like a failed job and let the driver finish its table.

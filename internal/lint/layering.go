@@ -11,7 +11,7 @@ import (
 // simulated world: everything whose behavior must be a pure function of
 // sim.Config. Reading the wall clock (or scheduling against it) inside any
 // of them would leak host timing into results and break the bit-exact
-// determinism contract (TestParallelDeterminism, TestCheckpointKillAndResume,
+// determinism contract (TestParallelDeterminism, TestStoreKillAndResume,
 // TestObsPureObserver). Wall-clock usage belongs in runner/ and cmd/ only.
 // A new machine package slots in by adding one line.
 var simulatedPackages = []string{

@@ -39,7 +39,7 @@ func (l *FailureLog) Empty() bool {
 }
 
 // Notes returns the accumulated durability notes in insertion order:
-// corrupt checkpoint/store entries that were skipped and re-executed, and
+// corrupt store entries that were quarantined and re-executed, and
 // store writes that exhausted their retry budget. They never fail a run,
 // but a command should surface them — each one is a disk misbehaving.
 func (l *FailureLog) Notes() []Failure {

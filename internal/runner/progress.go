@@ -20,11 +20,9 @@ type ExperimentProgress struct {
 	Running int `json:"running"`
 	Done    int `json:"done"`
 	Failed  int `json:"failed"`
-	// CacheHits / Resumed / StoreHits count jobs served from the memo
-	// cache, the checkpoint journal or the persistent result store instead
-	// of executed.
+	// CacheHits / StoreHits count jobs served from the memo cache or the
+	// persistent result store instead of executed.
 	CacheHits int `json:"cache_hits"`
-	Resumed   int `json:"checkpoint_resumed"`
 	StoreHits int `json:"store_hits"`
 	// Active reports whether an Execute batch with this label is running.
 	Active bool `json:"active"`
@@ -100,9 +98,6 @@ func (t *tracker) jobFinished(r *jobResult) {
 	}
 	if r.cached {
 		t.p.CacheHits++
-	}
-	if r.resumed {
-		t.p.Resumed++
 	}
 	if r.fromStore {
 		t.p.StoreHits++

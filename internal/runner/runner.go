@@ -20,9 +20,10 @@
 // Failures are isolated, not fatal: a job that panics, returns an error, or
 // is cancelled becomes a Failure record in the Report Execute returns, while
 // every other job still runs and delivers (DESIGN.md §6). Options.Context
-// and Options.JobTimeout bound a batch and each job; Options.Checkpoint
-// journals each completed simulator result to disk so a killed run can be
-// resumed without recomputing finished experiments.
+// and Options.JobTimeout bound a batch and each job; Options.Store
+// publishes each completed simulator result to a durable content-addressed
+// store so a killed run can be resumed without recomputing finished
+// experiments.
 package runner
 
 import (
@@ -97,24 +98,17 @@ type Options struct {
 	// JobTimeout bounds each job individually (simulator jobs only; Func
 	// jobs have no cancellation point). <= 0 means no per-job limit.
 	JobTimeout time.Duration
-	// Checkpoint, when non-empty, is a directory where each completed
-	// simulator result is journaled as one JSON file named by the job's
-	// memo fingerprint, and from which previously journaled results are
-	// reloaded instead of recomputed. Because the fingerprint is the same
-	// canonical key the memo cache uses, resuming a killed run replays
-	// finished experiments byte-identically and computes only the rest.
-	// The directory must be cleared when the simulator changes; the
-	// journal records results, not the code that produced them.
-	Checkpoint string
 	// Store, when non-nil, is the persistent content-addressed result
 	// store (internal/store): completed simulator results are published
 	// under their memo fingerprint and reloaded on later Execute calls —
 	// across process restarts and across concurrent processes sharing a
-	// backend. It composes with Checkpoint as a third memo tier (memory →
-	// journal → store). Store trouble never fails a job: corrupt entries
-	// are quarantined and recomputed, write failures degrade to
-	// Report.Notes records. Like the journal, the store must be cleared
-	// when the simulator changes.
+	// backend. It is the memo cache's one durable tier (memory → store).
+	// Because the fingerprint is the canonical key the memo cache uses,
+	// resuming a killed run replays finished jobs byte-identically and
+	// computes only the rest. Store trouble never fails a job: corrupt
+	// entries are quarantined and recomputed, write failures degrade to
+	// Report.Notes records. The store must be cleared when the simulator
+	// changes; it records results, not the code that produced them.
 	Store *store.Store
 
 	// Obs, when non-nil, attaches a per-run observability recorder
@@ -122,10 +116,10 @@ type Options struct {
 	// with the observer in submission order, so the rendered trace and
 	// time-series files are deterministic for any worker count. Tracing
 	// composes with the memo cache by observing only actual executions:
-	// a job served from the cache (or resumed from a checkpoint journal)
-	// produced no events, so it contributes nothing to the trace. The
-	// observer is excluded from the memo-cache key — tracing never
-	// changes what a run computes.
+	// a job served from the cache (or reloaded from the store) produced
+	// no events, so it contributes nothing to the trace. The observer is
+	// excluded from the memo-cache key — tracing never changes what a run
+	// computes.
 	Obs *obs.Observer
 
 	// Log, when non-nil, receives one structured line per delivered job
@@ -137,11 +131,10 @@ type Options struct {
 	// touches results, and a nil Log costs nothing.
 	Log *slog.Logger
 	// OnJob, when non-nil, observes each delivered job in submission order:
-	// name, how the memo tiers satisfied it ("executed", "cache",
-	// "checkpoint", "store", "skipped", "failed"), and its wall time. The
-	// sweep service feeds its job-latency metrics and live event stream
-	// from this hook. It runs on the submitting goroutine, interleaved
-	// with Build/Commit callbacks.
+	// name, how the memo tiers satisfied it ("executed", "cache", "store",
+	// "skipped", "failed"), and its wall time. The sweep service feeds its
+	// job-latency metrics and live event stream from this hook. It runs on
+	// the submitting goroutine, interleaved with Build/Commit callbacks.
 	OnJob func(name, source string, wallMs float64)
 }
 
@@ -201,11 +194,10 @@ type Report struct {
 	// Empty means every callback ran.
 	Failures []Failure
 	// Notes lists durability incidents that did NOT prevent delivery, in
-	// submission order: a corrupt checkpoint entry skipped and re-executed
-	// on resume, a quarantined store entry recomputed, a store write whose
-	// retry budget ran out. Phase is "durability". They never affect OK()
-	// — the results themselves are correct — but operators should see
-	// them: each one is a disk lying.
+	// submission order: a quarantined store entry recomputed, a store
+	// write whose retry budget ran out. Phase is "durability". They never
+	// affect OK() — the results themselves are correct — but operators
+	// should see them: each one is a disk lying.
 	Notes []Failure
 }
 
@@ -246,10 +238,6 @@ func Execute(jobs []Job, opts Options) *Report {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	var ckpt *checkpoint
-	if opts.Checkpoint != "" {
-		ckpt = &checkpoint{dir: opts.Checkpoint}
 	}
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -300,7 +288,7 @@ func Execute(jobs []Job, opts Options) *Report {
 				}
 				start := time.Now()
 				pprof.Do(context.Background(), jobLabels(&jobs[i], opts.Label), func(context.Context) {
-					runJob(jctx, &jobs[i], r, opts, ckpt)
+					runJob(jctx, &jobs[i], r, opts)
 				})
 				cancel()
 				r.wallMs = float64(time.Since(start).Nanoseconds()) / 1e6
@@ -317,7 +305,7 @@ func Execute(jobs []Job, opts Options) *Report {
 		r := &results[i]
 		if r.note != nil {
 			// Durability incident that did not stop the job (corrupt
-			// journal/store entry recomputed, store write degraded).
+			// store entry recomputed, store write degraded).
 			rep.Notes = append(rep.Notes, Failure{Index: i, Experiment: opts.Label,
 				Name: jobName(j), Phase: "durability", Err: r.note, Cfg: j.Cfg})
 			if opts.Log != nil {
@@ -386,7 +374,6 @@ type jobResult struct {
 	stack     string
 	skipped   bool
 	cached    bool  // served from the in-process memo cache
-	resumed   bool  // reloaded from the checkpoint journal
 	fromStore bool  // reloaded from the persistent result store
 	note      error // durability incident that did not stop the job
 	obs       *obs.Run
@@ -410,8 +397,6 @@ func (r *jobResult) source() string {
 		return "skipped"
 	case r.cached:
 		return "cache"
-	case r.resumed:
-		return "checkpoint"
 	case r.fromStore:
 		return "store"
 	default:
@@ -471,7 +456,7 @@ func jobLabels(j *Job, label string) pprof.LabelSet {
 	return pprof.Labels(kv...)
 }
 
-func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *checkpoint) {
+func runJob(ctx context.Context, j *Job, r *jobResult, opts Options) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.panicked = p
@@ -504,9 +489,8 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *check
 		}
 	}
 	cfg.Obs = orun
-	res, src, note, e := cachedRun(ctx, cfg, opts.NoCache, ckpt, opts.Store)
+	res, src, note, e := cachedRun(ctx, cfg, opts.NoCache, opts.Store)
 	r.cached = src == srcHit
-	r.resumed = src == srcResumed
 	r.fromStore = src == srcStore
 	r.note = note
 	r.obs = orun
@@ -532,8 +516,8 @@ var MemoKeyExclusions = map[string]string{
 // listing it in MemoKeyExclusions fails TestMemoKeyCoversConfig and the
 // tridentlint memokey check.
 // Every field is plain value data (no pointers), so fmt's %#v rendering of a
-// key is stable across processes — the checkpoint journal hashes it to name
-// files.
+// key is stable across processes — the persistent store hashes it to name
+// entries.
 type cacheKey struct {
 	workload             workload.Spec
 	tlb                  tlb.Config
@@ -578,14 +562,13 @@ func keyOf(cfg sim.Config) cacheKey {
 }
 
 // runSource says how cachedRun satisfied a call: by executing the
-// simulation, by serving a memoized result, by reloading a checkpoint, or
-// by reloading an entry from the persistent result store.
+// simulation, by serving a memoized result, or by reloading an entry from
+// the persistent result store.
 type runSource int
 
 const (
 	srcExecuted runSource = iota
 	srcHit
-	srcResumed
 	srcStore
 )
 
@@ -597,7 +580,6 @@ type entry struct {
 	err       error
 	note      error // durability incident recorded by the computing arrival
 	panicked  any
-	fromCkpt  bool
 	fromStore bool
 }
 
@@ -606,31 +588,17 @@ var (
 	cache     = map[cacheKey]*entry{}
 	hits      atomic.Uint64
 	misses    atomic.Uint64
-	resumed   atomic.Uint64
 	storeHits atomic.Uint64
 )
 
-// joinNotes chains durability notes so one job can report both a corrupt
-// checkpoint entry and, say, a failed store write.
-func joinNotes(a, b error) error {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return fmt.Errorf("%w; %w", a, b)
-	}
-}
-
 // cachedRun executes cfg through the memo cache tiers: in-process map →
-// checkpoint journal → persistent store → sim.RunContext. Results are
+// persistent store → sim.RunContext. Results are
 // shared across callers and must be treated as immutable (sim.Result is
 // plain measured data; drivers only read it). The note return carries
 // durability incidents that did not prevent the job (corrupt entries
 // recomputed, store writes degraded); it is non-nil only for the arrival
 // that performed the work (single-flight latecomers report nothing).
-func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, ckpt *checkpoint, st *store.Store) (*sim.Result, runSource, error, error) {
+func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, st *store.Store) (*sim.Result, runSource, error, error) {
 	if noCache || cfg.Workload == nil {
 		res, err := sim.RunContext(ctx, cfg)
 		return res, srcExecuted, nil, err
@@ -652,51 +620,27 @@ func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, ckpt *checkpoi
 				e.panicked = p
 			}
 		}()
-		if ckpt != nil {
-			res, lerr := ckpt.load(key)
-			if lerr != nil {
-				// Torn or unreadable journal entry: skip it and re-execute
-				// this one configuration instead of aborting the resume.
-				e.note = joinNotes(e.note, lerr)
-			}
-			if res != nil {
-				resumed.Add(1)
-				e.res = res
-				e.fromCkpt = true
-				return
-			}
-		}
 		var fp string
 		if st != nil {
 			fp = fingerprintKey(key)
 			res, lerr := storeLoad(st, fp)
-			if lerr != nil {
-				e.note = joinNotes(e.note, lerr)
-			}
 			if res != nil {
 				storeHits.Add(1)
 				e.res = res
 				e.fromStore = true
-				if ckpt != nil {
-					// Seed the per-run journal too, so a later resume of
-					// this run replays without consulting the store.
-					if serr := ckpt.save(key, res); serr != nil {
-						e.note = joinNotes(e.note, serr)
-					}
-				}
 				return
 			}
+			// A corrupt or unreadable entry is a note; the run recomputes.
+			e.note = lerr
 		}
 		misses.Add(1)
 		e.res, e.err = sim.RunContext(ctx, cfg)
-		if e.err == nil && ckpt != nil {
-			e.err = ckpt.save(key, e.res)
-		}
 		if e.err == nil && st != nil {
 			// Store trouble degrades durability, never correctness: the
-			// computed result is delivered either way.
+			// computed result is delivered either way, and the two notes
+			// (unusable entry, failed republish) chain.
 			if serr := storeSave(st, fp, e.res); serr != nil {
-				e.note = joinNotes(e.note, serr)
+				e.note = errors.Join(e.note, serr)
 			}
 		}
 	})
@@ -705,15 +649,13 @@ func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, ckpt *checkpoi
 	case !first:
 		src = srcHit
 		hits.Add(1)
-	case e.fromCkpt:
-		src = srcResumed
 	case e.fromStore:
 		src = srcStore
 	}
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 		// A cancelled run is an absence of a result, not a result: drop the
 		// entry so a later Execute — the same process retrying, or a
-		// checkpoint-resumed batch — recomputes instead of replaying the
+		// resumed batch — recomputes instead of replaying the
 		// cancellation forever.
 		cacheMu.Lock()
 		if cache[key] == e {
@@ -733,12 +675,10 @@ func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, ckpt *checkpoi
 
 // CacheStats reports the memo cache's cumulative activity. Misses count
 // actual sim.Run executions through the cache; hits count runs served from
-// (or collapsed into) an existing entry; resumed counts runs reloaded from a
-// checkpoint journal, and StoreHits runs reloaded from the persistent
-// result store, instead of executed.
+// (or collapsed into) an existing entry; StoreHits counts runs reloaded
+// from the persistent result store instead of executed.
 type CacheStats struct {
 	Hits, Misses uint64
-	Resumed      uint64
 	StoreHits    uint64
 	Entries      int
 }
@@ -748,7 +688,7 @@ func Cache() CacheStats {
 	cacheMu.Lock()
 	n := len(cache)
 	cacheMu.Unlock()
-	return CacheStats{Hits: hits.Load(), Misses: misses.Load(), Resumed: resumed.Load(),
+	return CacheStats{Hits: hits.Load(), Misses: misses.Load(),
 		StoreHits: storeHits.Load(), Entries: n}
 }
 
@@ -761,6 +701,5 @@ func ResetCache() {
 	cacheMu.Unlock()
 	hits.Store(0)
 	misses.Store(0)
-	resumed.Store(0)
 	storeHits.Store(0)
 }

@@ -3,15 +3,12 @@ package runner
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tlb"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -277,80 +274,6 @@ func TestJobTimeoutNotCached(t *testing.T) {
 	Execute([]Job{Sim(cfg, func(r *sim.Result) { res = r })}, Options{}).MustOK()
 	if res == nil {
 		t.Fatal("retry after timeout did not deliver")
-	}
-}
-
-// TestCheckpointKillAndResume is the resume contract end to end: a run that
-// completes one of two experiments before being cancelled (standing in for
-// a kill) journals the finished one; a fresh "process" (cache reset) with
-// the same journal reloads it, computes only the other, and produces a CSV
-// byte-identical to an uninterrupted run.
-func TestCheckpointKillAndResume(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	cfgA := tinyConfig(t)
-	cfgB := tinyConfig(t)
-	cfgB.Seed = 5
-
-	table := func() *stats.Table { return stats.NewTable("t", "workload", "policy", "cpa", "walk") }
-	build := func(tab *stats.Table) []Job {
-		mk := func(cfg sim.Config) Job {
-			return Sim(cfg, func(r *sim.Result) {
-				tab.AddRow(r.Workload, r.Policy, r.Perf.CyclesPerAccess, r.Perf.WalkCycleFraction)
-			})
-		}
-		return []Job{mk(cfgA), mk(cfgB)}
-	}
-
-	base := table()
-	Execute(build(base), Options{Parallelism: 1}).MustOK()
-
-	// The "killed" run: with one worker, job A completes and is journaled,
-	// the middle job cancels the batch, and B is skipped.
-	dir := t.TempDir()
-	ResetCache()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	killed := table()
-	jobs := build(killed)
-	jobs = []Job{jobs[0], Func(func() any { cancel(); return nil }, nil), jobs[1]}
-	rep := Execute(jobs, Options{Parallelism: 1, Context: ctx, Checkpoint: dir})
-	if rep.OK() {
-		t.Fatal("the killed run must report the unfinished job")
-	}
-
-	// The resumed run: fresh memo cache, same journal.
-	ResetCache()
-	resumedTab := table()
-	Execute(build(resumedTab), Options{Parallelism: 1, Checkpoint: dir}).MustOK()
-	cs := Cache()
-	if cs.Resumed != 1 || cs.Misses != 1 {
-		t.Fatalf("resume ran %d sims and reloaded %d, want 1 and 1", cs.Misses, cs.Resumed)
-	}
-	if resumedTab.CSV() != base.CSV() {
-		t.Fatalf("resumed CSV differs from uninterrupted run:\n--- base\n%s--- resumed\n%s", base.CSV(), resumedTab.CSV())
-	}
-}
-
-// TestCheckpointCorruptFileIgnored: a journal file torn by the crash being
-// recovered from must be recomputed, not half-loaded.
-func TestCheckpointCorruptFileIgnored(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	dir := t.TempDir()
-	cfg := tinyConfig(t)
-	Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("journal has %d files (err %v), want 1", len(ents), err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ResetCache()
-	Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
-	if cs := Cache(); cs.Resumed != 0 || cs.Misses != 1 {
-		t.Fatalf("corrupt journal file was resumed: %+v", cs)
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 	"repro/internal/store"
 )
 
-// The persistent result store (internal/store) is the memo cache's third
-// tier: in-process map → per-run checkpoint journal → shared durable store.
-// Entries are keyed by the same canonical fingerprint the memo cache and
-// checkpoint use, so a restarted process — or a different process sharing
-// the store — reloads exactly the configurations it already computed,
-// byte-identically, and any config change falls through to a fresh
-// computation. Store failures are never result failures: a corrupt entry is
+// The persistent result store (internal/store) is the memo cache's durable
+// tier: in-process map → shared durable store. Entries are keyed by the
+// same canonical fingerprint the memo cache uses, so a restarted process —
+// or a different process sharing the store — reloads exactly the
+// configurations it already computed, byte-identically, and any config
+// change falls through to a fresh computation. Store failures are never result failures: a corrupt entry is
 // quarantined and recomputed, an exhausted retry budget degrades to a
 // Report.Notes record (durability lost, correctness kept).
 
@@ -31,8 +30,7 @@ func fingerprintKey(key cacheKey) string {
 }
 
 // Fingerprint returns cfg's canonical memo fingerprint — the key under
-// which the checkpoint journal and the persistent result store address its
-// result. Configs that differ only in non-identity fields (Obs, the
+// which the persistent result store addresses its result. Configs that differ only in non-identity fields (Obs, the
 // loop-shape knobs; see MemoKeyExclusions) share a fingerprint.
 func Fingerprint(cfg sim.Config) string {
 	return fingerprintKey(keyOf(cfg))
@@ -68,7 +66,7 @@ func storeLoad(st *store.Store, fp string) (*sim.Result, error) {
 	return &res, nil
 }
 
-// storeSave journals res to the persistent store. Failure is a note, not an
+// storeSave publishes res to the persistent store. Failure is a note, not an
 // error: the result is already computed and delivered, only its durability
 // beyond this process is lost.
 func storeSave(st *store.Store, fp string, res *sim.Result) error {

@@ -25,11 +25,10 @@ func fsStore(t *testing.T) (*store.Store, string) {
 	return st, dir
 }
 
-// TestStoreKillAndResume extends the TestCheckpointKillAndResume contract
-// to the persistent store: a run that completes one of two experiments
-// before being cancelled (standing in for a kill -9) publishes the finished
-// one to the store; a fresh "process" (cache reset, no checkpoint journal)
-// sharing the store reloads it, computes only the other, and produces a CSV
+// TestStoreKillAndResume is the resume contract end to end: a run that
+// completes one of two experiments before being cancelled (standing in for
+// a kill -9) publishes the finished one to the store; a fresh "process"
+// (cache reset) sharing the store reloads it, computes only the other, and produces a CSV
 // byte-identical to an uninterrupted run.
 func TestStoreKillAndResume(t *testing.T) {
 	ResetCache()
@@ -180,27 +179,27 @@ func TestStoreChaosFaultsNeverChangeResults(t *testing.T) {
 }
 
 // TestCheckpointCorruptEntryNoteAndRerun pins the resume-durability
-// satellite: a truncated checkpoint entry must be skipped and re-executed
-// with a structured durability note — not resumed wrong, not fatal to the
-// whole resume.
+// contract on the checkpoint directory (an fs: store): a garbled entry must
+// be skipped and re-executed with a structured durability note — not
+// resumed wrong, not fatal to the whole resume.
 func TestCheckpointCorruptEntryNoteAndRerun(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
-	dir := t.TempDir()
 	cfg := tinyConfig(t)
-	Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("journal has %d files (err %v), want 1", len(ents), err)
+	st, dir := fsStore(t)
+	Execute([]Job{Sim(cfg, nil)}, Options{Store: st}).MustOK()
+	path := filepath.Join(dir, Fingerprint(cfg)+".entry")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("checkpoint entry not published: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), []byte("{torn"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ResetCache()
-	rep := Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir})
+	rep := Execute([]Job{Sim(cfg, nil)}, Options{Store: st})
 	rep.MustOK()
-	if cs := Cache(); cs.Resumed != 0 || cs.Misses != 1 {
-		t.Fatalf("corrupt journal entry was resumed: %+v", cs)
+	if cs := Cache(); cs.StoreHits != 0 || cs.Misses != 1 {
+		t.Fatalf("corrupt checkpoint entry was resumed: %+v", cs)
 	}
 	if len(rep.Notes) != 1 {
 		t.Fatalf("Notes = %+v, want exactly one for the corrupt entry", rep.Notes)

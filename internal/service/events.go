@@ -117,7 +117,7 @@ func newEventLog(path string, onEmit func()) *eventLog {
 }
 
 // begin opens a fresh attempt: the journal file is truncated and the
-// in-memory journal reset, so replayed checkpoint results rebuild an
+// in-memory journal reset, so results replayed from the store rebuild an
 // identical journal and the file never mixes events of two attempts.
 // The open and the close of any previous attempt's file happen outside
 // l.mu — only the pointer swap needs the lock.

@@ -331,7 +331,6 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	jobs := len(tinyReq().Policies)
 	delivered := metric(`trident_service_jobs_delivered{source="executed"}`) +
 		metric(`trident_service_jobs_delivered{source="cache"}`) +
-		metric(`trident_service_jobs_delivered{source="checkpoint"}`) +
 		metric(`trident_service_jobs_delivered{source="store"}`)
 	if delivered != float64(jobs) {
 		t.Errorf("delivered jobs across sources = %v, want %d", delivered, jobs)

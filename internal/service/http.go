@@ -334,8 +334,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 			name string
 			v    *atomic.Uint64
 		}{
-			{"executed", &s.jobsExecuted}, {"cache", &s.jobsCache},
-			{"checkpoint", &s.jobsCheckpoint}, {"store", &s.jobsStore},
+			{"executed", &s.jobsExecuted}, {"cache", &s.jobsCache}, {"store", &s.jobsStore},
 			{"skipped", &s.jobsSkipped}, {"failed", &s.jobsFailed},
 		} {
 			emit(fmt.Sprintf("trident_service_jobs_delivered{source=%q}", src.name), float64(src.v.Load()))
@@ -345,21 +344,19 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 		"wall time per delivered simulation job (ms)", 0.5, 0.9, 0.99))
 	s.backoffMs.Store(reg.Summary("trident_service_backoff_ms",
 		"retry backoff delays chosen by the pinned schedule (ms)", 0.5, 0.99))
-	if st := s.cfg.Store; st != nil {
-		storeCounter := func(field func(store.Stats) uint64) func() float64 {
-			return func() float64 { return float64(field(st.Stats())) }
-		}
-		reg.CounterFunc("trident_store_hits_total", "result-store read hits",
-			storeCounter(func(v store.Stats) uint64 { return v.Hits }))
-		reg.CounterFunc("trident_store_misses_total", "result-store read misses",
-			storeCounter(func(v store.Stats) uint64 { return v.Misses }))
-		reg.CounterFunc("trident_store_corrupt_total", "result-store entries quarantined by checksum",
-			storeCounter(func(v store.Stats) uint64 { return v.Corrupt }))
-		reg.CounterFunc("trident_store_retries_total", "result-store transient-fault retries",
-			storeCounter(func(v store.Stats) uint64 { return v.Retries }))
-		reg.CounterFunc("trident_store_put_errors_total", "result-store writes that exhausted their retry budget",
-			storeCounter(func(v store.Stats) uint64 { return v.PutErrors }))
-		reg.CounterFunc("trident_store_get_errors_total", "result-store reads that exhausted their retry budget",
-			storeCounter(func(v store.Stats) uint64 { return v.GetErrors }))
+	storeCounter := func(field func(store.Stats) uint64) func() float64 {
+		return func() float64 { return float64(field(s.cfg.Store.Stats())) }
 	}
+	reg.CounterFunc("trident_store_hits_total", "result-store read hits",
+		storeCounter(func(v store.Stats) uint64 { return v.Hits }))
+	reg.CounterFunc("trident_store_misses_total", "result-store read misses",
+		storeCounter(func(v store.Stats) uint64 { return v.Misses }))
+	reg.CounterFunc("trident_store_corrupt_total", "result-store entries quarantined by checksum",
+		storeCounter(func(v store.Stats) uint64 { return v.Corrupt }))
+	reg.CounterFunc("trident_store_retries_total", "result-store transient-fault retries",
+		storeCounter(func(v store.Stats) uint64 { return v.Retries }))
+	reg.CounterFunc("trident_store_put_errors_total", "result-store writes that exhausted their retry budget",
+		storeCounter(func(v store.Stats) uint64 { return v.PutErrors }))
+	reg.CounterFunc("trident_store_get_errors_total", "result-store reads that exhausted their retry budget",
+		storeCounter(func(v store.Stats) uint64 { return v.GetErrors }))
 }

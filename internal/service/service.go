@@ -3,8 +3,8 @@
 // grid), executes them through the runner with the persistent result store
 // as a shared memo tier, and survives crashes — every accepted submission
 // is durably journaled before it is acknowledged, every completed
-// simulation is checkpointed and published to the store, and a restarted
-// service resumes unfinished sweeps to byte-identical reports.
+// simulation is published to the store, and a restarted service resumes
+// unfinished sweeps to byte-identical reports.
 //
 // Failure behavior is the point (DESIGN.md §9):
 //
@@ -16,14 +16,14 @@
 //     failures look transient is re-executed up to MaxRetries times; the
 //     backoff schedule is a pure function of (seed, sweep id, attempt), so
 //     a chaos-injected failure schedule reproduces the same retry timeline
-//     on every run. Completed simulations replay from the checkpoint
-//     journal, so a retry recomputes only what actually failed.
+//     on every run. Completed simulations replay from the store, so a
+//     retry recomputes only what actually failed.
 //   - Deadline budgets: each sweep runs under a deadline (its own or the
 //     service default); past it, remaining jobs are cancelled and the
 //     sweep fails with the deadline recorded — it is not retried.
 //   - Graceful drain: cancelling the Run context stops admission
 //     (submissions get 503), interrupts the in-flight sweep at its next
-//     batch boundary (completed sims are already checkpointed), flushes
+//     batch boundary (completed sims are already in the store), flushes
 //     the store, and returns — the caller then exits 0. A later start
 //     with Resume picks every unfinished sweep back up.
 package service
@@ -93,8 +93,9 @@ type Sweep struct {
 	Client string       `json:"client,omitempty"`
 	State  string       `json:"state"`
 	Req    SweepRequest `json:"request"`
-	// Jobs is the grid size; Completed counts simulations whose results
-	// are journaled in this sweep's checkpoint (it survives restarts).
+	// Jobs is the grid size; Completed counts grid cells whose results the
+	// store holds (it survives restarts, and counts cells another sweep
+	// computed).
 	Jobs      int `json:"jobs"`
 	Completed int `json:"completed"`
 	// Attempts counts executions including retries.
@@ -115,9 +116,10 @@ var (
 // Config tunes a Service.
 type Config struct {
 	// Dir is the service root: <Dir>/sweeps/<id>/{request.json,
-	// checkpoint/, report.csv}. Required.
+	// events.ndjson, report.csv}. Required.
 	Dir string
-	// Store, when non-nil, is the shared persistent result store.
+	// Store is the shared persistent result store. nil opens fs:<Dir>/store,
+	// which is cleared with the sweep area unless Resume.
 	Store *store.Store
 	// QueueLimit bounds queued sweeps globally (default 16);
 	// PerClientLimit bounds them per client (default 4).
@@ -131,7 +133,7 @@ type Config struct {
 	// (default 10 minutes).
 	DefaultDeadline time.Duration
 	// MaxRetries is how many times a transiently-failed sweep is re-run
-	// (default 2). Retries replay finished sims from the checkpoint.
+	// (default 2). Retries replay finished sims from the store.
 	MaxRetries int
 	// RetrySeed, BackoffBase and BackoffCap pin the deterministic backoff
 	// schedule (defaults 1, 50ms, 2s).
@@ -183,6 +185,7 @@ type sweep struct {
 	req      SweepRequest
 	state    string
 	jobs     int
+	fps      []string // grid cells' memo fingerprints, in submission order
 	attempts int
 	err      string
 	events   *eventLog
@@ -214,7 +217,7 @@ type Service struct {
 	inFlight    atomic.Int64  // jobs dispatched to the runner, not yet delivered
 
 	// Job-source delivery counters, fed by the runner's OnJob hook.
-	jobsExecuted, jobsCache, jobsCheckpoint, jobsStore, jobsSkipped, jobsFailed atomic.Uint64
+	jobsExecuted, jobsCache, jobsStore, jobsSkipped, jobsFailed atomic.Uint64
 
 	// Summaries are registered lazily by RegisterMetrics; the hooks below
 	// tolerate their absence (a service without a registry still runs).
@@ -247,6 +250,20 @@ func New(cfg Config) (*Service, error) {
 	}
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("service: init: %w", err)
+	}
+	if cfg.Store == nil {
+		dir := filepath.Join(cfg.Dir, "store")
+		if !cfg.Resume {
+			if err := os.RemoveAll(dir); err != nil {
+				return nil, fmt.Errorf("service: clearing store: %w", err)
+			}
+		}
+		st, err := store.Open("fs:" + dir)
+		if err != nil {
+			return nil, fmt.Errorf("service: %w", err)
+		}
+		st.SetLogger(cfg.Log)
+		s.cfg.Store = st
 	}
 	if cfg.Resume {
 		if err := s.rescan(); err != nil {
@@ -292,25 +309,27 @@ func validate(req SweepRequest) error {
 
 // Submit admits one sweep. It returns the (possibly pre-existing) sweep
 // snapshot; the error, when non-nil, is ErrDraining, ErrQueueFull,
-// ErrClientBusy or a validation error. The checkpoint-directory scan that
-// fills Completed runs after the admission critical section releases s.mu.
+// ErrClientBusy or a validation error. The store probes that fill
+// Completed run after the admission critical section releases s.mu.
 func (s *Service) Submit(req SweepRequest) (Sweep, error) {
-	snap, err := s.submit(req)
-	if err != nil {
-		return snap, err
-	}
-	snap.Completed = s.completed(snap.ID)
-	return snap, nil
-}
-
-// submit is Submit's admission critical section: everything between
-// validation and the returned snapshot happens under s.mu, including the
-// durable request journaling — an accepted sweep must be on disk before
-// any concurrent same-id submitter can observe it as admitted.
-func (s *Service) submit(req SweepRequest) (Sweep, error) {
 	if err := validate(req); err != nil {
 		return Sweep{}, err
 	}
+	fps := gridFingerprints(req)
+	snap, err := s.submit(req, fps)
+	if err != nil {
+		return snap, err
+	}
+	snap.Completed = s.completed(fps)
+	return snap, nil
+}
+
+// submit is Submit's admission critical section for a validated request
+// and its grid fingerprints: everything up to the returned snapshot
+// happens under s.mu, including the durable request journaling — an
+// accepted sweep must be on disk before any concurrent same-id submitter
+// can observe it as admitted.
+func (s *Service) submit(req SweepRequest, fps []string) (Sweep, error) {
 	id := sweepID(req)
 
 	s.mu.Lock()
@@ -344,7 +363,7 @@ func (s *Service) submit(req SweepRequest) (Sweep, error) {
 
 	sw, ok := s.sweeps[id]
 	if !ok {
-		sw = s.newSweep(id, req)
+		sw = s.newSweep(id, req, fps)
 		// Durably journal the request before acknowledging: an accepted
 		// sweep survives a kill -9 one microsecond later. This IO stays
 		// inside the admission critical section on purpose — releasing
@@ -371,11 +390,44 @@ func (s *Service) submit(req SweepRequest) (Sweep, error) {
 
 // newSweep builds the in-memory record, wiring its event log to the
 // service's emission counter.
-func (s *Service) newSweep(id string, req SweepRequest) *sweep {
+func (s *Service) newSweep(id string, req SweepRequest, fps []string) *sweep {
 	return &sweep{
-		id: id, req: req, jobs: len(req.Workloads) * len(req.Policies),
+		id: id, req: req, jobs: len(fps), fps: fps,
 		events: newEventLog(s.eventsPath(id), func() { s.events.Add(1) }),
 	}
+}
+
+// gridConfigs expands a validated request into its simulator configs in
+// submission order: workloads outer, policies inner.
+func gridConfigs(req SweepRequest) []sim.Config {
+	var cfgs []sim.Config
+	for _, wname := range req.Workloads {
+		spec, _ := workload.ByName(wname)
+		for _, pname := range req.Policies {
+			kind, _ := sim.PolicyByName(pname)
+			cfgs = append(cfgs, sim.Config{
+				Workload: spec,
+				Policy:   kind,
+				MemGB:    req.MemGB,
+				Scale:    req.Scale,
+				Accesses: req.Accesses,
+				Seed:     req.Seed,
+				Fragment: req.Fragment,
+			})
+		}
+	}
+	return cfgs
+}
+
+// gridFingerprints is the memo fingerprint of each grid cell — the store
+// keys that Completed probes and that row events carry.
+func gridFingerprints(req SweepRequest) []string {
+	cfgs := gridConfigs(req)
+	fps := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		fps[i] = runner.Fingerprint(cfg)
+	}
+	return fps
 }
 
 func (s *Service) enqueueLocked(sw *sweep) {
@@ -437,10 +489,10 @@ func (s *Service) rescan() error {
 			continue // torn submission: never acknowledged, safe to ignore
 		}
 		var req SweepRequest
-		if err := json.Unmarshal(reqJSON, &req); err != nil || sweepID(req) != id {
+		if err := json.Unmarshal(reqJSON, &req); err != nil || sweepID(req) != id || validate(req) != nil {
 			continue // corrupt or foreign; the content address must verify
 		}
-		sw := s.newSweep(id, req)
+		sw := s.newSweep(id, req, gridFingerprints(req))
 		s.sweeps[id] = sw
 		if _, err := os.Stat(filepath.Join(s.sweepDir(id), "report.csv")); err == nil {
 			sw.state = StateDone
@@ -462,7 +514,7 @@ func (s *Service) rescan() error {
 
 // Run processes sweeps until ctx is cancelled, then drains: admission
 // stops, the in-flight sweep is interrupted at its next batch boundary
-// (its completed simulations are already checkpointed), the store is
+// (its completed simulations are already in the store), the store is
 // flushed, and Run returns nil. Call once.
 func (s *Service) Run(ctx context.Context) error {
 	for {
@@ -484,18 +536,16 @@ func (s *Service) Run(ctx context.Context) error {
 
 // drain finalizes shutdown: stop admission and flush the store. By the
 // time drain runs no sweep is executing (Run is single-threaded), and
-// every completed simulation was checkpointed the moment it finished.
+// every completed simulation was published the moment it finished.
 func (s *Service) drain() error {
 	s.mu.Lock()
 	s.draining = true
 	queued := s.queuedN
 	s.mu.Unlock()
 	s.log.Info("service draining", "queued", queued)
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.Flush(); err != nil {
-			s.log.Error("store flush on drain failed", "err", err)
-			return fmt.Errorf("service: store flush on drain: %w", err)
-		}
+	if err := s.cfg.Store.Flush(); err != nil {
+		s.log.Error("store flush on drain failed", "err", err)
+		return fmt.Errorf("service: store flush on drain: %w", err)
 	}
 	s.log.Info("service drained")
 	return nil
@@ -529,7 +579,7 @@ func sealEvents(sw *sweep, log *slog.Logger) {
 
 // runSweep executes one sweep with deadline budget and deterministic
 // retry/backoff. Each attempt rewrites the sweep's event journal from
-// scratch (completed sims replay from the checkpoint, re-emitting the
+// scratch (completed sims replay from the store, re-emitting the
 // identical prefix), so the journal of the attempt that finishes is
 // byte-identical to an uninterrupted run's.
 func (s *Service) runSweep(ctx context.Context, sw *sweep) {
@@ -559,8 +609,8 @@ func (s *Service) runSweep(ctx context.Context, sw *sweep) {
 
 		switch {
 		case ctx.Err() != nil:
-			// Drain reached us mid-sweep: completed sims are journaled,
-			// the rest resumes on the next start. Not a failure.
+			// Drain reached us mid-sweep: completed sims are in the
+			// store, the rest resumes on the next start. Not a failure.
 			s.interrupted.Add(1)
 			s.setState(sw, StateInterrupted, "interrupted by drain; resume to finish")
 			log.Warn("sweep interrupted by drain", "attempt", att, "rows_delivered", rows)
@@ -586,7 +636,7 @@ func (s *Service) runSweep(ctx context.Context, sw *sweep) {
 			return
 		}
 		// Transient failure: back off on the pinned deterministic schedule
-		// and re-run; finished sims replay from the checkpoint journal.
+		// and re-run; finished sims replay from the store.
 		s.retried.Add(1)
 		d := backoffDelay(s.cfg.RetrySeed, sw.id, attempt, s.cfg.BackoffBase, s.cfg.BackoffCap)
 		if sum := s.backoffMs.Load(); sum != nil {
@@ -619,34 +669,21 @@ func (s *Service) backoffWait(ctx context.Context, d time.Duration) {
 // report. Row order is the submission's (workloads outer, policies inner),
 // so the CSV is byte-identical for any worker count, any retry count and
 // any resume point — the determinism contract the reports inherit from
-// TestParallelDeterminism and TestCheckpointKillAndResume.
+// TestParallelDeterminism and TestStoreKillAndResume.
 func (s *Service) executeGrid(ctx context.Context, sw *sweep, log *slog.Logger) (*runner.Report, string, int) {
 	req := sw.req
 	tab := stats.NewTable("sweep "+sw.id, "workload", "policy", "cycles_per_access", "walk_cycle_fraction")
-	var jobs []runner.Job
-	for _, wname := range req.Workloads {
-		spec, _ := workload.ByName(wname)
-		for _, pname := range req.Policies {
-			kind, _ := sim.PolicyByName(pname)
-			cfg := sim.Config{
-				Workload: spec,
-				Policy:   kind,
-				MemGB:    req.MemGB,
-				Scale:    req.Scale,
-				Accesses: req.Accesses,
-				Seed:     req.Seed,
-				Fragment: req.Fragment,
-			}
-			// Result callbacks fire in submission order as the completed
-			// prefix grows (runner streaming delivery), so row index ==
-			// table row index, and each row event carries the exact CSV
-			// bytes the final report will contain.
-			idx := len(jobs)
-			jobs = append(jobs, runner.Sim(cfg, func(r *sim.Result) {
-				tab.AddRow(r.Workload, r.Policy, r.Perf.CyclesPerAccess, r.Perf.WalkCycleFraction)
-				sw.events.row(sw.id, idx, runner.Fingerprint(cfg), tab.RowCSV(idx))
-			}))
-		}
+	cfgs := gridConfigs(req)
+	jobs := make([]runner.Job, len(cfgs))
+	for idx, cfg := range cfgs {
+		// Result callbacks fire in submission order as the completed
+		// prefix grows (runner streaming delivery), so row index == table
+		// row index, and each row event carries the exact CSV bytes the
+		// final report will contain.
+		jobs[idx] = runner.Sim(cfg, func(r *sim.Result) {
+			tab.AddRow(r.Workload, r.Policy, r.Perf.CyclesPerAccess, r.Perf.WalkCycleFraction)
+			sw.events.row(sw.id, idx, sw.fps[idx], tab.RowCSV(idx))
+		})
 	}
 	sw.events.sweepStarted(sw.id, len(jobs), tab.HeaderCSV())
 	s.inFlight.Store(int64(len(jobs)))
@@ -656,7 +693,6 @@ func (s *Service) executeGrid(ctx context.Context, sw *sweep, log *slog.Logger) 
 		Label:       "sweep/" + sw.id,
 		Context:     ctx,
 		JobTimeout:  s.cfg.JobTimeout,
-		Checkpoint:  filepath.Join(s.sweepDir(sw.id), "checkpoint"),
 		Store:       s.cfg.Store,
 		Log:         log,
 		OnJob:       s.observeJob,
@@ -678,8 +714,6 @@ func (s *Service) observeJob(name, source string, wallMs float64) {
 		s.jobsExecuted.Add(1)
 	case "cache":
 		s.jobsCache.Add(1)
-	case "checkpoint":
-		s.jobsCheckpoint.Add(1)
 	case "store":
 		s.jobsStore.Add(1)
 	case "skipped":
@@ -691,8 +725,8 @@ func (s *Service) observeJob(name, source string, wallMs float64) {
 
 // retryable classifies a report: panics are bugs (retrying reruns the same
 // deterministic machine) and cancellations are budget exhaustion (a retry
-// would exhaust it again); everything else — sim errors, checkpoint IO —
-// gets the retry budget.
+// would exhaust it again); everything else — sim errors above all — gets
+// the retry budget.
 func retryable(rep *runner.Report) bool {
 	for i := range rep.Failures {
 		f := &rep.Failures[i]
@@ -744,9 +778,9 @@ func (s *Service) setState(sw *sweep, state, msg string) {
 
 // snapshotLocked renders a status snapshot from in-memory state; the
 // caller holds s.mu. Completed is deliberately NOT filled here: it comes
-// from a checkpoint-directory scan, and disk IO under s.mu would stall
-// every submitter and prober behind a ReadDir. Callers hydrate it via
-// completed() after releasing the lock.
+// from store probes, and disk IO under s.mu would stall every submitter
+// and prober behind them. Callers hydrate it via completed() after
+// releasing the lock.
 func (s *Service) snapshotLocked(sw *sweep) Sweep {
 	return Sweep{
 		ID:       sw.id,
@@ -759,17 +793,14 @@ func (s *Service) snapshotLocked(sw *sweep) Sweep {
 	}
 }
 
-// completed counts this sweep's journaled simulations — it survives
-// restarts, so clients (and the CI kill-and-resume gate) can watch
-// durable progress.
-func (s *Service) completed(id string) int {
-	ents, err := os.ReadDir(filepath.Join(s.sweepDir(id), "checkpoint"))
-	if err != nil {
-		return 0
-	}
+// completed counts the grid cells (by fingerprint) whose results the store
+// holds — durable progress that survives restarts, so clients (and the CI
+// kill-and-resume gate) can watch it. One presence probe per cell: no
+// payload reads, no store Stats, no listing of the whole store.
+func (s *Service) completed(fps []string) int {
 	n := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".json") {
+	for _, fp := range fps {
+		if s.cfg.Store.Has(fp) {
 			n++
 		}
 	}
@@ -788,12 +819,12 @@ func (s *Service) Get(id string) (Sweep, bool) {
 	if !ok {
 		return Sweep{}, false
 	}
-	snap.Completed = s.completed(snap.ID)
+	snap.Completed = s.completed(sw.fps)
 	return snap, true
 }
 
 // List returns all known sweeps sorted by id. The in-memory snapshot is
-// taken under s.mu; the per-sweep checkpoint scans run after release.
+// taken under s.mu; the per-sweep store probes run after release.
 func (s *Service) List() []Sweep {
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.sweeps))
@@ -802,12 +833,14 @@ func (s *Service) List() []Sweep {
 	}
 	sort.Strings(ids)
 	out := make([]Sweep, 0, len(ids))
+	fps := make([][]string, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, s.snapshotLocked(s.sweeps[id]))
+		fps = append(fps, s.sweeps[id].fps)
 	}
 	s.mu.Unlock()
 	for i := range out {
-		out[i].Completed = s.completed(out[i].ID)
+		out[i].Completed = s.completed(fps[i])
 	}
 	return out
 }

@@ -482,15 +482,22 @@ func TestResumeSkipsDoneSweeps(t *testing.T) {
 	}
 }
 
-// TestFreshStartClearsSweepArea: without Resume the sweep area is cleared,
-// mirroring cmd/experiments' checkpoint contract.
+// TestFreshStartClearsSweepArea: without Resume the sweep area and the
+// service-owned store are cleared, mirroring cmd/experiments' -resume
+// contract.
 func TestFreshStartClearsSweepArea(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newService(t, Config{Dir: dir})
 	if _, err := s1.Submit(tinyReq()); err != nil {
 		t.Fatal(err)
 	}
+	if err := s1.cfg.Store.Put("stale", []byte("result")); err != nil {
+		t.Fatal(err)
+	}
 	s2 := newService(t, Config{Dir: dir})
+	if s2.cfg.Store.Has("stale") {
+		t.Fatal("fresh start kept the service-owned store")
+	}
 	if len(s2.List()) != 0 {
 		t.Fatalf("fresh start kept %d sweeps", len(s2.List()))
 	}

@@ -6,7 +6,7 @@
 // quarantined, and re-executed rather than trusted (DESIGN.md §9).
 //
 // Persistence backends are drivers, not rewrites: the Driver interface
-// carries the five primitive operations and the filesystem and in-memory
+// carries the primitive operations and the filesystem and in-memory
 // drivers register themselves by URL scheme, in the style of NetApp
 // Trident's storage_drivers layer. A SQLite or remote backend slots in by
 // registering a new scheme; everything above the interface (envelope,
@@ -43,6 +43,10 @@ type Driver interface {
 	Put(key string, data []byte) error
 	// Get returns the entry bytes, ErrNotFound if none exists.
 	Get(key string) ([]byte, error)
+	// Has reports whether an entry exists under key without reading it —
+	// a presence probe for progress accounting. A torn entry counts as
+	// present until a Get quarantines it.
+	Has(key string) bool
 	// Quarantine moves a corrupt entry aside so it is never read again but
 	// remains available for post-mortem inspection. Quarantining a missing
 	// key is not an error (two readers may race to quarantine).

@@ -20,9 +20,9 @@ func init() {
 // disambiguates across processes sharing a store directory.
 var tmpSeq atomic.Uint64
 
-// FS is the filesystem driver: one file per entry named by its key, tmp +
-// fsync + rename + parent-directory fsync on every Put, corrupt entries
-// moved to a quarantine/ subdirectory. Multiple processes may share a
+// FS is the filesystem driver: one file per entry named by its key,
+// published by WriteFileAtomic on every Put, corrupt entries moved to a
+// quarantine/ subdirectory. Multiple processes may share a
 // directory: publishes are atomic renames from unique temp names, and the
 // last writer of a key wins (entries are content-addressed, so concurrent
 // writers of the same key carry identical payloads anyway).
@@ -51,16 +51,12 @@ func (f *FS) Name() string { return "fs" }
 
 func (f *FS) path(key string) string { return filepath.Join(f.root, key+".entry") }
 
-// Put implements Driver: write to a unique temp name (possibly torn or
-// refused by the fault injector), fsync, rename into place, fsync the
-// parent directory so the rename itself survives power loss.
+// Put implements Driver: the fault injector may tear or refuse the write,
+// then WriteFileAtomic publishes the (possibly torn) bytes under key.
 func (f *FS) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	path := f.path(key)
-	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tmpSeq.Add(1))
-
 	keep := len(data)
 	if f.faults != nil {
 		f.mu.Lock()
@@ -71,16 +67,8 @@ func (f *FS) Put(key string, data []byte) error {
 		}
 		keep = k
 	}
-	if err := writeFileSync(tmp, data[:keep]); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(f.path(key), data[:keep]); err != nil {
 		return fmt.Errorf("store: fs write %s: %w: %w", key, ErrTransient, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: fs publish %s: %w: %w", key, ErrTransient, err)
-	}
-	if err := syncDir(f.root); err != nil {
-		return fmt.Errorf("store: fs sync %s: %w: %w", key, ErrTransient, err)
 	}
 	return nil
 }
@@ -106,6 +94,16 @@ func (f *FS) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("store: fs read %s: %w: %w", key, ErrTransient, err)
 	}
 	return data, nil
+}
+
+// Has implements Driver with a stat: no read, no verification, no fault
+// injection.
+func (f *FS) Has(key string) bool {
+	if !validKey(key) {
+		return false
+	}
+	_, err := os.Stat(f.path(key))
+	return err == nil
 }
 
 // Quarantine implements Driver: the corrupt entry moves to
@@ -184,10 +182,11 @@ func syncDir(dir string) error {
 	return err
 }
 
-// WriteFileAtomic is the shared tmp + fsync + rename + dir-fsync publish
-// used by the fs driver's clean path and by the runner's checkpoint
-// journal: after it returns, the complete file is durable under path; a
-// crash at any earlier point leaves the previous content (or nothing).
+// WriteFileAtomic publishes data under path: tmp + fsync + rename +
+// parent-directory fsync. After it returns, the complete file is durable
+// under path; a crash at any earlier point leaves the previous content (or
+// nothing). The fs driver's Put and the sweep service's request and report
+// files use it.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tmpSeq.Add(1))
 	if err := writeFileSync(tmp, data); err != nil {

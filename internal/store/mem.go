@@ -59,6 +59,14 @@ func (m *Mem) Get(key string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
+// Has implements Driver.
+func (m *Mem) Has(key string) bool {
+	m.mu.RLock()
+	_, ok := m.entries[key]
+	m.mu.RUnlock()
+	return ok
+}
+
 // Quarantine implements Driver.
 func (m *Mem) Quarantine(key string) error {
 	if !validKey(key) {

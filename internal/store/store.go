@@ -224,6 +224,10 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return payload, nil
 }
 
+// Has reports whether key has an entry, without reading or verifying it.
+// It counts in no Stats field, so progress probes leave the hit ratio alone.
+func (s *Store) Has(key string) bool { return s.d.Has(key) }
+
 // Keys lists stored keys, sorted.
 func (s *Store) Keys() ([]string, error) { return s.d.Keys() }
 

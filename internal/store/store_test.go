@@ -41,6 +41,11 @@ func TestRoundTripBothDrivers(t *testing.T) {
 		if err != nil || len(keys) != 1 || keys[0] != "abc123" {
 			t.Fatalf("%s Keys = %v, %v", url, keys, err)
 		}
+		// Has probes presence without counting as a Get.
+		if !s.Has("abc123") || s.Has("missing") {
+			t.Fatalf("%s Has(abc123)=%v Has(missing)=%v, want true and false",
+				url, s.Has("abc123"), s.Has("missing"))
+		}
 		st := s.Stats()
 		if st.Puts != 1 || st.Gets != 2 || st.Hits != 1 || st.Misses != 1 {
 			t.Fatalf("%s stats = %+v", url, st)

@@ -85,8 +85,8 @@ func PolicyNames() []string { return sim.PolicyNames() }
 func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 
 // Fingerprint returns the content address a Config's result is stored
-// under: the memo-cache fingerprint shared by the checkpoint journal and
-// the persistent result store (see internal/store). Two processes — or two
+// under: the memo-cache fingerprint that keys the persistent result store
+// (see internal/store), the memo cache's one durable tier. Two processes — or two
 // runs years apart — that fingerprint the same Config will exchange
 // results through a shared store.
 func Fingerprint(cfg Config) string { return runner.Fingerprint(cfg) }
