@@ -98,3 +98,22 @@ func TestExperimentTableRendering(t *testing.T) {
 		t.Errorf("CSV header = %q", strings.SplitN(csv, "\n", 2)[0])
 	}
 }
+
+// TestNewVM: the facade boots the guest kernel itself, at the requested
+// size, and rejects a guest size that is not a positive multiple of 1GB.
+func TestNewVM(t *testing.T) {
+	host := NewKernel(4*GiB, TridentMaxOrder)
+	policy := NewTHPPolicy(host)
+	vm, err := NewVM(host, policy, 2*GiB, TridentMaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm.Guest.Mem.Bytes() != 2*GiB || vm.Guest.Buddy.MaxOrder() != TridentMaxOrder {
+		t.Errorf("guest kernel has %d bytes, max order %d", vm.Guest.Mem.Bytes(), vm.Guest.Buddy.MaxOrder())
+	}
+	for _, bad := range []uint64{0, Page2M} {
+		if _, err := NewVM(host, policy, bad, TridentMaxOrder); err == nil {
+			t.Errorf("guest size %d accepted", bad)
+		}
+	}
+}

@@ -166,6 +166,44 @@ func (a *Allocator) Reset() {
 	a.FailAlloc = nil
 }
 
+// Resize follows a phys.Memory.Resize of the allocator's memory: on a
+// just-Reset allocator, it re-sizes the free lists and the freeOrder chunk
+// index to the memory's new frame count, so that the allocator is
+// observably identical to New(mem, maxOrder). Only the difference is
+// touched: bitmap words past the old end are cleared, the maxOrder tiling
+// gains or loses the chunks between the two sizes, and freeOrder chunks
+// past the old end are reused as Reset left them (in the initial tiling
+// pattern, which does not depend on the memory size). A coverage bitset
+// left by CheckInvariants is resized with the rest.
+func (a *Allocator) Resize() {
+	frames := a.mem.Frames()
+	oldChunks := uint64(len(a.freeOrder)) << foChunkBits >> uint(a.maxOrder)
+	newChunks := frames >> uint(a.maxOrder)
+	if a.counts[a.maxOrder] != oldChunks {
+		panic("buddy: Resize of an allocator that is not Reset")
+	}
+	a.freeOrder = phys.Resized(a.freeOrder, int((frames+foChunkSize-1)>>foChunkBits))
+	for o := range a.free {
+		fl := &a.free[o]
+		old := len(fl.words)
+		fl.words = phys.Resized(fl.words, int((frames>>uint(o)+63)/64))
+		if len(fl.words) > old {
+			clear(fl.words[old:])
+		}
+	}
+	tiling := a.free[a.maxOrder].words
+	for idx := newChunks; idx < min(oldChunks, uint64(len(tiling))*64); idx++ {
+		tiling[idx>>6] &^= 1 << (idx & 63)
+	}
+	for idx := oldChunks; idx < newChunks; idx++ {
+		tiling[idx>>6] |= 1 << (idx & 63)
+	}
+	a.counts[a.maxOrder] = newChunks
+	if a.covered != nil {
+		a.covered = phys.Resized(a.covered, int((frames+63)/64))
+	}
+}
+
 // MaxOrder returns the largest order the free lists track.
 func (a *Allocator) MaxOrder() int { return a.maxOrder }
 

@@ -1,6 +1,7 @@
 package buddy
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/phys"
@@ -348,5 +349,64 @@ func BenchmarkAllocFree2M(b *testing.B) {
 			b.Fatal(err)
 		}
 		a.Free(pfn, units.Order2M)
+	}
+}
+
+// TestResizeMatchesNew: a Reset allocator resized (after its memory) to
+// another size must be indistinguishable from a new one of that size, for
+// both flavours — shrunk, grown beyond its capacity, and grown back within
+// it. The bitmap words a grow exposes are poisoned first: Resize clears
+// them rather than trusting what the spare capacity holds.
+func TestResizeMatchesNew(t *testing.T) {
+	for _, maxOrder := range []int{units.StockMaxOrder, units.TridentMaxOrder} {
+		a := newAlloc(t, 2, maxOrder)
+		for _, gb := range []uint64{1, 4, 2, 3} {
+			pfn, err := a.Alloc(units.Order2M, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Free(pfn, units.Order2M)
+			a.mem.Reset()
+			a.Reset()
+			for o := range a.free {
+				w := a.free[o].words
+				for i, tail := 0, w[len(w):cap(w)]; i < len(tail); i++ {
+					tail[i] = ^uint64(0)
+				}
+			}
+			a.mem.Resize(gb * units.Page1G)
+			a.Resize()
+			want := New(phys.NewMemory(gb*units.Page1G), maxOrder)
+			// The freeOrder chunks the allocation wrote are kept for reuse,
+			// in the initial tiling pattern.
+			for ci, c := range a.freeOrder {
+				if c != nil {
+					pfn := uint64(ci) << foChunkBits
+					want.setFreeOrder(pfn, want.freeOrderAt(pfn))
+				}
+			}
+			if !reflect.DeepEqual(a, want) {
+				t.Fatalf("max order %d resized to %dGB: differs from New", maxOrder, gb)
+			}
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatalf("max order %d resized to %dGB: %v", maxOrder, gb, err)
+			}
+			a.covered = nil
+		}
+	}
+}
+
+// TestCheckInvariantsAfterGrow is a regression test: CheckInvariants sizes
+// its coverage bitset on first use, so an allocator audited and then grown
+// must have it resized, or the next audit indexes past its end.
+func TestCheckInvariantsAfterGrow(t *testing.T) {
+	a := newAlloc(t, 1, units.TridentMaxOrder)
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	a.mem.Resize(3 * units.Page1G)
+	a.Resize()
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

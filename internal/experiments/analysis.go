@@ -221,7 +221,7 @@ func PvLatency(s Settings) *stats.Table {
 		hz := zerofill.New(host)
 		hz.Refill(1 << 20)
 		hp := fault.NewTrident(host, hz)
-		vm, err := virt.New(host, hp, 3*units.Page1G, units.TridentMaxOrder)
+		vm, err := virt.New(host, hp, kernel.New(3*units.Page1G, units.TridentMaxOrder))
 		if err != nil {
 			panic(err)
 		}

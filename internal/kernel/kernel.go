@@ -48,12 +48,15 @@ type Kernel struct {
 	Shootdown func(t *Task, va uint64, size units.PageSize)
 
 	// kernelAllocs tracks frames held by KernelAlloc's unmovable
-	// allocations as a flat per-frame array: kernelAllocs[pfn] is order+1
-	// for the head of a live kernel chunk, 0 otherwise. Being an array, it
-	// makes ForEachKernelAlloc's iteration order deterministic (ascending
-	// PFN). (The fragmenter's unmovable objects bypass it: they are
-	// allocated with Buddy.AllocSpecific directly.)
-	kernelAllocs []uint8
+	// allocations as a chunked per-frame array:
+	// kernelAllocs[pfn>>kaChunkBits][pfn&(kaChunk-1)] is order+1 for the
+	// head of a live kernel chunk, 0 otherwise. Being an array, it makes
+	// ForEachKernelAlloc's iteration order deterministic (ascending PFN).
+	// Chunks are allocated on first write: simulator runs never call
+	// KernelAlloc (the fragmenter's unmovable objects bypass it, allocated
+	// with Buddy.AllocSpecific directly), so boot, Reset, Resize and audits
+	// pay nothing for it there.
+	kernelAllocs [][]uint8
 
 	// Ops counts completed page-table operations since boot. The counters
 	// are deterministic functions of the op stream (never of wall time),
@@ -90,9 +93,17 @@ func New(memBytes uint64, maxOrder int) *Kernel {
 		Mem:          mem,
 		Buddy:        buddy.New(mem, maxOrder),
 		tasks:        make(map[uint32]*Task),
-		kernelAllocs: make([]uint8, mem.Frames()),
+		kernelAllocs: make([][]uint8, kaChunks(mem.Frames())),
 	}
 }
+
+// kernelAllocs chunking: 1<<16 frames (256MB of physical memory) per chunk.
+const (
+	kaChunkBits = 16
+	kaChunk     = 1 << kaChunkBits
+)
+
+func kaChunks(frames uint64) int { return int((frames + kaChunk - 1) >> kaChunkBits) }
 
 // NewTask creates a process with an empty address space (drawn from the
 // pool of Reset-harvested spaces when one is available — a reset space is
@@ -116,7 +127,7 @@ func (k *Kernel) NewTask(name string) *Task {
 // Reset returns the kernel to its just-booted state — no tasks, all memory
 // free, zeroed op counters, no shootdown hook — while retaining allocated
 // bookkeeping for reuse: the phys bitsets and chunk arrays, the buddy free
-// lists, the kernelAllocs array, and each dead task's address space
+// lists, the kernelAllocs chunks, and each dead task's address space
 // (harvested into the pool NewTask draws from, with its page-table node
 // arenas intact). A reset kernel is observably identical to a freshly
 // booted one; the machine pool (internal/sim) relies on that equivalence
@@ -131,7 +142,9 @@ func (k *Kernel) Reset() {
 	clear(k.tasks)
 	k.nextID = 0
 	k.Shootdown = nil
-	clear(k.kernelAllocs)
+	for _, c := range k.kernelAllocs {
+		clear(c)
+	}
 	k.Ops = OpStats{}
 	k.Mem.Reset()
 	k.Buddy.Reset()
@@ -144,14 +157,40 @@ func (k *Kernel) Reset() {
 // identical to New(memBytes, maxOrder), which lets the machine pool
 // (internal/sim) hand a kernel to a run of either flavour.
 func (k *Kernel) Reflavour(maxOrder int) {
-	if k.Mem.FreeFrames() != k.Mem.Frames() || len(k.tasks) != 0 {
-		panic("kernel: Reflavour of a kernel that is not Reset")
-	}
+	k.mustBeReset("Reflavour")
 	next := k.spareBuddy
 	if next == nil || next.MaxOrder() != maxOrder {
 		next = buddy.New(k.Mem, maxOrder)
 	}
 	k.Buddy, k.spareBuddy = next, k.Buddy
+}
+
+// Resize re-sizes a just-Reset kernel to memBytes of physical memory: the
+// phys bookkeeping, both buddy allocators and the kernelAllocs chunk index
+// are resized in place (see phys.Memory.Resize and buddy.Allocator.Resize),
+// touching only the difference between the two sizes. The kernel is then
+// observably identical to New(memBytes, maxOrder), which, with Reflavour,
+// lets the machine pool (internal/sim) hand any parked kernel to a run of
+// any memory size and flavour.
+func (k *Kernel) Resize(memBytes uint64) {
+	k.mustBeReset("Resize")
+	if memBytes == k.Mem.Bytes() {
+		return
+	}
+	k.Mem.Resize(memBytes)
+	k.Buddy.Resize()
+	if k.spareBuddy != nil {
+		k.spareBuddy.Resize()
+	}
+	k.kernelAllocs = phys.Resized(k.kernelAllocs, kaChunks(k.Mem.Frames()))
+}
+
+// mustBeReset panics unless k is in the state Reset leaves: no tasks and
+// all memory free.
+func (k *Kernel) mustBeReset(op string) {
+	if k.Mem.FreeFrames() != k.Mem.Frames() || len(k.tasks) != 0 {
+		panic("kernel: " + op + " of a kernel that is not Reset")
+	}
 }
 
 // TaskByID returns the task whose address space has the given ID.
@@ -382,30 +421,38 @@ func (k *Kernel) KernelAlloc(order int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	k.kernelAllocs[pfn] = uint8(order + 1)
+	c := k.kernelAllocs[pfn>>kaChunkBits]
+	if c == nil {
+		c = make([]uint8, kaChunk)
+		k.kernelAllocs[pfn>>kaChunkBits] = c
+	}
+	c[pfn&(kaChunk-1)] = uint8(order + 1)
 	return pfn, nil
 }
 
 // KernelFree releases a kernel allocation made with KernelAlloc.
 func (k *Kernel) KernelFree(pfn uint64) error {
-	enc := k.kernelAllocs[pfn]
-	if enc == 0 {
+	c := k.kernelAllocs[pfn>>kaChunkBits]
+	if c == nil || c[pfn&(kaChunk-1)] == 0 {
 		return fmt.Errorf("kernel: KernelFree of unknown pfn %d", pfn)
 	}
-	k.kernelAllocs[pfn] = 0
-	k.Buddy.Free(pfn, int(enc)-1)
+	order := int(c[pfn&(kaChunk-1)]) - 1
+	c[pfn&(kaChunk-1)] = 0
+	k.Buddy.Free(pfn, order)
 	return nil
 }
 
 // ForEachKernelAlloc visits every live kernel allocation as (head PFN,
 // order), in ascending PFN order. Return false to stop early.
 func (k *Kernel) ForEachKernelAlloc(fn func(pfn uint64, order int) bool) {
-	for pfn, enc := range k.kernelAllocs {
-		if enc == 0 {
-			continue
-		}
-		if !fn(uint64(pfn), int(enc)-1) {
-			return
+	for ci, c := range k.kernelAllocs {
+		for i, enc := range c {
+			if enc == 0 {
+				continue
+			}
+			if !fn(uint64(ci)<<kaChunkBits|uint64(i), int(enc)-1) {
+				return
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/buddy"
@@ -221,4 +222,54 @@ func TestKernelAllocUnmovable(t *testing.T) {
 	if k.Mem.UnmovableFrames() != 0 {
 		t.Error("unmovable frames leaked")
 	}
+}
+
+// TestKernelAllocsChunkedOnFirstWrite: the kernel-allocation index costs
+// nothing until KernelAlloc writes it, then materializes one chunk per
+// 256MB touched and still iterates in ascending PFN order.
+func TestKernelAllocsChunkedOnFirstWrite(t *testing.T) {
+	k := newKernel(t, 1)
+	for ci, c := range k.kernelAllocs {
+		if c != nil {
+			t.Fatalf("chunk %d allocated at boot", ci)
+		}
+	}
+	var want []uint64
+	for _, order := range []int{16, 16, 0} {
+		pfn, err := k.KernelAlloc(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, pfn)
+	}
+	var got []uint64
+	k.ForEachKernelAlloc(func(pfn uint64, order int) bool {
+		got = append(got, pfn)
+		return true
+	})
+	if !slices.Equal(got, want) || !slices.IsSorted(got) {
+		t.Fatalf("ForEachKernelAlloc = %v, want ascending %v", got, want)
+	}
+	live := 0
+	for _, c := range k.kernelAllocs {
+		if c != nil {
+			live++
+		}
+	}
+	if live != 3 {
+		t.Errorf("%d chunks materialized, want 3", live)
+	}
+}
+
+// TestResizeRequiresReset: Resize, like Reflavour, refuses a kernel with
+// live tasks or allocated memory.
+func TestResizeRequiresReset(t *testing.T) {
+	k := newKernel(t, 1)
+	k.NewTask("live")
+	defer func() {
+		if recover() == nil {
+			t.Error("Resize of a kernel with a live task did not panic")
+		}
+	}()
+	k.Resize(2 * units.Page1G)
 }

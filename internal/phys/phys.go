@@ -18,6 +18,7 @@ package phys
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -123,6 +124,49 @@ func (m *Memory) Reset() {
 	m.ownerFree = m.ownerFree[:0]
 	m.allocFrames = 0
 	m.unmovableFrames = 0
+}
+
+// Resize re-sizes a Memory with every frame free (the state Reset leaves)
+// to bytes, which must be a positive multiple of 1GB, so that it is
+// observably identical to NewMemory(bytes). Only the difference is
+// touched: growing reuses spare capacity, initializing the regions and
+// bitset words it exposes whatever they hold; shrinking reslices.
+// Materialized rmap chunks past the old end are reused as they are: a
+// chunk is only written while it lies inside the memory, and Reset
+// cleared it before the memory last shrank past it, so clearing it again
+// would only repeat that work. Owners are not frame-indexed and stay as
+// they are.
+func (m *Memory) Resize(bytes uint64) {
+	if bytes == 0 || bytes%units.Page1G != 0 {
+		panic(fmt.Sprintf("phys: memory size %d is not a positive multiple of 1GB", bytes))
+	}
+	if m.allocFrames != 0 {
+		panic("phys: Resize of a memory with allocated frames")
+	}
+	oldRegions, oldWords := len(m.regions), len(m.allocated)
+	m.frames = bytes / units.Page4K
+	m.regions = Resized(m.regions, int(bytes/units.Page1G))
+	for i := oldRegions; i < len(m.regions); i++ {
+		m.regions[i] = RegionStats{Free: units.FramesPerRegion}
+	}
+	m.allocated = Resized(m.allocated, int((m.frames+63)/64))
+	m.unmovable = Resized(m.unmovable, len(m.allocated))
+	if len(m.allocated) > oldWords {
+		clear(m.allocated[oldWords:])
+		clear(m.unmovable[oldWords:])
+	}
+	m.rmap = Resized(m.rmap, int((m.frames+rmapChunk-1)>>rmapChunkBits))
+}
+
+// Resized returns s with length n, keeping its first min(len(s), n)
+// elements. Growing within capacity exposes the elements past len(s) as
+// they were left; growing beyond it keeps them too and zero-fills the
+// rest. The frame-indexed arenas of a pooled machine are resized with it.
+func Resized[S ~[]E, E any](s S, n int) S {
+	if n > cap(s) {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
+	}
+	return s[:n]
 }
 
 // Bytes returns the total physical memory size.

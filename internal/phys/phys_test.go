@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -315,5 +316,36 @@ func TestBitsetQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResizeMatchesNewMemory: a Reset memory resized to another size must
+// be indistinguishable from a freshly created one of that size — shrunk,
+// grown beyond its capacity, and grown back within it. The regions and
+// bitset words a grow exposes are poisoned first: Resize initializes them
+// rather than trusting what the spare capacity holds.
+func TestResizeMatchesNewMemory(t *testing.T) {
+	m := newTestMem(t, 2)
+	for _, gb := range []uint64{1, 4, 2, 3} {
+		m.MarkAllocated(0, 64, true)
+		m.SetOwner(0, Owner{Space: 1, VA: 0, Size: units.Size4K})
+		m.Reset()
+		for _, tail := range [][]uint64{m.allocated[len(m.allocated):cap(m.allocated)], m.unmovable[len(m.unmovable):cap(m.unmovable)]} {
+			for i := range tail {
+				tail[i] = ^uint64(0)
+			}
+		}
+		for i, tail := 0, m.regions[len(m.regions):cap(m.regions)]; i < len(tail); i++ {
+			tail[i] = RegionStats{Zeroed: true}
+		}
+		m.Resize(gb * units.Page1G)
+		want := NewMemory(gb * units.Page1G)
+		// The one rmap chunk written above is kept, cleared, for reuse;
+		// owners are not frame-indexed and keep their (unreachable) slots.
+		want.rmap[0] = make([]uint32, rmapChunk)
+		want.owners = m.owners
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("resized to %dGB: differs from NewMemory", gb)
+		}
 	}
 }

@@ -7,71 +7,100 @@ import (
 )
 
 // Machine pooling: kernel construction allocates megabytes of bookkeeping
-// (phys bitsets, buddy free lists, the kernelAllocs array) and population
+// (phys bitsets, buddy free lists, rmap chunk indexes) and population
 // grows megabytes more (page-table nodes, rmap/owner chunks), all of which
-// a grid run re-allocated for every job. Kernels of the same physical size
-// are interchangeable across runs — memBytes determines every arena size,
-// and the buddy flavour (maxOrder) only the allocator, which
-// kernel.Reflavour swaps — and kernel.Reset restores a used kernel to
-// a state observably identical to a freshly booted one (DESIGN.md §5c), so
-// finished runs park their kernel here and later runs of the same size
-// reuse it, arenas warm.
+// a grid run re-allocated for every job. kernel.Reset restores a used
+// kernel to a state observably identical to a freshly booted one, and
+// kernel.Reflavour and kernel.Resize then turn a Reset kernel into one
+// observably identical to New(memBytes, maxOrder) for any size and flavour
+// (DESIGN.md §5c). So every kernel is interchangeable with every other:
+// finished runs park their kernels here and later runs reuse them, arenas
+// warm, whatever their memory size.
 //
-// The pool is keyed by size alone so that the number of kernels a grid
-// keeps alive is its peak number of concurrent runs, whatever its mix of
-// flavours. Per-flavour slots would add a kernel whenever two runs of one
-// flavour overlap, and the process's peak memory would follow that timing.
+// The pool has no key, so the number of kernels a grid keeps alive is its
+// peak number of concurrently held kernels: one per native run and two per
+// virtualized run (host and guest), times the worker count. Keyed by size,
+// it kept up to that many per distinct size — Figure 12's guests come in
+// several sizes — and the process's peak memory grew with the size mix.
 //
-// Only kernels the runner constructed directly are pooled: the native
-// kernel and a virtualized run's host kernel. Guest kernels are built
-// inside virt.New with run-dependent sizing and interior wiring, so they
-// are left to the garbage collector.
+// Every kernel a run uses is pooled: the native kernel, and a virtualized
+// run's host and guest kernels (virt.New takes its guest from the caller).
 //
 // Release happens only on fully successful runs. A failed or cancelled run
-// abandons its kernel mid-state; Reset would likely still recover it, but
-// correctness of every future run that might reuse the kernel would then
+// abandons its kernels mid-state; Reset would likely still recover them,
+// but correctness of every future run that might reuse them would then
 // rest on Reset being bulletproof against arbitrary partial states, which
 // is not a contract worth buying for the rare failure path.
 var (
 	machinePoolMu sync.Mutex
-	machinePool   = map[uint64][]*kernel.Kernel{}
+	machinePool   []*kernel.Kernel
 )
 
-// acquireKernel returns a pooled kernel of the given size and flavour, or
-// boots a fresh one. Pooled kernels were Reset at release time; one of the
-// same flavour is preferred, as its free lists are warm.
+// acquireKernel returns a pooled kernel resized and reflavoured to
+// memBytes and maxOrder, or boots a fresh one. Pooled kernels were Reset
+// at release time. It takes the pooled kernel that fits best (see fit),
+// the most recently parked among equals.
 func acquireKernel(memBytes uint64, maxOrder int) *kernel.Kernel {
 	machinePoolMu.Lock()
-	s := machinePool[memBytes]
-	if len(s) == 0 {
-		machinePoolMu.Unlock()
-		return kernel.New(memBytes, maxOrder)
-	}
-	i := len(s) - 1
-	for j := i; j >= 0; j-- {
-		if s[j].Buddy.MaxOrder() == maxOrder {
-			i = j
+	best, bestClass, bestDist := -1, 0, uint64(0)
+	for i := len(machinePool) - 1; i >= 0; i-- {
+		class, dist := fit(machinePool[i], memBytes, maxOrder)
+		if best < 0 || class < bestClass || class == bestClass && dist < bestDist {
+			best, bestClass, bestDist = i, class, dist
+		}
+		if class == 0 {
 			break
 		}
 	}
-	k := s[i]
-	s[i] = s[len(s)-1]
-	s[len(s)-1] = nil
-	machinePool[memBytes] = s[:len(s)-1]
+	if best < 0 {
+		machinePoolMu.Unlock()
+		return kernel.New(memBytes, maxOrder)
+	}
+	k := machinePool[best]
+	last := len(machinePool) - 1
+	machinePool[best] = machinePool[last]
+	machinePool[last] = nil
+	machinePool = machinePool[:last]
 	machinePoolMu.Unlock()
+	k.Resize(memBytes)
 	if k.Buddy.MaxOrder() != maxOrder {
 		k.Reflavour(maxOrder)
 	}
 	return k
 }
 
+// fit ranks how well the parked kernel k serves a request for memBytes and
+// maxOrder; lower (class, dist) fits better. In order: the same size and
+// flavour, the same size (only the allocator changes), the largest of the
+// smaller kernels (grown), then the smallest of the larger ones (shrunk). Growing comes
+// before shrinking because a larger kernel shrunk for this run is missing
+// for the next run of its size, which must then grow a smaller kernel, and
+// both kernels end up carrying the larger size's arenas. Which kernels are
+// parked at an acquire depends on how the workers' runs interleave, so
+// with the opposite order the process's memory would follow that timing:
+// in Figure 12, an 11GB guest taking the parked 16GB host kernel instead
+// of a 5GB guest kernel made the next host grow that 5GB kernel, and the
+// processes where that happened peaked 36 MB (26%) higher than the rest.
+func fit(k *kernel.Kernel, memBytes uint64, maxOrder int) (class int, dist uint64) {
+	switch size := k.Mem.Bytes(); {
+	case size == memBytes && k.Buddy.MaxOrder() == maxOrder:
+		return 0, 0
+	case size == memBytes:
+		return 1, 0
+	case size < memBytes:
+		return 2, memBytes - size
+	default:
+		return 3, size - memBytes
+	}
+}
+
 // releaseKernel resets k and parks it for reuse. The pool is unbounded: it
-// holds at most one kernel per concurrently-running job (each job releases
-// before the next acquire it unblocks), so the worker pool's width bounds
-// it in practice.
-func releaseKernel(memBytes uint64, k *kernel.Kernel) {
+// holds at most the kernels of the concurrently-running jobs (each job
+// releases before the next acquire it unblocks), so the worker pool's
+// width bounds it in practice.
+func releaseKernel(k *kernel.Kernel) {
 	k.Reset()
 	machinePoolMu.Lock()
-	machinePool[memBytes] = append(machinePool[memBytes], k)
+	machinePool = append(machinePool, k)
 	machinePoolMu.Unlock()
 }

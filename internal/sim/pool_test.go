@@ -8,10 +8,69 @@ import (
 	"repro/internal/vmm"
 )
 
+// drainMachinePool empties the machine pool and returns the kernels it
+// held, in pool order, so that the next acquire boots a fresh kernel. Tests
+// that compare a pooled run against a fresh one call it where the fresh
+// boot is meant: the pool serves any parked kernel to a run of any size.
+func drainMachinePool() []*kernel.Kernel {
+	machinePoolMu.Lock()
+	defer machinePoolMu.Unlock()
+	parked := machinePool
+	machinePool = nil
+	return parked
+}
+
+// TestAcquireKernelFit checks which parked kernel an acquire takes: the
+// same size and flavour, then the same size, then the largest of the
+// smaller kernels, then the smallest of the larger ones, whatever order
+// they were parked in.
+func TestAcquireKernelFit(t *testing.T) {
+	const gb = units.Page1G
+	thp, tri := units.Order2M, units.TridentMaxOrder
+	for _, tc := range []struct {
+		name     string
+		parked   [][2]uint64 // (memBytes, maxOrder) in park order
+		memBytes uint64
+		maxOrder int
+		want     int // index into parked
+	}{
+		{"same size and flavour", [][2]uint64{{2 * gb, uint64(tri)}, {2 * gb, uint64(thp)}, {1 * gb, uint64(thp)}}, 2 * gb, thp, 1},
+		{"same size", [][2]uint64{{3 * gb, uint64(thp)}, {2 * gb, uint64(tri)}, {1 * gb, uint64(thp)}}, 2 * gb, thp, 1},
+		{"grow the largest smaller", [][2]uint64{{3 * gb, uint64(thp)}, {1 * gb, uint64(thp)}, {2 * gb, uint64(thp)}, {6 * gb, uint64(thp)}}, 4 * gb, thp, 0},
+		{"grow before shrinking", [][2]uint64{{1 * gb, uint64(thp)}, {4 * gb, uint64(thp)}}, 3 * gb, thp, 0},
+		{"shrink the smallest larger", [][2]uint64{{4 * gb, uint64(thp)}, {2 * gb, uint64(thp)}, {3 * gb, uint64(thp)}}, 1 * gb, tri, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drainMachinePool()
+			defer drainMachinePool()
+			var ks []*kernel.Kernel
+			for _, p := range tc.parked {
+				k := kernel.New(p[0], int(p[1]))
+				ks = append(ks, k)
+				releaseKernel(k)
+			}
+			k := acquireKernel(tc.memBytes, tc.maxOrder)
+			if k != ks[tc.want] {
+				for i := range ks {
+					if k == ks[i] {
+						t.Fatalf("took parked kernel %d, want %d", i, tc.want)
+					}
+				}
+				t.Fatalf("booted a fresh kernel, want parked kernel %d", tc.want)
+			}
+			if k.Mem.Bytes() != tc.memBytes || k.Buddy.MaxOrder() != tc.maxOrder {
+				t.Fatalf("got %d bytes, max order %d; want %d, %d", k.Mem.Bytes(), k.Buddy.MaxOrder(), tc.memBytes, tc.maxOrder)
+			}
+		})
+	}
+}
+
 // BenchmarkKernelReuse measures one pool cycle — acquire a kernel, dirty it
 // the way a run does (a task, a VMA, a spread of 2MB allocations), release
 // it (which Resets it) — against the kernel.New boot the pool replaces.
-// The "boot" sub-benchmark is the baseline: what every grid job paid per
+// "pooled" reacquires a kernel of the same size; "resized" alternates
+// between two sizes, so every acquire resizes the one parked kernel. The
+// "boot" sub-benchmark is the baseline: what every grid job paid per
 // machine before pooling.
 func BenchmarkKernelReuse(b *testing.B) {
 	const memBytes = 2 * units.Page1G
@@ -29,13 +88,25 @@ func BenchmarkKernelReuse(b *testing.B) {
 		}
 	}
 	b.Run("pooled", func(b *testing.B) {
-		releaseKernel(memBytes, kernel.New(memBytes, maxOrder))
+		drainMachinePool()
+		releaseKernel(kernel.New(memBytes, maxOrder))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := acquireKernel(memBytes, maxOrder)
 			dirty(b, k)
-			releaseKernel(memBytes, k)
+			releaseKernel(k)
+		}
+	})
+	b.Run("resized", func(b *testing.B) {
+		drainMachinePool()
+		releaseKernel(kernel.New(2*memBytes, maxOrder))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := acquireKernel(memBytes<<(i%2), maxOrder)
+			dirty(b, k)
+			releaseKernel(k)
 		}
 	})
 	b.Run("boot", func(b *testing.B) {

@@ -403,18 +403,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return r.res, nil
 }
 
-// releaseMachine parks the run's pool-eligible kernel for reuse: the
-// native kernel, or the host kernel of a virtualized run (its guest was
-// built by virt.New and stays with the garbage collector). Called only
-// after finish() — the Result holds copies, never pointers into kernel
-// state, so the kernel can be reset and handed to another run.
+// releaseMachine parks the run's kernels for reuse: the native kernel, or
+// the host and guest kernels of a virtualized run. Called only after
+// finish() — the Result holds copies, never pointers into kernel state, so
+// the kernels can be reset and handed to other runs.
 func (r *runner) releaseMachine() {
-	memBytes := r.cfg.MemGB * units.Page1G
-	if r.cfg.Virtualized {
-		releaseKernel(memBytes, r.host)
-	} else {
-		releaseKernel(memBytes, r.k)
+	if r.host != nil {
+		releaseKernel(r.host)
 	}
+	releaseKernel(r.k)
 }
 
 // phase brackets fn between balanced begin/end marks on the run's recorder
@@ -505,8 +502,8 @@ func (r *runner) buildMachine() error {
 		if err != nil {
 			return err
 		}
-		guestBytes := guestMemBytes(cfg)
-		vm, err := virt.New(r.host, hostPolicy, guestBytes, maxOrderFor(cfg.Policy))
+		guest := acquireKernel(guestMemBytes(cfg), maxOrderFor(cfg.Policy))
+		vm, err := virt.New(r.host, hostPolicy, guest)
 		if err != nil {
 			return err
 		}

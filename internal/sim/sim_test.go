@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/chaos"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/tlb"
 	"repro/internal/units"
@@ -569,11 +571,10 @@ func TestRunScalarEquivalence(t *testing.T) {
 // TestKernelReuseDeterminism pins the machine-pool contract (DESIGN.md
 // §5c): a kernel released to the pool after a successful run and reacquired
 // by the next run of the same geometry must be observably identical to a
-// freshly booted one. The config uses a memory size no other test in this
-// package uses, so the pool slot for this geometry is empty before the
-// first run and the second run provably executes on the first run's Reset
-// kernel — any Reset leak (stale mapping, frame owner, buddy state, task
-// ID, chaos hook) shows up as a Result difference.
+// freshly booted one. The pool is drained first, so the first run boots
+// and the second provably executes on the first run's Reset kernels — any
+// Reset leak (stale mapping, frame owner, buddy state, task ID, chaos
+// hook) shows up as a Result difference.
 func TestKernelReuseDeterminism(t *testing.T) {
 	for _, virt := range []bool{false, true} {
 		virt := virt
@@ -583,21 +584,14 @@ func TestKernelReuseDeterminism(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig("GUPS", PolicyTrident)
-			cfg.MemGB = 7 // geometry unique to this test: first acquire boots fresh
 			cfg.Accesses = 40_000
 			cfg.ShadowCheck = true
 			if virt {
 				cfg.Virtualized = true
 				cfg.HostPolicy = PolicyTrident
 			}
-			fresh, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pooled, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh := freshRun(t, cfg)
+			pooled := mustRun(t, cfg)
 			if !reflect.DeepEqual(fresh, pooled) {
 				t.Errorf("pooled-kernel run differs from fresh-kernel run:\nfresh:  %+v\npooled: %+v", fresh, pooled)
 			}
@@ -605,38 +599,120 @@ func TestKernelReuseDeterminism(t *testing.T) {
 	}
 }
 
+// mustRun runs cfg, failing the test on error.
+func mustRun(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// freshRun runs cfg on freshly booted kernels: it drains the pool first.
+func freshRun(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	drainMachinePool()
+	return mustRun(t, cfg)
+}
+
 // TestKernelReflavourDeterminism extends the machine-pool contract across
-// buddy flavours: the pool is keyed by memory size alone, so a kernel parked
-// by a stock-buddy run serves a Trident run (kernel.Reflavour) and back, and
-// each such run must equal the same run on a freshly booted kernel. The
-// memory size is unique to this test, so the first run boots.
+// buddy flavours: the pool hands a kernel parked by a stock-buddy run to a
+// Trident run (kernel.Reflavour) and back, and each such run must equal
+// the same run on a freshly booted kernel.
 func TestKernelReflavourDeterminism(t *testing.T) {
 	thp := testConfig("GUPS", PolicyTHP)
-	thp.MemGB = 9
 	thp.Accesses = 40_000
 	thp.Fragment = true
 	thp.ShadowCheck = true
 	tri := thp
 	tri.Policy = PolicyTrident
-	run := func(cfg Config) *Result {
-		t.Helper()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	freshTHP := run(thp)
-	triOnStock := run(tri)
-	// Hold the parked kernel out of the pool so the next run boots.
-	held := acquireKernel(thp.MemGB*units.Page1G, units.TridentMaxOrder)
-	freshTri := run(tri)
-	releaseKernel(thp.MemGB*units.Page1G, held)
-	thpOnTrident := run(thp)
+	freshTHP := freshRun(t, thp)
+	triOnStock := mustRun(t, tri)
+	freshTri := freshRun(t, tri)
+	thpOnTrident := mustRun(t, thp)
 	if !reflect.DeepEqual(freshTri, triOnStock) {
 		t.Errorf("Trident run on a reflavoured stock kernel differs from a fresh one:\nfresh:       %+v\nreflavoured: %+v", freshTri, triOnStock)
 	}
 	if !reflect.DeepEqual(freshTHP, thpOnTrident) {
 		t.Errorf("THP run on a reflavoured Trident kernel differs from a fresh one:\nfresh:       %+v\nreflavoured: %+v", freshTHP, thpOnTrident)
 	}
+}
+
+// TestKernelResizeDeterminism extends the machine-pool contract across
+// memory sizes (kernel.Resize): one kernel serves, in turn, runs that grow
+// it beyond its capacity, shrink it, and grow it again within its
+// capacity, switching buddy flavour each time so that the resized spare
+// allocator is what Reflavour swaps in. A virtualized run's guest is
+// served by a former 16GB host kernel. Every run fragments memory, checks
+// the TLB fast path against the page walk, and injects faults (each
+// injection and phase boundary audits the machine), and each must equal
+// the same run on fresh kernels.
+func TestKernelResizeDeterminism(t *testing.T) {
+	base := testConfig("GUPS", PolicyTrident)
+	base.Accesses = 40_000
+	base.Fragment = true
+	base.ShadowCheck = true
+	base.Chaos = chaos.Config{
+		Seed:             5,
+		BuddyFailRate:    0.0005,
+		ZeroPoolFailRate: 0.05,
+		CompactAbortRate: 0.002,
+		PromoteAbortRate: 0.004,
+	}
+	t.Run("native", func(t *testing.T) {
+		small, large := base, base
+		small.MemGB = 5
+		large.MemGB = 7
+		large.Policy = PolicyTHP
+		freshSmall, freshLarge := freshRun(t, small), freshRun(t, large)
+		drainMachinePool()
+		mustRun(t, small) // boots the kernel every later run reuses
+		for _, c := range []struct {
+			name string
+			cfg  Config
+			want *Result
+		}{
+			{"grown 5GB→7GB beyond capacity", large, freshLarge},
+			{"shrunk 7GB→5GB", small, freshSmall},
+			{"regrown 5GB→7GB within capacity", large, freshLarge},
+		} {
+			got := mustRun(t, c.cfg)
+			if got.Chaos == nil || got.Chaos.Total() == 0 {
+				t.Errorf("%s: no injections fired", c.name)
+			}
+			if !reflect.DeepEqual(c.want, got) {
+				t.Errorf("%s: run differs from a fresh one:\nfresh:   %+v\nresized: %+v", c.name, c.want, got)
+			}
+		}
+		if parked := drainMachinePool(); len(parked) != 1 {
+			t.Fatalf("pool holds %d kernels, want the 1 every run shared", len(parked))
+		}
+	})
+	t.Run("virtualized guest on a former host", func(t *testing.T) {
+		cfg := base
+		cfg.MemGB = 16
+		cfg.Virtualized = true
+		cfg.HostPolicy = PolicyTrident
+		fresh := freshRun(t, cfg)
+		parked := drainMachinePool() // host, then guest
+		host := parked[0]
+		if host.Mem.Bytes() != 16*units.Page1G {
+			t.Fatalf("first parked kernel has %d bytes, want the 16GB host", host.Mem.Bytes())
+		}
+		// The next run's host takes the fresh 16GB kernel, its guest the
+		// former host, resized.
+		releaseKernel(host)
+		releaseKernel(kernel.New(16*units.Page1G, maxOrderFor(cfg.HostPolicy)))
+		got := mustRun(t, cfg)
+		if got.Chaos == nil || got.Chaos.Total() == 0 {
+			t.Error("no injections fired")
+		}
+		if host.Mem.Bytes() != guestMemBytes(&cfg) {
+			t.Fatalf("the former host kernel did not serve the guest (it has %d bytes)", host.Mem.Bytes())
+		}
+		if !reflect.DeepEqual(fresh, got) {
+			t.Errorf("run with a resized former host as guest differs from a fresh one:\nfresh:   %+v\nresized: %+v", fresh, got)
+		}
+	})
 }

@@ -55,18 +55,21 @@ type VM struct {
 	S Stats
 }
 
-// New creates a VM with guestBytes of memory, backed immediately through
-// hostPolicy (KVM backs guest memory with THP in the paper's baseline; with
-// Trident when Trident runs at the host level). guestMaxOrder selects the
-// guest buddy flavour (stock vs Trident).
-func New(host *kernel.Kernel, hostPolicy fault.Policy, guestBytes uint64, guestMaxOrder int) (*VM, error) {
-	if guestBytes == 0 || guestBytes%units.Page1G != 0 {
-		return nil, fmt.Errorf("virt: guest memory %d not a 1GB multiple", guestBytes)
+// New creates a VM whose guest-physical memory is managed by guest, a
+// just-booted (or just-Reset) kernel whose memory size is the VM's, and
+// backs all of it immediately through hostPolicy (KVM backs guest memory
+// with THP in the paper's baseline; with Trident when Trident runs at the
+// host level). The guest's buddy flavour (stock vs Trident) is the one it
+// was booted with.
+func New(host *kernel.Kernel, hostPolicy fault.Policy, guest *kernel.Kernel) (*VM, error) {
+	if n := guest.Mem.AllocatedFrames(); n != 0 {
+		return nil, fmt.Errorf("virt: guest kernel already holds %d allocated frames", n)
 	}
+	guestBytes := guest.Mem.Bytes()
 	vm := &VM{
 		Host:     host,
 		HostTask: host.NewTask("vm"),
-		Guest:    kernel.New(guestBytes, guestMaxOrder),
+		Guest:    guest,
 	}
 	if err := vm.HostTask.AS.MMapFixed(0, guestBytes, vmm.KindAnon); err != nil {
 		return nil, fmt.Errorf("virt: gPA space: %w", err)

@@ -18,7 +18,7 @@ import (
 func newVM(t *testing.T, hostGB, guestGB uint64, hostPolicy func(*kernel.Kernel) fault.Policy) (*kernel.Kernel, *VM) {
 	t.Helper()
 	host := kernel.New(hostGB*units.Page1G, units.TridentMaxOrder)
-	vm, err := New(host, hostPolicy(host), guestGB*units.Page1G, units.TridentMaxOrder)
+	vm, err := New(host, hostPolicy(host), kernel.New(guestGB*units.Page1G, units.TridentMaxOrder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,12 @@ func TestGuestFaultPoliciesWorkInsideVM(t *testing.T) {
 
 func TestNewVMValidation(t *testing.T) {
 	host := kernel.New(2*units.Page1G, units.TridentMaxOrder)
-	if _, err := New(host, thpPolicy(host), units.Page2M, units.TridentMaxOrder); err == nil {
-		t.Error("non-1GB-multiple guest accepted")
+	guest := kernel.New(units.Page1G, units.TridentMaxOrder)
+	if _, err := guest.KernelAlloc(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(host, thpPolicy(host), guest); err == nil {
+		t.Error("guest kernel with allocated memory accepted")
 	}
 }
 

@@ -1,6 +1,8 @@
 package trident
 
 import (
+	"fmt"
+
 	"repro/internal/buddy"
 	"repro/internal/compact"
 	"repro/internal/fault"
@@ -141,8 +143,13 @@ func FragmentMemory(k *Kernel, cfg FragmentConfig) (*Fragmenter, error) {
 type VM = virt.VM
 
 // NewVM creates a VM with guestBytes of memory backed through hostPolicy.
+// guestBytes must be a positive multiple of 1GB; guestMaxOrder selects the
+// guest kernel's buddy flavour.
 func NewVM(host *Kernel, hostPolicy FaultPolicy, guestBytes uint64, guestMaxOrder int) (*VM, error) {
-	return virt.New(host, hostPolicy, guestBytes, guestMaxOrder)
+	if guestBytes == 0 || guestBytes%units.Page1G != 0 {
+		return nil, fmt.Errorf("virt: guest memory %d not a 1GB multiple", guestBytes)
+	}
+	return virt.New(host, hostPolicy, kernel.New(guestBytes, guestMaxOrder))
 }
 
 // PvBridge buffers Trident_pv exchange requests between a guest promotion
