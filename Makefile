@@ -57,10 +57,10 @@ fuzz:
 benchcheck:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Determinism & layering lint (tridentlint, DESIGN.md §8), seven checks:
+# Determinism & layering lint (tridentlint, DESIGN.md §8), five checks:
 # the dependency table (layering: import DAG, no host clock in the
-# simulated world, math/rand only in internal/xrand), sim.Config/memo-key
-# coverage (memokey), memo-key purity (obspure), and the interprocedural
+# simulated world, math/rand only in internal/xrand, no logging or
+# observability inside memo-key computation) and the interprocedural
 # call-graph checks (detertaint: ambient values and map order into
 # results or output; errdrop, lockflow, ctxleak). The second half is the
 # negative gate: the seeded-violation fixture must still make the linter
@@ -73,7 +73,7 @@ lint:
 	  echo "tridentlint negative gate: exit $$rc on seeded violations, want 1" >&2; \
 	  exit 1; \
 	fi
-	@for check in layering memokey obspure detertaint errdrop lockflow ctxleak; do \
+	@for check in layering detertaint errdrop lockflow ctxleak; do \
 	  rc=0; $(GO) run ./cmd/tridentlint -checks $$check internal/lint/testdata/bad >/dev/null || rc=$$?; \
 	  if [ "$$rc" -ne 1 ]; then \
 	    echo "tridentlint negative gate ($$check): exit $$rc on seeded violations, want 1" >&2; \

@@ -64,7 +64,8 @@ func BenchmarkTranslateHotLoop(b *testing.B) {
 
 // BenchmarkRunnerScaling measures the worker-pool speedup on a fixed
 // simulation grid: the Figure 9 policies over the 1GB-sensitive workloads at
-// QuickScale, cache disabled so both runs do identical work. The "speedup"
+// QuickScale. The memo cache is reset before each run, and the grid's
+// configs are distinct, so both runs do identical work. The "speedup"
 // metric is sequential time / parallel time at GOMAXPROCS workers; on a
 // single-core host it hovers around 1.0 — the interesting output is the
 // scaling on multi-core machines.
@@ -85,11 +86,13 @@ func BenchmarkRunnerScaling(b *testing.B) {
 	var seq, par time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		runner.ResetCache()
 		t0 := time.Now()
-		runner.Execute(jobs, runner.Options{Parallelism: 1, NoCache: true}).MustOK()
+		runner.Execute(jobs, runner.Options{Parallelism: 1}).MustOK()
 		seq += time.Since(t0)
+		runner.ResetCache()
 		t1 := time.Now()
-		runner.Execute(jobs, runner.Options{Parallelism: workers, NoCache: true}).MustOK()
+		runner.Execute(jobs, runner.Options{Parallelism: workers}).MustOK()
 		par += time.Since(t1)
 	}
 	if par > 0 {

@@ -28,11 +28,11 @@ set -eux
 go build ./...
 go vet ./...
 
-# Determinism & layering lint (tridentlint, DESIGN.md §8), seven checks:
+# Determinism & layering lint (tridentlint, DESIGN.md §8), five checks:
 # the dependency table — import DAG, no host clock in the simulated world,
-# math/rand only in internal/xrand (layering) — sim.Config/memo-key
-# coverage (memokey), memo-key purity (obspure), and the interprocedural
-# call-graph checks — ambient-source and map-order taint into
+# math/rand only in internal/xrand, no logging or observability inside
+# memo-key computation (layering) — and the interprocedural call-graph
+# checks — ambient-source and map-order taint into
 # results/reports/journals/memo keys and map-order output (detertaint),
 # discarded durability errors (errdrop), mutex misuse (lockflow),
 # unstoppable serving-path goroutines (ctxleak). Self-clean gate:
@@ -54,7 +54,7 @@ test "$lintrc" -eq 1
 # Per-check negative gate: every registered check (tridentlint -list) must
 # fire on its own seeded violations when run alone — a check that stops
 # registering or stops matching its fixture exits 0 here and fails the gate.
-for check in layering memokey obspure detertaint errdrop lockflow ctxleak; do
+for check in layering detertaint errdrop lockflow ctxleak; do
   rc=0
   go run ./cmd/tridentlint -checks "$check" internal/lint/testdata/bad >/dev/null || rc=$?
   test "$rc" -eq 1

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -492,8 +493,8 @@ func (a *deterAnalysis) sinkName(fn *types.Func) string {
 		return ""
 	}
 	if fn.Pkg() != nil {
-		if rel, ok := a.m.relOf(fn.Pkg().Path()); ok && rel == memoKeySpec.runnerRel && memoKeySpec.keyFuncs[fn.Name()] {
-			return "the memo fingerprint (" + memoKeySpec.runnerRel + "." + fn.Name() + ")"
+		if rel, ok := a.m.relOf(fn.Pkg().Path()); ok && rel == memoKeyRel && slices.Contains(memoKeySurface, fn.Name()) {
+			return "the memo fingerprint (" + memoKeyRel + "." + fn.Name() + ")"
 		}
 	}
 	return ""

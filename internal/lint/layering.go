@@ -39,15 +39,31 @@ var simulatedPackages = []string{
 	"internal/zerofill",
 }
 
+// memoKeyRel and memoKeySurface name the runner's memo-key computation,
+// declared once: the key pipeline (sim.Config → cacheKey → content
+// address) and the key type, whose every user joins the surface so a new
+// helper cannot dodge the rule by picking a fresh name. The layering table
+// keeps the surface observation-free; detertaint treats its functions as
+// a sink.
+const memoKeyRel = "internal/runner"
+
+var memoKeySurface = []string{"keyOf", "fingerprintKey", "Fingerprint", "cacheKey"}
+
 // LayerRule declares one class of forbidden dependency. From and Except
 // are module-relative directory patterns: a trailing "/..." matches the
 // directory and everything beneath it, and the special pattern "..."
 // matches every module-internal package. Deny lists module-internal
 // packages in the same notation. DenyStd lists standard-library import
 // paths ("math/rand") and package-level functions ("time.Now").
+//
+// Funcs narrows a row from packages to function bodies: the row then bans
+// uses of its Deny and DenyStd packages and functions inside the named
+// functions of the From packages, and inside any function whose
+// declaration names a type Funcs lists. Imports stay legal.
 type LayerRule struct {
 	From    []string
 	Except  []string
+	Funcs   []string
 	Deny    []string
 	DenyStd []string
 	Why     string
@@ -92,6 +108,14 @@ var layerRules = []LayerRule{
 		From: []string{"internal/runner"},
 		Deny: []string{"internal/experiments", "cmd/..."},
 		Why:  "the runner executes jobs for the experiment drivers, never the reverse",
+	},
+	{
+		From:  []string{memoKeyRel},
+		Funcs: memoKeySurface,
+		Deny:  []string{"internal/obs", "internal/service"},
+		DenyStd: []string{"log", "log/slog",
+			"fmt.Print", "fmt.Println", "fmt.Printf", "fmt.Fprint", "fmt.Fprintln", "fmt.Fprintf"},
+		Why: "memo-key computation must be observation-free: the key decides which cached Result is served, so logs and events must not influence it; render with fmt.Sprintf",
 	},
 	{
 		From: []string{"internal/units", "internal/stats", "internal/xrand", "internal/stream"},
@@ -145,6 +169,12 @@ func checkLayering(m *Module) []Finding {
 			if !matchAny(rule.From, pkg.Rel) || matchAny(rule.Except, pkg.Rel) {
 				continue
 			}
+			if len(rule.Funcs) > 0 {
+				if pkg.Info != nil {
+					out = append(out, m.deniedInFuncs(pkg, rule)...)
+				}
+				continue
+			}
 			files := append(slices.Clip(pkg.Files), pkg.TestFiles...)
 			for i, f := range files {
 				test := i >= len(pkg.Files)
@@ -192,4 +222,63 @@ func (m *Module) deniedFuncs(pkg *Package, rule LayerRule) []Finding {
 		})
 	}
 	return out
+}
+
+// deniedInFuncs reports every use, inside the bodies of rule.Funcs in pkg's
+// non-test files, of an object from a denied package or of a denied
+// function.
+func (m *Module) deniedInFuncs(pkg *Package, rule LayerRule) []Finding {
+	var out []Finding
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !inFuncScope(pkg, fd, rule.Funcs) {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				obj := pkg.Info.Uses[id]
+				if obj == nil || obj.Pkg() == nil || obj.Pkg() == pkg.Types {
+					return true
+				}
+				path := obj.Pkg().Path()
+				name := path + "." + obj.Name()
+				dep, internal := m.relOf(path)
+				_, isFunc := obj.(*types.Func)
+				switch {
+				case internal && matchAny(rule.Deny, dep):
+					name = dep + "." + obj.Name()
+				case !internal && slices.Contains(rule.DenyStd, path):
+				case isFunc && slices.Contains(rule.DenyStd, name):
+				default:
+					return true
+				}
+				out = append(out, m.finding(id.Pos(), "layering",
+					"%s.%s must not use %s: %s", pkg.Rel, fd.Name.Name, name, rule.Why))
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// inFuncScope reports whether fd is named in funcs or its declaration,
+// signature included, names a type of pkg that funcs lists.
+func inFuncScope(pkg *Package, fd *ast.FuncDecl, funcs []string) bool {
+	if slices.Contains(funcs, fd.Name.Name) {
+		return true
+	}
+	found := false
+	ast.Inspect(fd, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if tn, ok := pkg.Info.Uses[id].(*types.TypeName); ok && tn.Pkg() == pkg.Types && slices.Contains(funcs, tn.Name()) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }

@@ -36,9 +36,7 @@ type Check struct {
 // (DESIGN.md §8). Order is the reporting order for equal positions.
 func Checks() []Check {
 	return []Check{
-		{Name: "layering", Doc: "declared dependency table: import DAG between layers, host clock out of the simulated world, math/rand only in internal/xrand", Run: checkLayering},
-		{Name: "memokey", Doc: "sim.Config fields covered by runner memo key or exclusion list", Run: checkMemoKey},
-		{Name: "obspure", Doc: "memo-key computation free of logging and observability calls", Run: checkObsPure},
+		{Name: "layering", Doc: "declared dependency table: import DAG between layers, host clock out of the simulated world, math/rand only in internal/xrand, memo-key computation free of logging and observability calls", Run: checkLayering},
 		{Name: "detertaint", Doc: "no ambient-source or map-order value flow (any call depth) into results, reports, journals or memo keys; no map-order output", Run: checkDeterTaint},
 		{Name: "errdrop", Doc: "no discarded Write/Sync/Rename/Close errors on durability paths", Run: checkErrDrop},
 		{Name: "lockflow", Doc: "no blocking ops under held mutexes, double-locks, or locks copied by value", Run: checkLockFlow},

@@ -36,13 +36,11 @@ func TestBadFixtureFindings(t *testing.T) {
 		{"ignore", "internal/kernel/kernel.go", "malformed //lint:ignore"},
 		{"layering", "internal/kernel/kernel.go", "internal/kernel must not use time.Sleep"},
 		{"layering", "internal/obs/obs.go", "internal/obs must not import internal/sim"},
-		{"memokey", "internal/runner/runner.go", `MemoKeyExclusions entry "Obs" matches no exported sim.Config field`},
-		{"memokey", "internal/runner/runner.go", "sim.Config.Shape is fingerprinted by cacheKey AND listed in MemoKeyExclusions"},
 		{"layering", "internal/sim/sim.go", "internal/sim must not import internal/runner"},
 		{"layering", "internal/store/fs.go", "internal/store must not import internal/sim"},
 		{"layering", "internal/service/service.go", "internal/service must not import internal/experiments"},
-		{"obspure", "internal/runner/runner.go", "log/slog.Info inside memo-key function fingerprintKey"},
-		{"memokey", "internal/sim/sim.go", "sim.Config.Extra is neither fingerprinted"},
+		{"layering", "internal/runner/runner.go", "internal/runner.fingerprintKey must not use log/slog.Info"},
+		{"layering", "internal/runner/runner.go", "internal/runner.dumpKey must not use fmt.Printf"},
 		{"layering", "internal/sim/sim.go", "internal/sim must not use time.Now"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches fmt.Println"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches io.Writer output (io.Writer).Write"},
@@ -96,7 +94,7 @@ func TestBadFixtureFindings(t *testing.T) {
 }
 
 // TestGoodFixtureClean pins the clean module: sorted emission, duration
-// constants, xrand's math/rand import, a lockstep memo key and a reasoned
+// constants, xrand's math/rand import, a pure memo-key function and a reasoned
 // suppression must all pass without a sound.
 func TestGoodFixtureClean(t *testing.T) {
 	m := load(t, filepath.Join("testdata", "good"))
@@ -167,7 +165,7 @@ func TestSelfClean(t *testing.T) {
 // TestCheckRegistry pins the contract checks by name so a dropped
 // registration cannot go unnoticed.
 func TestCheckRegistry(t *testing.T) {
-	want := []string{"layering", "memokey", "obspure", "detertaint", "errdrop", "lockflow", "ctxleak"}
+	want := []string{"layering", "detertaint", "errdrop", "lockflow", "ctxleak"}
 	var got []string
 	for _, c := range Checks() {
 		got = append(got, c.Name)

@@ -1,8 +1,7 @@
 // Package sim seeds deliberate violations for tridentlint's golden tests
 // and the CI negative gate: an aliased wall-clock read and a layering
-// breach (sim importing the runner) for the layering table, two unsorted
-// map-order emissions for detertaint, and a Config field missing from the
-// runner's memo key.
+// breach (sim importing the runner) for the layering table, and two
+// unsorted map-order emissions for detertaint.
 package sim
 
 import (
@@ -13,15 +12,10 @@ import (
 	"bad/internal/runner"
 )
 
-// Config mirrors the real sim.Config shape. Extra is covered by neither
-// runner.cacheKey nor runner.MemoKeyExclusions — the memokey check must
-// flag it. Shape is covered by BOTH — a loop-shape knob that was excluded
-// and later fingerprinted anyway — which the check must also flag.
+// Config mirrors the real sim.Config shape.
 type Config struct {
 	Workload int
 	Seed     uint64
-	Extra    bool
-	Shape    int
 }
 
 // Result mirrors the real sim.Result: the byte-identical output surface

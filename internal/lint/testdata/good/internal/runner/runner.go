@@ -1,7 +1,6 @@
-// Package runner keeps its memo key in lockstep with sim.Config: every
-// exported Config field is either keyed (case-folded) or excluded with a
-// reason. fingerprintKey renders with fmt.Sprintf only — pure, so the
-// obspure check stays quiet.
+// Package runner computes its memo key without observing anything:
+// fingerprintKey renders with fmt.Sprintf only — pure, so the layering
+// table's memo-key row stays quiet.
 package runner
 
 import (
@@ -23,12 +22,8 @@ type cacheKey struct {
 
 var _ = cacheKey{}
 
-var MemoKeyExclusions = map[string]string{
-	"Obs": "recorder only observes a run; it can never change a result",
-}
-
 // fingerprintKey renders the key to its content address. fmt.Sprintf is a
-// pure renderer, not a stream write, so obspure allows it.
+// pure renderer, not a stream write, so the memo-key row allows it.
 func fingerprintKey(key cacheKey) string {
 	return fmt.Sprintf("%#v", key)
 }

@@ -17,7 +17,7 @@ import (
 )
 
 var (
-	_ = runner.MemoKeyExclusions
+	_ = runner.Elapsed
 	_ store.Driver
 )
 

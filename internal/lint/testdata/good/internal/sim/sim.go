@@ -8,16 +8,11 @@ import (
 	"time"
 )
 
-// Config's Obs field is excluded from the memo key with a documented
-// reason; Workload and Seed are keyed.
+// Config mirrors the real sim.Config shape.
 type Config struct {
 	Workload int
 	Seed     uint64
-	Obs      *Recorder
 }
-
-// Recorder is a stand-in for an observability hook.
-type Recorder struct{}
 
 // Result is the deterministic output surface: every field a pure function
 // of Config.

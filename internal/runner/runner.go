@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -81,9 +80,6 @@ func Func(run func() any, commit func(any)) Job {
 type Options struct {
 	// Parallelism is the worker-pool size; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// NoCache bypasses the process-wide memo cache (benchmarks measuring
-	// raw engine throughput use this).
-	NoCache bool
 	// Label, when non-empty, is attached to every job as the "experiment"
 	// pprof label; simulator jobs additionally carry a "job" label of the
 	// form "workload/policy". CPU profiles of a full experiments run can
@@ -489,7 +485,7 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options) {
 		}
 	}
 	cfg.Obs = orun
-	res, src, note, e := cachedRun(ctx, cfg, opts.NoCache, opts.Store)
+	res, src, note, e := cachedRun(ctx, cfg, opts.Store)
 	r.cached = src == srcHit
 	r.fromStore = src == srcStore
 	r.note = note
@@ -497,68 +493,28 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options) {
 	r.out, r.err = res, e
 }
 
-// MemoKeyExclusions is the explicit, introspectable list of sim.Config
-// fields deliberately NOT fingerprinted by cacheKey, with the reason each
-// one cannot affect a Result. Every other exported Config field must have a
-// (case-folded) twin in cacheKey. Two guards hold the contract: the
-// tridentlint memokey check proves it statically at lint time, and
-// TestMemoKeyCoversConfig proves it by reflection at test time — a new
-// Config field fails both until it is either keyed or listed here.
-var MemoKeyExclusions = map[string]string{
-	"Obs":             "observability only: a recorder observes a run and never influences it, so configs differing only in Obs must share a cache slot",
-	"ScalarTranslate": "loop-shape only: the scalar oracle and the run-coalesced translation pipeline are byte-identical by construction (DESIGN.md §5c, enforced by TestRunScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
-}
-
-// cacheKey is the canonical, comparable fingerprint of a normalized
-// sim.Config. The Workload spec and TLB geometry are embedded by value, so
-// distinct pointers to equal specs (workload.All allocates fresh specs per
-// call) still hit. Adding a Config field without extending this key or
-// listing it in MemoKeyExclusions fails TestMemoKeyCoversConfig and the
-// tridentlint memokey check.
-// Every field is plain value data (no pointers), so fmt's %#v rendering of a
-// key is stable across processes — the persistent store hashes it to name
-// entries.
+// cacheKey is the memo cache's key: the normalized sim.Config itself, with
+// its two spec pointers replaced by the values they point to, so distinct
+// pointers to equal specs (workload.All allocates fresh specs per call)
+// still hit. Every Config field — present or added later, exported or not —
+// is keyed by construction unless keyOf clears it. The key holds no live
+// pointer (the cleared fields render as nil), so fmt's %#v rendering is
+// stable across processes — the persistent store hashes it to name entries.
 type cacheKey struct {
-	workload             workload.Spec
-	tlb                  tlb.Config
-	policy               sim.PolicyKind
-	memGB                uint64
-	scale                float64
-	accesses             int
-	seed                 uint64
-	fragment             bool
-	disablePromotion     bool
-	virtualized          bool
-	hostPolicy           sim.PolicyKind
-	khugepagedBudgetFrac float64
-	pv                   bool
-	pvUnbatched          bool
-	shadowCheck          bool
-	chaos                chaos.Config
-	auditEvery           int
+	cfg      sim.Config
+	workload workload.Spec
+	tlb      tlb.Config
 }
 
 func keyOf(cfg sim.Config) cacheKey {
 	cfg = cfg.Normalized()
-	return cacheKey{
-		workload:             *cfg.Workload,
-		tlb:                  *cfg.TLB,
-		policy:               cfg.Policy,
-		memGB:                cfg.MemGB,
-		scale:                cfg.Scale,
-		accesses:             cfg.Accesses,
-		seed:                 cfg.Seed,
-		fragment:             cfg.Fragment,
-		disablePromotion:     cfg.DisablePromotion,
-		virtualized:          cfg.Virtualized,
-		hostPolicy:           cfg.HostPolicy,
-		khugepagedBudgetFrac: cfg.KhugepagedBudgetFrac,
-		pv:                   cfg.Pv,
-		pvUnbatched:          cfg.PvUnbatched,
-		shadowCheck:          cfg.ShadowCheck,
-		chaos:                cfg.Chaos,
-		auditEvery:           cfg.AuditEvery,
-	}
+	key := cacheKey{workload: *cfg.Workload, tlb: *cfg.TLB}
+	cfg.Workload = nil          // keyed by value above: the address is not identity
+	cfg.TLB = nil               // keyed by value above: the address is not identity
+	cfg.Obs = nil               // observability only: a recorder never influences a run
+	cfg.ScalarTranslate = false // loop shape only: byte-identical to the coalesced pipeline (TestRunScalarEquivalence)
+	key.cfg = cfg
+	return key
 }
 
 // runSource says how cachedRun satisfied a call: by executing the
@@ -598,8 +554,8 @@ var (
 // durability incidents that did not prevent the job (corrupt entries
 // recomputed, store writes degraded); it is non-nil only for the arrival
 // that performed the work (single-flight latecomers report nothing).
-func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, st *store.Store) (*sim.Result, runSource, error, error) {
-	if noCache || cfg.Workload == nil {
+func cachedRun(ctx context.Context, cfg sim.Config, st *store.Store) (*sim.Result, runSource, error, error) {
+	if cfg.Workload == nil {
 		res, err := sim.RunContext(ctx, cfg)
 		return res, srcExecuted, nil, err
 	}

@@ -96,20 +96,6 @@ func TestMemoCacheNormalizesDefaults(t *testing.T) {
 	}
 }
 
-// TestNoCacheBypass: Options.NoCache must execute every job without touching
-// the cache counters.
-func TestNoCacheBypass(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	cfg := tinyConfig(t)
-	jobs := []Job{Sim(cfg, nil), Sim(cfg, nil)}
-	Execute(jobs, Options{Parallelism: 2, NoCache: true})
-	cs := Cache()
-	if cs.Misses != 0 || cs.Hits != 0 || cs.Entries != 0 {
-		t.Fatalf("NoCache run touched the cache: %+v", cs)
-	}
-}
-
 // TestSubmissionOrderCallbacks: callbacks must arrive in submission order for
 // any worker count, even when earlier jobs finish last.
 func TestSubmissionOrderCallbacks(t *testing.T) {

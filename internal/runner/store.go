@@ -21,17 +21,18 @@ import (
 // Report.Notes record (durability lost, correctness kept).
 
 // fingerprintKey renders a cacheKey to its canonical content address: the
-// hex SHA-256 of the key's %#v rendering. cacheKey holds only value data
-// (no pointers), so the rendering — and therefore the fingerprint — is
-// stable across processes and machines.
+// hex SHA-256 of the key's %#v rendering. keyOf leaves no live pointer in
+// the key, so the rendering — and therefore the fingerprint — is stable
+// across processes and machines.
 func fingerprintKey(key cacheKey) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", key)))
 	return hex.EncodeToString(sum[:])
 }
 
 // Fingerprint returns cfg's canonical memo fingerprint — the key under
-// which the persistent result store addresses its result. Configs that differ only in non-identity fields (Obs, the
-// loop-shape knobs; see MemoKeyExclusions) share a fingerprint.
+// which the persistent result store addresses its result. Configs that
+// differ only in the fields keyOf clears (Obs, ScalarTranslate) share a
+// fingerprint.
 func Fingerprint(cfg sim.Config) string {
 	return fingerprintKey(keyOf(cfg))
 }

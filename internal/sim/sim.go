@@ -186,9 +186,8 @@ type Config struct {
 	// byte-identical by construction (DESIGN.md §5c) and the equivalence is
 	// pinned by TestRunScalarEquivalence, so this knob exists only as the
 	// scalar reference for that test and for bisecting any future
-	// divergence. Like Obs, it cannot affect results and is therefore
-	// excluded from the runner package's memo-cache key
-	// (runner.MemoKeyExclusions).
+	// divergence. Like Obs, it cannot affect results, so the runner
+	// package's memo key (runner.keyOf) clears it.
 	ScalarTranslate bool
 
 	// Chaos configures deterministic fault injection (internal/chaos):
@@ -210,8 +209,8 @@ type Config struct {
 	// hot paths pay one nil check per 2000-access batch, nothing is
 	// allocated, and the run's Result and report output are byte-identical
 	// to a run without the field. The recorder only observes; it never
-	// influences execution, which is why it is deliberately excluded from
-	// the runner package's memo-cache key.
+	// influences execution, which is why the runner package's memo key
+	// (runner.keyOf) clears it.
 	Obs *obs.Run
 }
 
