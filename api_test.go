@@ -100,7 +100,8 @@ func TestExperimentTableRendering(t *testing.T) {
 }
 
 // TestNewVM: the facade boots the guest kernel itself, at the requested
-// size, and rejects a guest size that is not a positive multiple of 1GB.
+// size, and rejects a guest size that is not a positive multiple of 1GB
+// and a guest max order the buddy allocator does not support.
 func TestNewVM(t *testing.T) {
 	host := NewKernel(4*GiB, TridentMaxOrder)
 	policy := NewTHPPolicy(host)
@@ -114,6 +115,11 @@ func TestNewVM(t *testing.T) {
 	for _, bad := range []uint64{0, Page2M} {
 		if _, err := NewVM(host, policy, bad, TridentMaxOrder); err == nil {
 			t.Errorf("guest size %d accepted", bad)
+		}
+	}
+	for _, bad := range []int{5, 19} {
+		if _, err := NewVM(host, policy, 2*GiB, bad); err == nil {
+			t.Errorf("guest max order %d accepted", bad)
 		}
 	}
 }

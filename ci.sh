@@ -4,8 +4,9 @@
 # chaos/audit robustness suites, 10s fuzz smokes of the audit-checked
 # kernel-op fuzzer, of the fragmenter's computed-vs-per-page equivalence
 # and of its two bulk-commit primitives against their per-page
-# definitions (buddy carve, run mapping) and of a resized kernel against a
-# newly booted one (kernel.Resize, the machine pool's contract), a one-iteration sweep of every benchmark (bench-rot
+# definitions (buddy carve, run mapping) and of a kernel re-booted through
+# a chain of sizes and flavours against newly booted ones (kernel.Boot,
+# the machine pool's contract), a one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
 # outputs against bench/golden) plus a short fragmented-memory benchmark
@@ -69,7 +70,7 @@ go test -run '^$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzApplyEquivalence -fuzztime 10s ./internal/fragment
 go test -run '^$' -fuzz FuzzCarveEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
-go test -run '^$' -fuzz FuzzResizeEquivalence -fuzztime 10s ./internal/kernel
+go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Benchmark-harness gate: bench/ is its own module (BENCHMARK.json), so the

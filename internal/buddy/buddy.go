@@ -54,8 +54,9 @@ type Allocator struct {
 	counts []uint64
 
 	// covered is CheckInvariants's reusable coverage bitset (one bit per
-	// frame), allocated once and cleared per call; the map it replaced
-	// allocated per invocation on every fragmentation snapshot.
+	// frame), sized and cleared per call and reallocated only to grow; the
+	// map it replaced allocated per invocation on every fragmentation
+	// snapshot.
 	covered []uint64
 
 	// FailAlloc, if set, is consulted on every Alloc and AllocSpecific;
@@ -67,32 +68,12 @@ type Allocator struct {
 }
 
 // New creates an allocator over mem with free lists up to maxOrder
-// (units.StockMaxOrder for stock Linux, units.TridentMaxOrder for Trident).
-// All memory starts free, tiled with maxOrder chunks.
+// (units.StockMaxOrder for stock Linux, units.TridentMaxOrder for Trident):
+// the zero allocator over mem, booted. All memory starts free, tiled with
+// maxOrder chunks.
 func New(mem *phys.Memory, maxOrder int) *Allocator {
-	if maxOrder < units.Order2M || maxOrder > units.TridentMaxOrder {
-		panic(fmt.Sprintf("buddy: unsupported max order %d", maxOrder))
-	}
-	a := &Allocator{
-		mem:       mem,
-		maxOrder:  maxOrder,
-		freeOrder: make([][]int8, (mem.Frames()+foChunkSize-1)>>foChunkBits),
-		free:      make([]freeList, maxOrder+1),
-		counts:    make([]uint64, maxOrder+1),
-	}
-	for o := range a.free {
-		nchunks := mem.Frames() >> uint(o)
-		a.free[o].words = make([]uint64, (nchunks+63)/64)
-	}
-	// Seed the maxOrder tiling directly in the bitmap; the freeOrder side
-	// of each insert is implicit in the nil-chunk initial pattern, so no
-	// freeOrder chunk materializes here.
-	chunk := uint64(1) << uint(maxOrder)
-	for pfn := uint64(0); pfn < mem.Frames(); pfn += chunk {
-		idx := pfn >> uint(maxOrder)
-		a.free[maxOrder].words[idx>>6] |= 1 << (idx & 63)
-		a.counts[maxOrder]++
-	}
+	a := &Allocator{mem: mem}
+	a.Boot(maxOrder)
 	return a
 }
 
@@ -103,7 +84,7 @@ const (
 )
 
 // freeOrderAt reads the order+1 code for pfn. A nil chunk reproduces the
-// initial tiling New established: maxOrder+1 at maxOrder-aligned heads,
+// initial tiling Boot established: maxOrder+1 at maxOrder-aligned heads,
 // 0 elsewhere.
 func (a *Allocator) freeOrderAt(pfn uint64) int8 {
 	if c := a.freeOrder[pfn>>foChunkBits]; c != nil {
@@ -122,17 +103,36 @@ func (a *Allocator) setFreeOrder(pfn uint64, v int8) {
 	c := a.freeOrder[ci]
 	if c == nil {
 		c = make([]int8, foChunkSize)
-		align := uint64(1) << uint(a.maxOrder)
-		base := ci << foChunkBits
-		for p := (base + align - 1) &^ (align - 1); p < base+foChunkSize && p < a.mem.Frames(); p += align {
-			c[p-base] = int8(a.maxOrder) + 1
-		}
+		stamp(c, int(ci), a.maxOrder, int8(a.maxOrder)+1)
 		a.freeOrder[ci] = c
 	}
 	c[pfn&(foChunkSize-1)] = v
 }
 
-// Reset returns the allocator to its post-New state — all memory free,
+// stamp writes v at every order-aligned PFN of freeOrder chunk ci, c.
+// With v = order+1 over a cleared chunk, that is the initial tiling
+// pattern of max order order; it depends only on the chunk's index, not on
+// the memory size, since memory is a whole number of chunks.
+func stamp(c []int8, ci, order int, v int8) {
+	align := uint64(1) << uint(order)
+	base := uint64(ci) << foChunkBits
+	for p := (base + align - 1) &^ (align - 1); p < base+foChunkSize; p += align {
+		c[p-base] = v
+	}
+}
+
+// tile puts the maxOrder chunks with indexes [from, to) on the free
+// bitmap. Their freeOrder side is the initial tiling pattern, which every
+// chunk holds from materialization or Reset on.
+func (a *Allocator) tile(from, to uint64) {
+	w := a.free[a.maxOrder].words
+	for idx := from; idx < to; idx++ {
+		w[idx>>6] |= 1 << (idx & 63)
+	}
+	a.counts[a.maxOrder] += to - from
+}
+
+// Reset returns the allocator to its post-Boot state — all memory free,
 // tiled with maxOrder chunks — while retaining the allocated backing:
 // materialized freeOrder chunks are rewritten to the initial tiling
 // pattern (reads through them are then identical to reads through the nil
@@ -142,15 +142,10 @@ func (a *Allocator) setFreeOrder(pfn uint64, v int8) {
 // underlying phys.Memory alongside (the kernel's Reset does) to keep the
 // two views consistent.
 func (a *Allocator) Reset() {
-	align := uint64(1) << uint(a.maxOrder)
 	for ci, c := range a.freeOrder {
-		if c == nil {
-			continue
-		}
-		clear(c)
-		base := uint64(ci) << foChunkBits
-		for p := (base + align - 1) &^ (align - 1); p < base+foChunkSize && p < a.mem.Frames(); p += align {
-			c[p-base] = int8(a.maxOrder) + 1
+		if c != nil {
+			clear(c)
+			stamp(c, ci, a.maxOrder, int8(a.maxOrder)+1)
 		}
 	}
 	for o := range a.free {
@@ -158,50 +153,60 @@ func (a *Allocator) Reset() {
 		a.free[o].cursor = 0
 		a.counts[o] = 0
 	}
-	for pfn := uint64(0); pfn < a.mem.Frames(); pfn += align {
-		idx := pfn >> uint(a.maxOrder)
-		a.free[a.maxOrder].words[idx>>6] |= 1 << (idx & 63)
-		a.counts[a.maxOrder]++
-	}
+	a.tile(0, a.mem.Frames()>>uint(a.maxOrder))
 	a.FailAlloc = nil
 }
 
-// Resize follows a phys.Memory.Resize of the allocator's memory: on a
-// just-Reset allocator, it re-sizes the free lists and the freeOrder chunk
-// index to the memory's new frame count, so that the allocator is
-// observably identical to New(mem, maxOrder). Only the difference is
-// touched: bitmap words past the old end are cleared, the maxOrder tiling
-// gains or loses the chunks between the two sizes, and freeOrder chunks
-// past the old end are reused as Reset left them (in the initial tiling
-// pattern, which does not depend on the memory size). A coverage bitset
-// left by CheckInvariants is resized with the rest.
-func (a *Allocator) Resize() {
+// Boot sizes the allocator to its memory's frame count and sets its max
+// order, starting from the zero allocator or from the state Reset leaves
+// (after a phys.Memory.Boot of the memory), so that it is observably
+// identical to New(mem, maxOrder). Only the difference is touched:
+// bitmap words past the old end are cleared, and the maxOrder tiling
+// gains or loses the chunks between the two sizes — or, when the max
+// order changes, the old tiling is withdrawn and the new one seeded.
+// freeOrder chunks past the old end are reused as they are, which rests on
+// one invariant: every materialized chunk, including those in spare
+// capacity past len, holds the tiling pattern of the current max order.
+// Reset keeps it inside the memory, and a change of max order rewrites
+// the pattern in freeOrder[:cap].
+func (a *Allocator) Boot(maxOrder int) {
+	if maxOrder < units.Order2M || maxOrder > units.TridentMaxOrder {
+		panic(fmt.Sprintf("buddy: unsupported max order %d", maxOrder))
+	}
 	frames := a.mem.Frames()
 	oldChunks := uint64(len(a.freeOrder)) << foChunkBits >> uint(a.maxOrder)
-	newChunks := frames >> uint(a.maxOrder)
-	if a.counts[a.maxOrder] != oldChunks {
-		panic("buddy: Resize of an allocator that is not Reset")
+	newChunks := frames >> uint(maxOrder)
+	var keep uint64 // tiling chunks that stay free as they are
+	if a.counts != nil {
+		if a.counts[a.maxOrder] != oldChunks {
+			panic("buddy: Boot of an allocator that is not Reset")
+		}
+		if maxOrder == a.maxOrder {
+			keep = min(oldChunks, newChunks)
+		}
+		w := a.free[a.maxOrder].words
+		for idx := keep; idx < oldChunks; idx++ {
+			w[idx>>6] &^= 1 << (idx & 63)
+		}
+		a.counts[a.maxOrder] = keep
 	}
 	a.freeOrder = phys.Resized(a.freeOrder, int((frames+foChunkSize-1)>>foChunkBits))
-	for o := range a.free {
-		fl := &a.free[o]
-		old := len(fl.words)
-		fl.words = phys.Resized(fl.words, int((frames>>uint(o)+63)/64))
-		if len(fl.words) > old {
-			clear(fl.words[old:])
+	if maxOrder != a.maxOrder {
+		for ci, c := range a.freeOrder[:cap(a.freeOrder)] {
+			if c != nil {
+				stamp(c, ci, a.maxOrder, 0)
+				stamp(c, ci, maxOrder, int8(maxOrder)+1)
+			}
 		}
 	}
-	tiling := a.free[a.maxOrder].words
-	for idx := newChunks; idx < min(oldChunks, uint64(len(tiling))*64); idx++ {
-		tiling[idx>>6] &^= 1 << (idx & 63)
+	a.maxOrder = maxOrder
+	a.free = phys.Resized(a.free, maxOrder+1)
+	a.counts = phys.Resized(a.counts, maxOrder+1)
+	for o := range a.free {
+		fl := &a.free[o]
+		fl.words = phys.ResizedZero(fl.words, int((frames>>uint(o)+63)/64))
 	}
-	for idx := oldChunks; idx < newChunks; idx++ {
-		tiling[idx>>6] |= 1 << (idx & 63)
-	}
-	a.counts[a.maxOrder] = newChunks
-	if a.covered != nil {
-		a.covered = phys.Resized(a.covered, int((frames+63)/64))
-	}
+	a.tile(keep, newChunks)
 }
 
 // MaxOrder returns the largest order the free lists track.
@@ -483,15 +488,12 @@ func (a *Allocator) removeFree(pfn uint64, order int) {
 }
 
 // CheckInvariants verifies internal consistency (used by tests): every free
-// chunk head is aligned, chunks do not overlap, and the free-frame total
-// matches phys.Memory. It returns an error describing the first violation.
+// chunk head is aligned and carries its order in freeOrder, chunks do not
+// overlap, and the free-frame total matches phys.Memory. It returns an
+// error describing the first violation.
 func (a *Allocator) CheckInvariants() error {
 	var freeFrames uint64
-	if a.covered == nil {
-		a.covered = make([]uint64, (a.mem.Frames()+63)/64)
-	} else {
-		clear(a.covered)
-	}
+	a.covered = phys.ResizedZero(a.covered[:0], int((a.mem.Frames()+63)/64))
 	for order := 0; order <= a.maxOrder; order++ {
 		heads := a.FreeChunkHeads(order)
 		if uint64(len(heads)) != a.counts[order] {
@@ -501,6 +503,9 @@ func (a *Allocator) CheckInvariants() error {
 			size := uint64(1) << uint(order)
 			if !units.IsAligned(pfn, size) {
 				return fmt.Errorf("order %d chunk at %d misaligned", order, pfn)
+			}
+			if got := int(a.freeOrderAt(pfn)) - 1; got != order {
+				return fmt.Errorf("order %d chunk at %d has freeOrder %d", order, pfn, got)
 			}
 			for f := pfn; f < pfn+size; f++ {
 				if a.covered[f/64]&(1<<(f%64)) != 0 {

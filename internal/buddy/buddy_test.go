@@ -352,20 +352,30 @@ func BenchmarkAllocFree2M(b *testing.B) {
 	}
 }
 
-// TestResizeMatchesNew: a Reset allocator resized (after its memory) to
-// another size must be indistinguishable from a new one of that size, for
-// both flavours — shrunk, grown beyond its capacity, and grown back within
-// it. The bitmap words a grow exposes are poisoned first: Resize clears
-// them rather than trusting what the spare capacity holds.
-func TestResizeMatchesNew(t *testing.T) {
-	for _, maxOrder := range []int{units.StockMaxOrder, units.TridentMaxOrder} {
-		a := newAlloc(t, 2, maxOrder)
-		for _, gb := range []uint64{1, 4, 2, 3} {
-			pfn, err := a.Alloc(units.Order2M, false)
-			if err != nil {
-				t.Fatal(err)
+// TestBootMatchesNew: a Reset allocator booted (after its memory) at
+// another size and flavour must be indistinguishable from a new one —
+// shrunk, grown beyond its capacity, and grown back within it. The flavour
+// switches at each shrink, in both directions, and before each shrink a
+// freeOrder chunk is materialized at the top of memory: the chunk then
+// sits in spare capacity through the switch, and the next grow, of the
+// same flavour, reuses it, so Boot must have rewritten the pattern in
+// spare capacity too. The bitmap words a grow exposes are poisoned first:
+// Boot clears them rather than trusting what the spare capacity holds.
+func TestBootMatchesNew(t *testing.T) {
+	for _, first := range []int{units.StockMaxOrder, units.TridentMaxOrder} {
+		other := units.StockMaxOrder + units.TridentMaxOrder - first
+		a := newAlloc(t, 2, first)
+		for _, step := range []struct {
+			gb       uint64
+			maxOrder int
+		}{{1, other}, {4, other}, {2, first}, {3, first}} {
+			if step.gb < a.mem.Bytes()/units.Page1G {
+				top := a.mem.Frames() - 1<<units.Order2M
+				if err := a.AllocSpecific(top, units.Order2M, false); err != nil {
+					t.Fatal(err)
+				}
+				a.Free(top, units.Order2M)
 			}
-			a.Free(pfn, units.Order2M)
 			a.mem.Reset()
 			a.Reset()
 			for o := range a.free {
@@ -374,11 +384,11 @@ func TestResizeMatchesNew(t *testing.T) {
 					tail[i] = ^uint64(0)
 				}
 			}
-			a.mem.Resize(gb * units.Page1G)
-			a.Resize()
-			want := New(phys.NewMemory(gb*units.Page1G), maxOrder)
-			// The freeOrder chunks the allocation wrote are kept for reuse,
-			// in the initial tiling pattern.
+			a.mem.Boot(step.gb * units.Page1G)
+			a.Boot(step.maxOrder)
+			want := New(phys.NewMemory(step.gb*units.Page1G), step.maxOrder)
+			// The freeOrder chunks the allocations wrote are kept for
+			// reuse, in the initial tiling pattern.
 			for ci, c := range a.freeOrder {
 				if c != nil {
 					pfn := uint64(ci) << foChunkBits
@@ -386,26 +396,26 @@ func TestResizeMatchesNew(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(a, want) {
-				t.Fatalf("max order %d resized to %dGB: differs from New", maxOrder, gb)
+				t.Fatalf("max order %d, then booted at %dGB, max order %d: differs from New", first, step.gb, step.maxOrder)
 			}
 			if err := a.CheckInvariants(); err != nil {
-				t.Fatalf("max order %d resized to %dGB: %v", maxOrder, gb, err)
+				t.Fatalf("max order %d, then booted at %dGB, max order %d: %v", first, step.gb, step.maxOrder, err)
 			}
 			a.covered = nil
 		}
 	}
 }
 
-// TestCheckInvariantsAfterGrow is a regression test: CheckInvariants sizes
-// its coverage bitset on first use, so an allocator audited and then grown
-// must have it resized, or the next audit indexes past its end.
+// TestCheckInvariantsAfterGrow is a regression test: CheckInvariants keeps
+// its coverage bitset between calls, so it must size it to the memory on
+// each call, or an audit after a grow indexes past its end.
 func TestCheckInvariantsAfterGrow(t *testing.T) {
 	a := newAlloc(t, 1, units.TridentMaxOrder)
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	a.mem.Resize(3 * units.Page1G)
-	a.Resize()
+	a.mem.Boot(3 * units.Page1G)
+	a.Boot(units.TridentMaxOrder)
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

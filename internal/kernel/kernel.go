@@ -54,8 +54,8 @@ type Kernel struct {
 	// ForEachKernelAlloc's iteration order deterministic (ascending PFN).
 	// Chunks are allocated on first write: simulator runs never call
 	// KernelAlloc (the fragmenter's unmovable objects bypass it, allocated
-	// with Buddy.AllocSpecific directly), so boot, Reset, Resize and audits
-	// pay nothing for it there.
+	// with Buddy.AllocSpecific directly), so Boot, Reset and audits pay
+	// nothing for it there.
 	kernelAllocs [][]uint8
 
 	// Ops counts completed page-table operations since boot. The counters
@@ -68,11 +68,6 @@ type Kernel struct {
 	// NewTask reuses them so a pooled kernel's next run populates into warm
 	// page-table node arenas instead of re-allocating them.
 	asPool []*vmm.AddressSpace
-
-	// spareBuddy is the allocator of the other flavour that Reflavour last
-	// swapped out. It was Reset before that and is unused since, so it is
-	// in its just-booted state.
-	spareBuddy *buddy.Allocator
 }
 
 // OpStats counts the kernel's primitive page-table operations.
@@ -84,17 +79,35 @@ type OpStats struct {
 	Demotes   uint64 // huge-page demotions
 }
 
-// New boots a kernel over memBytes of physical memory. maxOrder selects the
-// buddy flavour: units.StockMaxOrder for unmodified Linux,
-// units.TridentMaxOrder for Trident's 1GB-extended free lists.
+// New boots a kernel over memBytes of physical memory: the zero Kernel,
+// booted. maxOrder selects the buddy flavour: units.StockMaxOrder for
+// unmodified Linux, units.TridentMaxOrder for Trident's 1GB-extended free
+// lists.
 func New(memBytes uint64, maxOrder int) *Kernel {
-	mem := phys.NewMemory(memBytes)
-	return &Kernel{
-		Mem:          mem,
-		Buddy:        buddy.New(mem, maxOrder),
-		tasks:        make(map[uint32]*Task),
-		kernelAllocs: make([][]uint8, kaChunks(mem.Frames())),
+	k := new(Kernel)
+	k.Boot(memBytes, maxOrder)
+	return k
+}
+
+// Boot boots the zero Kernel, or re-boots a just-Reset one, over memBytes
+// of physical memory with buddy flavour maxOrder. A re-boot keeps every
+// arena: the phys bookkeeping, the one buddy allocator and the
+// kernelAllocs chunk index are re-sized and re-flavoured in place (see
+// phys.Memory.Boot and buddy.Allocator.Boot), touching only the
+// difference. Either way the kernel is then observably identical to
+// New(memBytes, maxOrder), which lets the machine pool (internal/sim)
+// hand any parked kernel to a run of any memory size and flavour.
+func (k *Kernel) Boot(memBytes uint64, maxOrder int) {
+	if k.Mem == nil {
+		k.Mem = phys.NewMemory(memBytes)
+		k.Buddy = buddy.New(k.Mem, maxOrder)
+		k.tasks = make(map[uint32]*Task)
+	} else {
+		k.mustBeReset("Boot")
+		k.Mem.Boot(memBytes)
+		k.Buddy.Boot(maxOrder)
 	}
+	k.kernelAllocs = phys.Resized(k.kernelAllocs, kaChunks(k.Mem.Frames()))
 }
 
 // kernelAllocs chunking: 1<<16 frames (256MB of physical memory) per chunk.
@@ -148,41 +161,6 @@ func (k *Kernel) Reset() {
 	k.Ops = OpStats{}
 	k.Mem.Reset()
 	k.Buddy.Reset()
-}
-
-// Reflavour switches a just-Reset kernel to another buddy flavour: it
-// swaps in the spare allocator if that has maxOrder, and boots a fresh one
-// over the all-free memory otherwise; the allocator swapped out becomes
-// the spare. Every other arena is kept. The kernel is then observably
-// identical to New(memBytes, maxOrder), which lets the machine pool
-// (internal/sim) hand a kernel to a run of either flavour.
-func (k *Kernel) Reflavour(maxOrder int) {
-	k.mustBeReset("Reflavour")
-	next := k.spareBuddy
-	if next == nil || next.MaxOrder() != maxOrder {
-		next = buddy.New(k.Mem, maxOrder)
-	}
-	k.Buddy, k.spareBuddy = next, k.Buddy
-}
-
-// Resize re-sizes a just-Reset kernel to memBytes of physical memory: the
-// phys bookkeeping, both buddy allocators and the kernelAllocs chunk index
-// are resized in place (see phys.Memory.Resize and buddy.Allocator.Resize),
-// touching only the difference between the two sizes. The kernel is then
-// observably identical to New(memBytes, maxOrder), which, with Reflavour,
-// lets the machine pool (internal/sim) hand any parked kernel to a run of
-// any memory size and flavour.
-func (k *Kernel) Resize(memBytes uint64) {
-	k.mustBeReset("Resize")
-	if memBytes == k.Mem.Bytes() {
-		return
-	}
-	k.Mem.Resize(memBytes)
-	k.Buddy.Resize()
-	if k.spareBuddy != nil {
-		k.spareBuddy.Resize()
-	}
-	k.kernelAllocs = phys.Resized(k.kernelAllocs, kaChunks(k.Mem.Frames()))
 }
 
 // mustBeReset panics unless k is in the state Reset leaves: no tasks and

@@ -261,15 +261,15 @@ func TestKernelAllocsChunkedOnFirstWrite(t *testing.T) {
 	}
 }
 
-// TestResizeRequiresReset: Resize, like Reflavour, refuses a kernel with
-// live tasks or allocated memory.
-func TestResizeRequiresReset(t *testing.T) {
+// TestBootRequiresReset: Boot refuses a booted kernel with live tasks or
+// allocated memory.
+func TestBootRequiresReset(t *testing.T) {
 	k := newKernel(t, 1)
 	k.NewTask("live")
 	defer func() {
 		if recover() == nil {
-			t.Error("Resize of a kernel with a live task did not panic")
+			t.Error("Boot of a kernel with a live task did not panic")
 		}
 	}()
-	k.Resize(2 * units.Page1G)
+	k.Boot(2*units.Page1G, units.TridentMaxOrder)
 }

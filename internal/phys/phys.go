@@ -77,31 +77,15 @@ type Memory struct {
 
 // NewMemory creates the bookkeeping for a machine with the given physical
 // memory size, which must be a positive multiple of 1GB (regions must tile
-// memory exactly, as in the paper's region-counter design).
+// memory exactly, as in the paper's region-counter design): the zero
+// Memory, booted.
 func NewMemory(bytes uint64) *Memory {
-	if bytes == 0 || bytes%units.Page1G != 0 {
-		panic(fmt.Sprintf("phys: memory size %d is not a positive multiple of 1GB", bytes))
-	}
-	frames := bytes / units.Page4K
-	nRegions := bytes / units.Page1G
-	m := &Memory{
-		frames:    frames,
-		regions:   make([]RegionStats, nRegions),
-		allocated: newBitset(frames),
-		unmovable: newBitset(frames),
-		rmap:      make([][]uint32, (frames+rmapChunk-1)>>rmapChunkBits),
-		// Index 0 reserved (rmap uses 0 for "no owner").
-		owners:    [][]Owner{make([]Owner, ownerChunk)},
-		nextOwner: 1,
-		ownerFree: make([]uint32, 0, 1024),
-	}
-	for i := range m.regions {
-		m.regions[i].Free = units.FramesPerRegion
-	}
+	m := new(Memory)
+	m.Boot(bytes)
 	return m
 }
 
-// Reset returns the bookkeeping to its post-NewMemory state — all frames
+// Reset returns the bookkeeping to its post-Boot state — all frames
 // free and movable, no owners, no zeroed regions — while retaining the
 // allocated backing (bitsets, materialized rmap and owner chunks, the
 // ownerFree stack's capacity). A reset Memory is observably identical to a
@@ -126,35 +110,34 @@ func (m *Memory) Reset() {
 	m.unmovableFrames = 0
 }
 
-// Resize re-sizes a Memory with every frame free (the state Reset leaves)
-// to bytes, which must be a positive multiple of 1GB, so that it is
-// observably identical to NewMemory(bytes). Only the difference is
-// touched: growing reuses spare capacity, initializing the regions and
-// bitset words it exposes whatever they hold; shrinking reslices.
-// Materialized rmap chunks past the old end are reused as they are: a
-// chunk is only written while it lies inside the memory, and Reset
-// cleared it before the memory last shrank past it, so clearing it again
-// would only repeat that work. Owners are not frame-indexed and stay as
-// they are.
-func (m *Memory) Resize(bytes uint64) {
+// Boot sizes a Memory with every frame free — the zero Memory, or the
+// state Reset leaves — to bytes, which must be a positive multiple of
+// 1GB. A booted Memory is observably identical to NewMemory(bytes), and
+// only the difference is touched: growing reuses spare capacity,
+// initializing the regions and bitset words it exposes whatever they
+// hold; shrinking reslices. Materialized rmap chunks past the old end are
+// reused as they are: a chunk is only written while it lies inside the
+// memory, and Reset cleared it before the memory last shrank past it, so
+// clearing it again would only repeat that work. Owners are not
+// frame-indexed and stay as they are.
+func (m *Memory) Boot(bytes uint64) {
 	if bytes == 0 || bytes%units.Page1G != 0 {
 		panic(fmt.Sprintf("phys: memory size %d is not a positive multiple of 1GB", bytes))
 	}
 	if m.allocFrames != 0 {
-		panic("phys: Resize of a memory with allocated frames")
+		panic("phys: Boot of a memory with allocated frames")
 	}
-	oldRegions, oldWords := len(m.regions), len(m.allocated)
+	if m.nextOwner == 0 {
+		m.nextOwner = 1 // index 0 is reserved: rmap uses 0 for "no owner"
+	}
+	oldRegions := len(m.regions)
 	m.frames = bytes / units.Page4K
 	m.regions = Resized(m.regions, int(bytes/units.Page1G))
 	for i := oldRegions; i < len(m.regions); i++ {
 		m.regions[i] = RegionStats{Free: units.FramesPerRegion}
 	}
-	m.allocated = Resized(m.allocated, int((m.frames+63)/64))
-	m.unmovable = Resized(m.unmovable, len(m.allocated))
-	if len(m.allocated) > oldWords {
-		clear(m.allocated[oldWords:])
-		clear(m.unmovable[oldWords:])
-	}
+	m.allocated = ResizedZero(m.allocated, int((m.frames+63)/64))
+	m.unmovable = ResizedZero(m.unmovable, len(m.allocated))
 	m.rmap = Resized(m.rmap, int((m.frames+rmapChunk-1)>>rmapChunkBits))
 }
 
@@ -167,6 +150,16 @@ func Resized[S ~[]E, E any](s S, n int) S {
 		s = slices.Grow(s[:cap(s)], n-cap(s))
 	}
 	return s[:n]
+}
+
+// ResizedZero is Resized with every element a grow exposes zeroed.
+func ResizedZero[S ~[]E, E any](s S, n int) S {
+	old, spare := len(s), cap(s)
+	s = Resized(s, n)
+	if n > old {
+		clear(s[old:min(n, spare)]) // Resized zero-fills past the spare capacity
+	}
+	return s
 }
 
 // Bytes returns the total physical memory size.
@@ -443,8 +436,6 @@ func (m *Memory) checkRange(pfn, count uint64) {
 
 // bitset is a dense bitmap over frame numbers.
 type bitset []uint64
-
-func newBitset(n uint64) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) get(i uint64) bool { return b[i/64]&(1<<(i%64)) != 0 }
 func (b bitset) set(i uint64)      { b[i/64] |= 1 << (i % 64) }

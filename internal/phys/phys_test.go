@@ -301,7 +301,7 @@ func TestRegionCounterConsistency(t *testing.T) {
 
 func TestBitsetQuick(t *testing.T) {
 	f := func(indices []uint16) bool {
-		b := newBitset(1 << 16)
+		b := make(bitset, 1<<16/64)
 		set := map[uint64]bool{}
 		for _, i := range indices {
 			b.set(uint64(i))
@@ -319,12 +319,12 @@ func TestBitsetQuick(t *testing.T) {
 	}
 }
 
-// TestResizeMatchesNewMemory: a Reset memory resized to another size must
-// be indistinguishable from a freshly created one of that size — shrunk,
+// TestBootMatchesNewMemory: a Reset memory booted at another size must be
+// indistinguishable from a freshly created one of that size — shrunk,
 // grown beyond its capacity, and grown back within it. The regions and
-// bitset words a grow exposes are poisoned first: Resize initializes them
+// bitset words a grow exposes are poisoned first: Boot initializes them
 // rather than trusting what the spare capacity holds.
-func TestResizeMatchesNewMemory(t *testing.T) {
+func TestBootMatchesNewMemory(t *testing.T) {
 	m := newTestMem(t, 2)
 	for _, gb := range []uint64{1, 4, 2, 3} {
 		m.MarkAllocated(0, 64, true)
@@ -338,14 +338,14 @@ func TestResizeMatchesNewMemory(t *testing.T) {
 		for i, tail := 0, m.regions[len(m.regions):cap(m.regions)]; i < len(tail); i++ {
 			tail[i] = RegionStats{Zeroed: true}
 		}
-		m.Resize(gb * units.Page1G)
+		m.Boot(gb * units.Page1G)
 		want := NewMemory(gb * units.Page1G)
 		// The one rmap chunk written above is kept, cleared, for reuse;
 		// owners are not frame-indexed and keep their (unreachable) slots.
 		want.rmap[0] = make([]uint32, rmapChunk)
 		want.owners = m.owners
 		if !reflect.DeepEqual(m, want) {
-			t.Fatalf("resized to %dGB: differs from NewMemory", gb)
+			t.Fatalf("booted at %dGB: differs from NewMemory", gb)
 		}
 	}
 }

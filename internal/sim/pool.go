@@ -11,11 +11,11 @@ import (
 // grows megabytes more (page-table nodes, rmap/owner chunks), all of which
 // a grid run re-allocated for every job. kernel.Reset restores a used
 // kernel to a state observably identical to a freshly booted one, and
-// kernel.Reflavour and kernel.Resize then turn a Reset kernel into one
-// observably identical to New(memBytes, maxOrder) for any size and flavour
+// kernel.Boot then re-boots a Reset kernel in place into one observably
+// identical to New(memBytes, maxOrder) for any size and flavour
 // (DESIGN.md §5c). So every kernel is interchangeable with every other:
 // finished runs park their kernels here and later runs reuse them, arenas
-// warm, whatever their memory size.
+// warm, whatever their memory size and flavour.
 //
 // The pool has no key, so the number of kernels a grid keeps alive is its
 // peak number of concurrently held kernels: one per native run and two per
@@ -36,15 +36,15 @@ var (
 	machinePool   []*kernel.Kernel
 )
 
-// acquireKernel returns a pooled kernel resized and reflavoured to
-// memBytes and maxOrder, or boots a fresh one. Pooled kernels were Reset
-// at release time. It takes the pooled kernel that fits best (see fit),
-// the most recently parked among equals.
+// acquireKernel returns a pooled kernel booted to memBytes and maxOrder,
+// or boots a fresh one. Pooled kernels were Reset at release time. It
+// takes the pooled kernel that fits best (see fit), the most recently
+// parked among equals.
 func acquireKernel(memBytes uint64, maxOrder int) *kernel.Kernel {
 	machinePoolMu.Lock()
 	best, bestClass, bestDist := -1, 0, uint64(0)
 	for i := len(machinePool) - 1; i >= 0; i-- {
-		class, dist := fit(machinePool[i], memBytes, maxOrder)
+		class, dist := fit(machinePool[i], memBytes)
 		if best < 0 || class < bestClass || class == bestClass && dist < bestDist {
 			best, bestClass, bestDist = i, class, dist
 		}
@@ -62,35 +62,31 @@ func acquireKernel(memBytes uint64, maxOrder int) *kernel.Kernel {
 	machinePool[last] = nil
 	machinePool = machinePool[:last]
 	machinePoolMu.Unlock()
-	k.Resize(memBytes)
-	if k.Buddy.MaxOrder() != maxOrder {
-		k.Reflavour(maxOrder)
-	}
+	k.Boot(memBytes, maxOrder)
 	return k
 }
 
-// fit ranks how well the parked kernel k serves a request for memBytes and
-// maxOrder; lower (class, dist) fits better. In order: the same size and
-// flavour, the same size (only the allocator changes), the largest of the
-// smaller kernels (grown), then the smallest of the larger ones (shrunk). Growing comes
-// before shrinking because a larger kernel shrunk for this run is missing
-// for the next run of its size, which must then grow a smaller kernel, and
-// both kernels end up carrying the larger size's arenas. Which kernels are
-// parked at an acquire depends on how the workers' runs interleave, so
-// with the opposite order the process's memory would follow that timing:
-// in Figure 12, an 11GB guest taking the parked 16GB host kernel instead
-// of a 5GB guest kernel made the next host grow that 5GB kernel, and the
-// processes where that happened peaked 36 MB (26%) higher than the rest.
-func fit(k *kernel.Kernel, memBytes uint64, maxOrder int) (class int, dist uint64) {
+// fit ranks how well the parked kernel k serves a request for memBytes;
+// lower (class, dist) fits better. In order: the same size, whatever the
+// flavour (Boot switches the flavour in place, which costs no arena), the
+// largest of the smaller kernels (grown), then the smallest of the larger
+// ones (shrunk). Growing comes before shrinking because a larger kernel
+// shrunk for this run is missing for the next run of its size, which must
+// then grow a smaller kernel, and both kernels end up carrying the larger
+// size's arenas. Which kernels are parked at an acquire depends on how the
+// workers' runs interleave, so with the opposite order the process's
+// memory would follow that timing: in Figure 12, an 11GB guest taking the
+// parked 16GB host kernel instead of a 5GB guest kernel made the next host
+// grow that 5GB kernel, and the processes where that happened peaked
+// 36 MB (26%) higher than the rest.
+func fit(k *kernel.Kernel, memBytes uint64) (class int, dist uint64) {
 	switch size := k.Mem.Bytes(); {
-	case size == memBytes && k.Buddy.MaxOrder() == maxOrder:
-		return 0, 0
 	case size == memBytes:
-		return 1, 0
+		return 0, 0
 	case size < memBytes:
-		return 2, memBytes - size
+		return 1, memBytes - size
 	default:
-		return 3, size - memBytes
+		return 2, size - memBytes
 	}
 }
 

@@ -21,9 +21,9 @@ func drainMachinePool() []*kernel.Kernel {
 }
 
 // TestAcquireKernelFit checks which parked kernel an acquire takes: the
-// same size and flavour, then the same size, then the largest of the
-// smaller kernels, then the smallest of the larger ones, whatever order
-// they were parked in.
+// same size whatever its flavour, then the largest of the smaller kernels,
+// then the smallest of the larger ones, whatever order they were parked
+// in.
 func TestAcquireKernelFit(t *testing.T) {
 	const gb = units.Page1G
 	thp, tri := units.Order2M, units.TridentMaxOrder
@@ -34,7 +34,7 @@ func TestAcquireKernelFit(t *testing.T) {
 		maxOrder int
 		want     int // index into parked
 	}{
-		{"same size and flavour", [][2]uint64{{2 * gb, uint64(tri)}, {2 * gb, uint64(thp)}, {1 * gb, uint64(thp)}}, 2 * gb, thp, 1},
+		{"same size whatever the flavour", [][2]uint64{{1 * gb, uint64(thp)}, {2 * gb, uint64(thp)}, {2 * gb, uint64(tri)}, {3 * gb, uint64(thp)}}, 2 * gb, thp, 2},
 		{"same size", [][2]uint64{{3 * gb, uint64(thp)}, {2 * gb, uint64(tri)}, {1 * gb, uint64(thp)}}, 2 * gb, thp, 1},
 		{"grow the largest smaller", [][2]uint64{{3 * gb, uint64(thp)}, {1 * gb, uint64(thp)}, {2 * gb, uint64(thp)}, {6 * gb, uint64(thp)}}, 4 * gb, thp, 0},
 		{"grow before shrinking", [][2]uint64{{1 * gb, uint64(thp)}, {4 * gb, uint64(thp)}}, 3 * gb, thp, 0},
@@ -68,10 +68,11 @@ func TestAcquireKernelFit(t *testing.T) {
 // BenchmarkKernelReuse measures one pool cycle — acquire a kernel, dirty it
 // the way a run does (a task, a VMA, a spread of 2MB allocations), release
 // it (which Resets it) — against the kernel.New boot the pool replaces.
-// "pooled" reacquires a kernel of the same size; "resized" alternates
-// between two sizes, so every acquire resizes the one parked kernel. The
-// "boot" sub-benchmark is the baseline: what every grid job paid per
-// machine before pooling.
+// "pooled" reacquires a kernel of the same size and flavour; "resized"
+// alternates between two sizes, and "reflavoured" between the two buddy
+// flavours at one size, so every acquire re-boots the one parked kernel
+// at another size or flavour. The "boot" sub-benchmark is the baseline:
+// what every grid job paid per machine before pooling.
 func BenchmarkKernelReuse(b *testing.B) {
 	const memBytes = 2 * units.Page1G
 	const maxOrder = units.TridentMaxOrder
@@ -105,6 +106,18 @@ func BenchmarkKernelReuse(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := acquireKernel(memBytes<<(i%2), maxOrder)
+			dirty(b, k)
+			releaseKernel(k)
+		}
+	})
+	b.Run("reflavoured", func(b *testing.B) {
+		drainMachinePool()
+		releaseKernel(kernel.New(memBytes, maxOrder))
+		orders := [2]int{units.StockMaxOrder, maxOrder}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := acquireKernel(memBytes, orders[i%2])
 			dirty(b, k)
 			releaseKernel(k)
 		}

@@ -616,39 +616,19 @@ func freshRun(t *testing.T, cfg Config) *Result {
 	return mustRun(t, cfg)
 }
 
-// TestKernelReflavourDeterminism extends the machine-pool contract across
-// buddy flavours: the pool hands a kernel parked by a stock-buddy run to a
-// Trident run (kernel.Reflavour) and back, and each such run must equal
-// the same run on a freshly booted kernel.
-func TestKernelReflavourDeterminism(t *testing.T) {
-	thp := testConfig("GUPS", PolicyTHP)
-	thp.Accesses = 40_000
-	thp.Fragment = true
-	thp.ShadowCheck = true
-	tri := thp
-	tri.Policy = PolicyTrident
-	freshTHP := freshRun(t, thp)
-	triOnStock := mustRun(t, tri)
-	freshTri := freshRun(t, tri)
-	thpOnTrident := mustRun(t, thp)
-	if !reflect.DeepEqual(freshTri, triOnStock) {
-		t.Errorf("Trident run on a reflavoured stock kernel differs from a fresh one:\nfresh:       %+v\nreflavoured: %+v", freshTri, triOnStock)
-	}
-	if !reflect.DeepEqual(freshTHP, thpOnTrident) {
-		t.Errorf("THP run on a reflavoured Trident kernel differs from a fresh one:\nfresh:       %+v\nreflavoured: %+v", freshTHP, thpOnTrident)
-	}
-}
-
-// TestKernelResizeDeterminism extends the machine-pool contract across
-// memory sizes (kernel.Resize): one kernel serves, in turn, runs that grow
-// it beyond its capacity, shrink it, and grow it again within its
-// capacity, switching buddy flavour each time so that the resized spare
-// allocator is what Reflavour swaps in. A virtualized run's guest is
-// served by a former 16GB host kernel. Every run fragments memory, checks
-// the TLB fast path against the page walk, and injects faults (each
-// injection and phase boundary audits the machine), and each must equal
-// the same run on fresh kernels.
-func TestKernelResizeDeterminism(t *testing.T) {
+// TestKernelBootDeterminism extends the machine-pool contract across
+// memory sizes and buddy flavours (kernel.Boot): one kernel, booted for a
+// 5GB Trident run, serves in turn a THP run at the same size, THP runs
+// that grow it beyond its capacity and shrink it, a Trident run at the
+// shrunk size, and a Trident run that grows it again within its capacity.
+// The two same-size rows switch the flavour in both directions; the last
+// grow reuses the buddy freeOrder chunks that lay in spare capacity
+// through the second switch. A virtualized run's guest is served by a
+// former 16GB host kernel. Every run fragments memory, checks the TLB fast
+// path against the page walk, and injects faults (each injection and phase
+// boundary audits the machine), and each must equal the same run on fresh
+// kernels.
+func TestKernelBootDeterminism(t *testing.T) {
 	base := testConfig("GUPS", PolicyTrident)
 	base.Accesses = 40_000
 	base.Fragment = true
@@ -664,8 +644,11 @@ func TestKernelResizeDeterminism(t *testing.T) {
 		small, large := base, base
 		small.MemGB = 5
 		large.MemGB = 7
-		large.Policy = PolicyTHP
-		freshSmall, freshLarge := freshRun(t, small), freshRun(t, large)
+		smallTHP, largeTHP := small, large
+		smallTHP.Policy = PolicyTHP
+		largeTHP.Policy = PolicyTHP
+		freshSmall, freshSmallTHP := freshRun(t, small), freshRun(t, smallTHP)
+		freshLarge, freshLargeTHP := freshRun(t, large), freshRun(t, largeTHP)
 		drainMachinePool()
 		mustRun(t, small) // boots the kernel every later run reuses
 		for _, c := range []struct {
@@ -673,17 +656,23 @@ func TestKernelResizeDeterminism(t *testing.T) {
 			cfg  Config
 			want *Result
 		}{
-			{"grown 5GB→7GB beyond capacity", large, freshLarge},
-			{"shrunk 7GB→5GB", small, freshSmall},
-			{"regrown 5GB→7GB within capacity", large, freshLarge},
+			{"THP on a kernel booted as Trident", smallTHP, freshSmallTHP},
+			{"grown 5GB to 7GB beyond capacity", largeTHP, freshLargeTHP},
+			{"shrunk 7GB to 5GB", smallTHP, freshSmallTHP},
+			{"Trident on a stock kernel", small, freshSmall},
+			{"regrown 5GB to 7GB within capacity", large, freshLarge},
 		} {
-			got := mustRun(t, c.cfg)
-			if got.Chaos == nil || got.Chaos.Total() == 0 {
-				t.Errorf("%s: no injections fired", c.name)
-			}
-			if !reflect.DeepEqual(c.want, got) {
-				t.Errorf("%s: run differs from a fresh one:\nfresh:   %+v\nresized: %+v", c.name, c.want, got)
-			}
+			// The rows run in order: each re-boots the kernel the row
+			// before it parked.
+			t.Run(c.name, func(t *testing.T) {
+				got := mustRun(t, c.cfg)
+				if got.Chaos == nil || got.Chaos.Total() == 0 {
+					t.Error("no injections fired")
+				}
+				if !reflect.DeepEqual(c.want, got) {
+					t.Errorf("run differs from a fresh one:\nfresh:     %+v\nre-booted: %+v", c.want, got)
+				}
+			})
 		}
 		if parked := drainMachinePool(); len(parked) != 1 {
 			t.Fatalf("pool holds %d kernels, want the 1 every run shared", len(parked))
@@ -701,7 +690,7 @@ func TestKernelResizeDeterminism(t *testing.T) {
 			t.Fatalf("first parked kernel has %d bytes, want the 16GB host", host.Mem.Bytes())
 		}
 		// The next run's host takes the fresh 16GB kernel, its guest the
-		// former host, resized.
+		// former host, re-booted smaller.
 		releaseKernel(host)
 		releaseKernel(kernel.New(16*units.Page1G, maxOrderFor(cfg.HostPolicy)))
 		got := mustRun(t, cfg)
@@ -712,7 +701,7 @@ func TestKernelResizeDeterminism(t *testing.T) {
 			t.Fatalf("the former host kernel did not serve the guest (it has %d bytes)", host.Mem.Bytes())
 		}
 		if !reflect.DeepEqual(fresh, got) {
-			t.Errorf("run with a resized former host as guest differs from a fresh one:\nfresh:   %+v\nresized: %+v", fresh, got)
+			t.Errorf("run with a re-booted former host as guest differs from a fresh one:\nfresh:     %+v\nre-booted: %+v", fresh, got)
 		}
 	})
 }

@@ -56,7 +56,8 @@ type VM struct {
 }
 
 // New creates a VM whose guest-physical memory is managed by guest, a
-// just-booted (or just-Reset) kernel whose memory size is the VM's, and
+// just-booted kernel (kernel.New, or a pooled kernel Reset and re-booted
+// with kernel.Boot) whose memory size is the VM's, and
 // backs all of it immediately through hostPolicy (KVM backs guest memory
 // with THP in the paper's baseline; with Trident when Trident runs at the
 // host level). The guest's buddy flavour (stock vs Trident) is the one it

@@ -144,10 +144,14 @@ type VM = virt.VM
 
 // NewVM creates a VM with guestBytes of memory backed through hostPolicy.
 // guestBytes must be a positive multiple of 1GB; guestMaxOrder selects the
-// guest kernel's buddy flavour.
+// guest kernel's buddy flavour (StockMaxOrder or TridentMaxOrder) and must
+// lie between the 2MB page's order, 9, and TridentMaxOrder.
 func NewVM(host *Kernel, hostPolicy FaultPolicy, guestBytes uint64, guestMaxOrder int) (*VM, error) {
 	if guestBytes == 0 || guestBytes%units.Page1G != 0 {
 		return nil, fmt.Errorf("virt: guest memory %d not a 1GB multiple", guestBytes)
+	}
+	if guestMaxOrder < units.Order2M || guestMaxOrder > units.TridentMaxOrder {
+		return nil, fmt.Errorf("virt: guest max order %d outside [%d, %d]", guestMaxOrder, units.Order2M, units.TridentMaxOrder)
 	}
 	return virt.New(host, hostPolicy, kernel.New(guestBytes, guestMaxOrder))
 }
