@@ -56,7 +56,7 @@ func BenchmarkTranslateHotLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !m.Translate(pt, rng.Uint64n(units.Page1G), false) {
+		if !m.Translate(pt, nil, rng.Uint64n(units.Page1G), false) {
 			b.Fatal("fault on a fully mapped region")
 		}
 	}

@@ -22,8 +22,7 @@
 # as the observability gate (DESIGN.md §10): tridenttop -once must scrape
 # the service mid-sweep, and the replayed event stream (sweepctl tail
 # -csv) must reproduce the resumed report byte-for-byte.
-# Equivalent to `make verify` (the make twin runs the in-process
-# drain/resume tests; the kill -9 path lives here).
+# `make verify` runs this script.
 set -eux
 
 go build ./...

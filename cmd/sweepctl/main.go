@@ -6,7 +6,6 @@
 //	sweepctl -addr 127.0.0.1:8080 status <id>
 //	sweepctl -addr 127.0.0.1:8080 wait <id>            # until done (or failed)
 //	sweepctl -addr 127.0.0.1:8080 wait -completed 1 <id>  # until 1 sim is durable
-//	sweepctl -addr 127.0.0.1:8080 wait -follow <id>    # narrate rows as they land
 //	sweepctl -addr 127.0.0.1:8080 tail <id>            # raw NDJSON event stream
 //	sweepctl -addr 127.0.0.1:8080 tail -csv <id> > report.csv  # stream == report
 //	sweepctl -addr 127.0.0.1:8080 report <id> > report.csv
@@ -220,41 +219,19 @@ const (
 
 // wait blocks until the sweep is done (or, with -completed N, until N of
 // its simulations are in the durable result store — the hook the crash-recovery
-// gate uses to kill the service only after real progress exists). With
-// -follow it consumes the live event stream instead of polling, narrating
-// rows to stderr as they land, and falls back to polling if the stream
-// drops. Polling backs off exponentially (pollMin→pollMax, reset on
-// progress) and honors a Retry-After from the service.
+// gate uses to kill the service only after real progress exists). It polls,
+// backing off exponentially (pollMin→pollMax, reset on progress) and
+// honoring a Retry-After from the service; tail narrates the live event
+// stream instead.
 func wait(base string, args []string, timeout time.Duration) error {
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
 	completed := fs.Int("completed", 0, "return once this many simulations are durable (0 = wait for the whole sweep)")
-	follow := fs.Bool("follow", false, "consume the live event stream (rows narrated to stderr) instead of polling")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl wait [-completed N] [-follow] <id>")
+		return fmt.Errorf("usage: sweepctl wait [-completed N] <id>")
 	}
 	id := fs.Arg(0)
 	deadline := time.Now().Add(timeout)
-
-	if *follow && *completed == 0 {
-		if err := followStream(base, id, deadline); err == nil {
-			// The stream ended at a terminal state; one status fetch
-			// renders the verdict (and the failure error, if any).
-			sw, ferr := fetch(base, id)
-			if ferr != nil {
-				return ferr
-			}
-			printStatus(sw)
-			if sw.State == "failed" {
-				return fmt.Errorf("sweep %s failed: %s", id, sw.Error)
-			}
-			return nil
-		} else if time.Now().After(deadline) {
-			return err
-		}
-		// Stream unavailable (old server, proxy, drop): fall back to polls.
-		fmt.Fprintln(os.Stderr, "sweepctl: event stream unavailable, falling back to polling")
-	}
 
 	var last sweepStatus
 	pause := pollMin
@@ -411,32 +388,6 @@ func streamEvents(base, id string, after int, deadline time.Time, onEvent func(e
 		}
 		time.Sleep(pollMin << min(attempt, 5))
 	}
-}
-
-// followStream narrates a sweep's events to stderr until its terminal
-// state event arrives.
-func followStream(base, id string, deadline time.Time) error {
-	return streamEvents(base, id, -1, deadline, func(ev event, raw string) bool {
-		switch ev.Event {
-		case "sweep_started":
-			fmt.Fprintf(os.Stderr, "sweep %s started: %d jobs [%s]\n", ev.Sweep, ev.Jobs, ev.Header)
-		case "row":
-			fmt.Fprintf(os.Stderr, "row %d: %s\n", ev.Job, ev.Row)
-		case "sweep_done":
-			fmt.Fprintf(os.Stderr, "sweep %s complete: %d rows\n", ev.Sweep, ev.Rows)
-		case "state":
-			fmt.Fprintf(os.Stderr, "state: %s%s\n", ev.State, errSuffix(ev.Error))
-			return terminal(ev.State)
-		}
-		return false
-	})
-}
-
-func errSuffix(e string) string {
-	if e == "" {
-		return ""
-	}
-	return " (" + e + ")"
 }
 
 // tail streams a sweep's events to stdout. Raw mode prints the NDJSON

@@ -40,7 +40,8 @@ import (
 // entries translate. For a virtualized run's combined gVA→hPA entries —
 // which are tagged at the effective (min guest/host) page size — HostPT
 // names the host table backing the guest's physical space, and the check
-// recomputes the effective size the way mmu.TranslateNested does.
+// recomputes the effective size the way mmu.Translate does when given a
+// host table.
 type TLBView struct {
 	H    *tlb.Hierarchy
 	Task *kernel.Task

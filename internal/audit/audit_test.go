@@ -98,7 +98,7 @@ func TestStaleTLBDetected(t *testing.T) {
 	m := newMachine(t)
 	cfg := tlb.Skylake()
 	mm := mmu.New(cfg)
-	mm.Translate(m.task.AS.PT, m.va4K, false)
+	mm.Translate(m.task.AS.PT, nil, m.va4K, false)
 	view := audit.TLBView{H: mm.TLB, Task: m.task}
 	if err := audit.Check(audit.Machine{K: m.k, TLBs: []audit.TLBView{view}}); err != nil {
 		t.Fatalf("live TLB entry flagged: %v", err)

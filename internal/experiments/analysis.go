@@ -300,7 +300,7 @@ func DirectMap(s Settings) *stats.Table {
 				rng := xrand.New(seed)
 				n := s.Accesses / 2
 				for i := 0; i < n; i++ {
-					m.Translate(pt, rng.Uint64n(kernelDataGB*units.Page1G), rng.Bool(0.3))
+					m.Translate(pt, nil, rng.Uint64n(kernelDataGB*units.Page1G), rng.Bool(0.3))
 				}
 				walkCPA := m.Totals().WalkCyclesPerAccess()
 				cpa[size] = baseCPA + walkCPA

@@ -1,12 +1,15 @@
 // Package mmu is the translation front-end of a simulated core: every
 // memory reference goes through the TLB hierarchy; misses trigger a page
 // walk whose memory-access count is shortened by the paging-structure
-// caches; under virtualization the walk is two-dimensional.
+// caches. Native and virtualized runs share one path: Translate and
+// TranslateRuns take the guest table and an optional host table, and a nil
+// host table means native.
 //
-// The nested-walk arithmetic follows §2 of the paper: with g guest-walk
-// accesses and h host-walk accesses per guest-structure access, a nested
-// walk costs g + (g+1)·h memory accesses — 24 for 4KB+4KB, 15 for 2MB+2MB,
-// 8 for 1GB+1GB before paging-structure caches.
+// The walk arithmetic follows §2 of the paper: with g guest-walk accesses
+// and h host-walk accesses per guest-structure access, a nested walk costs
+// g + (g+1)·h memory accesses — 24 for 4KB+4KB, 15 for 2MB+2MB, 8 for
+// 1GB+1GB before paging-structure caches. A native walk is the same walk
+// with no host dimension (h = 0).
 //
 // Hardware TLBs cache the combined gVA→hPA translation at the smaller of
 // the guest and host page sizes, which is why the paper's Figure 2 pairs
@@ -29,8 +32,8 @@ type MMU struct {
 	TLB *tlb.Hierarchy
 	// PWC is the paging-structure cache used for the (guest) walk.
 	PWC *tlb.PWC
-	// HostPWC shortens the host dimension of nested walks; nil for native
-	// operation.
+	// HostPWC shortens the host dimension of nested walks; native runs
+	// never consult it.
 	HostPWC *tlb.PWC
 
 	// BySize accumulates translation stats per effective page size.
@@ -52,58 +55,59 @@ type MMU struct {
 	sweepSizes []uint8
 }
 
-// New creates a native-mode MMU with the given translation-cache config.
+// New creates an MMU with the given translation-cache config. It serves
+// native and virtualized runs alike: the host table passed to Translate
+// and TranslateRuns selects the mode.
 func New(cfg tlb.Config) *MMU {
-	return &MMU{TLB: tlb.NewHierarchy(cfg), PWC: tlb.NewPWC(cfg)}
+	return &MMU{TLB: tlb.NewHierarchy(cfg), PWC: tlb.NewPWC(cfg), HostPWC: tlb.NewPWC(cfg)}
 }
 
-// NewNested creates an MMU for virtualized runs: guest and host dimensions
-// get their own paging-structure caches.
-func NewNested(cfg tlb.Config) *MMU {
-	m := New(cfg)
-	m.HostPWC = tlb.NewPWC(cfg)
-	return m
-}
-
-// Translate performs one native reference. It returns false if va is
-// unmapped (a page fault the caller must service before retrying).
+// Translate performs one reference. With a nil hpt it translates va
+// natively through gpt. With a host table it runs in a VM: gVA→gPA through
+// the guest table gpt, gPA→hPA through hpt, and the TLB caches the combined
+// translation at the smaller of the two page sizes. It returns false if va
+// is unmapped (a page fault the caller must service before retrying); a
+// missing host mapping panics, because the hypervisor in this simulator
+// always backs guest memory.
 //
 // The common case — the overwhelming majority of references in any sampled
 // stream — hits the TLB, and hardware never walks the page table on a TLB
 // hit. The software model mirrors that asymmetry: a VA-only TLB probe runs
-// first, and pagetable.Lookup is consulted only on a probe miss (or fault).
+// first, and the page tables are consulted only on a probe miss (or fault).
 // This is sound because every remap shoots the page down (kernel.Shootdown →
 // FlushPage), so between flushes TLB entries are authoritative; it is
-// bit-identical because the probed tag carries the page size, which is all
-// the hit path ever used from the mapping.
-func (m *MMU) Translate(pt *pagetable.Table, va uint64, write bool) bool {
+// bit-identical because the probed tag carries the (effective) page size,
+// which is all the hit path ever used from the mappings.
+func (m *MMU) Translate(gpt, hpt *pagetable.Table, va uint64, write bool) bool {
 	if lvl, size, ok := m.TLB.Probe(va); ok {
-		return m.hitNative(pt, va, size, lvl)
+		return m.hit(gpt, hpt, va, size, lvl)
 	}
-	_, ok := m.missNative(pt, va, write)
+	_, ok := m.miss(gpt, hpt, va, write)
 	return ok
 }
 
 // resolveL1Missed is Translate for a reference already proven (by
 // tlb.SweepL1Runs) to miss every L1: the probe starts at the L2 stage. The
 // skipped L1 probes are stateless misses, so the outcome and every state
-// transition match Translate exactly. It reports the page size the
-// reference resolved at. The run-coalesced pipeline needs the size to
+// transition match Translate exactly. It reports the (effective) page size
+// the reference resolved at. The run-coalesced pipeline needs the size to
 // bulk-charge the rest of the run: resolving the leading reference leaves
 // its page's tag MRU in the L1 of that size (ProbeL2's insertMissed and the
 // walk's AccessMissedAll both install at MRU), so every remaining
 // same-page reference is a guaranteed L1 hit at exactly that size.
-func (m *MMU) resolveL1Missed(pt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
+func (m *MMU) resolveL1Missed(gpt, hpt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
 	if size, ok := m.TLB.ProbeL2(va); ok {
-		return size, m.hitNative(pt, va, size, tlb.HitL2)
+		return size, m.hit(gpt, hpt, va, size, tlb.HitL2)
 	}
-	return m.missNative(pt, va, write)
+	return m.miss(gpt, hpt, va, write)
 }
 
-// hitNative finishes a native translation satisfied by the TLB probe.
-func (m *MMU) hitNative(pt *pagetable.Table, va uint64, size units.PageSize, lvl tlb.Level) bool {
+// hit finishes a translation satisfied by the TLB probe. Entries are tagged
+// at the effective page size, so a hit recovers it without touching either
+// dimension's table.
+func (m *MMU) hit(gpt, hpt *pagetable.Table, va uint64, size units.PageSize, lvl tlb.Level) bool {
 	if m.ShadowCheck {
-		m.shadowCheckNative(pt, va, size)
+		m.shadowCheck(gpt, hpt, va, size)
 	}
 	st := &m.BySize[size]
 	st.Accesses++
@@ -113,129 +117,61 @@ func (m *MMU) hitNative(pt *pagetable.Table, va uint64, size units.PageSize, lvl
 	return true
 }
 
-// missNative resolves a native reference that missed the whole TLB probe:
-// page-table lookup, walk accounting, entry installation — or a fault. It
-// reports the mapped page size so run-coalesced callers can bulk-charge the
-// rest of the reference's run at it.
-func (m *MMU) missNative(pt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
-	// One walk resolves the mapping AND sets the accessed (and dirty) bits,
-	// exactly as the hardware walker does — a separate Lookup would descend
-	// to the same leaf twice.
-	_, mapping, ok := pt.Translate(va, write)
+// miss resolves a reference that missed the whole TLB probe: the walk
+// (two-dimensional under a host table), walk accounting and entry
+// installation — or a guest fault. It reports the effective page size so
+// run-coalesced callers can bulk-charge the rest of the reference's run at
+// it. The walk costs g + (g+1)·h memory accesses (§2), with h = 0 natively.
+func (m *MMU) miss(gpt, hpt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
+	// Each dimension's walk resolves its mapping AND sets its accessed (and
+	// dirty) bits in one descent, exactly as the hardware walker does — a
+	// separate Lookup would descend to the same leaf twice.
+	_, gm, ok := gpt.Translate(va, write)
 	if !ok {
 		m.Faults++
 		return 0, false
 	}
-	size := mapping.Size
+	size := gm.Size
+	g := m.PWC.WalkAccesses(va, gm.Size)
+	h := 0
+	if hpt != nil {
+		gpa := units.FrameAddr(gm.PFN) + (va - gm.VA)
+		_, hm, ok := hpt.Translate(gpa, write)
+		if !ok {
+			panic("mmu: guest physical address not backed by host mapping")
+		}
+		size = min(size, hm.Size)
+		h = m.HostPWC.WalkAccesses(gpa, hm.Size)
+	}
 	st := &m.BySize[size]
 	st.Accesses++
 	// The probe that routed us here covered every structure at every size,
 	// so this install cannot hit anything.
 	m.TLB.AccessMissedAll(va, size)
 	st.Walks++
-	st.WalkMemAccesses += uint64(m.PWC.WalkAccesses(va, size))
+	st.WalkMemAccesses += uint64(g + (g+1)*h)
 	return size, true
 }
 
-// shadowCheckNative verifies a native fast-path hit against the page table.
-func (m *MMU) shadowCheckNative(pt *pagetable.Table, va uint64, size units.PageSize) {
-	mapping, ok := pt.Lookup(va)
+// shadowCheck verifies a fast-path hit at the given size against the guest
+// table and, when hpt is non-nil, the host table.
+func (m *MMU) shadowCheck(gpt, hpt *pagetable.Table, va uint64, size units.PageSize) {
+	gm, ok := gpt.Lookup(va)
 	if !ok {
 		panic(fmt.Sprintf("mmu: shadow coherence: TLB hit at %#x (%v) but page is unmapped — stale entry survived a remap", va, size))
 	}
-	if mapping.Size != size {
-		panic(fmt.Sprintf("mmu: shadow coherence: TLB hit at %#x probed size %v but page table maps %v", va, size, mapping.Size))
-	}
-}
-
-// shadowCheckNested verifies a nested fast-path hit against both tables.
-func (m *MMU) shadowCheckNested(gpt, hpt *pagetable.Table, va uint64, eff units.PageSize) {
-	gm, ok := gpt.Lookup(va)
-	if !ok {
-		panic(fmt.Sprintf("mmu: shadow coherence: TLB hit at gVA %#x (%v) but guest page is unmapped — stale entry survived a remap", va, eff))
-	}
-	gpa := units.FrameAddr(gm.PFN) + (va - gm.VA)
-	hm, ok := hpt.Lookup(gpa)
-	if !ok {
-		panic(fmt.Sprintf("mmu: shadow coherence: gPA %#x of gVA %#x not backed by host mapping", gpa, va))
-	}
 	want := gm.Size
-	if hm.Size < want {
-		want = hm.Size
+	if hpt != nil {
+		gpa := units.FrameAddr(gm.PFN) + (va - gm.VA)
+		hm, ok := hpt.Lookup(gpa)
+		if !ok {
+			panic(fmt.Sprintf("mmu: shadow coherence: gPA %#x of gVA %#x not backed by host mapping", gpa, va))
+		}
+		want = min(want, hm.Size)
 	}
-	if want != eff {
-		panic(fmt.Sprintf("mmu: shadow coherence: TLB hit at gVA %#x probed size %v but effective mapped size is %v (guest %v, host %v)", va, eff, want, gm.Size, hm.Size))
+	if want != size {
+		panic(fmt.Sprintf("mmu: shadow coherence: TLB hit at %#x probed size %v but page tables map %v", va, size, want))
 	}
-}
-
-// TranslateNested performs one reference in a VM: gVA→gPA through the guest
-// table, gPA→hPA through the host table. The TLB caches the combined
-// translation at the smaller of the two page sizes. It returns false on a
-// guest fault; a missing host mapping panics, because the hypervisor in
-// this simulator always backs guest memory.
-func (m *MMU) TranslateNested(gpt, hpt *pagetable.Table, va uint64, write bool) bool {
-	if lvl, eff, ok := m.TLB.Probe(va); ok {
-		return m.hitNested(gpt, hpt, va, eff, lvl)
-	}
-	_, ok := m.missNested(gpt, hpt, va, write)
-	return ok
-}
-
-// resolveNestedL1Missed is resolveL1Missed for the nested path
-// (TranslateNested with the L1 probes skipped): the reported size is the
-// effective (combined gVA→hPA) page size the TLB entry was installed at,
-// which is what the rest of the run hits in the L1.
-func (m *MMU) resolveNestedL1Missed(gpt, hpt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
-	if eff, ok := m.TLB.ProbeL2(va); ok {
-		return eff, m.hitNested(gpt, hpt, va, eff, tlb.HitL2)
-	}
-	return m.missNested(gpt, hpt, va, write)
-}
-
-// hitNested finishes a nested translation satisfied by the TLB probe.
-// Combined gVA→hPA entries are tagged at the effective page size, so a hit
-// recovers eff without touching either dimension's table.
-func (m *MMU) hitNested(gpt, hpt *pagetable.Table, va uint64, eff units.PageSize, lvl tlb.Level) bool {
-	if m.ShadowCheck {
-		m.shadowCheckNested(gpt, hpt, va, eff)
-	}
-	st := &m.BySize[eff]
-	st.Accesses++
-	if lvl == tlb.HitL2 {
-		st.L2Hits++
-	}
-	return true
-}
-
-// missNested resolves a nested reference that missed the whole TLB probe:
-// the 2D walk — or a guest fault. It reports the effective page size for
-// run-coalesced callers.
-func (m *MMU) missNested(gpt, hpt *pagetable.Table, va uint64, write bool) (units.PageSize, bool) {
-	// As in missNative, each dimension's walk resolves its mapping and sets
-	// its accessed/dirty bits in one descent.
-	_, gm, ok := gpt.Translate(va, write)
-	if !ok {
-		m.Faults++
-		return 0, false
-	}
-	gpa := units.FrameAddr(gm.PFN) + (va - gm.VA)
-	_, hm, ok := hpt.Translate(gpa, write)
-	if !ok {
-		panic("mmu: guest physical address not backed by host mapping")
-	}
-	eff := gm.Size
-	if hm.Size < eff {
-		eff = hm.Size
-	}
-	st := &m.BySize[eff]
-	st.Accesses++
-	// As in missNative: the routing probe proved a full-hierarchy miss.
-	m.TLB.AccessMissedAll(va, eff)
-	st.Walks++
-	g := m.PWC.WalkAccesses(va, gm.Size)
-	h := m.HostPWC.WalkAccesses(gpa, hm.Size)
-	st.WalkMemAccesses += uint64(g + (g+1)*h)
-	return eff, true
 }
 
 // TranslateRuns translates a slice of page runs in stream order: one probe
@@ -257,8 +193,8 @@ func (m *MMU) missNested(gpt, hpt *pagetable.Table, va uint64, write bool) (unit
 // that of scalar translation: L1 hits never change TLB membership, while L2
 // hits and walks insert/evict entries that later probes must observe.
 //
-// hpt selects the mode: nil translates natively against gpt; non-nil runs
-// the nested gVA→hPA path.
+// hpt selects the mode, as in Translate: nil translates natively against
+// gpt; non-nil runs the nested gVA→hPA path.
 //
 // Byte-identity with the expanded per-reference loop rests on two facts
 // (DESIGN.md §5c): (1) only a run's leading reference can fault — the
@@ -283,12 +219,7 @@ func (m *MMU) TranslateRuns(gpt, hpt *pagetable.Table, runs []stream.Run) int {
 				// page, and the check is a pure read of the page tables, so
 				// checking the leading reference covers the run.
 				for k := done; k < done+n; k++ {
-					s := units.PageSize(sizes[k])
-					if hpt != nil {
-						m.shadowCheckNested(gpt, hpt, runs[k].VA, s)
-					} else {
-						m.shadowCheckNative(gpt, runs[k].VA, s)
-					}
+					m.shadowCheck(gpt, hpt, runs[k].VA, units.PageSize(sizes[k]))
 				}
 			}
 			for k := done; k < done+n; k++ {
@@ -303,13 +234,7 @@ func (m *MMU) TranslateRuns(gpt, hpt *pagetable.Table, runs []stream.Run) int {
 		// the scalar L2/walk path, then bulk-charge the run's remaining
 		// references as the guaranteed MRU L1 hits they are.
 		rn := runs[done]
-		var size units.PageSize
-		var ok bool
-		if hpt != nil {
-			size, ok = m.resolveNestedL1Missed(gpt, hpt, rn.VA, rn.Write)
-		} else {
-			size, ok = m.resolveL1Missed(gpt, rn.VA, rn.Write)
-		}
+		size, ok := m.resolveL1Missed(gpt, hpt, rn.VA, rn.Write)
 		if !ok {
 			return done
 		}
@@ -342,9 +267,7 @@ func (m *MMU) FlushPage(va uint64, size units.PageSize) {
 func (m *MMU) FlushAll() {
 	m.TLB.FlushAll()
 	m.PWC.Flush()
-	if m.HostPWC != nil {
-		m.HostPWC.Flush()
-	}
+	m.HostPWC.Flush()
 }
 
 // ResetStats zeroes counters while keeping cache contents warm (used

@@ -1,6 +1,8 @@
 package mmu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/pagetable"
@@ -16,14 +18,14 @@ func TestTranslateMissThenHit(t *testing.T) {
 	if err := pt.Map(0, 7, units.Size4K); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Translate(pt, 0x123, false) {
+	if !m.Translate(pt, nil, 0x123, false) {
 		t.Fatal("translate failed")
 	}
 	st := m.BySize[units.Size4K]
 	if st.Accesses != 1 || st.Walks != 1 || st.WalkMemAccesses != 4 {
 		t.Errorf("cold stats = %+v", st)
 	}
-	if !m.Translate(pt, 0x456, false) {
+	if !m.Translate(pt, nil, 0x456, false) {
 		t.Fatal("second translate failed")
 	}
 	st = m.BySize[units.Size4K]
@@ -39,7 +41,7 @@ func TestTranslateMissThenHit(t *testing.T) {
 func TestTranslateFault(t *testing.T) {
 	m := New(tlb.Skylake())
 	pt := pagetable.New()
-	if m.Translate(pt, 0x1000, false) {
+	if m.Translate(pt, nil, 0x1000, false) {
 		t.Error("unmapped address translated")
 	}
 	if m.Faults != 1 {
@@ -56,9 +58,9 @@ func TestPWCShortensWalks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Translate(pt, 0, false)
+	m.Translate(pt, nil, 0, false)
 	first := m.BySize[units.Size4K].WalkMemAccesses
-	m.Translate(pt, units.Page4K, false)
+	m.Translate(pt, nil, units.Page4K, false)
 	second := m.BySize[units.Size4K].WalkMemAccesses - first
 	if first != 4 || second != 1 {
 		t.Errorf("walk accesses = %d then %d, want 4 then 1", first, second)
@@ -75,7 +77,7 @@ func TestNestedWalkCosts(t *testing.T) {
 		{units.Size1G, units.Size1G, 8},
 	}
 	for _, c := range cases {
-		m := NewNested(tlb.Skylake())
+		m := New(tlb.Skylake())
 		gpt, hpt := pagetable.New(), pagetable.New()
 		if err := gpt.Map(0, 0, c.gs); err != nil { // gVA 0 → gPA 0
 			t.Fatal(err)
@@ -83,7 +85,7 @@ func TestNestedWalkCosts(t *testing.T) {
 		if err := hpt.Map(0, 0, c.hs); err != nil { // gPA 0 → hPA 0
 			t.Fatal(err)
 		}
-		if !m.TranslateNested(gpt, hpt, 0, false) {
+		if !m.Translate(gpt, hpt, 0, false) {
 			t.Fatalf("%v+%v: nested translate failed", c.gs, c.hs)
 		}
 		eff := c.gs
@@ -96,7 +98,7 @@ func TestNestedWalkCosts(t *testing.T) {
 }
 
 func TestNestedEffectiveSizeIsMin(t *testing.T) {
-	m := NewNested(tlb.Skylake())
+	m := New(tlb.Skylake())
 	gpt, hpt := pagetable.New(), pagetable.New()
 	// Guest maps 1GB, host backs with 4KB pages.
 	if err := gpt.Map(0, 0, units.Size1G); err != nil {
@@ -107,7 +109,7 @@ func TestNestedEffectiveSizeIsMin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.TranslateNested(gpt, hpt, 0, false)
+	m.Translate(gpt, hpt, 0, false)
 	if m.BySize[units.Size4K].Accesses != 1 {
 		t.Error("1GB-over-4KB not cached at 4KB effective size")
 	}
@@ -115,16 +117,16 @@ func TestNestedEffectiveSizeIsMin(t *testing.T) {
 		t.Error("wrongly credited to 1GB TLB")
 	}
 	// Different 4KB sub-page → different combined translation → TLB miss.
-	m.TranslateNested(gpt, hpt, units.Page4K, false)
+	m.Translate(gpt, hpt, units.Page4K, false)
 	if m.BySize[units.Size4K].Walks != 2 {
 		t.Errorf("walks = %d, want 2", m.BySize[units.Size4K].Walks)
 	}
 }
 
 func TestNestedGuestFault(t *testing.T) {
-	m := NewNested(tlb.Skylake())
+	m := New(tlb.Skylake())
 	gpt, hpt := pagetable.New(), pagetable.New()
-	if m.TranslateNested(gpt, hpt, 0, false) {
+	if m.Translate(gpt, hpt, 0, false) {
 		t.Error("nested translate of unmapped gVA succeeded")
 	}
 	if m.Faults != 1 {
@@ -133,7 +135,7 @@ func TestNestedGuestFault(t *testing.T) {
 }
 
 func TestNestedMissingHostMappingPanics(t *testing.T) {
-	m := NewNested(tlb.Skylake())
+	m := New(tlb.Skylake())
 	gpt, hpt := pagetable.New(), pagetable.New()
 	if err := gpt.Map(0, 0, units.Size4K); err != nil {
 		t.Fatal(err)
@@ -143,7 +145,65 @@ func TestNestedMissingHostMappingPanics(t *testing.T) {
 			t.Error("expected panic on unbacked gPA")
 		}
 	}()
-	m.TranslateNested(gpt, hpt, 0, false)
+	m.Translate(gpt, hpt, 0, false)
+}
+
+// TestShadowCheckCatchesStaleEntry proves the coherence mode fires: once a
+// cached page is remapped at another size without FlushPage, its next TLB
+// hit must panic — natively (the guest mapping changed) and nested (the
+// host backing was demoted, so the effective size shrank), through both
+// Translate and TranslateRuns' L1 sweep.
+func TestShadowCheckCatchesStaleEntry(t *testing.T) {
+	modes := []struct {
+		name   string
+		nested bool
+	}{{"native", false}, {"nested", true}}
+	paths := []struct {
+		name string
+		run  func(m *MMU, gpt, hpt *pagetable.Table)
+	}{
+		{"Translate", func(m *MMU, gpt, hpt *pagetable.Table) { m.Translate(gpt, hpt, 0, false) }},
+		{"TranslateRuns", func(m *MMU, gpt, hpt *pagetable.Table) {
+			m.TranslateRuns(gpt, hpt, []stream.Run{{Access: stream.Access{VA: 0}, Len: 1}})
+		}},
+	}
+	for _, mode := range modes {
+		for _, path := range paths {
+			t.Run(mode.name+"/"+path.name, func(t *testing.T) {
+				m := New(tlb.Skylake())
+				m.ShadowCheck = true
+				gpt := pagetable.New()
+				if err := gpt.Map(0, 0, units.Size2M); err != nil {
+					t.Fatal(err)
+				}
+				var hpt *pagetable.Table
+				if mode.nested {
+					hpt = pagetable.New()
+					if err := hpt.Map(0, 0, units.Size2M); err != nil {
+						t.Fatal(err)
+					}
+				}
+				path.run(m, gpt, hpt) // walk: installs a 2MB entry
+				path.run(m, gpt, hpt) // coherent hit: the check passes
+				if m.BySize[units.Size2M].Accesses != 2 || m.BySize[units.Size2M].Walks != 1 {
+					t.Fatalf("warmup stats = %+v, want 2 accesses and 1 walk at 2MB", m.BySize[units.Size2M])
+				}
+				stale := gpt
+				if mode.nested {
+					stale = hpt
+				}
+				if err := stale.Demote(0); err != nil { // no FlushPage
+					t.Fatal(err)
+				}
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shadow coherence") {
+						t.Errorf("stale 2MB hit over a 4KB mapping: recovered %v, want a shadow coherence panic", r)
+					}
+				}()
+				path.run(m, gpt, hpt)
+			})
+		}
+	}
 }
 
 func TestFlushPage(t *testing.T) {
@@ -152,9 +212,9 @@ func TestFlushPage(t *testing.T) {
 	if err := pt.Map(0, 1, units.Size2M); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(pt, 0, false)
+	m.Translate(pt, nil, 0, false)
 	m.FlushPage(0, units.Size2M)
-	m.Translate(pt, 0, false)
+	m.Translate(pt, nil, 0, false)
 	if m.BySize[units.Size2M].Walks != 2 {
 		t.Errorf("walks after flush = %d, want 2", m.BySize[units.Size2M].Walks)
 	}
@@ -166,12 +226,12 @@ func TestResetStatsKeepsWarmth(t *testing.T) {
 	if err := pt.Map(0, 1, units.Size4K); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(pt, 0, false)
+	m.Translate(pt, nil, 0, false)
 	m.ResetStats()
 	if m.Totals().Accesses != 0 {
 		t.Error("stats not reset")
 	}
-	m.Translate(pt, 0, false)
+	m.Translate(pt, nil, 0, false)
 	if m.BySize[units.Size4K].Walks != 0 {
 		t.Error("ResetStats cleared TLB contents")
 	}
@@ -194,7 +254,7 @@ func TestWalkOverheadOrderingAcrossSizes(t *testing.T) {
 		}
 		rng := xrand.New(5)
 		for i := 0; i < accesses; i++ {
-			if !m.Translate(pt, rng.Uint64n(footprint), false) {
+			if !m.Translate(pt, nil, rng.Uint64n(footprint), false) {
 				t.Fatal("translate failed")
 			}
 		}
@@ -220,7 +280,7 @@ func BenchmarkTranslateWarm(b *testing.B) {
 	rng := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Translate(pt, rng.Uint64n(units.Page1G), false)
+		m.Translate(pt, nil, rng.Uint64n(units.Page1G), false)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	touch := func(stage string) {
 		for pass := 0; pass < 2; pass++ {
 			for off := uint64(0); off < units.Page1G; off += 37 * units.Page2M / 5 {
-				if !m.Translate(pt, va+off, pass == 1) {
+				if !m.Translate(pt, nil, va+off, pass == 1) {
 					t.Fatalf("%s: unexpected fault at %#x", stage, va+off)
 				}
 			}
@@ -99,7 +99,7 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	if err := k.UnmapFree(task, va, units.Size2M); err != nil {
 		t.Fatal(err)
 	}
-	if m.Translate(pt, va, false) {
+	if m.Translate(pt, nil, va, false) {
 		t.Fatal("translation succeeded on an unmapped page")
 	}
 	if m.Faults != 1 {

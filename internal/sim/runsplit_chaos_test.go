@@ -128,7 +128,7 @@ func TestChaosRunSplitEquivalence(t *testing.T) {
 		lead := stream.Access{VA: base2 + uint64(i*stride)*units.Page4K + uint64(i%7)*64, Write: i%3 == 0}
 		for j := 0; j < runLen; j++ {
 			for attempt := 0; attempt < 3; attempt++ {
-				if m2.Translate(task2.AS.PT, lead.VA, lead.Write) {
+				if m2.Translate(task2.AS.PT, nil, lead.VA, lead.Write) {
 					break
 				}
 				_, err := p2.Handle(task2, lead.VA)

@@ -165,10 +165,9 @@ type Config struct {
 	// KhugepagedBudgetFrac caps guest daemon CPU at this fraction of a vCPU
 	// (Figure 13 uses 0.10); 0 = unlimited.
 	KhugepagedBudgetFrac float64
-	// Pv enables Trident_pv's copy-less promotion in the guest;
-	// PvUnbatched uses one hypercall per page instead of batching.
-	Pv          bool
-	PvUnbatched bool
+	// Pv enables Trident_pv's copy-less promotion in the guest, with
+	// batched hypercalls.
+	Pv bool
 
 	// TLB overrides the translation-cache geometry (nil = tlb.Skylake()).
 	// Tests use proportionally shrunken TLBs with shrunken footprints.
@@ -294,6 +293,9 @@ type runner struct {
 	k    *kernel.Kernel // the kernel serving the measured task (guest if virtualized)
 	host *kernel.Kernel // host kernel (virtualized runs)
 	vm   *virt.VM
+	// hpt is the host (gPA→hPA) table of a virtualized run, nil natively;
+	// it selects the MMU's translation mode.
+	hpt  *pagetable.Table
 	m    *mmu.MMU
 	task *kernel.Task
 	inst *workload.Instance
@@ -447,11 +449,7 @@ func (r *runner) ctxErr() error {
 func (r *runner) audit() error {
 	var views []audit.TLBView
 	if r.m != nil && r.task != nil {
-		v := audit.TLBView{H: r.m.TLB, Task: r.task}
-		if r.vm != nil {
-			v.HostPT = r.vm.HostPT()
-		}
-		views = append(views, v)
+		views = append(views, audit.TLBView{H: r.m.TLB, Task: r.task, HostPT: r.hpt})
 	}
 	if err := audit.Check(audit.Machine{K: r.k, TLBs: views}); err != nil {
 		return err
@@ -507,16 +505,16 @@ func (r *runner) buildMachine() error {
 			return err
 		}
 		r.vm = vm
+		r.hpt = vm.HostPT()
 		r.k = vm.Guest
-		r.m = mmu.NewNested(*cfg.TLB)
 		switch cfg.HostPolicy {
 		case PolicyTrident, PolicyTrident1GOnly, PolicyTridentNC:
 			r.hostPromote = promote.NewTrident(r.host, zerofill.New(r.host))
 		}
 	} else {
 		r.k = acquireKernel(memBytes, maxOrderFor(cfg.Policy))
-		r.m = mmu.New(*cfg.TLB)
 	}
+	r.m = mmu.New(*cfg.TLB)
 
 	if cfg.Fragment {
 		footprint := uint64(float64(cfg.Workload.Footprint) * cfg.Scale)
@@ -715,7 +713,7 @@ func (r *runner) buildPolicy(k *kernel.Kernel, kind PolicyKind, measured bool) (
 			r.bloat = hawkeye.New(k)
 			r.promoted.OnPromote = r.bloat.TrackPromotion
 			if r.cfg.Pv && r.vm != nil {
-				r.bridge = r.vm.AttachPvExchange(r.promoted, !r.cfg.PvUnbatched)
+				r.bridge = r.vm.AttachPvExchange(r.promoted, true)
 			}
 		}
 		return sys.Fault, nil
@@ -980,15 +978,11 @@ func (r *runner) translateRuns(runs []stream.Run) float64 {
 	r.runs = runs[:0] // retain a grown buffer for the next batch
 	var stall float64
 	gpt := r.task.AS.PT
-	var hpt *pagetable.Table
-	if r.vm != nil {
-		hpt = r.vm.HostPT()
-	}
 	off := 0
 	attempts := 0
 	faultRun := -1
 	for off < len(runs) {
-		n := r.m.TranslateRuns(gpt, hpt, runs[off:])
+		n := r.m.TranslateRuns(gpt, r.hpt, runs[off:])
 		off += n
 		if off == len(runs) {
 			break
@@ -1022,13 +1016,7 @@ func (r *runner) translateRuns(runs []stream.Run) float64 {
 func (r *runner) translateWithFaults(va uint64, write bool) float64 {
 	var stall float64
 	for attempt := 0; attempt < 3; attempt++ {
-		ok := false
-		if r.vm != nil {
-			ok = r.m.TranslateNested(r.task.AS.PT, r.vm.HostPT(), va, write)
-		} else {
-			ok = r.m.Translate(r.task.AS.PT, va, write)
-		}
-		if ok {
+		if r.m.Translate(r.task.AS.PT, r.hpt, va, write) {
 			return stall
 		}
 		res, err := r.policy.Handle(r.task, va)

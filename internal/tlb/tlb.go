@@ -207,19 +207,8 @@ func (t *TLB) Lookup(tag uint64) bool {
 }
 
 func (t *TLB) lookupSlow(tag uint64, b int) bool {
-	set := t.lines[b : b+t.ways]
-	for w := 1; w < len(set); w++ {
-		if set[w] == tag {
-			// Manual backward shift: ways are tiny (4-32), so an explicit
-			// loop beats copy()'s memmove dispatch on the hottest path in
-			// the simulator.
-			for j := w; j > 0; j-- {
-				set[j] = set[j-1]
-			}
-			set[0] = tag
-			t.hits++
-			return true
-		}
+	if t.lookupHitSlow(tag, b) {
+		return true
 	}
 	t.misses++
 	return false
@@ -253,6 +242,9 @@ func (t *TLB) lookupHitSlow(tag uint64, b int) bool {
 	set := t.lines[b : b+t.ways]
 	for w := 1; w < len(set); w++ {
 		if set[w] == tag {
+			// Manual backward shift: ways are tiny (4-32), so an explicit
+			// loop beats copy()'s memmove dispatch on the hottest path in
+			// the simulator.
 			for j := w; j > 0; j-- {
 				set[j] = set[j-1]
 			}
@@ -277,12 +269,11 @@ func (t *TLB) bulkHits(n uint64) { t.hits += n }
 
 // Insert installs tag as MRU of its set, evicting the LRU way if needed.
 func (t *TLB) Insert(tag uint64) {
-	s := t.setOf(tag)
-	b := s * t.ways
+	b := t.base(tag)
 	set := t.lines[b : b+t.ways]
-	// Already present? Just promote. (This scan must complete before the
-	// empty-way scan below: an invalidated way at a lower index than the
-	// existing entry must not cause a duplicate insertion.)
+	// Already present? Just promote. (This scan must complete before
+	// insertMissed's empty-way scan: an invalidated way at a lower index
+	// than the existing entry must not cause a duplicate insertion.)
 	for w, line := range set {
 		if line == tag {
 			for j := w; j > 0; j-- {
@@ -292,34 +283,14 @@ func (t *TLB) Insert(tag uint64) {
 			return
 		}
 	}
-	// Fill an invalidated way if one exists; otherwise the LRU way (last)
-	// falls out. Either way the new entry becomes MRU.
-	slot := t.ways - 1
-	if !t.setFull(s) {
-		for w, line := range set {
-			if line == invalidTag {
-				slot = w
-				break
-			}
-		}
-	}
-	if old := set[slot]; old != invalidTag {
-		t.countInc(old, s, -1)
-		t.sigDel(s, old)
-	} else {
-		t.live[s]++
-	}
-	t.countInc(tag, s, +1)
-	t.sigAdd(s, tag)
-	for j := slot; j > 0; j-- {
-		set[j] = set[j-1]
-	}
-	set[0] = tag
+	t.insertMissed(tag)
 }
 
 // insertMissed is Insert for a tag the caller has proven absent (by a
-// completed miss probe of this structure): the duplicate-promotion scan is
-// skipped. The resulting set contents are exactly Insert's.
+// completed miss probe of this structure, or Insert's own scan): the
+// duplicate-promotion scan is skipped. It fills an invalidated way if one
+// exists; otherwise the LRU way (last) falls out. Either way the new entry
+// becomes MRU.
 func (t *TLB) insertMissed(tag uint64) {
 	s := t.setOf(tag)
 	b := s * t.ways

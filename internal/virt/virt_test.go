@@ -63,8 +63,8 @@ func TestNestedTranslationThroughVM(t *testing.T) {
 	if _, err := thp.Handle(gt, gva); err != nil {
 		t.Fatal(err)
 	}
-	m := mmu.NewNested(tlb.Skylake())
-	if !m.TranslateNested(gt.AS.PT, vm.HostPT(), gva, false) {
+	m := mmu.New(tlb.Skylake())
+	if !m.Translate(gt.AS.PT, vm.HostPT(), gva, false) {
 		t.Fatal("nested translation failed")
 	}
 	// Effective size = min(guest 2MB, host 1GB) = 2MB.

@@ -164,9 +164,9 @@ type PvBridge = virt.PvBridge
 // caches, nested walks).
 type MMU = mmu.MMU
 
-// NewMMU creates a native-mode MMU; NewNestedMMU one for VMs.
-func NewMMU(cfg TLBConfig) *MMU       { return mmu.New(cfg) }
-func NewNestedMMU(cfg TLBConfig) *MMU { return mmu.NewNested(cfg) }
+// NewMMU creates an MMU for native and virtualized runs alike: a nil host
+// table passed to its Translate means native.
+func NewMMU(cfg TLBConfig) *MMU { return mmu.New(cfg) }
 
 // VMAKind classifies virtual memory areas.
 type VMAKind = vmm.Kind
