@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 verification (ROADMAP.md): build, vet, full tests, the race
+# Tier-1 verification (ROADMAP.md): build, vet, a gofmt gate, full tests, the race
 # detector on the concurrent packages, the shadow-coherence tests and the
 # chaos/audit robustness suites, 10s fuzz smokes of the audit-checked
 # kernel-op fuzzer, of the fragmenter's computed-vs-per-page equivalence
@@ -9,8 +9,8 @@
 # the machine pool's contract), a one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
-# outputs against bench/golden) plus a short fragmented-memory benchmark
-# run checked against bench/golden, the tridentlint determinism & layering
+# outputs against bench/golden) plus short fragmented-memory and
+# virtualized benchmark runs checked against bench/golden, the tridentlint determinism & layering
 # suite (self-clean gate plus a negative gate on seeded violations,
 # DESIGN.md §8), a traced experiment validated by tracecheck
 # (observability gate, DESIGN.md §7) and then resumed from its result
@@ -27,6 +27,15 @@ set -eux
 
 go build ./...
 go vet ./...
+
+# Formatting gate: every Go file outside the lint fixtures (testdata/,
+# seeded violations kept as written) and the benchmark's build area is
+# gofmt-clean.
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt needed: $unformatted" >&2
+  exit 1
+fi
 
 # Determinism & layering lint (tridentlint, DESIGN.md §8), five checks:
 # the dependency table — import DAG, no host clock in the simulated world,
@@ -79,14 +88,16 @@ go test -run '^$' -bench=. -benchtime=1x ./...
 # `bash bench/run.sh --workload W --seed N`, not from this gate.
 (cd bench && GOWORK=off go test ./...)
 
-# TestSmoke skips fig10-frag, the workload that runs the fragmenter: one
-# short run must still match bench/golden (run.sh exits 1 if not).
+# TestSmoke skips fig10-frag, the workload that runs the fragmenter, and
+# fig12-virt, the only virtualized one (nested translation): one short run
+# of each must still match bench/golden (run.sh exits 1 if not).
 obsdir=$(mktemp -d)
 svcdir=$(mktemp -d)
 benchdir=$(mktemp -d)
 trap 'rm -rf "$obsdir" "$svcdir" "$benchdir"; kill -9 $svcpid 2>/dev/null || true' EXIT
 svcpid=""
 bash bench/run.sh --workload fig10-frag --seed 1 --seconds 1 --trace 0 -out "$benchdir" >/dev/null
+bash bench/run.sh --workload fig12-virt --seed 1 --seconds 1 --trace 0 -out "$benchdir" >/dev/null
 
 # Observability gate: a small traced experiment must produce a valid
 # Perfetto trace (parse, monotonic per-track timestamps, balanced spans)

@@ -69,7 +69,7 @@ type callGraph struct {
 	// FileNames order, declarations in source order.
 	funcs []*callNode
 
-	namedTypes []types.Type              // module named types, for implements-sets
+	namedTypes []types.Type                // module named types, for implements-sets
 	implCache  map[*types.Func][]*callNode // interface method -> implementing methods
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -48,7 +49,7 @@ func runUntil(t *testing.T, s *Service, req SweepRequest, states ...string) Swee
 
 func readReport(t *testing.T, s *Service, id string) string {
 	t.Helper()
-	data, err := os.ReadFile(s.ReportPath(id))
+	data, err := s.report(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCompletedCountsCellsTheStoreHolds(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "store", lost+".entry")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(s1.ReportPath(swB.ID)); err != nil {
+	if err := os.Remove(filepath.Join(dir, "sweeps", swB.ID+".report.entry")); err != nil {
 		t.Fatal(err)
 	}
 	runner.ResetCache()
@@ -231,5 +232,104 @@ func TestStoreCrashPoints(t *testing.T) {
 				t.Fatalf("drain after write %d, resumed: %d store hits, want %d", n, cs.StoreHits, n)
 			}
 		})
+	}
+}
+
+// TestRecordCrashPoints is TestStoreCrashPoints' sibling over the sweep
+// records: each records write of a tiny sweep — the request, then the
+// report — is torn or refused in turn, and a restart with Resume over the
+// same directories must recover what DESIGN.md §9 promises:
+//   - a refused request fails Submit, and a torn one is quarantined and
+//     leaves no sweep (it was never durably acknowledged);
+//   - a refused report fails the sweep with the error recorded, and a torn
+//     one is quarantined; either way the restart re-runs the sweep,
+//     replaying every cell from the result store, to the reference report.
+func TestRecordCrashPoints(t *testing.T) {
+	defer runner.ResetCache()
+	req := tinyReq()
+	// recorded builds a fresh service over dir whose record writes pass
+	// through inj, with the result store at <dir>/store as New lays it out.
+	recorded := func(t *testing.T, dir string, inj store.FaultInjector) *Service {
+		t.Helper()
+		st, err := store.Open("fs:" + filepath.Join(dir, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := open(Config{Store: st, Parallelism: 1}, countedStore(t, filepath.Join(dir, "sweeps"), inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	runner.ResetCache()
+	clean := &writeCounter{}
+	s := recorded(t, t.TempDir(), clean)
+	ref := runUntil(t, s, req, StateDone)
+	want := readReport(t, s, ref.ID)
+	if clean.n != 2 {
+		t.Fatalf("fault-free sweep made %d record writes, want 2 (request, report)", clean.n)
+	}
+
+	for n := 1; n <= clean.n; n++ {
+		for _, tear := range []bool{true, false} {
+			name := fmt.Sprintf("refused-%d", n)
+			if tear {
+				name = fmt.Sprintf("torn-%d", n)
+			}
+			t.Run(name, func(t *testing.T) {
+				runner.ResetCache()
+				dir := t.TempDir()
+				s1 := recorded(t, dir, &writeCounter{at: n, tear: tear, err: syscall.ENOSPC})
+				drain := serve(t, s1)
+				sw, err := s1.Submit(req)
+				switch {
+				case n == 1 && !tear:
+					if err == nil {
+						t.Fatal("refused request: Submit succeeded")
+					}
+					if len(s1.List()) != 0 {
+						t.Fatal("refused request: the sweep is known")
+					}
+				case err != nil:
+					t.Fatal(err)
+				default:
+					got := waitState(t, s1, sw.ID, StateDone, StateFailed)
+					if tear && got.State != StateDone {
+						t.Fatalf("torn record %d: sweep %q (%q), want done", n, got.State, got.Error)
+					}
+					if n == 2 && !tear && (got.State != StateFailed || !strings.Contains(got.Error, "writing report")) {
+						t.Fatalf("refused report: sweep %q (%q), want failed with the write error", got.State, got.Error)
+					}
+				}
+				drain()
+
+				runner.ResetCache()
+				s2 := newService(t, Config{Dir: dir, Parallelism: 1, Resume: true})
+				if n == 1 {
+					if len(s2.List()) != 0 {
+						t.Fatalf("%s: the restart knows %d sweeps, want none", name, len(s2.List()))
+					}
+				} else {
+					if got, _ := s2.Get(ref.ID); got.State != StateQueued {
+						t.Fatalf("%s: restart sees the sweep %q, want queued", name, got.State)
+					}
+					runUntil(t, s2, req, StateDone)
+					if got := readReport(t, s2, ref.ID); got != want {
+						t.Fatalf("%s: re-run report differs:\n--- want\n%s--- got\n%s", name, want, got)
+					}
+					if cs := runner.Cache(); cs.Misses != 0 || cs.StoreHits != uint64(ref.Jobs) {
+						t.Fatalf("%s: re-run executed %d and reloaded %d, want 0 and %d", name, cs.Misses, cs.StoreHits, ref.Jobs)
+					}
+				}
+				wantQ := 0
+				if tear {
+					wantQ = 1
+				}
+				if q, _ := os.ReadDir(filepath.Join(dir, "sweeps", "quarantine")); len(q) != wantQ {
+					t.Fatalf("%s: %d quarantined records, want %d", name, len(q), wantQ)
+				}
+			})
+		}
 	}
 }

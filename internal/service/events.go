@@ -3,8 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -14,15 +12,18 @@ import (
 //
 // Every sweep owns an eventLog with two faces:
 //
-//   - The journal: the durable, deterministic record of one execution
-//     attempt, one NDJSON line per event, written to
-//     <sweepDir>/events.ndjson. Journaled events carry NO wall-clock
-//     fields — only sequence numbers, identities (sweep id, job index,
-//     memo fingerprint) and the exact CSV bytes of the report — so the
-//     journal of a finished sweep is byte-identical whether the run was
-//     uninterrupted, crashed and resumed, or served entirely from the
-//     memo tiers. The journal is truncated and rewritten at the start of
-//     every attempt; replayed results re-emit the identical prefix.
+//   - The journal: the deterministic record of one execution attempt, one
+//     NDJSON line per event, held in memory. Journaled events carry NO
+//     wall-clock fields — only sequence numbers, identities (sweep id, job
+//     index, memo fingerprint) and the exact CSV bytes of the report — so
+//     the journal of a finished sweep is byte-identical whether the run
+//     was uninterrupted, crashed and resumed, or served entirely from the
+//     memo tiers. The journal is reset at the start of every attempt;
+//     replayed results re-emit the identical prefix. It is not stored:
+//     a finished sweep's journal is a pure function of its grid
+//     fingerprints and its report, so a restarted service rebuilds it
+//     from the verified report (rebuild), and an unfinished sweep has no
+//     journal until its next attempt begins.
 //   - The stream: an append-only in-memory feed for live subscribers
 //     (GET /sweeps/{id}/events). It interleaves the journaled events with
 //     ephemeral lifecycle events (state transitions, retries) that may
@@ -87,9 +88,6 @@ func jline(v any) string {
 // one writer (the Run loop) and any number of stream subscribers.
 type eventLog struct {
 	mu sync.Mutex
-	// path is <sweepDir>/events.ndjson; f is open while an attempt runs.
-	path string
-	f    *os.File
 	// journal holds the current attempt's journaled lines; index == seq.
 	journal []string
 	// stream is the append-only live feed for this process: journaled
@@ -100,66 +98,32 @@ type eventLog struct {
 	notify chan struct{}
 	// finished: no more events will arrive until the next begin().
 	finished bool
-	// loaded: journal was recovered from disk (sweep finished in an
-	// earlier process; this one only replays).
-	loaded bool
-	// ioErr records the first journal-file write error of the attempt;
-	// finish() surfaces it. A failed journal write degrades observability,
-	// never the sweep — the report stays the source of truth — but the
-	// failure must reach a log line, not vanish.
-	ioErr error
 	// onEmit, when non-nil, is called once per emitted event (metrics).
 	onEmit func()
 }
 
-func newEventLog(path string, onEmit func()) *eventLog {
-	return &eventLog{path: path, notify: make(chan struct{}), onEmit: onEmit}
+func newEventLog(onEmit func()) *eventLog {
+	return &eventLog{notify: make(chan struct{}), onEmit: onEmit}
 }
 
-// begin opens a fresh attempt: the journal file is truncated and the
-// in-memory journal reset, so results replayed from the store rebuild an
-// identical journal and the file never mixes events of two attempts.
-// The open and the close of any previous attempt's file happen outside
-// l.mu — only the pointer swap needs the lock.
-func (l *eventLog) begin() error {
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: opening event journal: %w", err)
-	}
+// begin opens a fresh attempt: the journal is reset, so results replayed
+// from the store rebuild an identical journal and it never mixes events of
+// two attempts.
+func (l *eventLog) begin() {
 	l.mu.Lock()
-	old := l.f
-	l.f = f
 	l.journal = l.journal[:0]
 	l.finished = false
-	l.loaded = false
-	l.ioErr = nil
 	l.mu.Unlock()
-	if old != nil {
-		if err := old.Close(); err != nil {
-			return fmt.Errorf("service: closing previous event journal: %w", err)
-		}
-	}
-	return nil
 }
 
-// journaled appends one durable event: render is handed the next seq and
-// returns the line, which is recorded in the journal (index == seq),
-// written to the journal file, and broadcast to live subscribers. The seq
-// is assigned and the line appended under one lock, so lines and sequence
-// numbers can never interleave.
+// journaled appends one journal event: render is handed the next seq and
+// returns the line, which is recorded in the journal (index == seq) and
+// broadcast to live subscribers. The seq is assigned and the line appended
+// under one lock, so lines and sequence numbers can never interleave.
 func (l *eventLog) journaled(render func(seq int) string) {
 	l.mu.Lock()
 	line := render(len(l.journal))
 	l.journal = append(l.journal, line)
-	if l.f != nil {
-		// The seq assignment and the file append are one atomic step —
-		// that is the whole point of this lock — so this is the one
-		// journal write that stays inside the critical section.
-		//lint:ignore lockflow seq assignment and journal append must be atomic; the write is bounded and DESIGN.md §10 documents the tradeoff
-		if _, err := l.f.WriteString(line + "\n"); err != nil && l.ioErr == nil {
-			l.ioErr = err
-		}
-	}
 	l.appendStreamLocked(line)
 	l.mu.Unlock()
 }
@@ -180,61 +144,39 @@ func (l *eventLog) appendStreamLocked(line string) {
 	}
 }
 
-// finish seals the attempt: the journal file is synced and closed, and
-// subscribers are woken so they can drain and disconnect. The file is
-// detached under l.mu and synced outside it — once l.f is nil no
-// journaled() call can write, so the sync races with nothing. The
-// returned error is the attempt's first journal IO failure (write, sync
-// or close); callers log it, because a journal that silently lost bytes
-// would break the event-replay gate with no trace.
-func (l *eventLog) finish() error {
+// finish seals the attempt: subscribers are woken so they can drain and
+// disconnect.
+func (l *eventLog) finish() {
 	l.mu.Lock()
-	f := l.f
-	l.f = nil
 	l.finished = true
-	err := l.ioErr
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
-	if f != nil {
-		if serr := f.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
 }
 
-// load recovers the journal from disk for a sweep that finished in an
-// earlier process (Resume path): subscribers replay it even though no
-// events were emitted in this process. Idempotent. The disk read happens
-// outside l.mu; the install is double-checked, so a concurrent begin()
-// (which would truncate the file mid-read) simply wins — its non-nil l.f
-// vetoes the install.
-func (l *eventLog) load() {
+// rebuild restores the journal of a sweep that finished in an earlier
+// process from its verified report and seals the log. Report ≡ header +
+// one row per grid cell (stats.Table.CSV ≡ HeaderCSV + RowCSV*), so the
+// lines are rendered by the same emitters the finished attempt used — on
+// a scratch log, keeping only its journal: nothing was emitted in this
+// process. A report that does not split into one row per cell is not this
+// sweep's, and rebuild reports false.
+func (l *eventLog) rebuild(id string, fps []string, report []byte) bool {
+	lines := strings.Split(strings.TrimSuffix(string(report), "\n"), "\n")
+	if len(lines) != len(fps)+1 {
+		return false
+	}
+	scratch := newEventLog(nil)
+	scratch.sweepStarted(id, len(fps), lines[0])
+	for i, row := range lines[1:] {
+		scratch.row(id, i, fps[i], row)
+	}
+	scratch.sweepDone(id, len(fps))
 	l.mu.Lock()
-	need := !l.loaded && len(l.journal) == 0 && l.f == nil
+	l.journal = scratch.journal
 	l.mu.Unlock()
-	if !need {
-		return
-	}
-	data, err := os.ReadFile(l.path)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.loaded || len(l.journal) > 0 || l.f != nil {
-		return
-	}
-	l.loaded = true
-	if err != nil {
-		return // no journal (pre-observability sweep dir): stream is empty
-	}
-	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-		if line != "" {
-			l.journal = append(l.journal, line)
-		}
-	}
+	l.finish()
+	return true
 }
 
 // replay returns the journaled lines with seq > after, the live-stream
@@ -242,7 +184,6 @@ func (l *eventLog) load() {
 // finished flag and the broadcast channel. The subscriber writes the
 // returned lines, then follows the stream from cursor via next().
 func (l *eventLog) replay(after int) (lines []string, cursor int, finished bool, notify <-chan struct{}) {
-	l.load()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if after < len(l.journal) {
@@ -299,12 +240,4 @@ func terminalStateLine(sw Sweep) string {
 		Event: "state", Sweep: sw.ID, State: sw.State, Error: sw.Error,
 		Attempt: sw.Attempts, TsMs: time.Now().UnixMilli(),
 	})
-}
-
-// eventsPath is where a sweep's journal lives. Unlike request.json and
-// report.csv it is appended live, not written atomically: a torn tail is
-// harmless because the next attempt truncates and rewrites it, and replay
-// of a finished sweep only ever reads a journal sealed by finish().
-func (s *Service) eventsPath(id string) string {
-	return filepath.Join(s.sweepDir(id), "events.ndjson")
 }

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -211,18 +214,10 @@ func TestEventStreamFollowsLiveSweep(t *testing.T) {
 	go func() { done <- s.Run(ctx) }()
 	defer func() { cancel(); <-done }()
 
-	// The scanner ends only when the handler closes the stream after the
-	// terminal state event — reaching this loop's end IS the liveness
-	// assertion (a handler that never finishes would hang the test).
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("reading stream: %v", err)
-	}
+	// The read ends only when the handler closes the stream after the
+	// terminal state event — returning IS the liveness assertion (a
+	// handler that never finishes would hang the test).
+	lines := streamLines(t, resp.Body)
 
 	evs := parseEvents(t, strings.Join(lines, "\n"))
 	rows, sawRunning := 0, false
@@ -341,5 +336,147 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	}
 	if got := metric(`trident_service_sweeps{state="done"}`); got != 1 {
 		t.Errorf(`sweeps{state="done"} = %v, want 1`, got)
+	}
+}
+
+// streamLines reads a sweep's whole event stream (it ends on its own once
+// the sweep is terminal) and returns its lines.
+func streamLines(t *testing.T, body io.Reader) []string {
+	t.Helper()
+	var lines []string
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Errorf("reading stream: %v", err)
+	}
+	return lines
+}
+
+// httpGet fetches url and returns its body.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d:\n%s", url, resp.StatusCode, body)
+	}
+	return string(body)
+}
+
+// TestResumedSweepStreamsOnlyItsNewAttempt: a sweep that a drain
+// interrupted and Resume re-enqueued has no journal until it runs again. A
+// subscriber who joins before the new attempt starts must get only that
+// attempt's events — no line of the interrupted attempt, no sequence
+// number twice — and the stream must still reassemble to the report.
+func TestResumedSweepStreamsOnlyItsNewAttempt(t *testing.T) {
+	runner.ResetCache()
+	defer runner.ResetCache()
+	dir := t.TempDir()
+	req := tinyReq()
+
+	// Drain right after the first result is durable: the sweep stops
+	// mid-way with part of its journal emitted.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := countedStore(t, filepath.Join(dir, "store"), &writeCounter{at: 1, onHit: cancel})
+	s1 := newService(t, Config{Dir: dir, Store: st, Parallelism: 1})
+	sw, err := s1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s1.Get(sw.ID); got.State != StateInterrupted {
+		t.Fatalf("drained sweep is %q, want interrupted", got.State)
+	}
+
+	runner.ResetCache()
+	s2 := newService(t, Config{Dir: dir, Parallelism: 1, Resume: true})
+	srv := httptest.NewServer(s2.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/sweeps/" + sw.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got := make(chan []string, 1)
+	go func() { got <- streamLines(t, resp.Body) }()
+	// Let the handler send whatever it holds for the queued sweep before
+	// the new attempt begins.
+	time.Sleep(100 * time.Millisecond)
+	drain := serve(t, s2)
+	lines := <-got
+	drain()
+
+	evs := parseEvents(t, strings.Join(lines, "\n"))
+	// A subscriber that joined in time sees the new attempt's running
+	// state first; any journaled line before it is the old attempt's.
+	started := slices.IndexFunc(evs, func(e streamEvent) bool { return e.Seq == nil && e.State == StateRunning })
+	seen := map[int]bool{}
+	for i, ev := range evs {
+		if ev.Seq == nil {
+			continue
+		}
+		if i < started {
+			t.Fatalf("journaled event %s (seq %d) arrived before the new attempt started:\n%s",
+				ev.Event, *ev.Seq, strings.Join(lines, "\n"))
+		}
+		if seen[*ev.Seq] {
+			t.Fatalf("seq %d delivered twice:\n%s", *ev.Seq, strings.Join(lines, "\n"))
+		}
+		seen[*ev.Seq] = true
+	}
+	report := httpGet(t, srv.URL+"/sweeps/"+sw.ID+"/report")
+	if got := reassemble(t, evs); got != report {
+		t.Fatalf("stream != report:\n--- stream ---\n%s--- report ---\n%s", got, report)
+	}
+}
+
+// TestRecoveredJournalMatchesFirstProcess: a sweep that finished in an
+// earlier process streams the same journal after a restart, byte for byte,
+// and it still reassembles to the report.
+func TestRecoveredJournalMatchesFirstProcess(t *testing.T) {
+	runner.ResetCache()
+	defer runner.ResetCache()
+	dir := t.TempDir()
+	journal := func(s *Service, id string) (lines []string, report string) {
+		t.Helper()
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		for _, ln := range strings.Split(httpGet(t, srv.URL+"/sweeps/"+id+"/events"), "\n") {
+			if strings.HasPrefix(ln, `{"seq":`) {
+				lines = append(lines, ln)
+			}
+		}
+		return lines, httpGet(t, srv.URL+"/sweeps/"+id+"/report")
+	}
+
+	s1 := newService(t, Config{Dir: dir, Parallelism: 1})
+	sw := runUntil(t, s1, tinyReq(), StateDone)
+	want, report := journal(s1, sw.ID)
+
+	runner.ResetCache()
+	s2 := newService(t, Config{Dir: dir, Resume: true})
+	got, report2 := journal(s2, sw.ID)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("recovered journal differs:\n--- first process\n%s\n--- after restart\n%s",
+			strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+	if report2 != report {
+		t.Fatal("recovered report differs from the first process's")
+	}
+	if re := reassemble(t, parseEvents(t, strings.Join(got, "\n"))); re != report {
+		t.Fatalf("recovered journal != report:\n--- journal ---\n%s--- report ---\n%s", re, report)
+	}
+	if len(want) != len(tinyReq().Policies)+2 {
+		t.Fatalf("journal has %d lines, want sweep_started + %d rows + sweep_done", len(want), len(tinyReq().Policies))
 	}
 }

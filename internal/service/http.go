@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -170,7 +169,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("sweep is %s, report not ready", sw.State))
 		return
 	}
-	data, err := os.ReadFile(s.ReportPath(id))
+	data, err := s.report(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("reading report: %w", err))
 		return

@@ -24,8 +24,9 @@
 //   - Graceful drain: cancelling the Run context stops admission
 //     (submissions get 503), interrupts the in-flight sweep at its next
 //     batch boundary (completed sims are already in the store), flushes
-//     the store, and returns — the caller then exits 0. A later start
-//     with Resume picks every unfinished sweep back up.
+//     the result store and the sweep records, and returns — the caller
+//     then exits 0. A later start with Resume picks every unfinished sweep
+//     back up.
 package service
 
 import (
@@ -115,8 +116,9 @@ var (
 
 // Config tunes a Service.
 type Config struct {
-	// Dir is the service root: <Dir>/sweeps/<id>/{request.json,
-	// events.ndjson, report.csv}. Required.
+	// Dir is the service root. <Dir>/sweeps is a store of the per-sweep
+	// records: <id>.request, the admission record, and <id>.report, the
+	// finished CSV. Required.
 	Dir string
 	// Store is the shared persistent result store. nil opens fs:<Dir>/store,
 	// which is cleared with the sweep area unless Resume.
@@ -140,9 +142,9 @@ type Config struct {
 	RetrySeed   uint64
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Resume rescans Dir for unfinished sweeps and re-enqueues them;
-	// without it the sweep area is cleared at startup, mirroring the
-	// -resume contract of cmd/experiments.
+	// Resume rescans the sweep records for unfinished sweeps and
+	// re-enqueues them; without it <Dir>/sweeps is cleared at startup,
+	// mirroring the -resume contract of cmd/experiments.
 	Resume bool
 	// Log receives the service's structured diagnostics: admission
 	// decisions, sweep lifecycle, retries, per-job delivery (via the
@@ -194,9 +196,10 @@ type sweep struct {
 // Service is the sweep service. Create with New, serve HTTP via Handler,
 // process with Run; cancel Run's context to drain.
 type Service struct {
-	cfg   Config
-	log   *slog.Logger
-	sleep func(time.Duration) // test seam for retry backoff
+	cfg     Config
+	records *store.Store // per-sweep request and report entries
+	log     *slog.Logger
+	sleep   func(time.Duration) // test seam for retry backoff
 
 	mu       sync.Mutex
 	sweeps   map[string]*sweep
@@ -230,27 +233,17 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("service: Config.Dir is required")
 	}
-	cfg = cfg.withDefaults()
-	log := cfg.Log
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	s := &Service{
-		cfg:    cfg,
-		log:    log,
-		sweeps: map[string]*sweep{},
-		queues: map[string][]string{},
-		wake:   make(chan struct{}, 1),
-	}
-	root := s.sweepsRoot()
+	root := filepath.Join(cfg.Dir, "sweeps")
 	if !cfg.Resume {
 		if err := os.RemoveAll(root); err != nil {
 			return nil, fmt.Errorf("service: clearing sweep area: %w", err)
 		}
 	}
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, fmt.Errorf("service: init: %w", err)
+	records, err := store.Open("fs:" + root)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
+	records.SetLogger(cfg.Log)
 	if cfg.Store == nil {
 		dir := filepath.Join(cfg.Dir, "store")
 		if !cfg.Resume {
@@ -263,7 +256,26 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		st.SetLogger(cfg.Log)
-		s.cfg.Store = st
+		cfg.Store = st
+	}
+	return open(cfg, records)
+}
+
+// open builds the service over its result store (cfg.Store, required) and
+// its sweep records, rescanning the records if cfg.Resume.
+func open(cfg Config, records *store.Store) (*Service, error) {
+	cfg = cfg.withDefaults()
+	log := cfg.Log
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	s := &Service{
+		cfg:     cfg,
+		records: records,
+		log:     log,
+		sweeps:  map[string]*sweep{},
+		queues:  map[string][]string{},
+		wake:    make(chan struct{}, 1),
 	}
 	if cfg.Resume {
 		if err := s.rescan(); err != nil {
@@ -272,9 +284,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-func (s *Service) sweepsRoot() string        { return filepath.Join(s.cfg.Dir, "sweeps") }
-func (s *Service) sweepDir(id string) string { return filepath.Join(s.sweepsRoot(), id) }
 
 // sweepID is the content address of a request: submitting the same sweep
 // twice yields the same id (and the second submission is a cheap idempotent
@@ -364,20 +373,15 @@ func (s *Service) submit(req SweepRequest, fps []string) (Sweep, error) {
 	sw, ok := s.sweeps[id]
 	if !ok {
 		sw = s.newSweep(id, req, fps)
-		// Durably journal the request before acknowledging: an accepted
+		// Durably record the request before acknowledging: an accepted
 		// sweep survives a kill -9 one microsecond later. This IO stays
 		// inside the admission critical section on purpose — releasing
-		// s.mu before the journal lands would let a concurrent same-id
-		// submitter be acknowledged off an unjournaled sweep.
-		dir := s.sweepDir(id)
-		//lint:ignore lockflow journal-before-ack: the request must be durable before any concurrent submitter can observe admission (DESIGN.md §9)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return Sweep{}, fmt.Errorf("service: sweep dir: %w", err)
-		}
+		// s.mu before the record lands would let a concurrent same-id
+		// submitter be acknowledged off an unrecorded sweep.
 		reqJSON, _ := json.Marshal(req)
-		//lint:ignore lockflow journal-before-ack: request.json is the admission record; writing it outside s.mu would un-serialize idempotent resubmission (DESIGN.md §9)
-		if err := store.WriteFileAtomic(filepath.Join(dir, "request.json"), reqJSON); err != nil {
-			return Sweep{}, fmt.Errorf("service: journaling request: %w", err)
+		//lint:ignore lockflow journal-before-ack: <id>.request is the admission record; writing it outside s.mu would un-serialize idempotent resubmission (DESIGN.md §9)
+		if err := s.records.Put(id+".request", reqJSON); err != nil {
+			return Sweep{}, fmt.Errorf("service: recording request: %w", err)
 		}
 		s.sweeps[id] = sw
 	}
@@ -393,7 +397,7 @@ func (s *Service) submit(req SweepRequest, fps []string) (Sweep, error) {
 func (s *Service) newSweep(id string, req SweepRequest, fps []string) *sweep {
 	return &sweep{
 		id: id, req: req, jobs: len(fps), fps: fps,
-		events: newEventLog(s.eventsPath(id), func() { s.events.Add(1) }),
+		events: newEventLog(func() { s.events.Add(1) }),
 	}
 }
 
@@ -471,22 +475,22 @@ func (s *Service) next() *sweep {
 	return nil
 }
 
-// rescan re-enqueues every journaled sweep without a report — the
-// Resume path after a crash or drain. IDs are scanned in sorted order so
-// the resumed schedule is deterministic.
+// rescan re-enqueues every recorded sweep without a readable report — the
+// Resume path after a crash or drain. Records are listed in sorted key
+// order, so the resumed schedule is deterministic.
 func (s *Service) rescan() error {
-	ents, err := os.ReadDir(s.sweepsRoot())
+	keys, err := s.records.Keys()
 	if err != nil {
 		return fmt.Errorf("service: rescan: %w", err)
 	}
-	for _, e := range ents {
-		if !e.IsDir() {
+	for _, key := range keys {
+		id, ok := strings.CutSuffix(key, ".request")
+		if !ok {
 			continue
 		}
-		id := e.Name()
-		reqJSON, err := os.ReadFile(filepath.Join(s.sweepDir(id), "request.json"))
+		reqJSON, err := s.records.Get(key)
 		if err != nil {
-			continue // torn submission: never acknowledged, safe to ignore
+			continue // torn submission (quarantined): never acknowledged, safe to ignore
 		}
 		var req SweepRequest
 		if err := json.Unmarshal(reqJSON, &req); err != nil || sweepID(req) != id || validate(req) != nil {
@@ -494,15 +498,10 @@ func (s *Service) rescan() error {
 		}
 		sw := s.newSweep(id, req, gridFingerprints(req))
 		s.sweeps[id] = sw
-		if _, err := os.Stat(filepath.Join(s.sweepDir(id), "report.csv")); err == nil {
+		// A torn or bit-rotted report is quarantined by the store and the
+		// sweep re-runs; its cells replay from the result store.
+		if csv, err := s.report(id); err == nil && sw.events.rebuild(id, sw.fps, csv) {
 			sw.state = StateDone
-			// Seal the recovered event log: subscribers replay the
-			// journal from disk and disconnect at the terminal state.
-			// Nothing was opened in this process, so a finish error here
-			// would mean a write raced recovery — worth a log line.
-			if err := sw.events.finish(); err != nil {
-				s.log.Warn("sealing recovered event journal", "sweep_id", id, "err", err)
-			}
 			s.log.Info("sweep recovered as done", "sweep_id", id)
 			continue
 		}
@@ -514,7 +513,7 @@ func (s *Service) rescan() error {
 
 // Run processes sweeps until ctx is cancelled, then drains: admission
 // stops, the in-flight sweep is interrupted at its next batch boundary
-// (its completed simulations are already in the store), the store is
+// (its completed simulations are already in the store), both stores are
 // flushed, and Run returns nil. Call once.
 func (s *Service) Run(ctx context.Context) error {
 	for {
@@ -534,7 +533,7 @@ func (s *Service) Run(ctx context.Context) error {
 	}
 }
 
-// drain finalizes shutdown: stop admission and flush the store. By the
+// drain finalizes shutdown: stop admission and flush both stores. By the
 // time drain runs no sweep is executing (Run is single-threaded), and
 // every completed simulation was published the moment it finished.
 func (s *Service) drain() error {
@@ -543,7 +542,7 @@ func (s *Service) drain() error {
 	queued := s.queuedN
 	s.mu.Unlock()
 	s.log.Info("service draining", "queued", queued)
-	if err := s.cfg.Store.Flush(); err != nil {
+	if err := errors.Join(s.cfg.Store.Flush(), s.records.Flush()); err != nil {
 		s.log.Error("store flush on drain failed", "err", err)
 		return fmt.Errorf("service: store flush on drain: %w", err)
 	}
@@ -567,22 +566,13 @@ func (s *Service) Drain() {
 	s.mu.Unlock()
 }
 
-// sealEvents finishes a sweep's event journal and logs any IO failure the
-// attempt accumulated. The sweep's outcome is already decided by the report
-// — a lossy journal only degrades observability — but it must leave a
-// trace, or the event-replay gate breaks silently.
-func sealEvents(sw *sweep, log *slog.Logger) {
-	if err := sw.events.finish(); err != nil {
-		log.Warn("event journal flush failed", "err", err)
-	}
-}
-
 // runSweep executes one sweep with deadline budget and deterministic
-// retry/backoff. Each attempt rewrites the sweep's event journal from
+// retry/backoff. Each attempt restarts the sweep's event journal from
 // scratch (completed sims replay from the store, re-emitting the
 // identical prefix), so the journal of the attempt that finishes is
 // byte-identical to an uninterrupted run's.
 func (s *Service) runSweep(ctx context.Context, sw *sweep) {
+	defer sw.events.finish()
 	log := s.log.With("sweep_id", sw.id)
 	deadline := s.cfg.DefaultDeadline
 	if sw.req.DeadlineMs > 0 {
@@ -596,11 +586,7 @@ func (s *Service) runSweep(ctx context.Context, sw *sweep) {
 		log.Info("sweep attempt started",
 			"attempt", att, "jobs", sw.jobs, "deadline_ms", deadline.Milliseconds())
 		sw.events.state(sw.id, StateRunning, "", att)
-		if err := sw.events.begin(); err != nil {
-			// Journal unavailable: the sweep still runs (reports are the
-			// source of truth), subscribers just see a gap.
-			log.Error("event journal unavailable", "err", err)
-		}
+		sw.events.begin()
 
 		jctx, cancel := context.WithTimeout(ctx, deadline)
 		rep, csv, rows := s.executeGrid(jctx, sw, log)
@@ -614,25 +600,21 @@ func (s *Service) runSweep(ctx context.Context, sw *sweep) {
 			s.interrupted.Add(1)
 			s.setState(sw, StateInterrupted, "interrupted by drain; resume to finish")
 			log.Warn("sweep interrupted by drain", "attempt", att, "rows_delivered", rows)
-			sealEvents(sw, log)
 			return
 		case rep.OK():
-			if err := store.WriteFileAtomic(filepath.Join(s.sweepDir(sw.id), "report.csv"), []byte(csv)); err != nil {
+			if err := s.records.Put(sw.id+".report", []byte(csv)); err != nil {
 				s.setState(sw, StateFailed, fmt.Sprintf("writing report: %v", err))
 				log.Error("writing report failed", "err", err)
-				sealEvents(sw, log)
 				return
 			}
 			sw.events.sweepDone(sw.id, rows)
 			s.setState(sw, StateDone, "")
 			log.Info("sweep done", "attempt", att, "rows", rows)
-			sealEvents(sw, log)
 			return
 		case attempt >= s.cfg.MaxRetries || !retryable(rep):
 			summary := failureSummary(rep)
 			s.setState(sw, StateFailed, summary)
 			log.Error("sweep failed", "attempt", att, "retryable", retryable(rep), "failures", summary)
-			sealEvents(sw, log)
 			return
 		}
 		// Transient failure: back off on the pinned deterministic schedule
@@ -852,7 +834,6 @@ func (s *Service) QueueDepth() int {
 	return s.queuedN
 }
 
-// ReportPath returns the on-disk report location for a done sweep.
-func (s *Service) ReportPath(id string) string {
-	return filepath.Join(s.sweepDir(id), "report.csv")
-}
+// report reads a sweep's verified report. A torn entry is quarantined and
+// returns store.ErrCorrupt.
+func (s *Service) report(id string) ([]byte, error) { return s.records.Get(id + ".report") }

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -301,7 +302,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	if err := <-done2; err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := os.ReadFile(s2.ReportPath(sw.ID))
+	resumed, err := s2.report(sw.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	if err := <-done3; err != nil {
 		t.Fatal(err)
 	}
-	refCSV, err := os.ReadFile(s3.ReportPath(ref.ID))
+	refCSV, err := s3.report(ref.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +472,18 @@ func TestResumeSkipsDoneSweeps(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	// The sweep area is a store: two entries and its quarantine directory.
+	ents, err := os.ReadDir(filepath.Join(dir, "sweeps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if want := []string{sw.ID + ".report.entry", sw.ID + ".request.entry", "quarantine"}; !slices.Equal(names, want) {
+		t.Fatalf("sweep area holds %v, want %v", names, want)
+	}
 
 	s2 := newService(t, Config{Dir: dir, Resume: true})
 	got, ok := s2.Get(sw.ID)
@@ -501,8 +514,7 @@ func TestFreshStartClearsSweepArea(t *testing.T) {
 	if len(s2.List()) != 0 {
 		t.Fatalf("fresh start kept %d sweeps", len(s2.List()))
 	}
-	ents, err := os.ReadDir(fmt.Sprintf("%s/sweeps", dir))
-	if err != nil || len(ents) != 0 {
-		t.Fatalf("sweep area not cleared: %v entries (err %v)", len(ents), err)
+	if keys, err := s2.records.Keys(); err != nil || len(keys) != 0 {
+		t.Fatalf("sweep area not cleared: %v (err %v)", keys, err)
 	}
 }

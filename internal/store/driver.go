@@ -6,11 +6,11 @@
 // quarantined, and re-executed rather than trusted (DESIGN.md §9).
 //
 // Persistence backends are drivers, not rewrites: the Driver interface
-// carries the primitive operations and the filesystem and in-memory
-// drivers register themselves by URL scheme, in the style of NetApp
-// Trident's storage_drivers layer. A SQLite or remote backend slots in by
-// registering a new scheme; everything above the interface (envelope,
-// checksum, quarantine, retry/backoff, stats) is shared.
+// carries the primitive operations, and OpenDriver resolves a URL scheme
+// to the filesystem ("fs:") or in-memory ("mem:") driver, in the style of
+// NetApp Trident's storage_drivers layer. A new backend is one more case
+// in OpenDriver; everything above the interface (envelope, checksum,
+// quarantine, retry/backoff, stats) is shared.
 //
 // The store lives strictly outside the simulated world: it may read the
 // wall clock (retry backoff sleeps) but must never import a machine
@@ -22,7 +22,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -86,44 +85,22 @@ type FaultInjector interface {
 	ReadFault() error
 }
 
-// driverFactories maps URL schemes to driver constructors. Register at
-// init time; Open resolves "scheme:rest".
-var driverFactories = map[string]func(rest string) (Driver, error){}
-
-// RegisterDriver installs a backend constructor under a URL scheme. It
-// panics on duplicates — schemes are wired at init time, so a collision is
-// a programming error.
-func RegisterDriver(scheme string, factory func(rest string) (Driver, error)) {
-	if _, dup := driverFactories[scheme]; dup {
-		panic(fmt.Sprintf("store: duplicate driver scheme %q", scheme))
-	}
-	driverFactories[scheme] = factory
-}
-
-// Schemes returns the registered driver schemes, sorted.
-func Schemes() []string {
-	out := make([]string, 0, len(driverFactories))
-	for s := range driverFactories {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // OpenDriver resolves a backend URL of the form "scheme:rest" — e.g.
 // "fs:/var/lib/trident/store" or "mem:" — to a live driver.
 func OpenDriver(url string) (Driver, error) {
 	scheme, rest, ok := strings.Cut(url, ":")
-	if !ok || scheme == "" {
-		return nil, fmt.Errorf("store: %q is not a backend URL (want scheme:rest, schemes: %s)",
-			url, strings.Join(Schemes(), ", "))
+	switch {
+	case !ok || scheme == "":
+		return nil, fmt.Errorf("store: %q is not a backend URL (want scheme:rest, schemes: fs, mem)", url)
+	case scheme == "fs":
+		return NewFS(rest, nil)
+	case scheme == "mem":
+		if rest != "" {
+			return nil, fmt.Errorf("store: mem driver takes no operand (got %q); use \"mem:\"", rest)
+		}
+		return NewMem(), nil
 	}
-	factory, ok := driverFactories[scheme]
-	if !ok {
-		return nil, fmt.Errorf("store: unknown backend scheme %q (have: %s)",
-			scheme, strings.Join(Schemes(), ", "))
-	}
-	return factory(rest)
+	return nil, fmt.Errorf("store: unknown backend scheme %q (have: fs, mem)", scheme)
 }
 
 // validKey reports whether key is safe for every backend (filesystem

@@ -12,10 +12,6 @@ import (
 	"sync/atomic"
 )
 
-func init() {
-	RegisterDriver("fs", func(rest string) (Driver, error) { return NewFS(rest, nil) })
-}
-
 // tmpSeq disambiguates concurrent temp files within one process; the PID
 // disambiguates across processes sharing a store directory.
 var tmpSeq atomic.Uint64
@@ -185,8 +181,8 @@ func syncDir(dir string) error {
 // WriteFileAtomic publishes data under path: tmp + fsync + rename +
 // parent-directory fsync. After it returns, the complete file is durable
 // under path; a crash at any earlier point leaves the previous content (or
-// nothing). The fs driver's Put and the sweep service's request and report
-// files use it.
+// nothing). The fs driver's Put and the experiments command's addr file
+// use it.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tmpSeq.Add(1))
 	if err := writeFileSync(tmp, data); err != nil {

@@ -6,15 +6,6 @@ import (
 	"sync"
 )
 
-func init() {
-	RegisterDriver("mem", func(rest string) (Driver, error) {
-		if rest != "" {
-			return nil, fmt.Errorf("store: mem driver takes no operand (got %q); use \"mem:\"", rest)
-		}
-		return NewMem(), nil
-	})
-}
-
 // Mem is the in-memory driver: a mutex-guarded map. It exists for tests,
 // for benchmarks that want store semantics without disk IO, and as the
 // simplest possible reference implementation of the Driver contract.
