@@ -42,15 +42,19 @@ chaos:
 # chaos-injected buddy failures, ten of the fragmenter's computed fill
 # against its per-page reference, and ten each of the fill's bulk-commit
 # primitives (buddy carve, run mapping) against per-page AllocSpecific and
-# MapSpecific, and ten of a kernel re-booted through a chain of sizes and
-# flavours against newly booted ones (kernel.Boot). The seed corpora alone run on plain `make test`; this
-# exercises the mutator too.
+# MapSpecific, ten of a kernel re-booted through a chain of sizes and
+# flavours against newly booted ones (kernel.Boot), and ten each of
+# fault-around's run of order-0 frames against repeated Alloc(0) and of
+# fault-around population against the per-fault loop. The seed corpora
+# alone run on plain `make test`; this exercises the mutator too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzApplyEquivalence -fuzztime 10s ./internal/fragment
 	$(GO) test -run '^$$' -fuzz FuzzCarveEquivalence -fuzztime 10s ./internal/buddy
 	$(GO) test -run '^$$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
+	$(GO) test -run '^$$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 
 # Bench-rot gate: compile and run every benchmark in the tree exactly once
 # (no test functions: -run matches nothing). Catches benchmarks broken by

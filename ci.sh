@@ -4,9 +4,12 @@
 # chaos/audit robustness suites, 10s fuzz smokes of the audit-checked
 # kernel-op fuzzer, of the fragmenter's computed-vs-per-page equivalence
 # and of its two bulk-commit primitives against their per-page
-# definitions (buddy carve, run mapping) and of a kernel re-booted through
+# definitions (buddy carve, run mapping), of a kernel re-booted through
 # a chain of sizes and flavours against newly booted ones (kernel.Boot,
-# the machine pool's contract), a one-iteration sweep of every benchmark (bench-rot
+# the machine pool's contract), and of population by fault-around against
+# its per-fault definitions (the buddy's run of order-0 frames against
+# repeated Alloc(0), fault-around touch against the per-fault loop), a
+# one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
 # outputs against bench/golden) plus short fragmented-memory and
@@ -79,6 +82,8 @@ go test -run '^$' -fuzz FuzzApplyEquivalence -fuzztime 10s ./internal/fragment
 go test -run '^$' -fuzz FuzzCarveEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
+go test -run '^$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
+go test -run '^$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Benchmark-harness gate: bench/ is its own module (BENCHMARK.json), so the

@@ -6,10 +6,19 @@
 // as the observability gate.
 //
 //	tracecheck report/trace/figure9.json [more.json ...]
+//
+// With -counts it instead compares two traced output directories (the
+// -out directories of two `bench/run.sh --trace 1` runs, say of a parent
+// commit and a change): it sums every count column of their series-*.csv
+// files per run label, prints each count that moved, and exits 1 if any
+// did. A change that only speeds up the simulator must move none.
+//
+//	tracecheck -counts <parentDir> <changeDir>
 package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"log/slog"
 	"os"
@@ -28,12 +37,36 @@ type traceFile struct {
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> [more.json ...]")
+	counts := flag.Bool("counts", false, "compare the obs counts of two traced output directories")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> [more.json ...]\n       tracecheck -counts <parentDir> <changeDir>")
+	}
+	flag.Parse()
+	if *counts {
+		if flag.NArg() != 2 {
+			flag.Usage()
+			os.Exit(2)
+		}
+		moved, err := compareCounts(flag.Arg(0), flag.Arg(1))
+		if err != nil {
+			slog.Error("counts unreadable", "err", err)
+			os.Exit(2)
+		}
+		for _, m := range moved {
+			fmt.Println(m)
+		}
+		if len(moved) > 0 {
+			os.Exit(1)
+		}
+		fmt.Println("obs counts identical")
+		return
+	}
+	if flag.NArg() < 1 {
+		flag.Usage()
 		os.Exit(2)
 	}
 	failed := false
-	for _, path := range os.Args[1:] {
+	for _, path := range flag.Args() {
 		if err := check(path); err != nil {
 			slog.Error("trace invalid", "file", path, "err", err)
 			failed = true

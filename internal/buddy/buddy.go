@@ -251,6 +251,51 @@ func (a *Allocator) Alloc(order int, unmovable bool) (uint64, error) {
 	return pfn, nil
 }
 
+// AllocRun allocates up to max movable order-0 frames as one contiguous run
+// [pfn, pfn+n): exactly the frames, in order, that the next n calls of
+// Alloc(0, false) would return, leaving the free lists as those calls
+// would. Those calls take the smallest free chunk's frames in address
+// order (each split hands its lowest frame out and leaves the rest of the
+// chunk on the lower lists, and the next call finds them there), so a run
+// ends at max or at the end of that chunk, and the chunk's untaken tail
+// goes back as its maximal aligned blocks. FailAlloc is consulted once per
+// frame, before it is taken; err is ErrNoMemory when the call for frame
+// pfn+n (FailAlloc, or no free memory) would have failed, and the caller
+// must then not ask again for that frame. err is nil when n is max or the
+// chunk ran out.
+func (a *Allocator) AllocRun(max uint64) (pfn, n uint64, err error) {
+	if max == 0 {
+		return 0, 0, nil
+	}
+	if a.FailAlloc != nil && a.FailAlloc(0) {
+		return 0, 0, ErrNoMemory
+	}
+	from := 0
+	for from <= a.maxOrder && a.counts[from] == 0 {
+		from++
+	}
+	if from > a.maxOrder {
+		return 0, 0, ErrNoMemory
+	}
+	n = min(max, uint64(1)<<uint(from))
+	if a.FailAlloc != nil {
+		for i := uint64(1); i < n; i++ {
+			if a.FailAlloc(0) {
+				n, err = i, ErrNoMemory
+				break
+			}
+		}
+	}
+	pfn = a.popFree(from)
+	for pos, end := pfn+n, pfn+uint64(1)<<uint(from); pos < end; {
+		o := bits.TrailingZeros64(pos) // < from: pfn is 2^from-aligned
+		a.insertFree(pos, o)
+		pos += uint64(1) << uint(o)
+	}
+	a.mem.MarkAllocated(pfn, n, false)
+	return pfn, n, err
+}
+
 // AllocSpecific allocates the exact chunk [pfn, pfn+2^order), which must lie
 // entirely inside a free chunk. It is used by compaction to claim target
 // frames inside a chosen region. Returns ErrNoMemory if the range is not

@@ -89,6 +89,21 @@ func (t *traced) Handle(task *kernel.Task, va uint64) (Result, error) {
 	return r, err
 }
 
+// around reports each page the wrapped policy's around mapped to the hook,
+// in address order, as Handle would have one by one.
+func (t *traced) around(task *kernel.Task, va, count uint64) (uint64, error) {
+	a, ok := t.p.(arounder)
+	if !ok {
+		return 0, nil
+	}
+	n, err := a.around(task, va, count)
+	lat := lat4K()
+	for j := uint64(0); j < n; j++ {
+		t.hook(Result{Size: units.Size4K, VA: va + j*units.Page4K, LatencyNs: lat})
+	}
+	return n, err
+}
+
 // Policy is a page-fault handler.
 type Policy interface {
 	// Name identifies the policy in reports.
@@ -98,6 +113,84 @@ type Policy interface {
 	Handle(t *kernel.Task, va uint64) (Result, error)
 	// FaultStats returns the accumulated counters.
 	FaultStats() *Stats
+}
+
+// arounder is implemented by the policies whose Handle, at an unmapped
+// page of a 2MB window that already holds a 4KB mapping, always reaches
+// map4K (see Around). around(t, va, count) serves the faults at the count
+// unmapped 4KB pages from va in such a window, in order, as that many
+// Handle calls would, and returns how many it mapped and the error of the
+// call that failed.
+type arounder interface {
+	around(t *kernel.Task, va, count uint64) (uint64, error)
+}
+
+// Around is population by fault-around. Given a fault r that mapped a 4KB
+// page, it serves the faults at the unmapped pages that follow r in its
+// 2MB window, up to end: the pages [r.VA+4KB, w), where w is the first of
+// end, the window's end, the end of r's VMA and the next mapped page. It
+// returns how many pages it mapped, the latency of each fault, and, when
+// the fault at the page after the last one mapped failed, that fault's
+// error. The caller accounts each mapped page as a fault of its own.
+//
+// Every policy in this package reaches map4K at those pages: r's mapping
+// lies in every aligned 2MB or 1GB range that covers one of them, so
+// try1G, try2M and Hugetlbfs's pool path, which all need such a range
+// wholly unmapped, count no attempt and fall through, and map4K finds
+// r's VMA. So the run maps them as map4K would one by one: frames from
+// buddy.AllocRun, which hands them out in Alloc(0)'s order and consults
+// FailAlloc per frame, mapped with kernel.MapRun, and map4K's stats
+// added per page. For any other policy Around maps nothing, and the
+// caller takes the next fault through Handle.
+func Around(p Policy, t *kernel.Task, r Result, end uint64) (uint64, float64, error) {
+	a, ok := p.(arounder)
+	if !ok || r.Size != units.Size4K {
+		return 0, 0, nil
+	}
+	va := r.VA + units.Page4K
+	v, _ := t.AS.FindVMA(r.VA) // r's fault found it
+	w := min(units.AlignUp(va, units.Page2M), units.AlignUp(end, units.Page4K), v.End)
+	if va >= w {
+		return 0, 0, nil
+	}
+	n, err := a.around(t, va, t.AS.PT.Unmapped4K(va, (w-va)/units.Page4K))
+	return n, lat4K(), err
+}
+
+// mapRun4K is around for every policy of this package: map4K at count
+// pages from va, whose VMA is known, with frames taken a run at a time.
+func mapRun4K(k *kernel.Kernel, t *kernel.Task, s *Stats, va, count uint64) (uint64, error) {
+	lat := lat4K()
+	var done uint64
+	for done < count {
+		pfn, n, err := k.Buddy.AllocRun(count - done)
+		mapped, mapErr := k.MapRun(t, va+done*units.Page4K, pfn, n)
+		if mapErr != nil {
+			// Around's window holds no mapping, so this is not reached;
+			// if it were, the page's frame is freed as AllocMapped does.
+			for f := pfn + mapped; f < pfn+n; f++ {
+				k.Buddy.Free(f, 0)
+			}
+			err = mapErr
+		}
+		s.Faults[units.Size4K] += mapped
+		t.Faults[units.Size4K] += mapped
+		for j := uint64(0); j < mapped; j++ {
+			s.TotalLatencyNs += lat
+		}
+		done += mapped
+		if err != nil {
+			return done, oom4K(va+done*units.Page4K, err)
+		}
+	}
+	return done, nil
+}
+
+// lat4K is the modeled latency of a 4KB fault.
+func lat4K() float64 { return perfmodel.FaultSetupNs(units.Size4K) + perfmodel.ZeroNs(units.Page4K) }
+
+func oom4K(head uint64, err error) error {
+	return fmt.Errorf("fault: OOM mapping 4KB at %#x: %w", head, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -122,15 +215,19 @@ func (p *Base4K) Handle(t *kernel.Task, va uint64) (Result, error) {
 	return map4K(p.K, t, &p.S, va)
 }
 
+func (p *Base4K) around(t *kernel.Task, va, count uint64) (uint64, error) {
+	return mapRun4K(p.K, t, &p.S, va, count)
+}
+
 func map4K(k *kernel.Kernel, t *kernel.Task, s *Stats, va uint64) (Result, error) {
 	head := units.Align(va, units.Page4K)
 	if _, ok := t.AS.FindVMA(va); !ok {
 		return Result{}, fmt.Errorf("fault: segfault at %#x (no VMA)", va)
 	}
 	if _, err := k.AllocMapped(t, head, units.Size4K); err != nil {
-		return Result{}, fmt.Errorf("fault: OOM mapping 4KB at %#x: %w", head, err)
+		return Result{}, oom4K(head, err)
 	}
-	lat := perfmodel.FaultSetupNs(units.Size4K) + perfmodel.ZeroNs(units.Page4K)
+	lat := lat4K()
 	s.Faults[units.Size4K]++
 	s.TotalLatencyNs += lat
 	t.Faults[units.Size4K]++
@@ -179,6 +276,10 @@ func (p *THP) Handle(t *kernel.Task, va uint64) (Result, error) {
 		return r, nil
 	}
 	return map4K(p.K, t, &p.S, va)
+}
+
+func (p *THP) around(t *kernel.Task, va, count uint64) (uint64, error) {
+	return mapRun4K(p.K, t, &p.S, va, count)
 }
 
 // ---------------------------------------------------------------------------
@@ -254,6 +355,10 @@ func (p *Hugetlbfs) Handle(t *kernel.Task, va uint64) (Result, error) {
 	return map4K(p.K, t, &p.S, va)
 }
 
+func (p *Hugetlbfs) around(t *kernel.Task, va, count uint64) (uint64, error) {
+	return mapRun4K(p.K, t, &p.S, va, count)
+}
+
 // ---------------------------------------------------------------------------
 
 // Trident is the paper's fault handler: 1GB first (pre-zeroed when
@@ -295,6 +400,10 @@ func (p *Trident) Handle(t *kernel.Task, va uint64) (Result, error) {
 		}
 	}
 	return map4K(p.K, t, &p.S, va)
+}
+
+func (p *Trident) around(t *kernel.Task, va, count uint64) (uint64, error) {
+	return mapRun4K(p.K, t, &p.S, va, count)
 }
 
 func (p *Trident) try1G(t *kernel.Task, va uint64) (Result, bool) {

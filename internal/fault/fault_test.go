@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/kernel"
@@ -367,5 +368,41 @@ func TestHugetlbfsGreedyBacksIncrementalHeap(t *testing.T) {
 	}
 	if h.PoolAvailable() != 1 {
 		t.Errorf("pool = %d, want 1", h.PoolAvailable())
+	}
+}
+
+// TestAroundAllocatesNothing: fault-around's run path — window, frames,
+// mapping, stats and the trace hook — makes no heap allocation once the
+// window's leaf table exists.
+func TestAroundAllocatesNothing(t *testing.T) {
+	k, task := setup(t, 1)
+	const windows = 40
+	va, _ := task.AS.MMapAligned(windows*units.Page2M, units.Page2M, vmm.KindAnon)
+	hooked := 0
+	p := Traced(NewBase4K(k), func(Result) { hooked++ })
+	var first [windows]Result
+	for i := range first {
+		r, err := p.Handle(task, va+uint64(i)*units.Page2M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[i] = r
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var mapped uint64
+	for _, r := range first {
+		n, _, err := Around(p, task, r, va+windows*units.Page2M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped += n
+	}
+	runtime.ReadMemStats(&after)
+	if mapped != windows*511 || hooked != windows*512 {
+		t.Fatalf("mapped %d pages, hooked %d faults; want %d and %d", mapped, hooked, windows*511, windows*512)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("fault-around made %d heap allocations over %d windows", n, windows)
 	}
 }

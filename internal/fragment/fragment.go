@@ -130,7 +130,7 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 					break
 				}
 				stop := nextBit(free, pfn, end, true)
-				if err := k.MapRun(f.Cache, f.base+(fill+pfn-h)*units.Page4K, pfn, stop-pfn); err != nil {
+				if _, err := k.MapRun(f.Cache, f.base+(fill+pfn-h)*units.Page4K, pfn, stop-pfn); err != nil {
 					return nil, fmt.Errorf("fragment: fill map: %w", err)
 				}
 				pfn = stop

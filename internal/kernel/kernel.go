@@ -222,17 +222,19 @@ func (k *Kernel) mapOwned(t *Task, va, pfn uint64, size units.PageSize) error {
 }
 
 // MapRun maps count already-allocated 4KB frames at consecutive VAs,
-// va+j*4KB → pfn+j. Its effect is exactly MapSpecific(t, va+j*4KB, pfn+j,
-// units.Size4K) for j = 0, 1, … up to count or the first error, which it
-// returns; it descends the page table once per leaf table instead of once
-// per page. The fragmenter commits the page cache's surviving runs with it.
-func (k *Kernel) MapRun(t *Task, va, pfn, count uint64) error {
+// va+j*4KB → pfn+j, and returns how many it mapped. Its effect is exactly
+// MapSpecific(t, va+j*4KB, pfn+j, units.Size4K) for j = 0, 1, … up to
+// count or the first error, which it returns; it descends the page table
+// once per leaf table instead of once per page. The fragmenter commits the
+// page cache's surviving runs with it, and fault-around its runs of 4KB
+// faults.
+func (k *Kernel) MapRun(t *Task, va, pfn, count uint64) (uint64, error) {
 	n, err := t.AS.PT.MapRun(va, pfn, count)
 	for j := uint64(0); j < n; j++ {
 		k.Mem.SetOwner(pfn+j, phys.Owner{Space: t.AS.ID, VA: va + j*units.Page4K, Size: units.Size4K})
 	}
 	k.Ops.Maps += n
-	return err
+	return n, err
 }
 
 // UnmapFree removes the mapping of the given size at va and returns its

@@ -79,6 +79,7 @@ func checkMapRun(t *testing.T, va, n uint64, pre []pagetable.Mapping) {
 	var ks [2]*Kernel
 	var ts [2]*Task
 	var errs [2]error
+	var mapped [2]uint64
 	for side := range ks {
 		k := newKernel(t, 4)
 		task := k.NewTask("p")
@@ -93,19 +94,20 @@ func checkMapRun(t *testing.T, va, n uint64, pre []pagetable.Mapping) {
 			}
 		}
 		if side == 0 {
-			errs[side] = k.MapRun(task, va, pfn, n)
+			mapped[side], errs[side] = k.MapRun(task, va, pfn, n)
 		} else {
 			for j := uint64(0); j < n; j++ {
 				if err := k.MapSpecific(task, va+j*page, pfn+j, units.Size4K); err != nil {
 					errs[side] = err
 					break
 				}
+				mapped[side]++
 			}
 		}
 		ks[side], ts[side] = k, task
 	}
-	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
-		t.Fatalf("MapRun error %v, MapSpecific loop error %v", errs[0], errs[1])
+	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) || mapped[0] != mapped[1] {
+		t.Fatalf("MapRun mapped %d, error %v; MapSpecific loop mapped %d, error %v", mapped[0], errs[0], mapped[1], errs[1])
 	}
 	requireSameMappings(t, ts[0], ts[1])
 	if ks[0].Ops != ks[1].Ops {

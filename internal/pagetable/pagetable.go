@@ -318,6 +318,34 @@ func (t *Table) MapRun(va, pfn, count uint64) (uint64, error) {
 	return done, nil
 }
 
+// Unmapped4K returns how many consecutive 4KB pages from va, at most
+// count, no leaf mapping covers. The pages must lie in va's 2MB window. One
+// descent (from the cached PD when va is in its 1GB window, as in Map)
+// reaches the leaf table, whose entries are then scanned; an absent
+// intermediate entry means the whole window is unmapped, a PS leaf that
+// all of it is mapped.
+func (t *Table) Unmapped4K(va, count uint64) uint64 {
+	n, level := t.root, 4
+	if wc := &t.wc; wc.pd != nil && va-wc.pdLo < units.Page1G {
+		n, level = wc.pd, 2
+	}
+	for ; level > 1; level-- {
+		i := index(va, level)
+		if n.entries[i]&flagPresent == 0 {
+			return count
+		}
+		if n.entries[i]&flagPS != 0 {
+			return 0
+		}
+		n = n.children[i]
+	}
+	first := index(va, 1)
+	i := first
+	for last := first + int(count); i < last && n.entries[i]&flagPresent == 0; i++ {
+	}
+	return uint64(i - first)
+}
+
 // Overlaps reports whether any leaf mapping intersects the naturally
 // aligned page range [va, va+size) in O(depth). One descent along va
 // decides everything:

@@ -455,3 +455,48 @@ func TestMapRunWalkCacheMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmapped4KMatchesLookup checks Unmapped4K against its definition, a
+// Lookup loop stopping at the first mapped page, for runs starting
+// anywhere in 2MB windows that hold 4KB leaves, a 2MB leaf, a 1GB leaf or
+// nothing, with the walk cache cold and warm.
+func TestUnmapped4KMatchesLookup(t *testing.T) {
+	const page = units.Page4K
+	pt := New()
+	rng := xrand.New(9)
+	for i := 0; i < 300; i++ {
+		va := units.Page1G + rng.Uint64n(8*512)*page // 4KB leaves in windows 0-7 of the second GB
+		if !pt.Overlaps(va, units.Size4K) {
+			if err := pt.Map(va, 1, units.Size4K); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := pt.Map(units.Page1G+9*units.Page2M, 2, units.Size2M); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map(3*units.Page1G, 3, units.Size1G); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []uint64{units.Page1G, units.Page1G + 3*units.Page2M, units.Page1G + 9*units.Page2M,
+		units.Page1G + 20*units.Page2M, 3*units.Page1G + units.Page2M, 7 * units.Page1G} {
+		for trial := 0; trial < 200; trial++ {
+			off := rng.Uint64n(512)
+			va := window + off*page
+			count := rng.Uint64n(512 - off + 1)
+			if trial%2 == 0 {
+				pt.Lookup(window + rng.Uint64n(512)*page) // warm the walk cache somewhere in the window
+			}
+			var want uint64
+			for want < count {
+				if _, ok := pt.Lookup(va + want*page); ok {
+					break
+				}
+				want++
+			}
+			if got := pt.Unmapped4K(va, count); got != want {
+				t.Fatalf("Unmapped4K(%#x, %d) = %d, want %d", va, count, got, want)
+			}
+		}
+	}
+}

@@ -170,7 +170,14 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data, err := s.report(id)
-	if err != nil {
+	switch {
+	case errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrNotFound):
+		// The store quarantined a torn or bit-rotted report, or it is gone:
+		// re-run the sweep rather than serve an error from now on.
+		state := s.recompute(id)
+		writeError(w, http.StatusConflict, fmt.Errorf("report lost (%v); sweep is %s, report not ready", err, state))
+		return
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("reading report: %w", err))
 		return
 	}

@@ -489,8 +489,13 @@ func (s *Service) rescan() error {
 			continue
 		}
 		reqJSON, err := s.records.Get(key)
-		if err != nil {
+		switch {
+		case errors.Is(err, store.ErrCorrupt):
 			continue // torn submission (quarantined): never acknowledged, safe to ignore
+		case err != nil:
+			// An acknowledged sweep that cannot be read now must not be
+			// forgotten: fail startup, and a later -resume finds it.
+			return fmt.Errorf("service: rescan: reading %s: %w", key, err)
 		}
 		var req SweepRequest
 		if err := json.Unmarshal(reqJSON, &req); err != nil || sweepID(req) != id || validate(req) != nil {
@@ -509,6 +514,23 @@ func (s *Service) rescan() error {
 		s.enqueueLocked(sw)
 	}
 	return nil
+}
+
+// recompute re-enqueues a done sweep whose report entry no longer
+// verifies or is gone (recompute, never trust: its cells replay from the
+// result store, and the report it writes again is byte-identical) and
+// returns the sweep's state. A sweep another request already re-enqueued is left as it
+// is. Like rescan's re-enqueue, it bypasses the admission limits: the
+// sweep was acknowledged long ago.
+func (s *Service) recompute(id string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw := s.sweeps[id]
+	if sw.state == StateDone {
+		s.log.Warn("report lost; sweep re-enqueued", "sweep_id", id)
+		s.enqueueLocked(sw)
+	}
+	return sw.state
 }
 
 // Run processes sweeps until ctx is cancelled, then drains: admission

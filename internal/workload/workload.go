@@ -505,10 +505,18 @@ func (s *Spec) InstantiateObserved(k *kernel.Kernel, task *kernel.Task, policy f
 	return inst, nil
 }
 
+// perFault, set only by tests, turns fault-around off: touch then takes
+// every fault through Handle, the per-fault loop that is fault-around's
+// oracle.
+var perFault bool
+
 // touch demand-faults [va, va+size) in first-touch order, returning the
 // summed synchronous latency of the faults it serviced. Already-mapped
 // stretches are skipped (a greedy policy like 1GB-hugetlbfs maps whole
-// aligned huge pages, covering later allocations in the same range).
+// aligned huge pages, covering later allocations in the same range). Once
+// a fault maps 4KB, fault.Around serves the faults at the rest of its 2MB
+// window in one call; each page it maps still counts as a fault of its
+// own, its latency added to the stall one page at a time.
 func (inst *Instance) touch(policy fault.Policy, va, size uint64) (float64, error) {
 	end := va + size
 	var stall float64
@@ -528,6 +536,18 @@ func (inst *Instance) touch(policy fault.Policy, va, size uint64) (float64, erro
 			return stall, fmt.Errorf("workload %s: fault did not advance at %#x", inst.Spec.Name, va)
 		}
 		va = next
+		if perFault {
+			continue
+		}
+		n, lat, err := fault.Around(policy, inst.Task, r, end)
+		inst.Faults += n
+		for j := uint64(0); j < n; j++ {
+			stall += lat
+		}
+		va += n * units.Page4K
+		if err != nil {
+			return stall, fmt.Errorf("workload %s: fault at %#x: %w", inst.Spec.Name, va, err)
+		}
 	}
 	inst.FaultNs += stall
 	return stall, nil
