@@ -45,7 +45,9 @@ chaos:
 # MapSpecific, ten of a kernel re-booted through a chain of sizes and
 # flavours against newly booted ones (kernel.Boot), and ten each of
 # fault-around's run of order-0 frames against repeated Alloc(0) and of
-# fault-around population against the per-fault loop. The seed corpora
+# fault-around population against the per-fault loop, and ten of the TLB's
+# LRU inclusion law (with the set count fixed, more ways never miss more,
+# tlb.FuzzLRUInclusion). The seed corpora
 # alone run on plain `make test`; this exercises the mutator too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
@@ -55,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 	$(GO) test -run '^$$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 
 # Bench-rot gate: compile and run every benchmark in the tree exactly once
 # (no test functions: -run matches nothing). Catches benchmarks broken by
@@ -62,15 +65,16 @@ fuzz:
 benchcheck:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Determinism & layering lint (tridentlint, DESIGN.md §8), five checks:
+# Determinism & layering lint (tridentlint, DESIGN.md §8), four checks:
 # the dependency table (layering: import DAG, no host clock in the
 # simulated world, math/rand only in internal/xrand, no logging or
 # observability inside memo-key computation) and the interprocedural
 # call-graph checks (detertaint: ambient values and map order into
-# results or output; errdrop, lockflow, ctxleak). The second half is the
-# negative gate: the seeded-violation fixture must still make the linter
-# exit 1 — as a whole and per check — so the checks themselves cannot
-# silently rot.
+# results or output; errdrop; lockflow). Mutexes copied by value are go
+# vet's copylocks check. The second half is the negative gate: the
+# seeded-violation fixture must still make the linter exit 1 — as a whole
+# and per check, for every name `tridentlint -list` prints — so the
+# checks themselves cannot silently rot.
 lint:
 	$(GO) run ./cmd/tridentlint ./...
 	@rc=0; $(GO) run ./cmd/tridentlint internal/lint/testdata/bad >/dev/null || rc=$$?; \
@@ -78,7 +82,8 @@ lint:
 	  echo "tridentlint negative gate: exit $$rc on seeded violations, want 1" >&2; \
 	  exit 1; \
 	fi
-	@for check in layering detertaint errdrop lockflow ctxleak; do \
+	@checks=$$($(GO) run ./cmd/tridentlint -list) || exit 1; \
+	for check in $$(echo "$$checks" | awk '{print $$1}'); do \
 	  rc=0; $(GO) run ./cmd/tridentlint -checks $$check internal/lint/testdata/bad >/dev/null || rc=$$?; \
 	  if [ "$$rc" -ne 1 ]; then \
 	    echo "tridentlint negative gate ($$check): exit $$rc on seeded violations, want 1" >&2; \

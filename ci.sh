@@ -8,7 +8,8 @@
 # a chain of sizes and flavours against newly booted ones (kernel.Boot,
 # the machine pool's contract), and of population by fault-around against
 # its per-fault definitions (the buddy's run of order-0 frames against
-# repeated Alloc(0), fault-around touch against the per-fault loop), a
+# repeated Alloc(0), fault-around touch against the per-fault loop), of
+# the TLB's LRU inclusion law (more ways never miss more), a
 # one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
@@ -40,14 +41,15 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
-# Determinism & layering lint (tridentlint, DESIGN.md §8), five checks:
+# Determinism & layering lint (tridentlint, DESIGN.md §8), four checks:
 # the dependency table — import DAG, no host clock in the simulated world,
 # math/rand only in internal/xrand, no logging or observability inside
 # memo-key computation (layering) — and the interprocedural call-graph
 # checks — ambient-source and map-order taint into
 # results/reports/journals/memo keys and map-order output (detertaint),
-# discarded durability errors (errdrop), mutex misuse (lockflow),
-# unstoppable serving-path goroutines (ctxleak). Self-clean gate:
+# discarded durability errors (errdrop), blocking work and double-locks
+# under a held mutex (lockflow). Mutexes copied by value are go vet's
+# copylocks check above. Self-clean gate:
 go run ./cmd/tridentlint ./...
 
 # Archive the machine-readable self-scan so a regression investigation can
@@ -63,10 +65,12 @@ lintrc=0
 go run ./cmd/tridentlint internal/lint/testdata/bad >/dev/null || lintrc=$?
 test "$lintrc" -eq 1
 
-# Per-check negative gate: every registered check (tridentlint -list) must
-# fire on its own seeded violations when run alone — a check that stops
-# registering or stops matching its fixture exits 0 here and fails the gate.
-for check in layering detertaint errdrop lockflow ctxleak; do
+# Per-check negative gate: every registered check (the first column of
+# tridentlint -list) must fire on its own seeded violations when run alone
+# — a check that stops matching its fixture exits 0 here and fails the
+# gate. TestCheckRegistry pins the registry itself.
+checks=$(go run ./cmd/tridentlint -list)
+for check in $(echo "$checks" | awk '{print $1}'); do
   rc=0
   go run ./cmd/tridentlint -checks "$check" internal/lint/testdata/bad >/dev/null || rc=$?
   test "$rc" -eq 1
@@ -84,6 +88,7 @@ go test -run '^$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
+go test -run '^$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Benchmark-harness gate: bench/ is its own module (BENCHMARK.json), so the

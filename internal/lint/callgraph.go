@@ -11,8 +11,8 @@ import (
 
 // This file is the shared interprocedural substrate (DESIGN.md §8): a
 // module-wide static call graph over go/types, built once per Module and
-// reused by every cross-function check (detertaint, errdrop, lockflow,
-// ctxleak). The precision contract, in order of decreasing certainty:
+// reused by every cross-function check (detertaint, errdrop, lockflow).
+// The precision contract, in order of decreasing certainty:
 //
 //   - Direct calls (pkg.F(), recv.M() on a concrete type) resolve exactly
 //     to one callee.
@@ -349,15 +349,4 @@ func (g *callGraph) closure(base map[*callNode]string) (member map[*callNode]boo
 		}
 	}
 	return member, why
-}
-
-// enclosingFunc finds the graph node whose declaration lexically contains
-// pos in the given package, or nil (package-level initializer).
-func (g *callGraph) enclosingFunc(pkg *Package, pos token.Pos) *callNode {
-	for _, n := range g.funcs {
-		if n.pkg == pkg && n.decl.Pos() <= pos && pos <= n.decl.End() {
-			return n
-		}
-	}
-	return nil
 }

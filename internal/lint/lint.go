@@ -39,8 +39,7 @@ func Checks() []Check {
 		{Name: "layering", Doc: "declared dependency table: import DAG between layers, host clock out of the simulated world, math/rand only in internal/xrand, memo-key computation free of logging and observability calls", Run: checkLayering},
 		{Name: "detertaint", Doc: "no ambient-source or map-order value flow (any call depth) into results, reports, journals or memo keys; no map-order output", Run: checkDeterTaint},
 		{Name: "errdrop", Doc: "no discarded Write/Sync/Rename/Close errors on durability paths", Run: checkErrDrop},
-		{Name: "lockflow", Doc: "no blocking ops under held mutexes, double-locks, or locks copied by value", Run: checkLockFlow},
-		{Name: "ctxleak", Doc: "every serving-path goroutine reachable by a context or done-channel stop signal", Run: checkCtxLeak},
+		{Name: "lockflow", Doc: "no blocking ops under held mutexes, no double-locks", Run: checkLockFlow},
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 //     summary is a call-graph closure, so a helper that ends in
 //     os.ReadDir is as guilty as the syscall itself);
 //   - no double-lock: re-locking a held mutex directly, or calling a
-//     method that locks a receiver field already held;
-//   - no locks copied by value: a receiver or parameter passed as a
-//     non-pointer struct that (transitively) contains a sync primitive.
+//     method that locks a receiver field already held.
+//
+// A mutex copied by value is go vet's copylocks check, which ci.sh runs
+// first.
 //
 // Precision limits (deliberate): branch lock-state is snapshot-restored
 // (a lock taken inside an if body is considered released after it);
@@ -65,7 +66,6 @@ func checkLockFlow(m *Module) []Finding {
 			held: map[lockID]token.Pos{},
 		}
 		out = append(out, lw.run()...)
-		out = append(out, lockByValue(m, n)...)
 	}
 	return out
 }
@@ -537,63 +537,4 @@ func directLocks(n *callNode) (self map[string]bool, global map[types.Object]boo
 		global = nil
 	}
 	return self, global
-}
-
-// lockByValue flags receivers and parameters whose non-pointer type
-// (transitively) contains a sync primitive: copying the struct copies the
-// lock, silently forking its state.
-func lockByValue(m *Module, n *callNode) []Finding {
-	var out []Finding
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := n.pkg.Info.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if prim := containsSyncPrim(t, 0, map[types.Type]bool{}); prim != "" {
-				out = append(out, m.finding(f.Pos(), "lockflow",
-					"%s of %s passes %s by value, which contains %s: locks must be shared by pointer, never copied",
-					what, n.label(), types.TypeString(t, nil), prim))
-			}
-		}
-	}
-	check(n.decl.Recv, "receiver")
-	if n.decl.Type.Params != nil {
-		check(n.decl.Type.Params, "parameter")
-	}
-	return out
-}
-
-// containsSyncPrim finds a sync.Mutex/RWMutex/Once/WaitGroup/Cond inside
-// a (struct) type, depth-limited and cycle-safe.
-func containsSyncPrim(t types.Type, depth int, seen map[types.Type]bool) string {
-	if depth > 5 || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		if o := n.Obj(); o.Pkg() != nil && o.Pkg().Path() == "sync" {
-			switch o.Name() {
-			case "Mutex", "RWMutex", "Once", "WaitGroup", "Cond":
-				return "sync." + o.Name()
-			}
-			return ""
-		}
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if prim := containsSyncPrim(st.Field(i).Type(), depth+1, seen); prim != "" {
-			return prim
-		}
-	}
-	return ""
 }

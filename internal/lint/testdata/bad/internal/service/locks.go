@@ -1,6 +1,5 @@
-// locks.go seeds the lockflow and ctxleak violations: file IO and a
-// channel receive under a held mutex, a helper-method double-lock, a
-// mutex-bearing struct passed by value, and an unstoppable goroutine.
+// locks.go seeds the lockflow violations: file IO and a channel receive
+// under a held mutex, and a helper-method double-lock.
 package service
 
 import (
@@ -46,20 +45,3 @@ func (h *Hub) Snapshot() int {
 	defer h.mu.Unlock()
 	return h.size()
 }
-
-// Stat takes the Hub by value, copying its mutex (lockflow).
-func Stat(h Hub) int {
-	return len(h.state)
-}
-
-// SpinForever spawns a goroutine with no stop signal: it survives drain
-// (ctxleak).
-func (h *Hub) SpinForever() {
-	go func() {
-		for {
-			h.tick()
-		}
-	}()
-}
-
-func (h *Hub) tick() {}

@@ -1,12 +1,11 @@
 // Package service is the clean twin of the sweep service: it may import
 // the engine below it (runner) and the storage backend — the allowed
-// downward edges — and its concurrency idioms are the blessed ones: IO
-// outside the critical section, goroutines that select on a caller-owned
-// context, and map iteration sorted before it reaches a report cell.
+// downward edges — and its idioms are the blessed ones: IO outside the
+// critical section, and map iteration sorted before it reaches a report
+// cell.
 package service
 
 import (
-	"context"
 	"os"
 	"sort"
 	"sync"
@@ -34,27 +33,6 @@ func (h *Hub) Save(path string) error {
 	snap := append([]byte(nil), h.state...)
 	h.mu.Unlock()
 	return os.WriteFile(path, snap, 0o644)
-}
-
-// Watch spawns a goroutine that stops when the caller's context fires —
-// the stoppable shape ctxleak requires.
-func (h *Hub) Watch(ctx context.Context, ticks <-chan int) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticks:
-				h.bump()
-			}
-		}
-	}()
-}
-
-func (h *Hub) bump() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.state = append(h.state, 0)
 }
 
 // Render emits map contents in sorted order: the sort kills the

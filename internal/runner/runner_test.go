@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -260,6 +261,58 @@ func TestJobTimeoutNotCached(t *testing.T) {
 	Execute([]Job{Sim(cfg, func(r *sim.Result) { res = r })}, Options{}).MustOK()
 	if res == nil {
 		t.Fatal("retry after timeout did not deliver")
+	}
+}
+
+// TestExecuteLeavesNoGoroutines: every worker Execute starts has exited by
+// the time it returns — after a normal batch, a cancelled one and one whose
+// jobs overrun JobTimeout. The service's drain relies on it: once Run
+// returns, no runner goroutine is left behind.
+func TestExecuteLeavesNoGoroutines(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	funcs := func() []Job {
+		var jobs []Job
+		for i := 0; i < 6; i++ {
+			jobs = append(jobs, Func(func() any { return i }, nil))
+		}
+		return jobs
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg, cfg2 := tinyConfig(t), tinyConfig(t)
+	cfg2.Seed++
+	cases := []struct {
+		name string
+		jobs []Job
+		opts Options
+		ok   bool
+	}{
+		{"normal", funcs(), Options{Parallelism: 3}, true},
+		{"cancelled", funcs(), Options{Parallelism: 3, Context: cancelled}, false},
+		{"job timeout", []Job{Sim(cfg, nil), Sim(cfg2, nil)}, Options{Parallelism: 2, JobTimeout: time.Nanosecond}, false},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		if rep := Execute(c.jobs, c.opts); rep.OK() != c.ok {
+			t.Fatalf("%s: report OK = %v, want %v: %+v", c.name, rep.OK(), c.ok, rep.Failures)
+		}
+		waitGoroutines(t, c.name, before)
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back to at most before,
+// failing with every stack if it is not within a few seconds.
+func waitGoroutines(t *testing.T, what string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: %d goroutines left running, %d before:\n%s",
+				what, runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

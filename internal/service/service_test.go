@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -339,6 +340,47 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	}
 	if len(refCSV) == 0 || !bytes.Contains(refCSV, []byte("GUPS")) {
 		t.Fatalf("implausible report:\n%s", refCSV)
+	}
+}
+
+// TestRunLeavesNoGoroutines: Run cancelled mid-sweep drains and returns,
+// and every goroutine the sweep started — the runner's workers included —
+// has exited by then. This is the runtime half of the drain contract: the
+// service itself spawns no goroutine, so SIGTERM leaves nothing running.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	runner.ResetCache()
+	defer runner.ResetCache()
+	s := newService(t, Config{Parallelism: 2})
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.Run(ctx) }()
+	req := tinyReq()
+	req.Accesses = 120000 // slow enough that the drain lands mid-sweep
+	sw, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for cur, _ := s.Get(sw.ID); cur.Completed < 1; cur, _ = s.Get(sw.ID) {
+		if time.Now().After(deadline) {
+			t.Fatal("no durable progress before drain")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines left running after drain, %d before:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -114,3 +114,54 @@ func TestTLBStatsConsistency(t *testing.T) {
 		t.Errorf("hits %d + misses %d != lookups %d", h, m, lookups)
 	}
 }
+
+// FuzzLRUInclusion checks the inclusion property of the true-LRU
+// replacement behind Table 1's set-associative TLBs: with the set count
+// fixed, a TLB with one more way holds everything the narrower one holds,
+// so Lookup-then-Insert-on-miss never misses more as ways grow. Eight TLBs
+// of 1..8 ways replay one tag sequence in lockstep: a hit at w ways must be
+// a hit at w+1, and the miss counts must be non-increasing in w. With
+// invalidate set, ops with the high bit drop their tag from every TLB
+// alike, which keeps the property.
+func FuzzLRUInclusion(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 3, 1, 4, 0, 2, 5, 0, 1}, uint8(0), false)
+	f.Add([]byte{0, 4, 8, 12, 16, 0, 4, 20, 24, 0, 28, 8, 4}, uint8(2), false)
+	f.Add([]byte{1, 3, 0x81, 1, 5, 3, 0x83, 7, 1, 3, 9, 0x85, 5}, uint8(1), true)
+	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 0, 8, 0x80, 0, 1, 9, 2, 0x89, 10, 3, 7}, uint8(0), true)
+	f.Add([]byte("a tag sequence with some locality: aaaa bbbb abab"), uint8(2), true)
+	f.Fuzz(func(t *testing.T, ops []byte, setsRaw uint8, invalidate bool) {
+		sets := 1 << (setsRaw % 3) // 1, 2 or 4
+		var tlbs [8]*TLB
+		for w := range tlbs {
+			tlbs[w] = NewTLB("inclusion", sets, w+1)
+		}
+		for i, op := range ops {
+			tag := uint64(op & 0x1f)
+			if invalidate && op&0x80 != 0 {
+				for _, tl := range tlbs {
+					tl.Invalidate(tag)
+				}
+				continue
+			}
+			var hit [len(tlbs)]bool
+			for w, tl := range tlbs {
+				if hit[w] = tl.Lookup(tag); !hit[w] {
+					tl.Insert(tag)
+				}
+			}
+			for w := 1; w < len(tlbs); w++ {
+				if hit[w-1] && !hit[w] {
+					t.Fatalf("op %d (tag %d, %d sets): hit with %d ways, miss with %d", i, tag, sets, w, w+1)
+				}
+			}
+		}
+		_, prev := tlbs[0].Stats()
+		for w, tl := range tlbs[1:] {
+			if _, misses := tl.Stats(); misses > prev {
+				t.Fatalf("%d sets: %d misses with %d ways, %d with %d", sets, prev, w+1, misses, w+2)
+			} else {
+				prev = misses
+			}
+		}
+	})
+}
