@@ -9,7 +9,10 @@
 # the machine pool's contract), and of population by fault-around against
 # its per-fault definitions (the buddy's run of order-0 frames against
 # repeated Alloc(0), fault-around touch against the per-fault loop), of
-# the TLB's LRU inclusion law (more ways never miss more), a
+# the TLB's LRU inclusion law (more ways never miss more), of whole runs
+# on drawn configs against the oracle that switches off every fast path
+# (FuzzRunEquivalence: translation one reference at a time, population
+# one fault at a time), a
 # one-iteration sweep of every benchmark (bench-rot
 # gate), the benchmark harness's own tests (bench/ is a nested module the
 # root `go test ./...` skips; its smoke test byte-compares two workloads'
@@ -58,17 +61,11 @@ go run ./cmd/tridentlint ./...
 mkdir -p report
 go run ./cmd/tridentlint -json ./... >report/tridentlint.json
 
-# Negative gate: the linter must still fire on the seeded-violation
-# fixture module, exiting 1 (findings) — not 0 (rotted checks) and not 2
-# (driver broke). Keeps the linter itself from silently rotting.
-lintrc=0
-go run ./cmd/tridentlint internal/lint/testdata/bad >/dev/null || lintrc=$?
-test "$lintrc" -eq 1
-
-# Per-check negative gate: every registered check (the first column of
-# tridentlint -list) must fire on its own seeded violations when run alone
-# — a check that stops matching its fixture exits 0 here and fails the
-# gate. TestCheckRegistry pins the registry itself.
+# Negative gate: every registered check (the first column of
+# tridentlint -list) must fire on its own seeded violations in the fixture
+# module when run alone, exiting 1 (findings) — not 0 (a check that stopped
+# matching its fixture) and not 2 (driver broke). Keeps the linter itself
+# from silently rotting. TestCheckRegistry pins the registry itself.
 checks=$(go run ./cmd/tridentlint -list)
 for check in $(echo "$checks" | awk '{print $1}'); do
   rc=0
@@ -89,6 +86,7 @@ go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 go test -run '^$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
+go test -run '^$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Benchmark-harness gate: bench/ is its own module (BENCHMARK.json), so the

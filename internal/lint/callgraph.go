@@ -18,13 +18,12 @@ import (
 //     to one callee.
 //   - Interface method calls are over-approximated by the implements-set:
 //     an edge to that method on every named type declared anywhere in the
-//     module that implements the interface. Marked dynamic.
+//     module that implements the interface.
 //   - Method values and function references outside call position (x.M
-//     passed as a callback, OnJob: s.observeJob) become dynamic edges:
-//     the referencing function MAY cause the referenced one to run.
+//     passed as a callback, OnJob: s.observeJob) become edges too: the
+//     referencing function MAY cause the referenced one to run.
 //   - Calls through function-typed values (params, fields, locals) cannot
-//     be resolved at all; the caller is marked callsUnknown and each check
-//     decides what ⊤ means for it (documented per check).
+//     be resolved at all and get no edge.
 //
 // Function literals are attributed to their enclosing declared function:
 // a call made inside a closure is an edge from the function that declared
@@ -38,15 +37,12 @@ type callNode struct {
 	decl *ast.FuncDecl
 	// edges is in source-encounter order (deterministic).
 	edges []callEdge
-	// callsUnknown marks at least one call through a function-typed value.
-	callsUnknown bool
 }
 
 // callEdge is one may-call relationship.
 type callEdge struct {
-	callee  *callNode
-	dynamic bool // interface dispatch or reference-not-call
-	pos     token.Pos
+	callee *callNode
+	pos    token.Pos
 }
 
 // label renders the node for diagnostics, module path elided:
@@ -144,7 +140,7 @@ func (g *callGraph) buildEdges(n *callNode) {
 		}
 		return true
 	})
-	// References outside call position become dynamic edges.
+	// References outside call position become edges too.
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		switch e := node.(type) {
 		case *ast.Ident:
@@ -153,7 +149,7 @@ func (g *callGraph) buildEdges(n *callNode) {
 			}
 			if fn, ok := info.Uses[e].(*types.Func); ok {
 				if callee := g.nodes[canonical(fn)]; callee != nil {
-					n.edges = append(n.edges, callEdge{callee: callee, dynamic: true, pos: e.Pos()})
+					n.edges = append(n.edges, callEdge{callee: callee, pos: e.Pos()})
 				}
 			}
 		case *ast.SelectorExpr:
@@ -162,7 +158,7 @@ func (g *callGraph) buildEdges(n *callNode) {
 			}
 			if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
 				for _, callee := range g.resolveMethod(info, e, fn) {
-					n.edges = append(n.edges, callEdge{callee: callee, dynamic: true, pos: e.Pos()})
+					n.edges = append(n.edges, callEdge{callee: callee, pos: e.Pos()})
 				}
 			}
 		}
@@ -170,55 +166,33 @@ func (g *callGraph) buildEdges(n *callNode) {
 	})
 }
 
-// addCallEdges classifies one call expression from n.
+// addCallEdges classifies one call expression from n. Calls of builtins,
+// conversions, function-typed values (params, fields, locals, f()(),
+// m[k]()) get no edge; an immediately-invoked literal's body is walked as
+// part of n.
 func (g *callGraph) addCallEdges(n *callNode, call *ast.CallExpr) {
 	info := n.pkg.Info
 	switch fun := peel(call.Fun).(type) {
 	case *ast.Ident:
-		switch obj := info.Uses[fun].(type) {
-		case *types.Func:
-			if callee := g.nodes[canonical(obj)]; callee != nil {
-				n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
-			}
-		case *types.Builtin, *types.TypeName, nil:
-			// append/len/..., conversions: no edge.
-		default:
-			// A variable of function type: unresolvable.
-			if _, ok := obj.Type().Underlying().(*types.Signature); ok {
-				n.callsUnknown = true
-			}
-		}
-	case *ast.SelectorExpr:
-		obj := info.Uses[fun.Sel]
-		if fn, ok := obj.(*types.Func); ok {
-			sel := info.Selections[fun]
-			if sel != nil && isInterface(sel.Recv()) {
-				for _, callee := range g.implementors(n.pkg, sel.Recv(), fn) {
-					n.edges = append(n.edges, callEdge{callee: callee, dynamic: true, pos: call.Pos()})
-				}
-				return
-			}
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			if callee := g.nodes[canonical(fn)]; callee != nil {
 				n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
 			}
+		}
+	case *ast.SelectorExpr:
+		fn, ok := info.Uses[fun.Sel].(*types.Func)
+		if !ok {
 			return
 		}
-		// Func-typed field or package-level func var: unresolvable.
-		if obj != nil {
-			if _, ok := obj.Type().Underlying().(*types.Signature); ok {
-				n.callsUnknown = true
+		if sel := info.Selections[fun]; sel != nil && isInterface(sel.Recv()) {
+			for _, callee := range g.implementors(n.pkg, sel.Recv(), fn) {
+				n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
 			}
-		}
-	case *ast.FuncLit:
-		// Immediately-invoked literal: its body is already walked as part
-		// of this declaration.
-	default:
-		// Call of a computed function value (f()(), m[k]()): unresolvable,
-		// unless it is a type conversion.
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			return
 		}
-		n.callsUnknown = true
+		if callee := g.nodes[canonical(fn)]; callee != nil {
+			n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
+		}
 	}
 }
 
@@ -322,7 +296,7 @@ func (g *callGraph) nodeOf(fn *types.Func) *callNode {
 
 // closure computes the reflexive-transitive "can reach" set of the
 // directly-marked base: member[n] is true when n is in base or some call
-// path (static or dynamic edges; unknown calls do NOT extend the set) from
+// path (unresolvable calls have no edge, so they do NOT extend the set) from
 // n lands in base. why[n] renders the first-discovered path for
 // diagnostics, e.g. "calls (internal/store.*FS).Put, which calls os.Rename".
 func (g *callGraph) closure(base map[*callNode]string) (member map[*callNode]bool, why map[*callNode]string) {

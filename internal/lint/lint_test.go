@@ -44,6 +44,7 @@ func TestBadFixtureFindings(t *testing.T) {
 		{"layering", "internal/sim/sim.go", "internal/sim must not use time.Now"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches fmt.Println"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches io.Writer output (io.Writer).Write"},
+		{"detertaint", "internal/sim/sim.go", "map iteration order reaches a float += accumulator"},
 		// Interprocedural flows. The first is the acceptance proof: a
 		// wall-clock read two call hops away from the Result assignment,
 		// outside the simulated world the layering fence covers.

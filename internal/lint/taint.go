@@ -269,6 +269,8 @@ type funcScan struct {
 	// mapOrder is the order taint of the enclosing map-range bodies: the
 	// control dependence of every call made inside them.
 	mapOrder taintVal
+	// mapBody is the innermost enclosing map-range body, or nil.
+	mapBody *ast.BlockStmt
 }
 
 func (fs *funcScan) info() *types.Info { return fs.n.pkg.Info }
@@ -395,12 +397,12 @@ func (fs *funcScan) rangeStmt(st *ast.RangeStmt) {
 	base := fs.eval(st.X)
 	t := fs.info().TypeOf(st.X)
 	var loopVar taintVal
-	outer := fs.mapOrder
+	outer, outerBody := fs.mapOrder, fs.mapBody
 	switch {
 	case t != nil && isMapType(t):
 		order := taintVal{kind: taintOrder, why: "map iteration order"}
 		loopVar = base.or(order)
-		fs.mapOrder = order
+		fs.mapOrder, fs.mapBody = order, st.Body
 	case t != nil && isChanType(t):
 		loopVar = taintVal{}
 	default:
@@ -415,7 +417,7 @@ func (fs *funcScan) rangeStmt(st *ast.RangeStmt) {
 		}
 	}
 	fs.stmt(st.Body)
-	fs.mapOrder = outer
+	fs.mapOrder, fs.mapBody = outer, outerBody
 }
 
 func isMapType(t types.Type) bool  { _, ok := t.Underlying().(*types.Map); return ok }
@@ -438,6 +440,7 @@ func (fs *funcScan) assign(st *ast.AssignStmt) {
 	for i, lhs := range st.Lhs {
 		v := vals[i]
 		if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
+			fs.floatAccumulate(st.Tok, lhs)
 			// Compound assignment: x op= rhs reads x too; numeric ops are
 			// order-insensitive, string += is order-preserving.
 			old := fs.eval(lhs)
@@ -462,6 +465,38 @@ func (fs *funcScan) assign(st *ast.AssignStmt) {
 			fs.state.write(obj, path, v)
 		}
 	}
+}
+
+// floatAccumulate reports a float x op= y inside a map-range body: float
+// arithmetic is not associative, so the accumulated value's rounding
+// follows the iteration order, whether it then reaches a sink by value or
+// only steers control flow (a loop bound, an integer quota). Two targets
+// are exempt: a map cell, since the usual shape updates each key's own
+// cell once (a cell several keys add into is a known blind spot, DESIGN.md
+// §8); and a variable declared inside the innermost map-range body, which
+// starts afresh on every iteration and so sums in one key's order.
+func (fs *funcScan) floatAccumulate(tok token.Token, lhs ast.Expr) {
+	info := fs.info()
+	if !fs.a.emitting || fs.mapOrder.kind == 0 || !isFloatType(info.TypeOf(lhs)) {
+		return
+	}
+	if ix, ok := peel2(lhs).(*ast.IndexExpr); ok {
+		if bt := info.TypeOf(ix.X); bt != nil && isMapType(bt) {
+			return
+		}
+	}
+	if obj, _ := pathOf(info, lhs); obj != nil && obj.Pos() >= fs.mapBody.Pos() && obj.Pos() < fs.mapBody.End() {
+		return
+	}
+	fs.a.report(lhs.Pos(), "a float "+tok.String()+" accumulator, whose rounding follows the order", fs.mapOrder)
+}
+
+func isFloatType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 func peel2(e ast.Expr) ast.Expr {

@@ -1,7 +1,7 @@
 // Package sim seeds deliberate violations for tridentlint's golden tests
 // and the CI negative gate: an aliased wall-clock read and a layering
 // breach (sim importing the runner) for the layering table, and two
-// unsorted map-order emissions for detertaint.
+// unsorted map-order emissions and a map-ordered float sum for detertaint.
 package sim
 
 import (
@@ -52,4 +52,25 @@ func Mark(w io.Writer, m map[string]bool) {
 		}
 		w.Write([]byte(line))
 	}
+}
+
+// Reclaim splits want pages across regions in proportion to their
+// weights. sumW is summed in map order, and float addition is not
+// associative, so a 1-ulp difference between two orders can flip a
+// quota: the sum reaches no sink by value, only the loop bounds.
+func Reclaim(held map[int][]uint64, weight []float64, want uint64) uint64 {
+	var sumW float64
+	for r, pages := range held {
+		if len(pages) > 0 {
+			sumW += weight[r]
+		}
+	}
+	var freed uint64
+	for r := range weight {
+		quota := uint64(float64(want) * weight[r] / sumW)
+		for i := uint64(0); i < quota && i < uint64(len(held[r])); i++ {
+			freed++
+		}
+	}
+	return freed
 }

@@ -35,8 +35,8 @@ type Hooks struct {
 	OnJob func()
 }
 
-// Watcher hands out a method value without calling it: a dynamic
-// may-run edge from Handle to observe.
+// Watcher hands out a method value without calling it: a may-run edge
+// from Handle to observe.
 type Watcher struct{ n int }
 
 func (w *Watcher) observe() { w.n++ }
@@ -45,8 +45,8 @@ func (w *Watcher) Handle() Hooks {
 	return Hooks{OnJob: w.observe}
 }
 
-// Apply calls through a function-typed parameter: unresolvable, so the
-// caller is marked callsUnknown.
+// Apply calls through a function-typed parameter: unresolvable, so it
+// has no edge.
 func Apply(f func() error) error { return f() }
 
 // Fib is directly recursive.

@@ -52,3 +52,32 @@ func Keys(m map[string]int) []string {
 func hostNow() int64 { return time.Now().UnixNano() }
 
 var _ = hostNow
+
+// Tally sums in map order only where the order cannot show: a float per
+// map cell (each cell sees one update per key) and an integer total
+// (integer addition is associative).
+func Tally(phaseMs map[string]float64, pages map[int][]uint64) (map[string]float64, uint64) {
+	byPhase := map[string]float64{}
+	for phase, ms := range phaseMs {
+		byPhase[phase] += ms
+	}
+	var n uint64
+	for _, p := range pages {
+		n += uint64(len(p))
+	}
+	return byPhase, n
+}
+
+// KeySums sums each key's samples in slice order: the accumulator is
+// declared afresh on every map iteration, so map order cannot reach it.
+func KeySums(samples map[string][]float64) map[string]float64 {
+	out := map[string]float64{}
+	for k, xs := range samples {
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		out[k] = s
+	}
+	return out
+}

@@ -17,7 +17,7 @@ import (
 func TestFingerprintKeysEveryField(t *testing.T) {
 	base := tinyConfig(t).Normalized()
 	fp := Fingerprint(base)
-	cleared := map[string]bool{"Obs": true, "ScalarTranslate": true}
+	cleared := map[string]bool{"Obs": true}
 
 	cfgT := reflect.TypeOf(base)
 	for i := 0; i < cfgT.NumField(); i++ {

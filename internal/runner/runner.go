@@ -509,10 +509,9 @@ type cacheKey struct {
 func keyOf(cfg sim.Config) cacheKey {
 	cfg = cfg.Normalized()
 	key := cacheKey{workload: *cfg.Workload, tlb: *cfg.TLB}
-	cfg.Workload = nil          // keyed by value above: the address is not identity
-	cfg.TLB = nil               // keyed by value above: the address is not identity
-	cfg.Obs = nil               // observability only: a recorder never influences a run
-	cfg.ScalarTranslate = false // loop shape only: byte-identical to the coalesced pipeline (TestRunScalarEquivalence)
+	cfg.Workload = nil // keyed by value above: the address is not identity
+	cfg.TLB = nil      // keyed by value above: the address is not identity
+	cfg.Obs = nil      // observability only: a recorder never influences a run
 	key.cfg = cfg
 	return key
 }

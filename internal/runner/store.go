@@ -31,8 +31,7 @@ func fingerprintKey(key cacheKey) string {
 
 // Fingerprint returns cfg's canonical memo fingerprint — the key under
 // which the persistent result store addresses its result. Configs that
-// differ only in the fields keyOf clears (Obs, ScalarTranslate) share a
-// fingerprint.
+// differ only in the field keyOf clears (Obs) share a fingerprint.
 func Fingerprint(cfg sim.Config) string {
 	return fingerprintKey(keyOf(cfg))
 }

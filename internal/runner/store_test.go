@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -250,9 +251,9 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatalf("fingerprint %q is not a sha256 hex", fp)
 	}
 	obsCfg := cfg
-	obsCfg.ScalarTranslate = true // memo-key-excluded loop-shape knob
+	obsCfg.Obs = &obs.Run{Name: "traced"} // memo-key-excluded recorder
 	if Fingerprint(obsCfg) != fp {
-		t.Fatal("loop-shape knob changed the fingerprint")
+		t.Fatal("an observability recorder changed the fingerprint")
 	}
 	seeded := cfg
 	seeded.Seed++

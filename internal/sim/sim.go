@@ -179,16 +179,6 @@ type Config struct {
 	// unaffected; only tests should set it.
 	ShadowCheck bool
 
-	// ScalarTranslate forces the one-reference-at-a-time oracle loop
-	// (inst.Next → translateWithFaults) instead of the run-coalesced
-	// pipeline (inst.NextRuns → mmu.TranslateRuns). The two paths are
-	// byte-identical by construction (DESIGN.md §5c) and the equivalence is
-	// pinned by TestRunScalarEquivalence, so this knob exists only as the
-	// scalar reference for that test and for bisecting any future
-	// divergence. Like Obs, it cannot affect results, so the runner
-	// package's memo key (runner.keyOf) clears it.
-	ScalarTranslate bool
-
 	// Chaos configures deterministic fault injection (internal/chaos):
 	// seed-driven forced buddy-allocation failures, zero-pool exhaustion
 	// and compaction/promotion aborts. The zero value disables injection
@@ -342,7 +332,8 @@ type runner struct {
 	// runs is the run-coalesced pipeline's reusable buffer; NextRuns
 	// returns at most one run per drawn reference, so batchAccesses
 	// capacity never reallocates.
-	runs []stream.Run
+	runs   []stream.Run
+	oracle bool // switches off every fast path (see run)
 }
 
 // Run executes one configuration and returns its measurements.
@@ -356,11 +347,18 @@ func Run(cfg Config) (*Result, error) {
 // ctx.Err() wrapped in the error. A cancelled run's partial Result is never
 // returned.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	return run(ctx, cfg, false)
+}
+
+// run is RunContext. The oracle, set only by this package's tests, switches
+// off every fast path (translateChunk, touchPolicy); both ways give the
+// same Result (DESIGN.md §5c).
+func run(ctx context.Context, cfg Config, oracle bool) (*Result, error) {
 	cfg.setDefaults()
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("sim: no workload")
 	}
-	r := &runner{cfg: cfg, ctx: ctx, rng: xrand.New(cfg.Seed ^ 0xdecade)}
+	r := &runner{cfg: cfg, ctx: ctx, rng: xrand.New(cfg.Seed ^ 0xdecade), oracle: oracle}
 	r.res = &Result{Workload: cfg.Workload.Name, Policy: cfg.Policy.String()}
 	if cfg.Virtualized {
 		r.res.Policy = cfg.Policy.String() + "+" + cfg.HostPolicy.String()
@@ -792,12 +790,22 @@ func (r *runner) obsSample() {
 }
 
 func (r *runner) populate() error {
-	inst, err := r.cfg.Workload.Instantiate(r.k, r.task, r.policy, r.cfg.Seed+4, r.cfg.Scale)
+	inst, err := r.cfg.Workload.Instantiate(r.k, r.task, r.touchPolicy(), r.cfg.Seed+4, r.cfg.Scale)
 	if err != nil {
 		return err
 	}
 	r.inst = inst
 	return nil
+}
+
+// touchPolicy is the policy population and Extend fault through: under the
+// oracle, one whose type hides fault's unexported around method, so
+// fault.Around maps nothing and touch serves every fault through Handle.
+func (r *runner) touchPolicy() fault.Policy {
+	if r.oracle {
+		return struct{ fault.Policy }{r.policy}
+	}
+	return r.policy
 }
 
 // runDaemons executes the background machinery to quiescence (or until the
@@ -935,11 +943,11 @@ func (r *runner) accessBatch(n int) error {
 }
 
 // translateChunk draws the next c references and translates them, servicing
-// faults, through the run-coalesced pipeline — or, under ScalarTranslate,
-// through the one-reference-at-a-time oracle loop. It returns the chunk's
+// faults, through the run-coalesced pipeline — or, under the oracle,
+// through the one-reference-at-a-time loop. It returns the chunk's
 // accumulated synchronous fault stall.
 func (r *runner) translateChunk(c int) float64 {
-	if !r.cfg.ScalarTranslate {
+	if !r.oracle {
 		return r.translateRuns(r.inst.NextRuns(r.runsBuf(), c))
 	}
 	var stall float64
@@ -1077,7 +1085,7 @@ func (r *runner) measure() error {
 		if wl.Throughput {
 			// The store keeps inserting: allocation interleaves with serving.
 			if wl.RequestInsertBytes > 0 {
-				if ns, err := r.inst.Extend(r.policy, wl.RequestInsertBytes); err == nil {
+				if ns, err := r.inst.Extend(r.touchPolicy(), wl.RequestInsertBytes); err == nil {
 					reqStall += ns
 				}
 			}

@@ -1,15 +1,11 @@
 package sim
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/tlb"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -463,108 +459,6 @@ func TestPvRestoresHostMappings(t *testing.T) {
 	// 1GB-level behaviour (walks far below 2MB-level thrash).
 	if res.MappedFinal[units.Size1G] == 0 {
 		t.Error("guest has no 1GB pages")
-	}
-}
-
-// runWithSeries runs cfg with an observer recording the per-batch time
-// series and returns the Result together with the series CSV bytes.
-func runWithSeries(t *testing.T, cfg Config, name string) (*Result, []byte) {
-	t.Helper()
-	series := filepath.Join(t.TempDir(), "series.csv")
-	ob := obs.NewObserver("", series, 1, false)
-	r := ob.NewRun(name)
-	cfg.Obs = r
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob.Flush(r)
-	if err := ob.Close(); err != nil {
-		t.Fatal(err)
-	}
-	csv, err := os.ReadFile(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, csv
-}
-
-// assertScalarEquivalent runs cfg once through the scalar
-// one-reference-at-a-time oracle (ScalarTranslate) and once through the
-// default run-coalesced pipeline, and fails unless both produce a
-// byte-identical Result and an identical per-batch time-series CSV.
-func assertScalarEquivalent(t *testing.T, cfg Config, name string) {
-	t.Helper()
-	scfg, rcfg := cfg, cfg
-	scfg.ScalarTranslate = true
-	rcfg.ScalarTranslate = false
-	sres, scsv := runWithSeries(t, scfg, name)
-	rres, rcsv := runWithSeries(t, rcfg, name)
-	if !reflect.DeepEqual(sres, rres) {
-		t.Errorf("runs result differs from scalar:\nscalar: %+v\nruns:   %+v", sres, rres)
-	}
-	if !bytes.Equal(scsv, rcsv) {
-		t.Errorf("runs series CSV differs from scalar:\nscalar:\n%s\nruns:\n%s", scsv, rcsv)
-	}
-}
-
-// TestBatchScalarEquivalence pins scalar/run-pipeline equivalence in the
-// production configuration every bench workload runs: ShadowCheck off and an
-// access count that is a whole number of batches, so every chunk takes the
-// batch-boundary work (observability sample, cancellation and audit checks).
-// TestRunScalarEquivalence covers the shadow-checked ragged-tail side.
-func TestBatchScalarEquivalence(t *testing.T) {
-	t.Run("GUPS", func(t *testing.T) {
-		cfg := testConfig("GUPS", PolicyTrident)
-		cfg.Accesses = 40 * batchAccesses
-		assertScalarEquivalent(t, cfg, "GUPS")
-	})
-}
-
-// TestRunScalarEquivalence pins the run-coalesced pipeline contract
-// (DESIGN.md §5c): a configuration run through the scalar
-// one-reference-at-a-time oracle (ScalarTranslate) and through the default
-// run-coalesced NextRuns → SweepL1Runs → walk-only-lead-misses pipeline
-// must produce a byte-identical Result and an identical per-batch
-// time-series CSV — with ShadowCheck cross-checking every TLB-derived size
-// against the page table, under ragged access counts that leave a short
-// final batch. The Redis case is the throughput workload: it drives the
-// per-batch request flush, the measurement-time Extend and the p99
-// histogram through both loops. This is what licenses the memo-key
-// exclusion of ScalarTranslate (internal/runner) and every probe skip and
-// counter increment the run pipeline bulk-applies.
-func TestRunScalarEquivalence(t *testing.T) {
-	cases := []struct {
-		name     string
-		workload string
-		policy   PolicyKind
-		mutate   func(*Config)
-	}{
-		{"trident", "GUPS", PolicyTrident, func(c *Config) {}},
-		{"hawkeye-fragmented", "GUPS", PolicyHawkEye, func(c *Config) {
-			c.Fragment = true
-		}},
-		{"trident-pv-virtualized", "GUPS", PolicyTrident, func(c *Config) {
-			c.Virtualized = true
-			c.HostPolicy = PolicyTrident
-			c.Pv = true
-			c.KhugepagedBudgetFrac = 0.10
-		}},
-		{"svm-4k", "SVM", Policy4K, func(c *Config) {}},
-		{"redis-hawkeye", "Redis", PolicyHawkEye, func(c *Config) {}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := testConfig(tc.workload, tc.policy)
-			// Ragged: not a multiple of the 2000-access batch, so the
-			// final short batch takes the run pipeline too.
-			cfg.Accesses = 70_003
-			cfg.ShadowCheck = true
-			tc.mutate(&cfg)
-			assertScalarEquivalent(t, cfg, tc.name)
-		})
 	}
 }
 

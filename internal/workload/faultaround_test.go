@@ -1,23 +1,16 @@
 package workload_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/fragment"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/pagetable"
 	"repro/internal/phys"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -26,8 +19,9 @@ import (
 )
 
 // faultPolicies are the fault paths population runs through. HawkEye's
-// fault path is THP's and Trident-NC's is Trident's; sim runs cover both
-// by name. hugePages sizes a Hugetlbfs pool in 2MB pages.
+// fault path is THP's and Trident-NC's is Trident's; internal/sim's
+// whole-run equivalence covers both by name. hugePages sizes a Hugetlbfs
+// pool in 2MB pages.
 var faultPolicies = []struct {
 	name string
 	mk   func(k *kernel.Kernel, hugePages int) fault.Policy
@@ -78,10 +72,11 @@ func (c populationCase) String() string {
 		c.hugePages, c.traced, c.failAt, c.failRate, c.extends)
 }
 
-// populate runs c and renders everything it leaves behind: the errors and
-// stalls of each call, every traced fault, the Instance's fault count and
-// latency sum, and the machine (machineState).
-func populate(t *testing.T, c populationCase) []string {
+// populate runs c, through fault-around or, with oracle, fault by fault,
+// and renders everything it leaves behind: the errors and stalls of each
+// call, every traced fault, the Instance's fault count and latency sum,
+// and the machine (machineState).
+func populate(t *testing.T, c populationCase, oracle bool) []string {
 	t.Helper()
 	spec, ok := workload.ByName(c.workload)
 	if !ok {
@@ -106,6 +101,7 @@ func populate(t *testing.T, c populationCase) []string {
 	if c.traced {
 		p = fault.Traced(p, func(r fault.Result) { out = append(out, fmt.Sprintf("fault %+v", r)) })
 	}
+	p = oneByOne(p, oracle)
 	consults, rng := 0, xrand.New(c.fragSeed+11)
 	k.Buddy.FailAlloc = func(order int) bool {
 		if order > 0 {
@@ -155,13 +151,23 @@ func machineState(k *kernel.Kernel, p fault.Policy) []string {
 
 // bothWays runs f once through fault-around and once through the
 // per-fault oracle and fails unless the two renderings are equal.
-func bothWays(t *testing.T, f func() []string) {
+func bothWays(t *testing.T, f func(oracle bool) []string) {
 	t.Helper()
-	got := f()
-	old := workload.SetPerFault(true)
-	want := f()
-	workload.SetPerFault(old)
-	requireEqualLines(t, got, want)
+	requireEqualLines(t, f(false), f(true))
+}
+
+// handleOnly hides the wrapped policy's unexported around method, as
+// internal/sim's oracle does, so fault.Around maps nothing and touch takes
+// every fault through Handle: the per-fault loop that is fault-around's
+// oracle.
+type handleOnly struct{ fault.Policy }
+
+// oneByOne wraps p in handleOnly under the oracle.
+func oneByOne(p fault.Policy, oracle bool) fault.Policy {
+	if oracle {
+		return handleOnly{p}
+	}
+	return p
 }
 
 func requireEqualLines(t *testing.T, got, want []string) {
@@ -184,13 +190,13 @@ func requireEqualLines(t *testing.T, got, want []string) {
 }
 
 // TestFaultAroundEquivalence pins population by fault-around (DESIGN.md
-// §5c) to its oracle, touch's per-fault loop: every policy, native and
-// virtualized, on fresh and fragmented memory, must leave the same
-// machine, stats, op counts and latency sums (compared by their bits),
-// call the trace hook for the same faults in the same order, and fail at
-// the same fault. A FailAlloc hook fails chosen order-0 allocations (the
-// chaos injector exempts order 0), so the runs' per-frame consults are
-// pinned too.
+// §5c) to its oracle, touch's per-fault loop: every policy, on fresh and
+// fragmented memory, must leave the same machine, stats, op counts and
+// latency sums (compared by their bits), call the trace hook for the same
+// faults in the same order, and fail at the same fault. A FailAlloc hook
+// fails chosen order-0 allocations (the chaos injector exempts order 0),
+// so the runs' per-frame consults are pinned too. Whole runs, native and
+// virtualized, are internal/sim's TestRunScalarEquivalence.
 func TestFaultAroundEquivalence(t *testing.T) {
 	t.Run("populate", func(t *testing.T) {
 		workloads := []string{"Redis", "Graph500", "GUPS", "SVM", "Canneal", "Btree"}
@@ -205,7 +211,7 @@ func TestFaultAroundEquivalence(t *testing.T) {
 						traced: n%2 == 0, failAt: failAt, failRate: 0.05, extends: 3,
 					}
 					t.Run(c.String(), func(t *testing.T) {
-						bothWays(t, func() []string { return populate(t, c) })
+						bothWays(t, func(oracle bool) []string { return populate(t, c, oracle) })
 					})
 				}
 			}
@@ -217,9 +223,9 @@ func TestFaultAroundEquivalence(t *testing.T) {
 	t.Run("mapped pages in the window", func(t *testing.T) {
 		for pi, fp := range faultPolicies {
 			t.Run(fp.name, func(t *testing.T) {
-				bothWays(t, func() []string {
+				bothWays(t, func(oracle bool) []string {
 					k := kernel.New(2*units.Page1G, units.TridentMaxOrder)
-					p := faultPolicies[pi].mk(k, 4)
+					p := oneByOne(faultPolicies[pi].mk(k, 4), oracle)
 					task := k.NewTask("p")
 					size := uint64(3*units.Page2M + 7*units.Page4K)
 					va, err := task.AS.MMapAligned(size, units.Page2M, vmm.KindAnon)
@@ -241,92 +247,6 @@ func TestFaultAroundEquivalence(t *testing.T) {
 		}
 	})
 
-	t.Run("sim", func(t *testing.T) {
-		type runCase struct {
-			workload string
-			policy   sim.PolicyKind
-			frag     bool
-			virt     bool
-			host     sim.PolicyKind
-			pv       bool
-		}
-		var cases []runCase
-		workloads := []string{"Redis", "Graph500", "SVM", "Btree"}
-		for i, p := range []sim.PolicyKind{
-			sim.Policy4K, sim.PolicyTHP, sim.PolicyHugetlbfs2M, sim.PolicyHugetlbfs1G,
-			sim.PolicyHawkEye, sim.PolicyTrident, sim.PolicyTrident1GOnly, sim.PolicyTridentNC,
-		} {
-			for j, frag := range []bool{false, true} {
-				cases = append(cases, runCase{workload: workloads[(i+j)%len(workloads)], policy: p, frag: frag})
-			}
-		}
-		cases = append(cases,
-			runCase{workload: "Redis", policy: sim.Policy4K, virt: true, host: sim.PolicyTHP, frag: true},
-			runCase{workload: "Graph500", policy: sim.PolicyTHP, virt: true, host: sim.PolicyTHP, frag: true},
-			runCase{workload: "SVM", policy: sim.PolicyHawkEye, virt: true, host: sim.PolicyTrident},
-			runCase{workload: "Redis", policy: sim.PolicyTrident, virt: true, host: sim.PolicyTrident, pv: true, frag: true},
-		)
-		for i, rc := range cases {
-			spec, _ := workload.ByName(rc.workload)
-			// A guest, or a 1GB pool reserved with headroom, needs a
-			// bigger host.
-			memGB := uint64(2)
-			if rc.virt || rc.policy == sim.PolicyHugetlbfs1G {
-				memGB = 4
-			}
-			cfg := sim.Config{
-				Workload: spec, Policy: rc.policy, MemGB: memGB, Scale: 1.0 / 16,
-				Accesses: 20_000, Seed: uint64(i + 1), Fragment: rc.frag,
-				AuditEvery: 4,
-				Chaos: chaos.Config{
-					Seed: uint64(i + 1), BuddyFailRate: 0.05, ZeroPoolFailRate: 0.1,
-					CompactAbortRate: 0.2, PromoteAbortRate: 0.2,
-				},
-			}
-			name := fmt.Sprintf("%s/%v/frag=%v", rc.workload, rc.policy, rc.frag)
-			if rc.virt {
-				cfg.Virtualized, cfg.HostPolicy, cfg.Pv = true, rc.host, rc.pv
-				name += fmt.Sprintf("/virtualized/host=%v/pv=%v", rc.host, rc.pv)
-			}
-			t.Run(name, func(t *testing.T) {
-				bothWays(t, func() []string { return simRun(t, cfg) })
-			})
-		}
-	})
-}
-
-// simRun runs cfg with every fault event traced and a series row per
-// batch, and renders the result, the error, the series CSV and the trace.
-func simRun(t *testing.T, cfg sim.Config) []string {
-	t.Helper()
-	dir := t.TempDir()
-	tracePath, seriesPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "series.csv")
-	ob := obs.NewObserver(tracePath, seriesPath, 1, true)
-	r := ob.NewRun("run")
-	cfg.Obs = r
-	res, err := sim.Run(cfg)
-	ob.Flush(r)
-	if cerr := ob.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	js, jerr := json.Marshal(res) // pointees too; floats round-trip exactly
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-	out := []string{"result " + string(js), fmt.Sprint("error ", err)}
-	if r.EventCount() == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	for _, path := range []string{seriesPath, tracePath} {
-		b, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		for _, line := range bytes.Split(b, []byte("\n")) {
-			out = append(out, string(line))
-		}
-	}
-	return out
 }
 
 // FuzzFaultAroundEquivalence is the populate half of
@@ -347,6 +267,6 @@ func FuzzFaultAroundEquivalence(f *testing.F) {
 			traced: rate%2 == 1, failAt: int(failAt), failRate: float64(rate) / 255 / 4,
 			extends: int(extends % 4),
 		}
-		bothWays(t, func() []string { return populate(t, c) })
+		bothWays(t, func(oracle bool) []string { return populate(t, c, oracle) })
 	})
 }

@@ -505,11 +505,6 @@ func (s *Spec) InstantiateObserved(k *kernel.Kernel, task *kernel.Task, policy f
 	return inst, nil
 }
 
-// perFault, set only by tests, turns fault-around off: touch then takes
-// every fault through Handle, the per-fault loop that is fault-around's
-// oracle.
-var perFault bool
-
 // touch demand-faults [va, va+size) in first-touch order, returning the
 // summed synchronous latency of the faults it serviced. Already-mapped
 // stretches are skipped (a greedy policy like 1GB-hugetlbfs maps whole
@@ -536,9 +531,6 @@ func (inst *Instance) touch(policy fault.Policy, va, size uint64) (float64, erro
 			return stall, fmt.Errorf("workload %s: fault did not advance at %#x", inst.Spec.Name, va)
 		}
 		va = next
-		if perFault {
-			continue
-		}
 		n, lat, err := fault.Around(policy, inst.Task, r, end)
 		inst.Faults += n
 		for j := uint64(0); j < n; j++ {
