@@ -45,7 +45,9 @@ chaos:
 # MapSpecific, ten of a kernel re-booted through a chain of sizes and
 # flavours against newly booted ones (kernel.Boot), and ten each of
 # fault-around's run of order-0 frames against repeated Alloc(0) and of
-# fault-around population against the per-fault loop, and ten of the TLB's
+# fault-around population against the per-fault loop, ten of teardown by
+# runs against its per-page definition (kernel.FuzzUnmapRangeEquivalence),
+# and ten of the TLB's
 # LRU inclusion law (with the set count fixed, more ways never miss more,
 # tlb.FuzzLRUInclusion), and ten of whole runs on drawn configs against
 # the oracle that switches off every fast path (sim.FuzzRunEquivalence).
@@ -59,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 	$(GO) test -run '^$$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 	$(GO) test -run '^$$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 

@@ -9,7 +9,9 @@
 # the machine pool's contract), and of population by fault-around against
 # its per-fault definitions (the buddy's run of order-0 frames against
 # repeated Alloc(0), fault-around touch against the per-fault loop), of
-# the TLB's LRU inclusion law (more ways never miss more), of whole runs
+# teardown by runs against its per-page definition (UnmapRange and
+# UnmapRangeKeep against UnmapFree/UnmapKeep), of the TLB's LRU
+# inclusion law (more ways never miss more), of whole runs
 # on drawn configs against the oracle that switches off every fast path
 # (FuzzRunEquivalence: translation one reference at a time, population
 # one fault at a time), a
@@ -85,6 +87,7 @@ go test -run '^$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
+go test -run '^$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 go test -run '^$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 go test -run '^$' -bench=. -benchtime=1x ./...

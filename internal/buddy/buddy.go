@@ -436,6 +436,48 @@ func (a *Allocator) Free(pfn uint64, order int) {
 	a.insertFree(pfn, order)
 }
 
+// FreeBatch collects frames to free and releases each maximal physically
+// contiguous run as the few largest aligned chunks covering it, instead of
+// frame by frame. Deferring and merging frees is invisible: buddy
+// coalescing is confluent — two adjacent free buddies never persist
+// unmerged, so the free lists, counts and phys bookkeeping depend only on
+// which frames are free, not on the order or granularity of the Free calls
+// that freed them (DESIGN.md §5c). The kernel's teardown (munmap,
+// collapse) and compaction's block evacuation free through it.
+type FreeBatch struct {
+	a      *Allocator
+	pfn    uint64
+	frames uint64
+}
+
+// Batch returns an empty free batch over a.
+func (a *Allocator) Batch() FreeBatch { return FreeBatch{a: a} }
+
+// Add queues the allocated frames [pfn, pfn+frames) for freeing. A range
+// that does not extend the pending run flushes it first.
+func (b *FreeBatch) Add(pfn, frames uint64) {
+	if b.frames > 0 && pfn == b.pfn+b.frames {
+		b.frames += frames
+		return
+	}
+	b.Flush()
+	b.pfn, b.frames = pfn, frames
+}
+
+// Flush frees the pending run.
+func (b *FreeBatch) Flush() {
+	for b.frames > 0 {
+		o := bits.Len64(b.frames) - 1
+		if tz := bits.TrailingZeros64(b.pfn); b.pfn != 0 && tz < o {
+			o = tz
+		}
+		o = min(o, b.a.maxOrder)
+		b.a.Free(b.pfn, o)
+		b.pfn += 1 << uint(o)
+		b.frames -= 1 << uint(o)
+	}
+}
+
 // FMFI returns the Free Memory Fragmentation Index for the given order: the
 // fraction of free memory that is unusable for an allocation of that order
 // (Gorman's unusable-free-space index, the metric the paper adopts from

@@ -136,9 +136,17 @@ func (c *Normal) compact(targetOrder int) bool {
 // evacuateBlock tries to empty [block, block+frames). It returns the bytes
 // copied and whether the block is now entirely free. On encountering an
 // unmovable or unowned page it abandons the block (copies so far wasted).
+//
+// The moved pages' old frames are freed in one batch when the block ends,
+// on every return path. Deferring them is invisible: the scan never
+// revisits a moved page's frames, target.take only reads and claims frames
+// at or above the block's end, and the buddy allocator's state depends
+// only on which frames are free (buddy.FreeBatch).
 func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uint64, bool) {
 	var copied uint64
 	mem := c.K.Mem
+	frees := c.K.Buddy.Batch()
+	defer frees.Flush()
 	c.Nanoseconds += float64(frames) * scanNsPerFrame
 	for f := block; f < block+frames; {
 		if !mem.IsAllocated(f) {
@@ -175,11 +183,13 @@ func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uin
 		if !ok {
 			return copied, false
 		}
-		if err := c.K.MovePage(task, o.VA, o.Size, dest); err != nil {
+		old, err := c.K.MovePage(task, o.VA, o.Size, dest)
+		if err != nil {
 			// Destination was claimed but the move failed; release it.
 			c.K.Buddy.Free(dest, o.Size.Order())
 			return copied, false
 		}
+		frees.Add(old, o.Size.Frames())
 		copied += o.Size.Bytes()
 		c.PagesMoved++
 		c.Nanoseconds += perfmodel.CopyNs(o.Size.Bytes()) + perfmodel.PTEUpdateNs
@@ -364,12 +374,14 @@ func (c *Smart) compact() bool {
 			c.BytesCopied += copied
 			return false
 		}
-		if err := c.K.MovePage(task, o.VA, o.Size, dest); err != nil {
+		old, err := c.K.MovePage(task, o.VA, o.Size, dest)
+		if err != nil {
 			c.K.Buddy.Free(dest, o.Size.Order())
 			c.BytesWasted += copied
 			c.BytesCopied += copied
 			return false
 		}
+		c.K.Buddy.Free(old, o.Size.Order())
 		c.PagesMoved++
 		if c.OnPvMove != nil && o.Size == units.Size2M {
 			// Copy-less: the hypervisor exchanges the frames behind the old

@@ -88,6 +88,52 @@ func TestNormalCompactWastesOnUnmovable(t *testing.T) {
 	}
 }
 
+// TestAbandonedBlockReleasesMovedFrames pins evacuateBlock's deferred
+// frees on the abandon path: the block's first two pages move before its
+// unmovable frame stops the evacuation, and their old frames must be free
+// when the block is given up, coalesced exactly as immediate frees leave
+// them (frames 0-1 one order-1 chunk, frame 3 alone), with the moved
+// mappings pointing at allocated frames above the block.
+func TestAbandonedBlockReleasesMovedFrames(t *testing.T) {
+	k := kernel.New(units.Page1G, units.TridentMaxOrder)
+	task := k.NewTask("p")
+	mapAt(t, k, task, 0, 0, units.Size4K)
+	mapAt(t, k, task, units.Page4K, 1, units.Size4K)
+	if err := k.Buddy.AllocSpecific(2, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	used := k.Mem.AllocatedFrames()
+	c := NewNormal(k)
+	target := &targetScanner{k: k, pos: k.Mem.Frames()}
+	copied, ok := c.evacuateBlock(0, 512, target)
+	if ok || copied != 2*units.Page4K {
+		t.Fatalf("evacuateBlock = %d, %v; want 2 pages copied and the block abandoned", copied, ok)
+	}
+	for f := uint64(0); f < 2; f++ {
+		if k.Mem.IsAllocated(f) {
+			t.Errorf("moved page's old frame %d still allocated after the block was abandoned", f)
+		}
+	}
+	if got := k.Mem.AllocatedFrames(); got != used {
+		t.Errorf("%d frames allocated, want %d (two moved pages and the unmovable frame)", got, used)
+	}
+	if heads := k.Buddy.FreeChunkHeads(1); len(heads) == 0 || heads[0] != 0 {
+		t.Errorf("order-1 free heads %v, want frames 0-1 coalesced", heads)
+	}
+	if heads := k.Buddy.FreeChunkHeads(0); len(heads) == 0 || heads[0] != 3 {
+		t.Errorf("order-0 free heads %v, want frame 3 first", heads)
+	}
+	for va := uint64(0); va < 2*units.Page4K; va += units.Page4K {
+		m, ok := task.AS.PT.Lookup(va)
+		if !ok || m.PFN < 512 || !k.Mem.IsAllocated(m.PFN) {
+			t.Errorf("mapping at %#x = %+v, %v; want it moved above the block", va, m, ok)
+		}
+	}
+	if err := k.Buddy.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSmartCompactSelectsEmptiestRegion(t *testing.T) {
 	k := kernel.New(4*units.Page1G, units.TridentMaxOrder)
 	task := k.NewTask("p")

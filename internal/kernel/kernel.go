@@ -42,10 +42,12 @@ type Kernel struct {
 	tasks  map[uint32]*Task
 	nextID uint32
 
-	// Shootdown, if set, is invoked whenever a mapping is removed or
-	// repointed so the simulation's TLBs can be invalidated. va/size are the
-	// affected page.
-	Shootdown func(t *Task, va uint64, size units.PageSize)
+	// Shootdown, if set, is invoked whenever mappings are removed or
+	// repointed so the simulation's TLBs can be invalidated: the n pages of
+	// the given size at va, va+size, … are affected. Single-page operations
+	// pass n = 1; run teardown (UnmapRange, UnmapRangeKeep) passes a whole
+	// run.
+	Shootdown func(t *Task, va, n uint64, size units.PageSize)
 
 	// kernelAllocs tracks frames held by KernelAlloc's unmovable
 	// allocations as a chunked per-frame array:
@@ -246,7 +248,7 @@ func (k *Kernel) UnmapFree(t *Task, va uint64, size units.PageSize) error {
 	}
 	k.Mem.ClearOwner(pfn)
 	k.Buddy.Free(pfn, size.Order())
-	k.shootdown(t, va, size)
+	k.shootdown(t, va, 1, size)
 	k.Ops.Unmaps++
 	return nil
 }
@@ -260,43 +262,47 @@ func (k *Kernel) UnmapKeep(t *Task, va uint64, size units.PageSize) (uint64, err
 		return 0, err
 	}
 	k.Mem.ClearOwner(pfn)
-	k.shootdown(t, va, size)
+	k.shootdown(t, va, 1, size)
 	k.Ops.Unmaps++
 	return pfn, nil
 }
 
 // UnmapRangeKeep tears down every leaf mapping wholly inside [lo, hi) in
-// one page-table traversal, keeping the frames allocated. For each removed
-// mapping, in ascending VA order, it performs UnmapKeep's per-page kernel
-// bookkeeping (owner clear, shootdown, op count) and then invokes fn. The
-// observable effect is exactly a sequence of UnmapKeep calls over the
-// range's mappings in ascending VA order.
-func (k *Kernel) UnmapRangeKeep(t *Task, lo, hi uint64, fn func(pagetable.Mapping)) {
-	t.AS.PT.UnmapRange(lo, hi, func(m pagetable.Mapping) {
-		k.Mem.ClearOwner(m.PFN)
-		k.shootdown(t, m.VA, m.Size)
-		k.Ops.Unmaps++
-		fn(m)
+// one page-table pass (pagetable.UnmapRuns), keeping the frames allocated.
+// For each run of pages cleared from one table, in ascending VA order, it
+// clears their owners, shoots the whole run down with one call and counts
+// its unmaps, then invokes fn. The observable effect is exactly a sequence
+// of UnmapKeep calls over the range's mappings in ascending VA order: the
+// owner clears keep their order, the counts are sums, and a run's
+// shootdown covers exactly its pages.
+func (k *Kernel) UnmapRangeKeep(t *Task, lo, hi uint64, fn func(pagetable.Run)) {
+	t.AS.PT.UnmapRuns(lo, hi, func(r pagetable.Run) {
+		k.Mem.ClearOwners(r.PFNs)
+		n := uint64(len(r.PFNs))
+		k.shootdown(t, r.VA, n, r.Size)
+		k.Ops.Unmaps += n
+		fn(r)
 	})
 }
 
 // MovePage repoints the mapping at va from its current frames to newPFN
-// (already allocated by the caller), freeing the old frames. This is the
+// (already allocated by the caller) and returns the old head frame. The
+// old frames stay allocated, with no owner: the caller frees them, which
+// lets compaction release a block's sources in one batch. This is the
 // page-table half of a compaction move; the caller accounts the data copy.
-func (k *Kernel) MovePage(t *Task, va uint64, size units.PageSize, newPFN uint64) error {
+func (k *Kernel) MovePage(t *Task, va uint64, size units.PageSize, newPFN uint64) (uint64, error) {
 	m, ok := t.AS.PT.Lookup(va)
 	if !ok || m.Size != size || m.VA != va {
-		return fmt.Errorf("kernel: MovePage: no %v mapping at %#x", size, va)
+		return 0, fmt.Errorf("kernel: MovePage: no %v mapping at %#x", size, va)
 	}
 	if err := t.AS.PT.Replace(va, size, newPFN); err != nil {
-		return err
+		return 0, err
 	}
 	k.Mem.ClearOwner(m.PFN)
 	k.Mem.SetOwner(newPFN, phys.Owner{Space: t.AS.ID, VA: va, Size: size})
-	k.Buddy.Free(m.PFN, size.Order())
-	k.shootdown(t, va, size)
+	k.shootdown(t, va, 1, size)
 	k.Ops.Moves++
-	return nil
+	return m.PFN, nil
 }
 
 // ExchangeFrames swaps the physical frames behind two same-size mappings
@@ -323,8 +329,8 @@ func (k *Kernel) ExchangeFrames(t1 *Task, va1 uint64, t2 *Task, va2 uint64, size
 	k.Mem.ClearOwner(m2.PFN)
 	k.Mem.SetOwner(m2.PFN, phys.Owner{Space: t1.AS.ID, VA: va1, Size: size})
 	k.Mem.SetOwner(m1.PFN, phys.Owner{Space: t2.AS.ID, VA: va2, Size: size})
-	k.shootdown(t1, va1, size)
-	k.shootdown(t2, va2, size)
+	k.shootdown(t1, va1, 1, size)
+	k.shootdown(t2, va2, 1, size)
 	k.Ops.Exchanges++
 	return nil
 }
@@ -332,34 +338,45 @@ func (k *Kernel) ExchangeFrames(t1 *Task, va1 uint64, t2 *Task, va2 uint64, size
 // UnmapRange tears down every mapping intersecting [lo, hi), freeing the
 // frames. Huge mappings straddling the boundary are demoted until the
 // pieces inside the range can be freed exactly (what munmap does when a THP
-// page straddles the unmapped region). A non-nil error means the range is
-// partially unmapped and the address space should be treated as suspect.
+// page straddles the unmapped region). The pieces are then torn down by
+// UnmapRangeKeep and their frames freed in one batch: the effect is
+// exactly UnmapFree on each mapping inside the range in ascending VA
+// order. A non-nil error (a failed demotion) means the range is partially
+// demoted and the address space should be treated as suspect.
 func (k *Kernel) UnmapRange(t *Task, lo, hi uint64) error {
-	for {
-		var straddler uint64
-		var found bool
-		var inside []pagetable.Mapping
-		t.AS.PT.ForEach(lo, hi, func(m pagetable.Mapping) bool {
-			if m.VA < lo || m.VA+m.Size.Bytes() > hi {
-				straddler, found = m.VA, true
-				return false
-			}
-			inside = append(inside, m)
-			return true
-		})
-		if found {
-			if err := k.DemotePage(t, straddler); err != nil {
-				return fmt.Errorf("kernel: UnmapRange demote at %#x: %w", straddler, err)
-			}
-			continue
-		}
-		for _, m := range inside {
-			if err := k.UnmapFree(t, m.VA, m.Size); err != nil {
-				return fmt.Errorf("kernel: UnmapRange free at %#x: %w", m.VA, err)
-			}
-		}
+	hi = min(hi, pagetable.MaxVA)
+	if lo >= hi {
 		return nil
 	}
+	for {
+		va, found := straddler(t.AS.PT, lo, hi)
+		if !found {
+			break
+		}
+		if err := k.DemotePage(t, va); err != nil {
+			return fmt.Errorf("kernel: UnmapRange demote at %#x: %w", va, err)
+		}
+	}
+	frees := k.Buddy.Batch()
+	k.UnmapRangeKeep(t, lo, hi, func(r pagetable.Run) {
+		for _, pfn := range r.PFNs {
+			frees.Add(pfn, r.Size.Frames())
+		}
+	})
+	frees.Flush()
+	return nil
+}
+
+// straddler returns the head of the lowest mapping that intersects
+// [lo, hi) without lying wholly inside it. Such a mapping covers lo or
+// hi-1, so two lookups find it.
+func straddler(pt *pagetable.Table, lo, hi uint64) (uint64, bool) {
+	for _, va := range [2]uint64{lo, hi - 1} {
+		if m, ok := pt.Lookup(va); ok && (m.VA < lo || m.VA+m.Size.Bytes() > hi) {
+			return m.VA, true
+		}
+	}
+	return 0, false
 }
 
 // DemotePage splits the huge mapping at va into 512 mappings of the next
@@ -388,7 +405,7 @@ func (k *Kernel) DemotePage(t *Task, va uint64) error {
 			Size:  sub,
 		})
 	}
-	k.shootdown(t, va, m.Size)
+	k.shootdown(t, va, 1, m.Size)
 	k.Ops.Demotes++
 	return nil
 }
@@ -437,9 +454,9 @@ func (k *Kernel) ForEachKernelAlloc(fn func(pfn uint64, order int) bool) {
 	}
 }
 
-func (k *Kernel) shootdown(t *Task, va uint64, size units.PageSize) {
+func (k *Kernel) shootdown(t *Task, va, n uint64, size units.PageSize) {
 	if k.Shootdown != nil {
-		k.Shootdown(t, va, size)
+		k.Shootdown(t, va, n, size)
 	}
 }
 

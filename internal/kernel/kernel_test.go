@@ -116,8 +116,9 @@ func TestMovePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shot bool
-	k.Shootdown = func(tt *Task, va uint64, size units.PageSize) { shot = true }
-	if err := k.MovePage(task, 0, units.Size4K, newPFN); err != nil {
+	k.Shootdown = func(tt *Task, va, n uint64, size units.PageSize) { shot = n == 1 }
+	old, err := k.MovePage(task, 0, units.Size4K, newPFN)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !shot {
@@ -127,8 +128,11 @@ func TestMovePage(t *testing.T) {
 	if m.PFN != newPFN {
 		t.Errorf("PFN after move = %d", m.PFN)
 	}
-	if k.Mem.IsAllocated(oldPFN) {
-		t.Error("old frame not freed")
+	if old != oldPFN || !k.Mem.IsAllocated(oldPFN) {
+		t.Errorf("MovePage returned old frame %d (allocated: %v), want %d still allocated", old, k.Mem.IsAllocated(oldPFN), oldPFN)
+	}
+	if _, _, _, ok := k.OwnerTask(oldPFN); ok {
+		t.Error("old frame kept its owner")
 	}
 	if _, o, _, ok := k.OwnerTask(newPFN); !ok || o.VA != 0 {
 		t.Error("owner not transferred")
@@ -138,18 +142,18 @@ func TestMovePage(t *testing.T) {
 func TestMovePageErrors(t *testing.T) {
 	k := newKernel(t, 1)
 	task := k.NewTask("p")
-	if err := k.MovePage(task, 0, units.Size4K, 1); err == nil {
+	if _, err := k.MovePage(task, 0, units.Size4K, 1); err == nil {
 		t.Error("MovePage of unmapped va succeeded")
 	}
 	if _, err := k.AllocMapped(task, 0, units.Size2M); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong size.
-	if err := k.MovePage(task, 0, units.Size4K, 1); err == nil {
+	if _, err := k.MovePage(task, 0, units.Size4K, 1); err == nil {
 		t.Error("MovePage with wrong size succeeded")
 	}
 	// Interior address (not the head).
-	if err := k.MovePage(task, units.Page4K, units.Size2M, 1); err == nil {
+	if _, err := k.MovePage(task, units.Page4K, units.Size2M, 1); err == nil {
 		t.Error("MovePage at non-head va succeeded")
 	}
 }

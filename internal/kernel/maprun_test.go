@@ -151,7 +151,7 @@ func checkMapRun(t *testing.T, va, n uint64, pre []pagetable.Mapping) {
 	// Unmapping the run must reclaim the same leaf tables: a table left
 	// behind makes a 2MB mapping over its window overlap.
 	for side, k := range ks {
-		k.UnmapRangeKeep(ts[side], va, last, func(pagetable.Mapping) {})
+		k.UnmapRangeKeep(ts[side], va, last, func(pagetable.Run) {})
 	}
 	requireSameMappings(t, ts[0], ts[1])
 	for w := units.Align(va, units.Page2M); w < last && w < pagetable.MaxVA; w += units.Page2M {

@@ -94,6 +94,11 @@ var layerRules = []LayerRule{
 		Why: "timestamps in the simulated world must be simulated event time (DESIGN.md §7); duration constants and arithmetic stay legal",
 	},
 	{
+		From:    simulatedPackages,
+		DenyStd: []string{"os.Getenv", "os.LookupEnv", "os.Environ"},
+		Why:     "the simulated world's inputs are sim.Config alone: an environment read would change a Result without changing its memo key",
+	},
+	{
 		From:    []string{"..."},
 		Except:  []string{"internal/xrand"},
 		DenyStd: []string{"math/rand", "math/rand/v2"},

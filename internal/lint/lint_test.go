@@ -42,6 +42,7 @@ func TestBadFixtureFindings(t *testing.T) {
 		{"layering", "internal/runner/runner.go", "internal/runner.fingerprintKey must not use log/slog.Info"},
 		{"layering", "internal/runner/runner.go", "internal/runner.dumpKey must not use fmt.Printf"},
 		{"layering", "internal/sim/sim.go", "internal/sim must not use time.Now"},
+		{"layering", "internal/sim/sim.go", "internal/sim must not use os.Getenv"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches fmt.Println"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches io.Writer output (io.Writer).Write"},
 		{"detertaint", "internal/sim/sim.go", "map iteration order reaches a float += accumulator"},

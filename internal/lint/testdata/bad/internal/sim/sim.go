@@ -1,12 +1,14 @@
 // Package sim seeds deliberate violations for tridentlint's golden tests
-// and the CI negative gate: an aliased wall-clock read and a layering
-// breach (sim importing the runner) for the layering table, and two
-// unsorted map-order emissions and a map-ordered float sum for detertaint.
+// and the CI negative gate: an aliased wall-clock read, an environment
+// read and a layering breach (sim importing the runner) for the layering
+// table, and two unsorted map-order emissions and a map-ordered float sum
+// for detertaint.
 package sim
 
 import (
 	"fmt"
 	"io"
+	"os"
 	tt "time"
 
 	"bad/internal/runner"
@@ -24,6 +26,14 @@ type Config struct {
 type Result struct {
 	Cycles uint64
 	Stamp  int64
+}
+
+// setDefaults fills an unset seed from the environment: an ambient input
+// that changes every Result without changing Config, and so the memo key.
+func (c *Config) setDefaults() {
+	if c.Seed == 0 {
+		c.Seed = uint64(len(os.Getenv("TRIDENT_SEED")))
+	}
 }
 
 var _ = runner.Touch // layering: the simulated world must not import the engine above it

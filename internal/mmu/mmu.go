@@ -74,8 +74,8 @@ func New(cfg tlb.Config) *MMU {
 // stream — hits the TLB, and hardware never walks the page table on a TLB
 // hit. The software model mirrors that asymmetry: a VA-only TLB probe runs
 // first, and the page tables are consulted only on a probe miss (or fault).
-// This is sound because every remap shoots the page down (kernel.Shootdown →
-// FlushPage), so between flushes TLB entries are authoritative; it is
+// This is sound because every remap shoots its pages down (kernel.Shootdown →
+// FlushRange), so between flushes TLB entries are authoritative; it is
 // bit-identical because the probed tag carries the (effective) page size,
 // which is all the hit path ever used from the mappings.
 func (m *MMU) Translate(gpt, hpt *pagetable.Table, va uint64, write bool) bool {
@@ -203,8 +203,8 @@ func (m *MMU) shadowCheck(gpt, hpt *pagetable.Table, va uint64, size units.PageS
 // one run unmaps anything; (2) after the leading reference resolves at size
 // s, its page's tag is MRU in the L1 of size s (an L1 hit promotes it, an
 // L2 hit or walk installs it at MRU), so each remaining reference is an MRU
-// fast-path L1 hit whose only effect is a counter increment — bulk-applied
-// here via tlb.BulkL1Hits and a weighted BySize add.
+// fast-path L1 hit that changes no TLB state — charged here as one weighted
+// BySize add.
 func (m *MMU) TranslateRuns(gpt, hpt *pagetable.Table, runs []stream.Run) int {
 	if cap(m.sweepSizes) < len(runs) {
 		m.sweepSizes = make([]uint8, len(runs))
@@ -231,17 +231,15 @@ func (m *MMU) TranslateRuns(gpt, hpt *pagetable.Table, runs []stream.Run) int {
 			}
 		}
 		// runs[done]'s leading reference missed every L1: resolve it through
-		// the scalar L2/walk path, then bulk-charge the run's remaining
-		// references as the guaranteed MRU L1 hits they are.
+		// the scalar L2/walk path, then charge the run's remaining
+		// references as the guaranteed MRU L1 hits they are, which change
+		// no TLB state.
 		rn := runs[done]
 		size, ok := m.resolveL1Missed(gpt, hpt, rn.VA, rn.Write)
 		if !ok {
 			return done
 		}
-		if rest := uint64(rn.Len) - 1; rest > 0 {
-			m.TLB.BulkL1Hits(size, rest)
-			m.BySize[size].Accesses += rest
-		}
+		m.BySize[size].Accesses += uint64(rn.Len) - 1
 		done++
 	}
 	return done
@@ -263,6 +261,14 @@ func (m *MMU) FlushPage(va uint64, size units.PageSize) {
 	m.TLB.InvalidatePage(va, size)
 }
 
+// FlushRange invalidates the cached translations of the n pages of the
+// given size at va, va+size, … (the TLB shootdown of a torn-down run):
+// exactly FlushPage on each of them, with one pass over each TLB's lines
+// once n reaches its set count (tlb.Hierarchy.InvalidateRange).
+func (m *MMU) FlushRange(va, n uint64, size units.PageSize) {
+	m.TLB.InvalidateRange(va, n, size)
+}
+
 // FlushAll empties all translation caches.
 func (m *MMU) FlushAll() {
 	m.TLB.FlushAll()
@@ -277,5 +283,4 @@ func (m *MMU) ResetStats() {
 		m.BySize[i] = perfmodel.TranslationStats{}
 	}
 	m.Faults = 0
-	m.TLB.ResetStats()
 }

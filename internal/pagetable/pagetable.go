@@ -69,6 +69,9 @@ type Table struct {
 	// level-1 nodes do not.
 	poolInner []*node
 	poolLeaf  []*node
+
+	// runPFNs is UnmapRuns' reused buffer of the pending run's frames.
+	runPFNs []uint64
 }
 
 // walkCache remembers where the previous walk ended, so spatially-local
@@ -430,15 +433,28 @@ func (t *Table) Unmap(va uint64, size units.PageSize) (uint64, error) {
 	return pfn, nil
 }
 
-// UnmapRange removes every leaf mapping lying wholly inside [lo, hi) in a
-// single subtree traversal, invoking fn for each removed mapping in
-// ascending VA order, immediately after its entry is cleared. fn must not
-// touch the table. Counter updates, the node-reclaim sequence (and with it
-// the node pools' contents) and the final structure are exactly those of
-// per-page Unmap calls over the same mappings in ascending VA order — the
-// one traversal merely replaces their per-page root descents. Leaves only
+// Run is a stretch of consecutive leaf mappings of one size that
+// UnmapRuns cleared from one page-table node: the page at
+// VA+i*Size.Bytes() was mapped to head frame PFNs[i]. PFNs is the table's
+// reused buffer, valid only until the callback returns.
+type Run struct {
+	VA   uint64
+	Size units.PageSize
+	PFNs []uint64
+}
+
+// UnmapRuns removes every leaf mapping lying wholly inside [lo, hi) in a
+// single subtree traversal. It reports the removed mappings in ascending
+// VA order as runs: each run is a maximal stretch of consecutive cleared
+// entries of one node, so a run never crosses a leaf table or spans an
+// unmapped page, and fn is invoked once per run, right after its entries
+// are cleared and before the node is reclaimed. fn must not touch the
+// table. Counter updates, the node-reclaim sequence (and with it the node
+// pools' contents) and the final structure are exactly those of per-page
+// Unmap calls over the same mappings in ascending VA order — the one
+// traversal merely replaces their per-page root descents. Leaves only
 // partially inside the range (i.e. larger than it) are left in place.
-func (t *Table) UnmapRange(lo, hi uint64, fn func(Mapping)) {
+func (t *Table) UnmapRuns(lo, hi uint64, fn func(Run)) {
 	if hi > MaxVA {
 		hi = MaxVA
 	}
@@ -449,7 +465,7 @@ func (t *Table) UnmapRange(lo, hi uint64, fn func(Mapping)) {
 	t.unmapNode(t.root, 4, 0, lo, hi, fn)
 }
 
-func (t *Table) unmapNode(n *node, level int, base, lo, hi uint64, fn func(Mapping)) {
+func (t *Table) unmapNode(n *node, level int, base, lo, hi uint64, fn func(Run)) {
 	span := uint64(1) << uint(12+9*(level-1)) // bytes covered per entry
 	first, last := 0, 511
 	if base < lo {
@@ -458,28 +474,26 @@ func (t *Table) unmapNode(n *node, level int, base, lo, hi uint64, fn func(Mappi
 	if base+512*span > hi {
 		last = int((hi - base - 1) / span)
 	}
+	start := -1 // entry index of the pending run's first page
 	for i := first; i <= last; i++ {
 		e := n.entries[i]
-		if e&flagPresent == 0 {
+		entryBase := base + uint64(i)*span
+		leaf := e&flagPresent != 0 && (level == 1 || e&flagPS != 0)
+		if leaf && entryBase >= lo && entryBase+span <= hi {
+			if start < 0 {
+				start = i
+			}
+			n.entries[i] = 0
+			t.runPFNs = append(t.runPFNs, e>>pfnShift)
 			continue
 		}
-		entryBase := base + uint64(i)*span
-		if level == 1 || e&flagPS != 0 {
-			if entryBase < lo || entryBase+span > hi {
-				continue // a larger leaf sticking out of the range
-			}
-			size := sizeOfLevel(level)
-			n.entries[i] = 0
-			n.live--
-			t.mappedBytes[size] -= size.Bytes()
-			t.mappedPages[size]--
-			fn(Mapping{
-				VA:       entryBase,
-				PFN:      e >> pfnShift,
-				Size:     size,
-				Accessed: e&flagAccessed != 0,
-				Dirty:    e&flagDirty != 0,
-			})
+		// An absent entry, a larger leaf sticking out of the range or a
+		// child table ends the pending run.
+		if start >= 0 {
+			t.endRun(n, base+uint64(start)*span, level, fn)
+			start = -1
+		}
+		if e&flagPresent == 0 || leaf {
 			continue
 		}
 		child := n.children[i]
@@ -498,6 +512,21 @@ func (t *Table) unmapNode(n *node, level int, base, lo, hi uint64, fn func(Mappi
 			}
 		}
 	}
+	if start >= 0 {
+		t.endRun(n, base+uint64(start)*span, level, fn)
+	}
+}
+
+// endRun accounts the pending run of cleared entries of node n, starting
+// at va, and hands it to fn.
+func (t *Table) endRun(n *node, va uint64, level int, fn func(Run)) {
+	size := sizeOfLevel(level)
+	k := len(t.runPFNs)
+	n.live -= k
+	t.mappedBytes[size] -= uint64(k) * size.Bytes()
+	t.mappedPages[size] -= uint64(k)
+	fn(Run{VA: va, Size: size, PFNs: t.runPFNs})
+	t.runPFNs = t.runPFNs[:0]
 }
 
 // Lookup returns the leaf mapping covering va, if any. It does not set

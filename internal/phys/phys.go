@@ -360,6 +360,14 @@ func (m *Memory) ClearOwner(pfn uint64) {
 	m.clearOwnerAt(pfn)
 }
 
+// ClearOwners is ClearOwner on each head frame of pfns, in order: the
+// kernel's run teardown clears a whole run's owners with one call.
+func (m *Memory) ClearOwners(pfns []uint64) {
+	for _, pfn := range pfns {
+		m.ClearOwner(pfn)
+	}
+}
+
 func (m *Memory) clearOwnerAt(pfn uint64) {
 	idx := m.rmapAt(pfn)
 	m.rmapSet(pfn, 0)

@@ -22,10 +22,8 @@ package promote
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
-	"repro/internal/buddy"
 	"repro/internal/compact"
 	"repro/internal/kernel"
 	"repro/internal/pagetable"
@@ -293,12 +291,7 @@ func (d *Daemon) try1G(t *kernel.Task, va uint64) (bool, error) {
 		// Holes in the new 1GB page must be zeroed.
 		moveNs += perfmodel.ZeroNs(units.Page1G - popBytes)
 	}
-	runs := frameRuns{b: d.K.Buddy}
-	d.K.UnmapRangeKeep(t, va, va+units.Page1G, func(m pagetable.Mapping) {
-		runs.add(m.PFN, m.Size.Frames())
-		moveNs += perfmodel.PTEUpdateNs
-	})
-	runs.flush()
+	tearDown(d.K, t, va, units.Size1G, &moveNs)
 	if err := d.K.MapSpecific(t, va, pfn, units.Size1G); err != nil {
 		return false, fmt.Errorf("promote: mapping collapsed 1GB page at %#x: %w", va, err)
 	}
@@ -403,61 +396,29 @@ func Collapse(k *kernel.Kernel, t *kernel.Task, va uint64, size units.PageSize, 
 	if !zeroed {
 		moveNs += perfmodel.ZeroNs(size.Bytes() - populated)
 	}
-	// Teardown and freeing are separable: unmapping touches the page table,
-	// owner records and TLBs, never the buddy allocator, so frees of the
-	// surrendered frames can lag the unmap loop. Physically contiguous
-	// frames — the common case, since demand faults allocate lowest-first —
-	// are then released as the few maximal aligned chunks covering each run
-	// instead of frame-by-frame. Buddy coalescing is confluent: the final
-	// allocator state is the maximal coalescing of the freed set against
-	// what was already free, whatever the order and granularity of the Free
-	// calls (two adjacent free buddies never persist unmerged), so the
-	// merged frees leave the allocator byte-identical while skipping the
-	// intermediate merge churn.
-	runs := frameRuns{b: k.Buddy}
-	k.UnmapRangeKeep(t, va, va+size.Bytes(), func(m pagetable.Mapping) {
-		runs.add(m.PFN, m.Size.Frames())
-		moveNs += perfmodel.PTEUpdateNs
-	})
-	runs.flush()
+	tearDown(k, t, va, size, &moveNs)
 	if err := k.MapSpecific(t, va, pfn, size); err != nil {
 		return 0, moveNs, fmt.Errorf("promote: mapping collapsed %v page at %#x: %w", size, va, err)
 	}
 	return populated, moveNs, nil
 }
 
-// frameRuns accumulates physically contiguous freed frames and releases each
-// maximal run to the buddy allocator as the few largest aligned chunks
-// covering it, instead of frame-by-frame. Buddy coalescing is confluent
-// (see Collapse), so the allocator ends up byte-identical either way.
-type frameRuns struct {
-	b      *buddy.Allocator
-	pfn    uint64
-	frames uint64
-}
-
-func (r *frameRuns) add(pfn, frames uint64) {
-	if r.frames > 0 && pfn == r.pfn+r.frames {
-		r.frames += frames
-		return
-	}
-	r.flush()
-	r.pfn, r.frames = pfn, frames
-}
-
-func (r *frameRuns) flush() {
-	for r.frames > 0 {
-		o := bits.Len64(r.frames) - 1
-		if tz := bits.TrailingZeros64(r.pfn); r.pfn != 0 && tz < o {
-			o = tz
+// tearDown unmaps the old mappings of the size-aligned range at va, run
+// by run, and frees their frames in one batch, charging one PTE update per
+// page to *moveNs in page order (float addition is not associative, so the
+// per-page adds must keep their order). Teardown and freeing are
+// separable: unmapping touches the page table, owner records and TLBs,
+// never the buddy allocator, so the frees can lag the unmap pass
+// (buddy.FreeBatch).
+func tearDown(k *kernel.Kernel, t *kernel.Task, va uint64, size units.PageSize, moveNs *float64) {
+	frees := k.Buddy.Batch()
+	k.UnmapRangeKeep(t, va, va+size.Bytes(), func(r pagetable.Run) {
+		for _, pfn := range r.PFNs {
+			frees.Add(pfn, r.Size.Frames())
+			*moveNs += perfmodel.PTEUpdateNs
 		}
-		if mo := r.b.MaxOrder(); o > mo {
-			o = mo
-		}
-		r.b.Free(r.pfn, o)
-		r.pfn += 1 << uint(o)
-		r.frames -= 1 << uint(o)
-	}
+	})
+	frees.Flush()
 }
 
 // totalNs is the daemon's own time plus its compactors' time, used for

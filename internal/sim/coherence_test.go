@@ -22,9 +22,9 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	m := mmu.New(*tinyTLB())
 	m.ShadowCheck = true
 	task := k.NewTask("app")
-	k.Shootdown = func(tk *kernel.Task, va uint64, size units.PageSize) {
+	k.Shootdown = func(tk *kernel.Task, va, n uint64, size units.PageSize) {
 		if tk == task {
-			m.FlushPage(va, size)
+			m.FlushRange(va, n, size)
 		}
 	}
 
@@ -78,9 +78,11 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.MovePage(task, va, units.Size1G, moved); err != nil {
+	old, err := k.MovePage(task, va, units.Size1G, moved)
+	if err != nil {
 		t.Fatal(err)
 	}
+	k.Buddy.Free(old, units.Size1G.Order())
 	touch("after MovePage")
 
 	// Demotion back to 2MB pieces (bloat recovery), then a pv-style frame
@@ -104,6 +106,29 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	}
 	if m.Faults != 1 {
 		t.Fatalf("got %d faults, want 1", m.Faults)
+	}
+
+	// Run teardown (munmap): demote a remaining 2MB piece to 4KB pages,
+	// warm them, and tear the whole 1GB region down in runs. Every
+	// reference must fault afterwards.
+	piece := va + 5*units.Page2M
+	if err := k.DemotePage(task, piece); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for p := piece; p < piece+units.Page2M; p += units.Page4K {
+			if !m.Translate(pt, nil, p, false) {
+				t.Fatalf("after 4KB demotion: unexpected fault at %#x", p)
+			}
+		}
+	}
+	if err := k.UnmapRange(task, va, va+units.Page1G); err != nil {
+		t.Fatal(err)
+	}
+	for p := piece; p < piece+units.Page2M; p += 37 * units.Page4K {
+		if m.Translate(pt, nil, p, false) {
+			t.Fatalf("translation of %#x succeeded after UnmapRange", p)
+		}
 	}
 
 	if m.Totals().Walks == 0 || m.Totals().Accesses == 0 {

@@ -539,9 +539,16 @@ func (r *runner) buildMachine() error {
 
 	r.task = r.k.NewTask(cfg.Workload.Name)
 	measured := r.task
-	r.k.Shootdown = func(t *kernel.Task, va uint64, size units.PageSize) {
-		if t == measured {
-			r.m.FlushPage(va, size)
+	r.k.Shootdown = func(t *kernel.Task, va, n uint64, size units.PageSize) {
+		if t != measured {
+			return
+		}
+		if !r.oracle {
+			r.m.FlushRange(va, n, size)
+			return
+		}
+		for i := uint64(0); i < n; i++ {
+			r.m.FlushPage(va+i*size.Bytes(), size)
 		}
 	}
 	r.attachChaos()
@@ -971,35 +978,32 @@ func (r *runner) runsBuf() []stream.Run {
 // remainder from scratch, because the fault handler may have remapped pages
 // and shot down TLB entries. Fault servicing keeps translateWithFaults'
 // exact per-reference semantics: only a run's leading reference can fault
-// (its resolution maps the page for the rest of the run), each faulting
-// reference gets up to three translate+Handle rounds, and skipping a
-// reference — after a Handle error or the third round — decrements the
-// run's Len so the remainder re-coalesces in place. The remainder keeps the
-// leading reference's VA and write flag, which is observably identical:
-// every consumer of a reference depends on it only through its page (fault
-// policies align the VA to the mapped size, TLB tags shift it down) and the
-// dirty bit set by pagetable.Translate is never read back (DESIGN.md §5c).
-// After a skip the attempt counter re-arms, so the next reference of a
-// still-unmapped page gets its own three rounds, exactly as the scalar loop
-// would.
+// (its resolution maps the page for the rest of the run), a faulting
+// reference is served by one Handle and then translated again by the
+// re-entry, which must not fault on it (a successful Handle maps the page,
+// so a second fault is a fault-policy bug and panics), and skipping a
+// reference after a Handle error decrements the run's Len so the remainder
+// re-coalesces in place. The remainder keeps the leading reference's VA and
+// write flag, which is observably identical: every consumer of a reference
+// depends on it only through its page (fault policies align the VA to the
+// mapped size, TLB tags shift it down) and the dirty bit set by
+// pagetable.Translate is never read back (DESIGN.md §5c).
 func (r *runner) translateRuns(runs []stream.Run) float64 {
 	r.runs = runs[:0] // retain a grown buffer for the next batch
 	var stall float64
 	gpt := r.task.AS.PT
 	off := 0
-	attempts := 0
-	faultRun := -1
+	handled := false // Handle just served runs[off]'s leading reference
 	for off < len(runs) {
 		n := r.m.TranslateRuns(gpt, r.hpt, runs[off:])
+		if n == 0 && handled {
+			r.unmappedAfterHandle(runs[off].VA)
+		}
 		off += n
 		if off == len(runs) {
 			break
 		}
 		// runs[off]'s leading reference faulted.
-		if off != faultRun {
-			faultRun, attempts = off, 0
-		}
-		attempts++
 		res, err := r.policy.Handle(r.task, runs[off].VA)
 		if err != nil {
 			// The address lies in a gap VMA page that cannot be mapped —
@@ -1007,35 +1011,40 @@ func (r *runner) translateRuns(runs []stream.Run) float64 {
 			if runs[off].Len--; runs[off].Len == 0 {
 				off++
 			}
-			faultRun = -1
+			handled = false
 			continue
 		}
 		stall += res.LatencyNs
-		if attempts == 3 {
-			if runs[off].Len--; runs[off].Len == 0 {
-				off++
-			}
-			faultRun = -1
-		}
+		handled = true
 	}
 	return stall
 }
 
+// unmappedAfterHandle panics for a reference that still faults after a
+// successful Handle: Handle maps the faulting page, so this is a
+// fault-policy bug, not a reference to skip.
+func (r *runner) unmappedAfterHandle(va uint64) {
+	panic(fmt.Sprintf("sim: %v policy served a fault at %#x without mapping it", r.cfg.Policy, va))
+}
+
+// translateWithFaults translates one reference, serving a fault with one
+// Handle and translating again. As in translateRuns, a successful Handle
+// that leaves the page unmapped panics; a Handle error skips the
+// reference.
 func (r *runner) translateWithFaults(va uint64, write bool) float64 {
-	var stall float64
-	for attempt := 0; attempt < 3; attempt++ {
-		if r.m.Translate(r.task.AS.PT, r.hpt, va, write) {
-			return stall
-		}
-		res, err := r.policy.Handle(r.task, va)
-		if err != nil {
-			// The address lies in a gap VMA page that cannot be mapped —
-			// should not happen; treat as a skipped access.
-			return stall
-		}
-		stall += res.LatencyNs
+	if r.m.Translate(r.task.AS.PT, r.hpt, va, write) {
+		return 0
 	}
-	return stall
+	res, err := r.policy.Handle(r.task, va)
+	if err != nil {
+		// The address lies in a gap VMA page that cannot be mapped —
+		// should not happen; treat as a skipped access.
+		return 0
+	}
+	if !r.m.Translate(r.task.AS.PT, r.hpt, va, write) {
+		r.unmappedAfterHandle(va)
+	}
+	return res.LatencyNs
 }
 
 func (r *runner) snapshotMapped(out *[units.NumPageSizes]uint64) {

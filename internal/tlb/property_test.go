@@ -94,27 +94,6 @@ func TestTLBMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// Property: hits + misses always equals lookups, and a hit implies a
-// subsequent Probe also hits (until eviction or invalidation).
-func TestTLBStatsConsistency(t *testing.T) {
-	tl := NewTLB("t", 4, 2)
-	rng := xrand.New(7)
-	lookups := uint64(0)
-	for i := 0; i < 10000; i++ {
-		tag := rng.Uint64n(32)
-		if rng.Bool(0.5) {
-			tl.Lookup(tag)
-			lookups++
-		} else {
-			tl.Insert(tag)
-		}
-	}
-	h, m := tl.Stats()
-	if h+m != lookups {
-		t.Errorf("hits %d + misses %d != lookups %d", h, m, lookups)
-	}
-}
-
 // FuzzLRUInclusion checks the inclusion property of the true-LRU
 // replacement behind Table 1's set-associative TLBs: with the set count
 // fixed, a TLB with one more way holds everything the narrower one holds,
@@ -132,6 +111,7 @@ func FuzzLRUInclusion(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, setsRaw uint8, invalidate bool) {
 		sets := 1 << (setsRaw % 3) // 1, 2 or 4
 		var tlbs [8]*TLB
+		var misses [len(tlbs)]int
 		for w := range tlbs {
 			tlbs[w] = NewTLB("inclusion", sets, w+1)
 		}
@@ -146,6 +126,7 @@ func FuzzLRUInclusion(f *testing.F) {
 			var hit [len(tlbs)]bool
 			for w, tl := range tlbs {
 				if hit[w] = tl.Lookup(tag); !hit[w] {
+					misses[w]++
 					tl.Insert(tag)
 				}
 			}
@@ -155,12 +136,9 @@ func FuzzLRUInclusion(f *testing.F) {
 				}
 			}
 		}
-		_, prev := tlbs[0].Stats()
-		for w, tl := range tlbs[1:] {
-			if _, misses := tl.Stats(); misses > prev {
-				t.Fatalf("%d sets: %d misses with %d ways, %d with %d", sets, prev, w+1, misses, w+2)
-			} else {
-				prev = misses
+		for w := 1; w < len(tlbs); w++ {
+			if misses[w] > misses[w-1] {
+				t.Fatalf("%d sets: %d misses with %d ways, %d with %d", sets, misses[w-1], w, misses[w], w+1)
 			}
 		}
 	})

@@ -37,9 +37,7 @@ type TLB struct {
 	mask uint64
 	// lines holds sets×ways entries; within a set, most-recently-used
 	// first. invalidTag marks empty ways.
-	lines  []uint64
-	hits   uint64
-	misses uint64
+	lines []uint64
 	// sizeCounts, when non-nil, holds sets×units.NumPageSizes counters of
 	// live entries per size salt, maintained by Insert/insertMissed/
 	// Invalidate/Flush. The Hierarchy enables it on its structures so
@@ -62,7 +60,7 @@ type TLB struct {
 	// there. A zero bucket proves the tag absent without scanning the ways —
 	// pure acceleration, since the skipped scan would find nothing and touch
 	// nothing. The filter is consulted only at Hierarchy call sites (the
-	// ProbeL2 sweep) and in Invalidate, never inside Lookup/lookupHit:
+	// ProbeL2 sweep) and in Invalidate, never inside Lookup/lookupHitSlow:
 	// folding it into those paths pushes them past the inliner's budget and
 	// costs more than the skipped scans save. The Hierarchy enables it for
 	// the L2 structures only, whose wide sets (12-way shared) make miss
@@ -193,28 +191,16 @@ func (t *TLB) mayContain(tag uint64, s units.PageSize) bool {
 	return t.sizeCounts[t.setOf(tag)*int(units.NumPageSizes)+int(s)] != 0
 }
 
-// Lookup probes for tag, promoting it to MRU on a hit and recording
-// hit/miss statistics. The MRU way is tested before the general scan: it is
-// where temporal locality lands, and the early return keeps the fast path
-// small enough to inline at hot call sites.
+// Lookup probes for tag, promoting it to MRU on a hit. The MRU way is
+// tested before the general scan: it is where temporal locality lands, and
+// the early return keeps the fast path small enough to inline at hot call
+// sites. A miss touches no state.
 func (t *TLB) Lookup(tag uint64) bool {
 	b := t.base(tag)
-	if t.lines[b] == tag {
-		t.hits++
-		return true
-	}
-	return t.lookupSlow(tag, b)
+	return t.lines[b] == tag || t.lookupHitSlow(tag, b)
 }
 
-func (t *TLB) lookupSlow(tag uint64, b int) bool {
-	if t.lookupHitSlow(tag, b) {
-		return true
-	}
-	t.misses++
-	return false
-}
-
-// Probe checks for tag without updating LRU state or statistics.
+// Probe checks for tag without updating LRU state.
 func (t *TLB) Probe(tag uint64) bool {
 	b := t.base(tag)
 	for _, line := range t.lines[b : b+t.ways] {
@@ -223,19 +209,6 @@ func (t *TLB) Probe(tag uint64) bool {
 		}
 	}
 	return false
-}
-
-// lookupHit probes for tag and, on a hit, promotes it to MRU and counts the
-// hit exactly like Lookup; a miss touches no state at all. Hierarchy.Probe
-// uses it to test the sub-TLBs of every page size without charging misses
-// to structures the reference's (still unknown) page size never selects.
-func (t *TLB) lookupHit(tag uint64) bool {
-	b := t.base(tag)
-	if t.lines[b] == tag { // MRU fast path, as in Lookup
-		t.hits++
-		return true
-	}
-	return t.lookupHitSlow(tag, b)
 }
 
 func (t *TLB) lookupHitSlow(tag uint64, b int) bool {
@@ -249,23 +222,11 @@ func (t *TLB) lookupHitSlow(tag uint64, b int) bool {
 				set[j] = set[j-1]
 			}
 			set[0] = tag
-			t.hits++
 			return true
 		}
 	}
 	return false
 }
-
-// countMiss records a miss without re-probing, for callers that have already
-// established the tag is absent.
-func (t *TLB) countMiss() { t.misses++ }
-
-// bulkHits records n hits without probing, for callers that have proven the
-// n lookups would all take the MRU fast path: a lookup of the set's MRU tag
-// increments hits and changes nothing else, so n such lookups collapse to
-// one counter add. The run-coalesced pipeline uses it for the non-leading
-// references of a run, whose tag the leading reference just made MRU.
-func (t *TLB) bulkHits(n uint64) { t.hits += n }
 
 // Insert installs tag as MRU of its set, evicting the LRU way if needed.
 func (t *TLB) Insert(tag uint64) {
@@ -337,6 +298,32 @@ func (t *TLB) Invalidate(tag uint64) {
 	}
 }
 
+// invalidateRange removes the n consecutive tags first, first+1, … (one
+// size's pages at consecutive VAs). From n = sets on, a probe per tag costs
+// at least one pass over the lines, so it makes that one pass instead,
+// invalidating every line whose tag falls in the range; below, it goes tag
+// by tag. Both are exactly n Invalidate calls: Invalidate never reorders a
+// set, a tag is live in at most one way, and the live, size and signature
+// counts it adjusts are sums, so neither the order of the removals nor the
+// probing of absent tags matters.
+func (t *TLB) invalidateRange(first, n uint64) {
+	if n < uint64(t.sets) {
+		for i := uint64(0); i < n; i++ {
+			t.Invalidate(first + i)
+		}
+		return
+	}
+	for w, line := range t.lines {
+		if line-first < n { // invalidTag and other sizes' salts fall outside
+			s := w / t.ways
+			t.lines[w] = invalidTag
+			t.countInc(line, s, -1)
+			t.sigDel(s, line)
+			t.live[s]--
+		}
+	}
+}
+
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
 	for i := range t.lines {
@@ -349,12 +336,6 @@ func (t *TLB) Flush() {
 	clear(t.live)
 	clear(t.sigs)
 }
-
-// Stats returns the cumulative hit and miss counts.
-func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
-
-// ResetStats zeroes the hit/miss counters without touching contents.
-func (t *TLB) ResetStats() { t.hits, t.misses = 0, 0 }
 
 // Geometry describes one TLB's shape.
 type Geometry struct {
@@ -410,11 +391,6 @@ type Hierarchy struct {
 	// l2 maps each page size to its L2 structure; 4KB and 2MB share one.
 	l2 [units.NumPageSizes]*TLB
 
-	accesses [units.NumPageSizes]uint64
-	l1Hits   [units.NumPageSizes]uint64
-	l2Hits   [units.NumPageSizes]uint64
-	walks    [units.NumPageSizes]uint64
-
 	// sweepHint is the page size of SweepL1Runs' most recent L1 hit. Streams
 	// are heavily biased toward one page size at a time, so probing the
 	// last-hitting size first resolves most sweep references with a single
@@ -459,22 +435,18 @@ func tag(va uint64, size units.PageSize) uint64 {
 }
 
 // Access translates one reference to a page of known size, updating TLB
-// contents and statistics. It returns where the translation was found;
-// Miss means a page walk is required (the MMU performs it and the entry
-// has already been installed for subsequent accesses).
+// contents. It returns where the translation was found; Miss means a page
+// walk is required (the MMU performs it and the entry has already been
+// installed for subsequent accesses).
 func (h *Hierarchy) Access(va uint64, size units.PageSize) Level {
-	h.accesses[size]++
 	t := tag(va, size)
 	if h.l1[size].Lookup(t) {
-		h.l1Hits[size]++
 		return HitL1
 	}
 	if h.l2[size].Lookup(t) {
-		h.l2Hits[size]++
 		h.l1[size].Insert(t)
 		return HitL2
 	}
-	h.walks[size]++
 	h.l2[size].Insert(t)
 	h.l1[size].Insert(t)
 	return Miss
@@ -482,13 +454,12 @@ func (h *Hierarchy) Access(va uint64, size units.PageSize) Level {
 
 // Probe translates one reference whose page size is not known up front by
 // probing every per-size sub-TLB with the VA alone and recovering the page
-// size from the tag that hits. On a hit it performs exactly the state and
-// counter updates Access(va, size) would have performed — L1 hits promote to
-// MRU, L2 hits additionally charge an L1 miss and install the entry in L1 —
-// so a Probe hit is bit-identical to an Access call with the mapped size.
-// On a full miss nothing is touched; the caller resolves the size from the
-// page table and calls Access, which then charges the misses and installs
-// the entry, as before.
+// size from the tag that hits. On a hit it performs exactly the state
+// updates Access(va, size) would have performed — L1 hits promote to MRU,
+// L2 hits additionally install the entry in L1 — so a Probe hit is
+// bit-identical to an Access call with the mapped size. On a full miss
+// nothing is touched; the caller resolves the size from the page table and
+// installs the entry (AccessMissedAll).
 //
 // Soundness rests on the shootdown discipline (DESIGN.md §5a): every remap
 // flushes the affected page, so between flushes an entry's tag — which
@@ -501,18 +472,12 @@ func (h *Hierarchy) Probe(va uint64) (Level, units.PageSize, bool) {
 		tags[s] = tag(va, s)
 	}
 	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		if h.l1[s].hasSize(s) && h.l1[s].lookupHit(tags[s]) {
-			h.accesses[s]++
-			h.l1Hits[s]++
+		if h.l1[s].hasSize(s) && h.l1[s].Lookup(tags[s]) {
 			return HitL1, s, true
 		}
 	}
 	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		if h.l2[s].hasSize(s) && h.l2[s].lookupHit(tags[s]) {
-			// Access would have gone through L1 first and charged it a miss.
-			h.l1[s].countMiss()
-			h.accesses[s]++
-			h.l2Hits[s]++
+		if h.l2[s].hasSize(s) && h.l2[s].Lookup(tags[s]) {
 			h.l1[s].Insert(tags[s])
 			return HitL2, s, true
 		}
@@ -523,8 +488,7 @@ func (h *Hierarchy) Probe(va uint64) (Level, units.PageSize, bool) {
 // SweepL1Runs is the run-coalesced fast path: it consumes the longest
 // prefix of runs whose leading references all hit an L1 TLB, writes each
 // consumed run's page size (recovered from the size-salted tag that hit)
-// into sizes, charges each consumed run's full weight (Run.Len accesses and
-// L1 hits) in bulk, and returns the consumed count. It parks at the first
+// into sizes, and returns the consumed count. It parks at the first
 // run whose leading reference misses every L1 — that run and the rest are
 // untouched, and the caller resolves the parked reference through the
 // L2/walk path and bulk-applies the rest of its run.
@@ -537,32 +501,25 @@ func (h *Hierarchy) Probe(va uint64) (Level, units.PageSize, bool) {
 // and evict others. And only the leading reference probes: a hit promotes
 // the tag to MRU of its set, so each of the run's remaining Len-1
 // references — same page, hence same tag — would take the MRU fast path,
-// which increments the hit counter and changes nothing else (see bulkHits).
+// which changes nothing.
 func (h *Hierarchy) SweepL1Runs(runs []stream.Run, sizes []uint8) int {
 	hint := h.sweepHint
 	k := 0
 sweep:
 	for ; k < len(runs); k++ {
 		va := runs[k].VA
-		n := uint64(runs[k].Len)
-		// The hint probe is hand-inlined lookupHit (MRU check, then the
+		// The hint probe is hand-inlined Lookup (MRU check, then the
 		// inlinable slow scan): one probe per run is the pipeline's hottest
 		// edge, too hot to pay a call that exceeds the inliner's budget.
 		l1 := h.l1[hint]
 		t := tag(va, hint)
-		b := l1.base(t)
-		if l1.lines[b] == t {
-			l1.hits++
-		} else if !l1.lookupHitSlow(t, b) {
+		if b := l1.base(t); l1.lines[b] != t && !l1.lookupHitSlow(t, b) {
 			for s := units.PageSize(0); s < units.NumPageSizes; s++ {
 				if s == hint || !h.l1[s].hasSize(s) {
 					continue
 				}
 				t := tag(va, s)
-				if h.l1[s].mayContain(t, s) && h.l1[s].lookupHit(t) {
-					h.accesses[s] += n
-					h.l1Hits[s] += n
-					h.l1[s].bulkHits(n - 1)
+				if h.l1[s].mayContain(t, s) && h.l1[s].Lookup(t) {
 					sizes[k] = uint8(s)
 					hint = s
 					continue sweep
@@ -570,48 +527,27 @@ sweep:
 			}
 			break
 		}
-		h.accesses[hint] += n
-		h.l1Hits[hint] += n
-		l1.bulkHits(n - 1) // the leading hit was charged above
 		sizes[k] = uint8(hint)
 	}
 	h.sweepHint = hint
 	return k
 }
 
-// BulkL1Hits charges n guaranteed L1 hits at the given size without
-// probing. The caller must have proven all n lookups would take the MRU
-// fast path — the run-coalesced pipeline's non-leading references qualify
-// because resolving the leading reference left the page's tag MRU in its L1
-// (an L1 hit promotes it, and both the L2-hit install and the walk install
-// insert at MRU). Counter updates are exactly n Probe L1-hit updates.
-func (h *Hierarchy) BulkL1Hits(s units.PageSize, n uint64) {
-	h.accesses[s] += n
-	h.l1Hits[s] += n
-	h.l1[s].bulkHits(n)
-}
-
 // ProbeL2 is Probe for a reference already proven to miss every L1 — the
 // state SweepL1Runs leaves its parked reference in. It performs exactly what
-// Probe's L2 stage would: the skipped L1 probes are lookupHit misses, which
-// touch no state and no counters, so skipping them is invisible. On an L2
-// hit the entry is installed in its L1 (charging the L1 miss) exactly as
-// Probe does; on a full miss nothing is touched.
+// Probe's L2 stage would: the skipped L1 probes are Lookup misses, which
+// touch no state, so skipping them is invisible. On an L2 hit the entry is
+// installed in its L1 exactly as Probe does; on a full miss nothing is
+// touched.
 func (h *Hierarchy) ProbeL2(va uint64) (units.PageSize, bool) {
 	hint := h.probeHint
-	// Hand-inlined lookupHit for the hint probe, as in SweepL1Runs; the set
+	// Hand-inlined Lookup for the hint probe, as in SweepL1Runs; the set
 	// index is computed once and shared by the signature test and the scan.
 	l2 := h.l2[hint]
 	t := tag(va, hint)
 	if s := l2.setOf(t); !l2.absentIn(s, t) {
-		b := s * l2.ways
-		if l2.lines[b] == t {
-			l2.hits++
-			h.probeL2Hit(hint, t)
-			return hint, true
-		}
-		if l2.lookupHitSlow(t, b) {
-			h.probeL2Hit(hint, t)
+		if b := s * l2.ways; l2.lines[b] == t || l2.lookupHitSlow(t, b) {
+			h.l1[hint].insertMissed(t) // SweepL1Runs proved t absent from this L1
 			return hint, true
 		}
 	}
@@ -627,38 +563,23 @@ func (h *Hierarchy) ProbeL2(va uint64) (units.PageSize, bool) {
 		if l2.absentIn(si, t) {
 			continue
 		}
-		b := si * l2.ways
-		if l2.lines[b] == t {
-			l2.hits++
-		} else if !l2.lookupHitSlow(t, b) {
+		if b := si * l2.ways; l2.lines[b] != t && !l2.lookupHitSlow(t, b) {
 			continue
 		}
-		h.probeL2Hit(s, t)
+		h.l1[s].insertMissed(t)
 		h.probeHint = s
 		return s, true
 	}
 	return 0, false
 }
 
-func (h *Hierarchy) probeL2Hit(s units.PageSize, t uint64) {
-	l1 := h.l1[s]
-	l1.countMiss()
-	h.accesses[s]++
-	h.l2Hits[s]++
-	l1.insertMissed(t) // SweepL1Runs proved t absent from this L1
-}
-
 // AccessMissedAll performs Access's Miss arm for a reference already proven
 // — by a completed Probe, or by SweepL1Runs followed by ProbeL2 — to miss
-// every structure in the hierarchy. The guaranteed-miss lookups collapse to
-// miss counts and the installs skip their duplicate-promotion scans; counter
-// and content transitions are exactly Access's on a full miss.
+// every structure in the hierarchy. The guaranteed-miss lookups are
+// skipped and the installs skip their duplicate-promotion scans; content
+// transitions are exactly Access's on a full miss.
 func (h *Hierarchy) AccessMissedAll(va uint64, size units.PageSize) {
-	h.accesses[size]++
 	t := tag(va, size)
-	h.l1[size].countMiss()
-	h.l2[size].countMiss()
-	h.walks[size]++
 	h.l2[size].insertMissed(t)
 	h.l1[size].insertMissed(t)
 }
@@ -701,6 +622,20 @@ func (h *Hierarchy) InvalidatePage(va uint64, size units.PageSize) {
 	h.l2[size].Invalidate(t)
 }
 
+// InvalidateRange removes the entries of the n pages of the given size at
+// va, va+size, … from all levels: exactly InvalidatePage on each of them
+// (see invalidateRange). A structure that holds no entry of the size is
+// skipped.
+func (h *Hierarchy) InvalidateRange(va, n uint64, size units.PageSize) {
+	t := tag(va, size)
+	if h.l1[size].hasSize(size) {
+		h.l1[size].invalidateRange(t, n)
+	}
+	if h.l2[size].hasSize(size) {
+		h.l2[size].invalidateRange(t, n)
+	}
+}
+
 // FlushAll empties every structure (full shootdown / context switch).
 func (h *Hierarchy) FlushAll() {
 	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
@@ -708,40 +643,6 @@ func (h *Hierarchy) FlushAll() {
 	}
 	h.l2[units.Size4K].Flush()
 	h.l2[units.Size1G].Flush()
-}
-
-// Counts reports, for the given page size: total accesses, L1 hits, L2 hits
-// and page walks.
-func (h *Hierarchy) Counts(size units.PageSize) (accesses, l1, l2, walks uint64) {
-	return h.accesses[size], h.l1Hits[size], h.l2Hits[size], h.walks[size]
-}
-
-// TotalWalks returns page walks across all page sizes.
-func (h *Hierarchy) TotalWalks() uint64 {
-	var n uint64
-	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		n += h.walks[s]
-	}
-	return n
-}
-
-// TotalAccesses returns translations attempted across all page sizes.
-func (h *Hierarchy) TotalAccesses() uint64 {
-	var n uint64
-	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		n += h.accesses[s]
-	}
-	return n
-}
-
-// ResetStats zeroes all counters, keeping contents warm.
-func (h *Hierarchy) ResetStats() {
-	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		h.accesses[s], h.l1Hits[s], h.l2Hits[s], h.walks[s] = 0, 0, 0, 0
-		h.l1[s].ResetStats()
-	}
-	h.l2[units.Size4K].ResetStats()
-	h.l2[units.Size1G].ResetStats()
 }
 
 // PWC models the paging-structure caches that let the hardware walker skip
@@ -790,10 +691,7 @@ func (p *PWC) WalkAccesses(va uint64, size units.PageSize) int {
 		// one probe per level per walk is too hot for a non-inlined call.
 		pc := p.caches[c]
 		t := va >> pwcShift[c]
-		b := pc.base(t)
-		if pc.lines[b] == t {
-			pc.hits++
-		} else if !pc.lookupSlow(t, b) {
+		if b := pc.base(t); pc.lines[b] != t && !pc.lookupHitSlow(t, b) {
 			continue
 		}
 		accesses = 1 + (c - deepest)

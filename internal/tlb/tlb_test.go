@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/units"
@@ -15,10 +16,6 @@ func TestTLBBasicHitMiss(t *testing.T) {
 	tl.Insert(1)
 	if !tl.Lookup(1) {
 		t.Error("inserted tag missed")
-	}
-	hits, misses := tl.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d", hits, misses)
 	}
 }
 
@@ -99,10 +96,6 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	if tl.Probe(1) {
 		t.Error("Probe perturbed LRU order")
 	}
-	h, m := tl.Stats()
-	if h != 0 || m != 0 {
-		t.Error("Probe updated stats")
-	}
 }
 
 func TestSkylakeGeometry(t *testing.T) {
@@ -133,10 +126,6 @@ func TestHierarchyLevels(t *testing.T) {
 	if lvl := h.Access(va, units.Size4K); lvl != HitL1 {
 		t.Errorf("warm access = %v", lvl)
 	}
-	acc, l1, _, walks := h.Counts(units.Size4K)
-	if acc != 2 || l1 != 1 || walks != 1 {
-		t.Errorf("counts = %d/%d/%d", acc, l1, walks)
-	}
 }
 
 func TestHierarchyL2Refill(t *testing.T) {
@@ -165,13 +154,14 @@ func TestHierarchy1GBCapacity(t *testing.T) {
 			t.Errorf("1GB page %d not in L1: %v", i, lvl)
 		}
 	}
-	_, _, _, walksBefore := h.Counts(units.Size1G)
+	walks := 0
 	for i := uint64(0); i < 64; i++ {
-		h.Access(i*units.Page1G, units.Size1G)
+		if h.Access(i*units.Page1G, units.Size1G) == Miss {
+			walks++
+		}
 	}
-	_, _, _, walksAfter := h.Counts(units.Size1G)
-	if walksAfter-walksBefore < 32 {
-		t.Errorf("64 streaming 1GB pages caused only %d walks", walksAfter-walksBefore)
+	if walks < 32 {
+		t.Errorf("64 streaming 1GB pages caused only %d walks", walks)
 	}
 }
 
@@ -190,13 +180,8 @@ func TestNoTagAliasingAcrossSizes(t *testing.T) {
 	// VA 0 as a 4KB page and VA 0 as a 2MB page are different translations;
 	// inserting one must not hit for the other.
 	h.Access(0, units.Size4K)
-	_, _, _, walksBefore := h.Counts(units.Size2M)
 	if lvl := h.Access(0, units.Size2M); lvl != Miss {
 		t.Errorf("2MB access aliased onto 4KB entry: %v", lvl)
-	}
-	_, _, _, walksAfter := h.Counts(units.Size2M)
-	if walksAfter != walksBefore+1 {
-		t.Error("2MB walk not counted")
 	}
 }
 
@@ -223,19 +208,6 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	h := NewHierarchy(Skylake())
-	h.Access(0, units.Size4K)
-	h.ResetStats()
-	if h.TotalAccesses() != 0 || h.TotalWalks() != 0 {
-		t.Error("ResetStats left counters")
-	}
-	// Contents stay warm.
-	if lvl := h.Access(0, units.Size4K); lvl != HitL1 {
-		t.Errorf("ResetStats cleared contents: %v", lvl)
-	}
-}
-
 // The central architectural property the paper exploits: a working set that
 // thrashes the 2MB TLB fits easily in 1GB entries.
 func TestReachAdvantageOf1GBPages(t *testing.T) {
@@ -245,18 +217,22 @@ func TestReachAdvantageOf1GBPages(t *testing.T) {
 	const accesses = 200000
 
 	// With 2MB pages: 4096 pages >> 1536-entry L2 → mostly walks.
+	walks2M := 0
 	for i := 0; i < accesses; i++ {
 		va := rng.Uint64n(footprint)
-		h.Access(va, units.Size2M)
+		if h.Access(va, units.Size2M) == Miss {
+			walks2M++
+		}
 	}
-	_, _, _, walks2M := h.Counts(units.Size2M)
 
 	// With 1GB pages: 8 pages < 16-entry L2 → essentially no walks.
+	walks1G := 0
 	for i := 0; i < accesses; i++ {
 		va := rng.Uint64n(footprint)
-		h.Access(va, units.Size1G)
+		if h.Access(va, units.Size1G) == Miss {
+			walks1G++
+		}
 	}
-	_, _, _, walks1G := h.Counts(units.Size1G)
 
 	if walks2M < accesses/2 {
 		t.Errorf("2MB walks = %d, expected thrashing (> %d)", walks2M, accesses/2)
@@ -320,5 +296,52 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(rng.Uint64n(4*units.GiB), units.Size4K)
+	}
+}
+
+// TestInvalidateRangeMatchesPerPage checks InvalidateRange against
+// InvalidatePage on each page of the range: two hierarchies take the same
+// random accesses of every size around the range, then one invalidates the
+// range at once and the other page by page, and every structure's lines,
+// live, size and signature counts must agree. Range lengths run from one
+// page to past every structure's set count, so both the per-tag path and
+// the one-pass path are taken, and ranges start off set boundaries.
+func TestInvalidateRangeMatchesPerPage(t *testing.T) {
+	rng := xrand.New(3)
+	tiny := Config{
+		L1:       [units.NumPageSizes]Geometry{{Sets: 4, Ways: 2}, {Sets: 2, Ways: 2}, {Sets: 1, Ways: 2}},
+		L2Shared: Geometry{Sets: 8, Ways: 3},
+		L2Huge:   Geometry{Sets: 2, Ways: 2},
+		PWC:      Skylake().PWC,
+	}
+	for _, cfg := range []Config{Skylake(), tiny} {
+		for _, n := range []uint64{1, 2, 3, 7, 8, 9, 16, 100, 127, 128, 129, 300, 512} {
+			for s := units.PageSize(0); s < units.NumPageSizes; s++ {
+				a, b := NewHierarchy(cfg), NewHierarchy(cfg)
+				base := (16 + rng.Uint64n(64)) * s.Bytes()
+				for i := 0; i < 4000; i++ {
+					size := units.PageSize(rng.Uint64n(uint64(units.NumPageSizes)))
+					va := units.Align(base, size.Bytes()) + (rng.Uint64n(n+20)-10)*size.Bytes()
+					a.Access(va, size)
+					b.Access(va, size)
+				}
+				a.InvalidateRange(base, n, s)
+				for i := uint64(0); i < n; i++ {
+					b.InvalidatePage(base+i*s.Bytes(), s)
+				}
+				for _, pair := range [][2]*TLB{
+					{a.l1[0], b.l1[0]}, {a.l1[1], b.l1[1]}, {a.l1[2], b.l1[2]},
+					{a.l2[units.Size4K], b.l2[units.Size4K]}, {a.l2[units.Size1G], b.l2[units.Size1G]},
+				} {
+					x, y := pair[0], pair[1]
+					if !slices.Equal(x.lines, y.lines) || !slices.Equal(x.live, y.live) ||
+						!slices.Equal(x.sizeCounts, y.sizeCounts) || !slices.Equal(x.sigs, y.sigs) ||
+						x.liveBySize != y.liveBySize {
+						t.Fatalf("%dx%d %s after invalidating %d %v pages at %#x: range and per-page states differ",
+							x.sets, x.ways, x.name, n, s, base)
+					}
+				}
+			}
+		}
 	}
 }
