@@ -47,7 +47,10 @@ chaos:
 # fault-around's run of order-0 frames against repeated Alloc(0) and of
 # fault-around population against the per-fault loop, ten of teardown by
 # runs against its per-page definition (kernel.FuzzUnmapRangeEquivalence),
-# and ten of the TLB's
+# ten of compaction by runs against its per-page definition
+# (compact.FuzzCompactRunEquivalence), ten of a Fragmenter re-applied at
+# another size or flavour against a new one
+# (fragment.FuzzReapplyEquivalence), and ten of the TLB's
 # LRU inclusion law (with the set count fixed, more ways never miss more,
 # tlb.FuzzLRUInclusion), and ten of whole runs on drawn configs against
 # the oracle that switches off every fast path (sim.FuzzRunEquivalence).
@@ -62,6 +65,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 	$(GO) test -run '^$$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz FuzzCompactRunEquivalence -fuzztime 10s ./internal/compact
+	$(GO) test -run '^$$' -fuzz FuzzReapplyEquivalence -fuzztime 10s ./internal/fragment
 	$(GO) test -run '^$$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 	$(GO) test -run '^$$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 

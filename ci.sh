@@ -10,7 +10,10 @@
 # its per-fault definitions (the buddy's run of order-0 frames against
 # repeated Alloc(0), fault-around touch against the per-fault loop), of
 # teardown by runs against its per-page definition (UnmapRange and
-# UnmapRangeKeep against UnmapFree/UnmapKeep), of the TLB's LRU
+# UnmapRangeKeep against UnmapFree/UnmapKeep), of compaction by runs
+# against its per-page definition (sequential compaction moving a run of
+# pages per kernel call against one page at a time), of a Fragmenter
+# re-applied at another size or flavour against a new one, of the TLB's LRU
 # inclusion law (more ways never miss more), of whole runs
 # on drawn configs against the oracle that switches off every fast path
 # (FuzzRunEquivalence: translation one reference at a time, population
@@ -88,6 +91,8 @@ go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 go test -run '^$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kernel
+go test -run '^$' -fuzz FuzzCompactRunEquivalence -fuzztime 10s ./internal/compact
+go test -run '^$' -fuzz FuzzReapplyEquivalence -fuzztime 10s ./internal/fragment
 go test -run '^$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 go test -run '^$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 go test -run '^$' -bench=. -benchtime=1x ./...

@@ -287,11 +287,7 @@ func (a *Allocator) AllocRun(max uint64) (pfn, n uint64, err error) {
 		}
 	}
 	pfn = a.popFree(from)
-	for pos, end := pfn+n, pfn+uint64(1)<<uint(from); pos < end; {
-		o := bits.TrailingZeros64(pos) // < from: pfn is 2^from-aligned
-		a.insertFree(pos, o)
-		pos += uint64(1) << uint(o)
-	}
+	a.insertRange(pfn+n, pfn+uint64(1)<<uint(from))
 	a.mem.MarkAllocated(pfn, n, false)
 	return pfn, n, err
 }
@@ -310,17 +306,7 @@ func (a *Allocator) AllocSpecific(pfn uint64, order int, unmovable bool) error {
 	if a.FailAlloc != nil && a.FailAlloc(order) {
 		return ErrNoMemory
 	}
-	// Find the free chunk covering pfn.
-	cover := -1
-	var head uint64
-	for o := order; o <= a.maxOrder; o++ {
-		h := pfn &^ ((uint64(1) << uint(o)) - 1)
-		if int(a.freeOrderAt(h)) == o+1 {
-			cover = o
-			head = h
-			break
-		}
-	}
+	head, cover := a.coverOf(pfn, order)
 	if cover == -1 {
 		return ErrNoMemory
 	}
@@ -337,6 +323,74 @@ func (a *Allocator) AllocSpecific(pfn uint64, order int, unmovable bool) error {
 	}
 	a.mem.MarkAllocated(pfn, uint64(1)<<uint(order), unmovable)
 	return nil
+}
+
+// coverOf returns the head and order of the free chunk of at least the
+// given order that covers pfn, or order -1 if there is none.
+func (a *Allocator) coverOf(pfn uint64, order int) (uint64, int) {
+	for o := order; o <= a.maxOrder; o++ {
+		h := pfn &^ ((uint64(1) << uint(o)) - 1)
+		if int(a.freeOrderAt(h)) == o+1 {
+			return h, o
+		}
+	}
+	return 0, -1
+}
+
+// AllocDown claims movable order-0 frames from the top of [lo, hi)
+// downward: exactly the frames, in order, that AllocSpecific(f, 0, false)
+// on each free frame f from hi-1 down to lo claims, until len(dst) are
+// claimed, leaving the free lists as those calls would. It writes them to
+// dst, highest first, and returns how many it claimed and where the scan
+// stopped: at the last frame claimed once dst is full, else at lo. Like
+// AllocSpecific, it consults FailAlloc once per free frame before claiming
+// it; a frame that fails stays free and the scan goes on below it. Free
+// frames are found a bitmap word at a time, and each free chunk the scan
+// reaches is split once, however many of its frames it yields: the chunk
+// minus the claimed frames goes back as its maximal aligned blocks, which
+// is the state the per-frame splits reach (see Carve). Compaction's free
+// scanner claims a run's destinations with it.
+func (a *Allocator) AllocDown(lo, hi uint64, dst []uint64) (n int, pos uint64) {
+	pos = hi
+	for n < len(dst) {
+		f, ok := a.mem.PrevFree(lo, pos)
+		if !ok {
+			return n, min(pos, lo)
+		}
+		head, order := a.coverOf(f, 0)
+		s, floor := f+1, max(head, lo) // the claimed frames are [s, f]
+		failed := false
+		for s > floor && n < len(dst) {
+			if a.FailAlloc != nil && a.FailAlloc(0) {
+				failed = true
+				break
+			}
+			s--
+			dst[n] = s
+			n++
+		}
+		if s <= f {
+			a.removeFree(head, order)
+			a.insertRange(head, s)
+			a.insertRange(f+1, head+uint64(1)<<uint(order))
+			a.mem.MarkAllocated(s, f+1-s, false)
+		}
+		pos = s
+		if failed {
+			pos-- // the failed frame is passed over, as AllocSpecific's caller does
+		}
+	}
+	return n, pos
+}
+
+// insertRange puts the free frames [lo, hi) on the free lists as the
+// maximal aligned blocks that tile it.
+func (a *Allocator) insertRange(lo, hi uint64) {
+	for lo < hi {
+		o := min(bits.TrailingZeros64(lo), bits.Len64(hi-lo)-1)
+		a.insertFree(lo, o)
+		lo += uint64(1) << uint(o)
+	}
 }
 
 // Carve allocates, as movable, every frame of the free chunk
@@ -508,17 +562,23 @@ func (a *Allocator) FreeBytesAtOrder(order int) uint64 {
 // the given order, in ascending address order. Intended for tests and
 // diagnostics; O(bitmap words).
 func (a *Allocator) FreeChunkHeads(order int) []uint64 {
-	var heads []uint64
+	return a.AppendFreeChunkHeads(nil, order)
+}
+
+// AppendFreeChunkHeads appends FreeChunkHeads(order) to dst and returns the
+// extended slice, so a caller that keeps dst allocates nothing once it has
+// grown (the fragmenter reads every order's heads on each Apply).
+func (a *Allocator) AppendFreeChunkHeads(dst []uint64, order int) []uint64 {
 	for w, word := range a.free[order].words {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			heads = append(heads, (uint64(w)*64+uint64(b))<<uint(order))
+			dst = append(dst, (uint64(w)*64+uint64(b))<<uint(order))
 		}
 	}
 	// The bitmap is exact and scanned in address order: already sorted,
 	// no duplicates.
-	return heads
+	return dst
 }
 
 // freeList is one order's free-chunk-head bitmap. Bit i set means the chunk

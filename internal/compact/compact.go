@@ -137,22 +137,30 @@ func (c *Normal) compact(targetOrder int) bool {
 // copied and whether the block is now entirely free. On encountering an
 // unmovable or unowned page it abandons the block (copies so far wasted).
 //
+// It moves pages a run at a time: a stretch of frames heading 4KB pages of
+// one task at consecutive VAs (phys.Memory.Run4K, at most maxRun long)
+// resolves its task once, claims its destinations in one downward pass of
+// the free scanner (takeRun) and moves with one kernel.MoveRun. The
+// checks, destinations, claim order and per-page accounting are exactly
+// those of moving the run's pages one at a time: a run's pages pass the
+// checks its first page passes, and its moves touch no frame the claims
+// read (sources lie below the block's end, destinations at or above it).
+// Larger pages move one at a time.
+//
 // The moved pages' old frames are freed in one batch when the block ends,
 // on every return path. Deferring them is invisible: the scan never
-// revisits a moved page's frames, target.take only reads and claims frames
-// at or above the block's end, and the buddy allocator's state depends
+// revisits a moved page's frames, the target scanner only reads and claims
+// frames at or above the block's end, and the buddy allocator's state depends
 // only on which frames are free (buddy.FreeBatch).
 func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uint64, bool) {
 	var copied uint64
+	var buf [maxRun]uint64 // a run's destinations
 	mem := c.K.Mem
+	end := block + frames
 	frees := c.K.Buddy.Batch()
 	defer frees.Flush()
 	c.Nanoseconds += float64(frames) * scanNsPerFrame
-	for f := block; f < block+frames; {
-		if !mem.IsAllocated(f) {
-			f++
-			continue
-		}
+	for f := mem.NextAllocated(block, end); f < end; f = mem.NextAllocated(f, end) {
 		if mem.IsUnmovable(f) {
 			return copied, false
 		}
@@ -172,7 +180,34 @@ func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uin
 			// for aligned blocks >= the page size, but be safe.
 			return copied, false
 		}
-		dest, ok := target.take(o.Size.Order(), block+frames)
+		if o.Size == units.Size4K {
+			dests := buf[:mem.Run4K(f, min(end, f+maxRun))]
+			claimed := target.takeRun(dests, end)
+			old, err := c.K.MoveRun(task, o.VA, units.Size4K, dests[:claimed])
+			ns := perfmodel.CopyNs(units.Page4K) + perfmodel.PTEUpdateNs
+			for _, pfn := range old {
+				frees.Add(pfn, 1)
+				copied += units.Page4K
+				c.PagesMoved++
+				c.Nanoseconds += ns
+			}
+			if err != nil {
+				// A destination was claimed but its move failed: release it
+				// and the ones claimed after it, leaving the scanner where
+				// the failed page's claim left it.
+				for _, d := range dests[len(old):claimed] {
+					c.K.Buddy.Free(d, 0)
+				}
+				target.pos = dests[len(old)]
+				return copied, false
+			}
+			if claimed < len(dests) {
+				return copied, false
+			}
+			f += uint64(len(dests))
+			continue
+		}
+		dest, ok := target.take(o.Size.Order(), end)
 		if !ok && o.Size == units.Size2M {
 			// Split the huge page and migrate base pages instead.
 			if err := c.K.DemotePage(task, o.VA); err == nil {
@@ -197,6 +232,11 @@ func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uin
 	}
 	return copied, true
 }
+
+// maxRun caps the pages evacuateBlock moves with one kernel.MoveRun: one
+// leaf page table's worth, which bounds the destination buffer on its
+// stack.
+const maxRun = 512
 
 func (c *Normal) finish(targetOrder int) bool {
 	if c.K.Buddy.FreeBytesAtOrder(targetOrder) > 0 {
@@ -223,13 +263,7 @@ func (t *targetScanner) take(order int, limit uint64) (uint64, bool) {
 	pos := t.pos &^ (size - 1)
 	for pos >= size && pos-size >= limit {
 		cand := pos - size
-		free := false
-		if order == 0 {
-			free = !mem.IsAllocated(cand)
-		} else {
-			free = mem.AllocatedInRange(cand, size) == 0
-		}
-		if free {
+		if mem.AllocatedInRange(cand, size) == 0 {
 			if err := t.k.Buddy.AllocSpecific(cand, order, false); err == nil {
 				t.pos = cand
 				return cand, true
@@ -239,6 +273,17 @@ func (t *targetScanner) take(order int, limit uint64) (uint64, bool) {
 	}
 	t.pos = pos
 	return 0, false
+}
+
+// takeRun claims len(dst) free frames at the highest available addresses
+// that are >= limit, writing them to dst highest first: exactly the frames
+// take(0, limit) returns on that many calls, up to the first that finds
+// none.
+// It returns how many it claimed.
+func (t *targetScanner) takeRun(dst []uint64, limit uint64) int {
+	n, pos := t.k.Buddy.AllocDown(limit, t.pos, dst)
+	t.pos = pos
+	return n
 }
 
 // Smart is Trident's region-counter-guided compactor (always 1GB-targeted).
@@ -416,7 +461,7 @@ type regionFree struct {
 type regionTargets struct {
 	k       *kernel.Kernel
 	regions []regionFree
-	cursors map[int]*targetCursor
+	cursors [units.Order1G]targetCursor // by order: 1GB pages never move
 }
 
 type targetCursor struct {
@@ -425,14 +470,7 @@ type targetCursor struct {
 }
 
 func (t *regionTargets) take(order int) (uint64, bool) {
-	if t.cursors == nil {
-		t.cursors = make(map[int]*targetCursor)
-	}
-	cur := t.cursors[order]
-	if cur == nil {
-		cur = &targetCursor{}
-		t.cursors[order] = cur
-	}
+	cur := &t.cursors[order]
 	size := uint64(1) << uint(order)
 	for cur.idx < len(t.regions) {
 		base := t.regions[cur.idx].r * units.FramesPerRegion

@@ -21,6 +21,7 @@ import (
 	"math/bits"
 
 	"repro/internal/kernel"
+	"repro/internal/phys"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/xrand"
@@ -38,22 +39,32 @@ type Config struct {
 }
 
 // Fragmenter holds the page-cache state so more memory can be reclaimed
-// during a run.
+// during a run. A Fragmenter can be applied again, to any machine: Apply
+// then reuses the buffers of its earlier applications.
 type Fragmenter struct {
 	K     *kernel.Kernel
 	Cache *kernel.Task
 
-	rng *xrand.Rand
+	rng xrand.Rand
 	// base is the cache VMA's start: fill page i maps at base + i*4KB.
 	base uint64
 	// held groups cache pages, by fill index, under the 1GB physical region
 	// of their frame (indexed by region), so reclaim can apply per-region
-	// pressure.
-	held [][]uint32
+	// pressure. The lists are carved out of heldBuf, one per region with
+	// the region's free frames at fill time as its capacity.
+	held    [][]uint32
+	heldBuf []uint32
 	// weight orders regions by reclaim pressure (a shuffled rank per
 	// region; higher rank means drained harder), indexed like held.
 	weight []float64
 	total  uint64 // held pages
+
+	// Apply's scratch, kept for the next Apply: the fill's free chunk heads
+	// per order, the reclaimed fill indexes and the commit's free-frame
+	// mask (bitmaps), and assignWeights' region list.
+	heads           [][]uint64
+	reclaimed, free []uint64
+	regions         []int
 }
 
 // Apply fragments k's physical memory per cfg and returns the fragmenter
@@ -67,14 +78,25 @@ type Fragmenter struct {
 // are ever allocated and mapped, a buddy chunk and a run of pages at a
 // time. kernel.Ops counts that work alone.
 func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
-	f := &Fragmenter{
-		K:     k,
-		Cache: k.NewTask("pagecache"),
-		rng:   xrand.New(cfg.Seed),
+	f := new(Fragmenter)
+	if err := f.Apply(k, cfg); err != nil {
+		return nil, err
 	}
+	return f, nil
+}
+
+// Apply is the package-level Apply into f: afterwards f is exactly the
+// Fragmenter Apply(k, cfg) returns, whatever machines f was applied to
+// before, but its buffers are the ones those applications grew, so an
+// Apply at a size f has seen allocates no buffer (the machine pool,
+// internal/sim, parks Fragmenters for that). On error f is left partly
+// applied and must be applied again before use.
+func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
+	f.K, f.Cache = k, k.NewTask("pagecache")
+	f.rng = *xrand.New(cfg.Seed)
 	// 1. Clustered unmovable kernel objects.
 	if err := f.placeUnmovable(cfg.UnmovableBytes); err != nil {
-		return nil, err
+		return err
 	}
 
 	// 2. Page-cache fill order: repeated Alloc(0) over all free memory
@@ -84,14 +106,14 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	// chunk then drains). The i-th page of that order maps at base + i*4KB.
 	fillPages := k.Mem.FreeFrames()
 	if err := f.mapCache(fillPages); err != nil {
-		return nil, err
+		return err
 	}
 	f.initHeld()
-	heads := make([][]uint64, k.Buddy.MaxOrder()+1)
+	f.heads = phys.Resized(f.heads, k.Buddy.MaxOrder()+1)
 	i := uint32(0)
-	for o := range heads {
-		heads[o] = k.Buddy.FreeChunkHeads(o)
-		for _, h := range heads[o] {
+	for o := range f.heads {
+		f.heads[o] = k.Buddy.AppendFreeChunkHeads(f.heads[o][:0], o)
+		for _, h := range f.heads[o] {
 			r := units.RegionOfFrame(h) // chunks never straddle a 1GB region
 			held := f.held[r]
 			pages := held[len(held) : len(held)+1<<uint(o)] // initHeld reserved them
@@ -108,7 +130,8 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	// 3. Random reclamation, chosen exactly as ReclaimRandom chooses, but
 	// the chosen pages are only marked (by fill index): they were never
 	// mapped.
-	reclaimed := make([]uint64, (fillPages+63)/64)
+	f.reclaimed = phys.ResizedZero(f.reclaimed[:0], int((fillPages+63)/64))
+	reclaimed := f.reclaimed
 	got := f.reclaim(cfg.FreeBytes, func(i uint32) {
 		reclaimed[i/64] |= 1 << (i % 64)
 	})
@@ -118,9 +141,10 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	// bitmap, shifted to the chunk's head, is its free-frame mask. The
 	// buddy carves the chunk by that mask, and each run of surviving frames
 	// maps as one run of pages.
-	free := make([]uint64, (k.Mem.Frames()+63)/64)
+	f.free = phys.ResizedZero(f.free[:0], int((k.Mem.Frames()+63)/64))
+	free := f.free
 	fill := uint64(0)
-	for o, hs := range heads {
+	for o, hs := range f.heads {
 		n := uint64(1) << uint(o)
 		for _, h := range hs {
 			copyBits(free, h, reclaimed, fill, n)
@@ -131,7 +155,7 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 				}
 				stop := nextBit(free, pfn, end, true)
 				if _, err := k.MapRun(f.Cache, f.base+(fill+pfn-h)*units.Page4K, pfn, stop-pfn); err != nil {
-					return nil, fmt.Errorf("fragment: fill map: %w", err)
+					return fmt.Errorf("fragment: fill map: %w", err)
 				}
 				pfn = stop
 			}
@@ -139,9 +163,9 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 		}
 	}
 	if got < cfg.FreeBytes {
-		return nil, fmt.Errorf("fragment: reclaimed only %d of %d bytes", got, cfg.FreeBytes)
+		return fmt.Errorf("fragment: reclaimed only %d of %d bytes", got, cfg.FreeBytes)
 	}
-	return f, nil
+	return nil
 }
 
 // mapCache maps the cache VMA for a fill of pages pages.
@@ -220,14 +244,20 @@ func (f *Fragmenter) placeUnmovable(bytes uint64) error {
 	return nil
 }
 
-// initHeld sizes the per-region held lists for a fill of all free memory.
+// initHeld empties the per-region held lists and sizes them for a fill of
+// all free memory, carving them out of heldBuf, and zeroes the weights.
 func (f *Fragmenter) initHeld() {
-	n := f.K.Mem.NumRegions()
-	f.held = make([][]uint32, n)
+	mem := f.K.Mem
+	f.heldBuf = phys.Resized(f.heldBuf, int(mem.FreeFrames()))
+	f.held = phys.Resized(f.held, int(mem.NumRegions()))
+	off := 0
 	for r := range f.held {
-		f.held[r] = make([]uint32, 0, f.K.Mem.Region(uint64(r)).Free)
+		end := off + int(mem.Region(uint64(r)).Free)
+		f.held[r] = f.heldBuf[off:off:end]
+		off = end
 	}
-	f.weight = make([]float64, n)
+	f.weight = phys.ResizedZero(f.weight[:0], len(f.held))
+	f.total = 0
 }
 
 // assignWeights gives each region that holds cache pages a reclaim
@@ -235,12 +265,13 @@ func (f *Fragmenter) initHeld() {
 // while others stay nearly full. (minResidentPages keeps even the
 // hardest-drained region scattered.)
 func (f *Fragmenter) assignWeights() {
-	var regions []int
+	regions := f.regions[:0]
 	for r, pages := range f.held {
 		if len(pages) > 0 {
 			regions = append(regions, r)
 		}
 	}
+	f.regions = regions
 	f.rng.Shuffle(len(regions), func(i, j int) { regions[i], regions[j] = regions[j], regions[i] })
 	for rank, r := range regions {
 		w := float64(rank+1) / float64(len(regions))

@@ -20,7 +20,7 @@ func applyPerPage(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	f := &Fragmenter{
 		K:     k,
 		Cache: k.NewTask("pagecache"),
-		rng:   xrand.New(cfg.Seed),
+		rng:   *xrand.New(cfg.Seed),
 	}
 	if err := f.placeUnmovable(cfg.UnmovableBytes); err != nil {
 		return nil, err

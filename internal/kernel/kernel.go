@@ -13,7 +13,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/buddy"
 	"repro/internal/pagetable"
@@ -39,14 +38,16 @@ type Kernel struct {
 	Mem   *phys.Memory
 	Buddy *buddy.Allocator
 
-	tasks  map[uint32]*Task
-	nextID uint32
+	// tasks holds the live tasks by address-space ID: task i+1 at index i.
+	// IDs are handed out densely from 1 and only Reset removes tasks, so
+	// resolving an ID is one index.
+	tasks []*Task
 
 	// Shootdown, if set, is invoked whenever mappings are removed or
 	// repointed so the simulation's TLBs can be invalidated: the n pages of
 	// the given size at va, va+size, … are affected. Single-page operations
-	// pass n = 1; run teardown (UnmapRange, UnmapRangeKeep) passes a whole
-	// run.
+	// pass n = 1; run teardown (UnmapRange, UnmapRangeKeep) and MoveRun pass
+	// a whole run.
 	Shootdown func(t *Task, va, n uint64, size units.PageSize)
 
 	// kernelAllocs tracks frames held by KernelAlloc's unmovable
@@ -70,6 +71,9 @@ type Kernel struct {
 	// NewTask reuses them so a pooled kernel's next run populates into warm
 	// page-table node arenas instead of re-allocating them.
 	asPool []*vmm.AddressSpace
+
+	// movePFNs is MoveRun's reused buffer of the moved pages' old frames.
+	movePFNs []uint64
 }
 
 // OpStats counts the kernel's primitive page-table operations.
@@ -103,7 +107,6 @@ func (k *Kernel) Boot(memBytes uint64, maxOrder int) {
 	if k.Mem == nil {
 		k.Mem = phys.NewMemory(memBytes)
 		k.Buddy = buddy.New(k.Mem, maxOrder)
-		k.tasks = make(map[uint32]*Task)
 	} else {
 		k.mustBeReset("Boot")
 		k.Mem.Boot(memBytes)
@@ -124,18 +127,18 @@ func kaChunks(frames uint64) int { return int((frames + kaChunk - 1) >> kaChunkB
 // pool of Reset-harvested spaces when one is available — a reset space is
 // observably identical to a fresh one, see vmm.AddressSpace.Reset).
 func (k *Kernel) NewTask(name string) *Task {
-	k.nextID++
+	id := uint32(len(k.tasks) + 1)
 	var as *vmm.AddressSpace
 	if n := len(k.asPool); n > 0 {
 		as = k.asPool[n-1]
 		k.asPool[n-1] = nil
 		k.asPool = k.asPool[:n-1]
-		as.ID = k.nextID
+		as.ID = id
 	} else {
-		as = vmm.NewAddressSpace(k.nextID)
+		as = vmm.NewAddressSpace(id)
 	}
 	t := &Task{Name: name, AS: as}
-	k.tasks[k.nextID] = t
+	k.tasks = append(k.tasks, t)
 	return t
 }
 
@@ -150,12 +153,12 @@ func (k *Kernel) NewTask(name string) *Task {
 // determinism tests. Tasks are harvested in creation order so pool order —
 // hence which warm arena a future task gets — is deterministic.
 func (k *Kernel) Reset() {
-	for _, t := range k.Tasks() {
+	for _, t := range k.tasks {
 		t.AS.Reset()
 		k.asPool = append(k.asPool, t.AS)
 	}
 	clear(k.tasks)
-	k.nextID = 0
+	k.tasks = k.tasks[:0]
 	k.Shootdown = nil
 	for _, c := range k.kernelAllocs {
 		clear(c)
@@ -175,21 +178,18 @@ func (k *Kernel) mustBeReset(op string) {
 
 // TaskByID returns the task whose address space has the given ID.
 func (k *Kernel) TaskByID(id uint32) (*Task, bool) {
-	t, ok := k.tasks[id]
-	return t, ok
+	if id == 0 || int(id) > len(k.tasks) {
+		return nil, false
+	}
+	return k.tasks[id-1], true
 }
 
 // Tasks returns all live tasks in address-space-ID (creation) order, so
 // that anything iterating tasks — the invariant auditor's violation
-// reports in particular — is deterministic.
-func (k *Kernel) Tasks() []*Task {
-	out := make([]*Task, 0, len(k.tasks))
-	for _, t := range k.tasks {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AS.ID < out[j].AS.ID })
-	return out
-}
+// reports in particular — is deterministic. The slice is the kernel's own:
+// the caller must not modify it, and it is valid until the next NewTask or
+// Reset.
+func (k *Kernel) Tasks() []*Task { return k.tasks[:len(k.tasks):len(k.tasks)] }
 
 // AllocMapped allocates a physical page of the given size and maps it at va
 // in t's address space, registering the reverse map. It returns the head
@@ -285,24 +285,41 @@ func (k *Kernel) UnmapRangeKeep(t *Task, lo, hi uint64, fn func(pagetable.Run)) 
 	})
 }
 
-// MovePage repoints the mapping at va from its current frames to newPFN
-// (already allocated by the caller) and returns the old head frame. The
-// old frames stay allocated, with no owner: the caller frees them, which
-// lets compaction release a block's sources in one batch. This is the
-// page-table half of a compaction move; the caller accounts the data copy.
+// MovePage is MoveRun of one page: it repoints the mapping at va to newPFN
+// and returns the old head frame, still allocated and ownerless.
 func (k *Kernel) MovePage(t *Task, va uint64, size units.PageSize, newPFN uint64) (uint64, error) {
-	m, ok := t.AS.PT.Lookup(va)
-	if !ok || m.Size != size || m.VA != va {
-		return 0, fmt.Errorf("kernel: MovePage: no %v mapping at %#x", size, va)
-	}
-	if err := t.AS.PT.Replace(va, size, newPFN); err != nil {
+	old, err := k.MoveRun(t, va, size, []uint64{newPFN})
+	if err != nil {
 		return 0, err
 	}
-	k.Mem.ClearOwner(m.PFN)
-	k.Mem.SetOwner(newPFN, phys.Owner{Space: t.AS.ID, VA: va, Size: size})
-	k.shootdown(t, va, 1, size)
-	k.Ops.Moves++
-	return m.PFN, nil
+	return old[0], nil
+}
+
+// MoveRun repoints the len(dests) mappings of the given size at va,
+// va+size, … from their current frames to dests (already allocated by the
+// caller) and returns their old head frames, in a buffer the kernel reuses
+// until its next MoveRun. The old frames stay allocated, with no owner:
+// the caller frees them, which lets compaction release a block's sources
+// in one batch. The page table is descended once per node
+// (pagetable.ReplaceRun), each reverse-map entry moves to its new frame
+// (phys.MoveOwners), the run is shot down with one call and counted as
+// len(dests) moves. The effect is exactly that of moving the pages one at
+// a time in VA order, up to the first page not mapped at that size: its
+// error is returned with the frames moved before it. This is the
+// page-table half of a compaction move; the caller accounts the data copy.
+func (k *Kernel) MoveRun(t *Task, va uint64, size units.PageSize, dests []uint64) ([]uint64, error) {
+	k.movePFNs = phys.Resized(k.movePFNs, len(dests))
+	n, err := t.AS.PT.ReplaceRun(va, size, dests, k.movePFNs)
+	old := k.movePFNs[:n]
+	if n > 0 {
+		k.Mem.MoveOwners(old, dests[:n])
+		k.shootdown(t, va, uint64(n), size)
+		k.Ops.Moves += uint64(n)
+	}
+	if err != nil {
+		return old, fmt.Errorf("kernel: MoveRun: no %v mapping at %#x", size, va+uint64(n)*size.Bytes())
+	}
+	return old, nil
 }
 
 // ExchangeFrames swaps the physical frames behind two same-size mappings
@@ -466,7 +483,7 @@ func (k *Kernel) OwnerTask(pfn uint64) (*Task, phys.Owner, uint64, bool) {
 	if !ok {
 		return nil, phys.Owner{}, 0, false
 	}
-	t, ok := k.tasks[o.Space]
+	t, ok := k.TaskByID(o.Space)
 	if !ok {
 		return nil, phys.Owner{}, 0, false
 	}

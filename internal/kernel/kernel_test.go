@@ -158,6 +158,61 @@ func TestMovePageErrors(t *testing.T) {
 	}
 }
 
+// TestMoveRunStopsAtUnmappedPage pins MoveRun's partial move: across a
+// leaf-table boundary, the pages before the first unmapped one move (page
+// table, owners, one shootdown of exactly them, their move count) and
+// their old frames come back, still allocated and ownerless; the rest are
+// untouched.
+func TestMoveRunStopsAtUnmappedPage(t *testing.T) {
+	k := newKernel(t, 1)
+	task := k.NewTask("p")
+	const va = units.Page2M - 3*units.Page4K // pages 0-2 in one leaf table, 3-5 in the next
+	src, err := k.Buddy.Alloc(3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := uint64(0); j < 6; j++ {
+		if j != 4 {
+			if err := k.MapSpecific(task, va+j*units.Page4K, src+j, units.Size4K); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dst, err := k.Buddy.Alloc(3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shot []uint64
+	k.Shootdown = func(_ *Task, va, n uint64, size units.PageSize) { shot = append(shot, va, n) }
+	dests := []uint64{dst, dst + 1, dst + 2, dst + 3, dst + 4, dst + 5}
+	old, err := k.MoveRun(task, va, units.Size4K, dests)
+	if err == nil || !slices.Equal(old, []uint64{src, src + 1, src + 2, src + 3}) {
+		t.Fatalf("MoveRun = %v, %v; want frames %d-%d and an error at the unmapped page", old, err, src, src+3)
+	}
+	if !slices.Equal(shot, []uint64{va, 4}) || k.Ops.Moves != 4 {
+		t.Fatalf("shootdowns %v, %d moves; want one shootdown of the 4 moved pages", shot, k.Ops.Moves)
+	}
+	for j := uint64(0); j < 6; j++ {
+		m, ok := task.AS.PT.Lookup(va + j*units.Page4K)
+		want := src + j
+		if j < 4 {
+			want = dst + j
+		}
+		if j != 4 && (!ok || m.PFN != want) {
+			t.Errorf("page %d maps frame %d, want %d", j, m.PFN, want)
+		}
+		if _, o, _, ok := k.OwnerTask(want); j != 4 && (!ok || o.VA != va+j*units.Page4K) {
+			t.Errorf("frame %d: owner %+v, %v; want page %d", want, o, ok, j)
+		}
+		if j < 4 && !k.Mem.IsAllocated(src+j) {
+			t.Errorf("old frame %d freed", src+j)
+		}
+		if _, _, _, owned := k.OwnerTask(src + j); j < 4 && owned {
+			t.Errorf("old frame %d kept its owner", src+j)
+		}
+	}
+}
+
 func TestExchangeFrames(t *testing.T) {
 	k := newKernel(t, 2)
 	t1 := k.NewTask("a")

@@ -637,28 +637,48 @@ func (t *Table) Translate(va uint64, write bool) (uint64, Mapping, bool) {
 }
 
 // Replace repoints the leaf mapping at va (of the given size) to a new PFN,
-// preserving flags. It is the page-table half of a compaction move.
+// preserving flags: ReplaceRun of one page.
 func (t *Table) Replace(va uint64, size units.PageSize, newPFN uint64) error {
-	if err := checkVA(va, size); err != nil {
-		return err
-	}
+	var old [1]uint64
+	_, err := t.ReplaceRun(va, size, []uint64{newPFN}, old[:])
+	return err
+}
+
+// ReplaceRun repoints the len(pfns) consecutive leaf mappings of the given
+// size at va, va+size, … to pfns, preserving their flags, and writes each
+// one's old PFN to old, which must be as long as pfns. It is exactly
+// Replace(va+j*size, size, pfns[j]) for j = 0, 1, … up to the first page
+// not mapped at that size, whose error it returns with the number of
+// mappings replaced; it descends once per page-table node instead of once
+// per page. It is the page-table half of a compaction move. The structure
+// does not change, so the walk cache stays valid.
+func (t *Table) ReplaceRun(va uint64, size units.PageSize, pfns, old []uint64) (int, error) {
 	target := leafLevel(size)
-	n := t.root
-	for level := 4; level > target; level-- {
-		i := index(va, level)
-		if n.entries[i]&flagPresent == 0 || n.entries[i]&flagPS != 0 {
-			return ErrNotMapped
+	var n *node
+	for j, pfn := range pfns {
+		v := va + uint64(j)*size.Bytes()
+		i := index(v, target)
+		if n == nil || i == 0 {
+			if err := checkVA(v, size); err != nil {
+				return j, err
+			}
+			n = t.root
+			for level := 4; level > target; level-- {
+				e := n.entries[index(v, level)]
+				if e&flagPresent == 0 || e&flagPS != 0 {
+					return j, ErrNotMapped
+				}
+				n = n.children[index(v, level)]
+			}
 		}
-		n = n.children[i]
+		e := n.entries[i]
+		if e&flagPresent == 0 || (target > 1 && e&flagPS == 0) {
+			return j, ErrNotMapped
+		}
+		old[j] = e >> pfnShift
+		n.entries[i] = e&(flagPresent|flagAccessed|flagDirty|flagPS) | pfn<<pfnShift
 	}
-	i := index(va, target)
-	e := n.entries[i]
-	if e&flagPresent == 0 || (target > 1 && e&flagPS == 0) {
-		return ErrNotMapped
-	}
-	flags := e & (flagPresent | flagAccessed | flagDirty | flagPS)
-	n.entries[i] = flags | newPFN<<pfnShift
-	return nil
+	return len(pfns), nil
 }
 
 // ForEach visits every leaf mapping intersecting [lo, hi) in ascending VA

@@ -368,6 +368,57 @@ func (m *Memory) ClearOwners(pfns []uint64) {
 	}
 }
 
+// MoveOwners moves the mapping registration at head frame from[j] to frame
+// to[j], for each j in order. It is exactly ClearOwner(from[j]) followed by
+// SetOwner(to[j], o) with the owner o it cleared, which hands o's owner
+// slot straight back (ownerFree is LIFO), so only the reverse map changes.
+// Compaction's page moves use it.
+func (m *Memory) MoveOwners(from, to []uint64) {
+	for j, pfn := range from {
+		idx := m.rmapAt(pfn)
+		if idx == 0 {
+			panic(fmt.Sprintf("phys: ClearOwner on unowned frame %d", pfn))
+		}
+		m.rmapSet(pfn, 0)
+		dst := to[j]
+		if !units.IsAligned(units.FrameAddr(dst), m.ownerAt(idx).Size.Bytes()) {
+			panic(fmt.Sprintf("phys: owner head pfn %d not aligned to %v", dst, m.ownerAt(idx).Size))
+		}
+		if !m.allocated.get(dst) {
+			panic(fmt.Sprintf("phys: SetOwner on free frame %d", dst))
+		}
+		if m.rmapAt(dst) != 0 {
+			panic(fmt.Sprintf("phys: frame %d already has an owner", dst))
+		}
+		m.rmapSet(dst, idx)
+	}
+}
+
+// Run4K returns how many consecutive frames from pfn, stopping before hi,
+// are movable heads of 4KB mappings of one address space at consecutive
+// VAs: frame pfn+j is mapped at the VA of pfn's mapping plus j*4KB. It is
+// 0 unless pfn heads a 4KB mapping. Compaction moves such a run with one
+// kernel call.
+func (m *Memory) Run4K(pfn, hi uint64) uint64 {
+	var first Owner
+	n := uint64(0)
+	for f := pfn; f < hi && !m.unmovable.get(f); f++ {
+		idx := m.rmapAt(f)
+		if idx == 0 {
+			break
+		}
+		o := *m.ownerAt(idx)
+		if n == 0 {
+			first = o
+		}
+		if o != (Owner{Space: first.Space, VA: first.VA + n*units.Page4K, Size: units.Size4K}) {
+			break
+		}
+		n++
+	}
+	return n
+}
+
 func (m *Memory) clearOwnerAt(pfn uint64) {
 	idx := m.rmapAt(pfn)
 	m.rmapSet(pfn, 0)
@@ -421,6 +472,32 @@ func (m *Memory) ForEachOwner(fn func(pfn uint64, o Owner) bool) {
 			}
 		}
 	}
+}
+
+// NextAllocated returns the lowest allocated frame in [lo, hi), or hi if
+// there is none, scanning the allocation bitmap a word at a time.
+func (m *Memory) NextAllocated(lo, hi uint64) uint64 {
+	for lo < hi {
+		w := lo / 64
+		if used := m.allocated[w] & rangeMask(w, lo, hi-lo); used != 0 {
+			return w*64 + uint64(bits.TrailingZeros64(used))
+		}
+		lo = (w + 1) * 64
+	}
+	return hi
+}
+
+// PrevFree returns the highest free frame in [lo, hi), scanning the
+// allocation bitmap a word at a time, and false if there is none.
+func (m *Memory) PrevFree(lo, hi uint64) (uint64, bool) {
+	for lo < hi {
+		w := (hi - 1) / 64
+		if free := ^m.allocated[w] & rangeMask(w, lo, hi-lo); free != 0 {
+			return w*64 + 63 - uint64(bits.LeadingZeros64(free)), true
+		}
+		hi = w * 64
+	}
+	return 0, false
 }
 
 // AllocatedInRange counts allocated frames in [pfn, pfn+count).

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/fragment"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/tlb"
@@ -92,12 +93,16 @@ func assertOracleEquivalent(t *testing.T, cfg Config, events, mayFail bool, prim
 // TestRunScalarEquivalence pins the fast paths — run-coalesced translation
 // and population by fault-around (DESIGN.md §5c) — to the oracle: every
 // row must give the same Result, error, series CSV and, where traced, fault
-// trace both ways. The first five rows check every TLB fast-path hit
+// trace both ways. The first six rows check every TLB fast-path hit
 // against the page walk under a ragged access count, whose short final
 // batch takes the run pipeline too; Redis drives the request flush, the
-// measurement-time Extend and the p99 histogram. The batch row is the
-// production shape: no shadow check, whole batches. These six must succeed;
-// chaosDraws are the rest, and may end in an error, the same one both ways.
+// measurement-time Extend and the p99 histogram. The Btree row keeps a
+// small fragmented footprint in Skylake's TLB while HawkEye collapses and
+// compacts between sampling batches, so a range flush that drops one
+// cached, still-mapped neighbour too many costs a walk the oracle's
+// per-page flushes do not. The batch row is the production shape: no
+// shadow check, whole batches. These seven must succeed; chaosDraws are
+// the rest, and may end in an error, the same one both ways.
 func TestRunScalarEquivalence(t *testing.T) {
 	type row struct {
 		name            string
@@ -121,6 +126,9 @@ func TestRunScalarEquivalence(t *testing.T) {
 		}), false, false},
 		{"svm-4k", ragged("SVM", Policy4K, func(c *Config) {}), false, false},
 		{"redis-hawkeye", ragged("Redis", PolicyHawkEye, func(c *Config) {}), false, false},
+		{"btree-hawkeye-fragmented-skylake", ragged("Btree", PolicyHawkEye, func(c *Config) {
+			c.Fragment, c.MemGB, c.Scale, c.TLB = true, 2, 1.0/512, nil
+		}), false, false},
 		{"batch-gups", batch, false, false},
 	}
 	for _, d := range chaosDraws() {
@@ -218,9 +226,10 @@ func drawTLB(b uint8) *tlb.Config {
 }
 
 // primePool, for a non-zero prime, leaves the pool holding one kernel
-// booted at prime%7+1 GB, of Trident's buddy flavour when prime is odd, so
-// the run re-boots a kernel of another size or flavour (kernel.Boot, the
-// machine pool's contract).
+// booted at prime%7+1 GB, of Trident's buddy flavour when prime is odd, and
+// one Fragmenter applied to it, so the run re-boots a kernel and re-applies
+// a Fragmenter first used at another size or flavour (kernel.Boot and
+// fragment.Fragmenter.Apply, the machine pool's contract).
 func primePool(prime uint8) {
 	if prime == 0 {
 		return
@@ -230,14 +239,21 @@ func primePool(prime uint8) {
 	if prime%2 == 1 {
 		maxOrder = units.TridentMaxOrder
 	}
-	releaseKernel(kernel.New(uint64(prime%7+1)*units.Page1G, maxOrder))
+	k := kernel.New(uint64(prime%7+1)*units.Page1G, maxOrder)
+	f := new(fragment.Fragmenter)
+	if err := f.Apply(k, fragment.Config{Seed: uint64(prime), UnmovableBytes: k.Mem.Bytes() / 128, FreeBytes: k.Mem.Bytes() / 2}); err != nil {
+		panic(err)
+	}
+	releaseKernel(k)
+	releaseFragmenter(f)
 }
 
 // FuzzRunEquivalence is TestRunScalarEquivalence over drawn configs: any
 // workload, policy, virtualized host policy and pv, fragmentation, TLB
 // geometry, chaos seed and rates, access count and scale, with the shadow
 // check and the auditor on, traced or not, some on a pooled kernel first
-// booted at another size or flavour. Its corpus is the chaos rows, reshaped.
+// booted at another size or flavour and, fragmented, a pooled Fragmenter
+// first applied to it. Its corpus is the chaos rows, reshaped.
 func FuzzRunEquivalence(f *testing.F) {
 	for i, d := range chaosDraws() {
 		if i%4 == 3 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 
+	"repro/internal/fragment"
 	"repro/internal/kernel"
 )
 
@@ -98,5 +99,42 @@ func releaseKernel(k *kernel.Kernel) {
 	k.Reset()
 	machinePoolMu.Lock()
 	machinePool = append(machinePool, k)
+	machinePoolMu.Unlock()
+}
+
+// Fragmenter pooling: fragment.Apply's buffers (the held lists, one entry
+// per fill page, the per-order free chunk heads and two frame bitmaps)
+// come to ~5 MB on a 4GB machine, and a run needs none of them once Apply
+// returns: it reclaims nothing more. A Fragmenter applied again reuses the
+// buffers its earlier applications grew, so fragmented runs park theirs
+// here and later ones apply a parked one, at any size and flavour.
+// Parking follows the kernels' rules: unkeyed, released only by
+// successful runs, bounded in practice by the number of fragmented runs in
+// flight, and guarded by machinePoolMu. A plain slice, not a sync.Pool: a
+// sync.Pool is emptied by every garbage collection, and a long grid
+// collects often.
+var fragPool []*fragment.Fragmenter
+
+// acquireFragmenter returns the most recently parked Fragmenter, or a new
+// one.
+func acquireFragmenter() *fragment.Fragmenter {
+	machinePoolMu.Lock()
+	defer machinePoolMu.Unlock()
+	n := len(fragPool)
+	if n == 0 {
+		return new(fragment.Fragmenter)
+	}
+	f := fragPool[n-1]
+	fragPool[n-1] = nil
+	fragPool = fragPool[:n-1]
+	return f
+}
+
+// releaseFragmenter parks f for reuse, dropping its references into the
+// run's kernel, which is parked separately.
+func releaseFragmenter(f *fragment.Fragmenter) {
+	f.K, f.Cache = nil, nil
+	machinePoolMu.Lock()
+	fragPool = append(fragPool, f)
 	machinePoolMu.Unlock()
 }

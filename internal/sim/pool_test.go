@@ -9,14 +9,15 @@ import (
 )
 
 // drainMachinePool empties the machine pool and returns the kernels it
-// held, in pool order, so that the next acquire boots a fresh kernel. Tests
-// that compare a pooled run against a fresh one call it where the fresh
-// boot is meant: the pool serves any parked kernel to a run of any size.
+// held, in pool order, so that the next acquire boots a fresh kernel; the
+// parked Fragmenters are dropped too. Tests that compare a pooled run
+// against a fresh one call it where the fresh boot is meant: the pool
+// serves any parked kernel to a run of any size.
 func drainMachinePool() []*kernel.Kernel {
 	machinePoolMu.Lock()
 	defer machinePoolMu.Unlock()
 	parked := machinePool
-	machinePool = nil
+	machinePool, fragPool = nil, nil
 	return parked
 }
 

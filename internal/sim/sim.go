@@ -280,8 +280,9 @@ type Result struct {
 // runner holds one run's live components.
 type runner struct {
 	cfg  Config
-	k    *kernel.Kernel // the kernel serving the measured task (guest if virtualized)
-	host *kernel.Kernel // host kernel (virtualized runs)
+	k    *kernel.Kernel       // the kernel serving the measured task (guest if virtualized)
+	host *kernel.Kernel       // host kernel (virtualized runs)
+	frag *fragment.Fragmenter // the fragmenter of a fragmented run, pooled
 	vm   *virt.VM
 	// hpt is the host (gPA→hPA) table of a virtualized run, nil natively;
 	// it selects the MMU's translation mode.
@@ -403,7 +404,7 @@ func run(ctx context.Context, cfg Config, oracle bool) (*Result, error) {
 }
 
 // releaseMachine parks the run's kernels for reuse: the native kernel, or
-// the host and guest kernels of a virtualized run. Called only after
+// the host and guest kernels of a virtualized run, and its fragmenter. Called only after
 // finish() — the Result holds copies, never pointers into kernel state, so
 // the kernels can be reset and handed to other runs.
 func (r *runner) releaseMachine() {
@@ -411,6 +412,9 @@ func (r *runner) releaseMachine() {
 		releaseKernel(r.host)
 	}
 	releaseKernel(r.k)
+	if r.frag != nil {
+		releaseFragmenter(r.frag)
+	}
 }
 
 // phase brackets fn between balanced begin/end marks on the run's recorder
@@ -520,13 +524,15 @@ func (r *runner) buildMachine() error {
 		if free > r.k.Mem.Bytes() {
 			return fmt.Errorf("sim: machine too small to fragment and fit %s", cfg.Workload.Name)
 		}
-		if _, err := fragment.Apply(r.k, fragment.Config{
+		f := acquireFragmenter()
+		if err := f.Apply(r.k, fragment.Config{
 			Seed:           cfg.Seed + 2,
 			UnmovableBytes: r.k.Mem.Bytes() / 128,
 			FreeBytes:      free,
 		}); err != nil {
 			return err
 		}
+		r.frag = f
 	}
 
 	r.m.ShadowCheck = cfg.ShadowCheck

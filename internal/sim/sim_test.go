@@ -517,8 +517,9 @@ func freshRun(t *testing.T, cfg Config) *Result {
 // shrunk size, and a Trident run that grows it again within its capacity.
 // The two same-size rows switch the flavour in both directions; the last
 // grow reuses the buddy freeOrder chunks that lay in spare capacity
-// through the second switch. A virtualized run's guest is served by a
-// former 16GB host kernel. Every run fragments memory, checks the TLB fast
+// through the second switch. One Fragmenter likewise serves every row,
+// re-applied at each size and flavour. A virtualized run's guest is served
+// by a former 16GB host kernel. Every run fragments memory, checks the TLB fast
 // path against the page walk, and injects faults (each injection and phase
 // boundary audits the machine), and each must equal the same run on fresh
 // kernels.
@@ -568,8 +569,11 @@ func TestKernelBootDeterminism(t *testing.T) {
 				}
 			})
 		}
-		if parked := drainMachinePool(); len(parked) != 1 {
-			t.Fatalf("pool holds %d kernels, want the 1 every run shared", len(parked))
+		machinePoolMu.Lock()
+		frags := len(fragPool)
+		machinePoolMu.Unlock()
+		if parked := drainMachinePool(); len(parked) != 1 || frags != 1 {
+			t.Fatalf("pool holds %d kernels and %d Fragmenters, want the 1 every run shared", len(parked), frags)
 		}
 	})
 	t.Run("virtualized guest on a former host", func(t *testing.T) {
