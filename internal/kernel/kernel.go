@@ -150,12 +150,14 @@ func (k *Kernel) NewTask(name string) *Task {
 // arenas intact). A reset kernel is observably identical to a freshly
 // booted one; the machine pool (internal/sim) relies on that equivalence
 // to reuse kernels across runs, and it is pinned by the run-twice
-// determinism tests. Tasks are harvested in creation order so pool order —
-// hence which warm arena a future task gets — is deterministic.
+// determinism tests. Tasks are harvested last first, so NewTask, which
+// takes the most recently harvested space, gives the k-th task after a
+// Reset the k-th task's space: each warm arena keeps its role (a run's
+// page cache, its workload), and no arena grows to another role's size.
 func (k *Kernel) Reset() {
-	for _, t := range k.tasks {
-		t.AS.Reset()
-		k.asPool = append(k.asPool, t.AS)
+	for i := len(k.tasks) - 1; i >= 0; i-- {
+		k.tasks[i].AS.Reset()
+		k.asPool = append(k.asPool, k.tasks[i].AS)
 	}
 	clear(k.tasks)
 	k.tasks = k.tasks[:0]
@@ -227,14 +229,13 @@ func (k *Kernel) mapOwned(t *Task, va, pfn uint64, size units.PageSize) error {
 // va+j*4KB → pfn+j, and returns how many it mapped. Its effect is exactly
 // MapSpecific(t, va+j*4KB, pfn+j, units.Size4K) for j = 0, 1, … up to
 // count or the first error, which it returns; it descends the page table
-// once per leaf table instead of once per page. The fragmenter commits the
-// page cache's surviving runs with it, and fault-around its runs of 4KB
-// faults.
+// once per leaf table instead of once per page, and registers the owners
+// with one pass over each reverse-map leaf (phys.SetOwners4K). The
+// fragmenter commits the page cache's surviving runs with it, and
+// fault-around its runs of 4KB faults.
 func (k *Kernel) MapRun(t *Task, va, pfn, count uint64) (uint64, error) {
 	n, err := t.AS.PT.MapRun(va, pfn, count)
-	for j := uint64(0); j < n; j++ {
-		k.Mem.SetOwner(pfn+j, phys.Owner{Space: t.AS.ID, VA: va + j*units.Page4K, Size: units.Size4K})
-	}
+	k.Mem.SetOwners4K(pfn, n, phys.Owner{Space: t.AS.ID, VA: va, Size: units.Size4K})
 	k.Ops.Maps += n
 	return n, err
 }

@@ -30,6 +30,30 @@ func TestNewTaskIDs(t *testing.T) {
 	}
 }
 
+// TestResetKeepsArenaRoles: after a Reset, the k-th NewTask gets the
+// k-th task's address space, so each warm page-table arena serves the same
+// role in the next run; spaces left over from a run with more tasks stay
+// pooled behind them.
+func TestResetKeepsArenaRoles(t *testing.T) {
+	k := newKernel(t, 1)
+	var spaces []*vmm.AddressSpace
+	for _, name := range []string{"cache", "workload", "extra"} {
+		spaces = append(spaces, k.NewTask(name).AS)
+	}
+	k.Reset()
+	for i, name := range []string{"cache", "workload"} {
+		if as := k.NewTask(name).AS; as != spaces[i] {
+			t.Errorf("task %d after Reset got task %d's space", i+1, slices.Index(spaces, as)+1)
+		}
+	}
+	k.Reset()
+	for i, name := range []string{"cache", "workload", "extra"} {
+		if as := k.NewTask(name).AS; as != spaces[i] {
+			t.Errorf("second Reset: task %d got task %d's space", i+1, slices.Index(spaces, as)+1)
+		}
+	}
+}
+
 func TestAllocMappedRoundtrip(t *testing.T) {
 	k := newKernel(t, 1)
 	task := k.NewTask("p")

@@ -50,9 +50,10 @@ type MMU struct {
 	// full page-table walk per hit, so it must stay off outside tests.
 	ShadowCheck bool
 
-	// sweepSizes is TranslateRuns' reusable per-run page-size scratch,
-	// sized to the longest run slice seen.
-	sweepSizes []uint8
+	// SweepSizes is TranslateRuns' reusable per-run page-size scratch,
+	// grown to the longest run slice seen. A new MMU may be handed a
+	// parked one: the machine pool (internal/sim) keeps it between runs.
+	SweepSizes []uint8
 }
 
 // New creates an MMU with the given translation-cache config. It serves
@@ -206,10 +207,10 @@ func (m *MMU) shadowCheck(gpt, hpt *pagetable.Table, va uint64, size units.PageS
 // fast-path L1 hit that changes no TLB state — charged here as one weighted
 // BySize add.
 func (m *MMU) TranslateRuns(gpt, hpt *pagetable.Table, runs []stream.Run) int {
-	if cap(m.sweepSizes) < len(runs) {
-		m.sweepSizes = make([]uint8, len(runs))
+	if cap(m.SweepSizes) < len(runs) {
+		m.SweepSizes = make([]uint8, len(runs))
 	}
-	sizes := m.sweepSizes[:len(runs)]
+	sizes := m.SweepSizes[:len(runs)]
 	done := 0
 	for done < len(runs) {
 		n := m.TLB.SweepL1Runs(runs[done:], sizes[done:])

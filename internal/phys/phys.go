@@ -57,19 +57,20 @@ type Memory struct {
 	allocated bitset
 	unmovable bitset
 
-	// rmap holds, for the head frame of each user mapping, an index+1 into
-	// owners. Non-head frames and unmapped frames hold 0. It is chunked,
-	// with chunks allocated on first write: machines are built per run and
-	// workloads touch a fraction of physical memory, so a flat array spent
-	// more time being zero-initialized than being used.
-	rmap [][]uint32
-	// owners is chunked (ownerChunk entries per chunk) so that growth
-	// appends a fresh chunk instead of reallocating: the fault path
-	// registers an owner per mapped page, and a flat doubling slice spent
-	// more time zeroing and copying regrown arrays than on bookkeeping.
-	owners    [][]Owner
-	nextOwner uint32
-	ownerFree []uint32
+	// The reverse map, kept by 2MB block (512 frames): each owner is one
+	// packed word (see pack), 0 meaning none. heads[b] holds the owner of
+	// the 2MB or 1GB mapping headed at block b's first frame. leaves[b]
+	// holds the owners of the 4KB mappings headed in block b, one word per
+	// frame; it is materialized only while live[b], their number, is
+	// positive, so a population of huge pages materializes none. An
+	// emptied leaf returns, all zero, to leafFree; slab is the uncarved
+	// rest of the last slab of leaves, so that after warm-up mapping and
+	// unmapping allocate nothing.
+	heads    []uint64
+	leaves   []*[blockFrames]uint64
+	live     []uint16
+	leafFree []*[blockFrames]uint64
+	slab     [][blockFrames]uint64
 
 	allocFrames     uint64
 	unmovableFrames uint64
@@ -87,25 +88,26 @@ func NewMemory(bytes uint64) *Memory {
 
 // Reset returns the bookkeeping to its post-Boot state — all frames
 // free and movable, no owners, no zeroed regions — while retaining the
-// allocated backing (bitsets, materialized rmap and owner chunks, the
-// ownerFree stack's capacity). A reset Memory is observably identical to a
-// fresh one: rmapAt reads a zeroed chunk exactly as it reads a nil one,
-// and stale Owner values are unreachable because every read goes through
-// the rmap (now all-zero) and every SetOwner fully overwrites its slot.
-// The machine pool (internal/sim) uses this to reuse kernels across runs.
+// allocated backing (bitsets, the reverse map's block arrays, and its
+// leaves, cleared onto the free list). A reset Memory is observably
+// identical to a fresh one: no block heads a mapping and no leaf is
+// materialized. The machine pool (internal/sim) uses this to reuse
+// kernels across runs.
 func (m *Memory) Reset() {
 	for i := range m.regions {
 		m.regions[i] = RegionStats{Free: units.FramesPerRegion}
 	}
 	clear(m.allocated)
 	clear(m.unmovable)
-	for _, c := range m.rmap {
-		if c != nil {
-			clear(c)
+	clear(m.heads)
+	for b, l := range m.leaves {
+		if l != nil {
+			clear(l[:])
+			m.leafFree = append(m.leafFree, l)
+			m.leaves[b] = nil
 		}
 	}
-	m.nextOwner = 1
-	m.ownerFree = m.ownerFree[:0]
+	clear(m.live)
 	m.allocFrames = 0
 	m.unmovableFrames = 0
 }
@@ -114,21 +116,15 @@ func (m *Memory) Reset() {
 // state Reset leaves — to bytes, which must be a positive multiple of
 // 1GB. A booted Memory is observably identical to NewMemory(bytes), and
 // only the difference is touched: growing reuses spare capacity,
-// initializing the regions and bitset words it exposes whatever they
-// hold; shrinking reslices. Materialized rmap chunks past the old end are
-// reused as they are: a chunk is only written while it lies inside the
-// memory, and Reset cleared it before the memory last shrank past it, so
-// clearing it again would only repeat that work. Owners are not
-// frame-indexed and stay as they are.
+// initializing the regions, bitset words and reverse-map blocks it exposes
+// whatever they hold; shrinking reslices. Free leaves stay on the free
+// list whatever the size.
 func (m *Memory) Boot(bytes uint64) {
 	if bytes == 0 || bytes%units.Page1G != 0 {
 		panic(fmt.Sprintf("phys: memory size %d is not a positive multiple of 1GB", bytes))
 	}
 	if m.allocFrames != 0 {
 		panic("phys: Boot of a memory with allocated frames")
-	}
-	if m.nextOwner == 0 {
-		m.nextOwner = 1 // index 0 is reserved: rmap uses 0 for "no owner"
 	}
 	oldRegions := len(m.regions)
 	m.frames = bytes / units.Page4K
@@ -138,7 +134,10 @@ func (m *Memory) Boot(bytes uint64) {
 	}
 	m.allocated = ResizedZero(m.allocated, int((m.frames+63)/64))
 	m.unmovable = ResizedZero(m.unmovable, len(m.allocated))
-	m.rmap = Resized(m.rmap, int((m.frames+rmapChunk-1)>>rmapChunkBits))
+	blocks := int(m.frames >> blockBits)
+	m.heads = ResizedZero(m.heads, blocks)
+	m.leaves = ResizedZero(m.leaves, blocks)
+	m.live = ResizedZero(m.live, blocks)
 }
 
 // Resized returns s with length n, keeping its first min(len(s), n)
@@ -257,19 +256,21 @@ func (m *Memory) MarkAllocatedExcept(pfn, count uint64, keepFree []uint64) {
 func (m *Memory) MarkFree(pfn, count uint64) {
 	m.checkRange(pfn, count)
 	m.allocated.clearRange(pfn, count, "free")
-	for f := pfn; f < pfn+count; {
-		c := m.rmap[f>>rmapChunkBits]
-		end := (f>>rmapChunkBits + 1) << rmapChunkBits
-		if end > pfn+count {
-			end = pfn + count
+	for b := pfn >> blockBits; b <= (pfn+count-1)>>blockBits; b++ {
+		base := b << blockBits
+		if base >= pfn {
+			m.heads[b] = 0
 		}
-		if c == nil { // no owner was ever registered in this chunk
-			f = end
-			continue
-		}
-		for ; f < end; f++ {
-			if c[f&(rmapChunk-1)] != 0 {
-				m.clearOwnerAt(f)
+		if l := m.leaves[b]; l != nil {
+			lo, hi := max(base, pfn)-base, min(base+blockFrames, pfn+count)-base
+			for i := lo; i < hi; i++ {
+				if l[i] != 0 {
+					l[i] = 0
+					m.live[b]--
+				}
+			}
+			if m.live[b] == 0 {
+				m.releaseLeaf(b)
 			}
 		}
 	}
@@ -290,107 +291,194 @@ func (m *Memory) MarkFree(pfn, count uint64) {
 	m.allocFrames -= count
 }
 
-// SetOwner registers the virtual mapping that covers the page whose head
-// frame is pfn. The frames must already be allocated.
-func (m *Memory) SetOwner(pfn uint64, o Owner) {
+// Reverse-map geometry and owner packing. A block is 2MB of frames. An
+// owner packs into one word, space<<37 | size<<35 | va>>12: spaces are
+// dense from 1, so the word is never 0, and user VAs lie below 2^47, so
+// va>>12 fits 35 bits. Successive 4KB pages of one mapping run pack to
+// successive words.
+const (
+	blockBits   = 9
+	blockFrames = 1 << blockBits
+
+	pageShift  = 12
+	vaBits     = 35
+	sizeShift  = vaBits
+	spaceShift = vaBits + 2
+	maxSpace   = 1<<(64-spaceShift) - 1
+
+	// leafSlab is how many 4KB leaves one allocation carves (256KB), so
+	// that populating memory allocates a slab per 128MB of 4KB-headed
+	// blocks rather than an object per block.
+	leafSlab = 64
+)
+
+// pack encodes o as a reverse-map word, panicking on an owner that does
+// not fit, so no two owners can alias.
+func pack(o Owner) uint64 {
 	if o.Space == 0 {
 		panic("phys: owner space 0 is reserved")
 	}
-	if !units.IsAligned(units.FrameAddr(pfn), o.Size.Bytes()) {
-		panic(fmt.Sprintf("phys: owner head pfn %d not aligned to %v", pfn, o.Size))
+	if o.Space > maxSpace || o.VA >= 1<<(vaBits+pageShift) || o.VA%units.Page4K != 0 ||
+		o.Size < units.Size4K || o.Size >= units.NumPageSizes {
+		panic(fmt.Sprintf("phys: owner %+v out of range", o))
+	}
+	return uint64(o.Space)<<spaceShift | uint64(o.Size)<<sizeShift | o.VA>>pageShift
+}
+
+func unpack(w uint64) Owner {
+	return Owner{
+		Space: uint32(w >> spaceShift),
+		VA:    (w & (1<<vaBits - 1)) << pageShift,
+		Size:  sizeOf(w),
+	}
+}
+
+func sizeOf(w uint64) units.PageSize { return units.PageSize(w >> sizeShift & 3) }
+
+// word returns the packed owner registered at head frame f, 0 if none.
+func (m *Memory) word(f uint64) uint64 {
+	if w := m.leaf4K(f); w != 0 || f&(blockFrames-1) != 0 {
+		return w
+	}
+	return m.heads[f>>blockBits]
+}
+
+// leaf4K returns the 4KB owner word at frame f, 0 if none.
+func (m *Memory) leaf4K(f uint64) uint64 {
+	if l := m.leaves[f>>blockBits]; l != nil {
+		return l[f&(blockFrames-1)]
+	}
+	return 0
+}
+
+// claim panics unless frame pfn can head a new mapping of the given size:
+// aligned to it, allocated and without an owner.
+func (m *Memory) claim(pfn uint64, size units.PageSize) {
+	if !units.IsAligned(units.FrameAddr(pfn), size.Bytes()) {
+		panic(fmt.Sprintf("phys: owner head pfn %d not aligned to %v", pfn, size))
 	}
 	if !m.allocated.get(pfn) {
 		panic(fmt.Sprintf("phys: SetOwner on free frame %d", pfn))
 	}
-	if m.rmapAt(pfn) != 0 {
+	if m.word(pfn) != 0 {
 		panic(fmt.Sprintf("phys: frame %d already has an owner", pfn))
 	}
-	var idx uint32
-	if n := len(m.ownerFree); n > 0 {
-		idx = m.ownerFree[n-1]
-		m.ownerFree = m.ownerFree[:n-1]
-	} else {
-		idx = m.nextOwner
-		if int(idx>>ownerChunkBits) == len(m.owners) {
-			m.owners = append(m.owners, make([]Owner, ownerChunk))
+}
+
+// put stores word w at head frame f, which claim has cleared.
+func (m *Memory) put(f, w uint64) {
+	b := f >> blockBits
+	if sizeOf(w) != units.Size4K {
+		m.heads[b] = w
+		return
+	}
+	m.leafOf(b)[f&(blockFrames-1)] = w
+	m.live[b]++
+}
+
+// drop clears the owner at head frame f and returns its word, panicking
+// if there is none.
+func (m *Memory) drop(f uint64) uint64 {
+	b := f >> blockBits
+	if l := m.leaves[b]; l != nil && l[f&(blockFrames-1)] != 0 {
+		w := l[f&(blockFrames-1)]
+		l[f&(blockFrames-1)] = 0
+		if m.live[b]--; m.live[b] == 0 {
+			m.releaseLeaf(b)
 		}
-		m.nextOwner++
+		return w
 	}
-	*m.ownerAt(idx) = o
-	m.rmapSet(pfn, idx)
+	if w := m.heads[b]; w != 0 && f&(blockFrames-1) == 0 {
+		m.heads[b] = 0
+		return w
+	}
+	panic(fmt.Sprintf("phys: ClearOwner on unowned frame %d", f))
 }
 
-const (
-	ownerChunkBits = 15
-	ownerChunk     = 1 << ownerChunkBits
-
-	rmapChunkBits = 16
-	rmapChunk     = 1 << rmapChunkBits
-)
-
-// rmapAt reads the owner index registered at frame f (0 = none).
-func (m *Memory) rmapAt(f uint64) uint32 {
-	c := m.rmap[f>>rmapChunkBits]
-	if c == nil {
-		return 0
+// leafOf returns block b's leaf, materializing it from the free list or
+// the current slab.
+func (m *Memory) leafOf(b uint64) *[blockFrames]uint64 {
+	if l := m.leaves[b]; l != nil {
+		return l
 	}
-	return c[f&(rmapChunk-1)]
+	var l *[blockFrames]uint64
+	if n := len(m.leafFree); n > 0 {
+		l = m.leafFree[n-1]
+		m.leafFree[n-1] = nil
+		m.leafFree = m.leafFree[:n-1]
+	} else {
+		if len(m.slab) == 0 {
+			m.slab = make([][blockFrames]uint64, leafSlab)
+		}
+		l = &m.slab[0]
+		m.slab = m.slab[1:]
+	}
+	m.leaves[b] = l
+	return l
 }
 
-// rmapSet writes the owner index for frame f, allocating its chunk.
-func (m *Memory) rmapSet(f uint64, v uint32) {
-	c := m.rmap[f>>rmapChunkBits]
-	if c == nil {
-		c = make([]uint32, rmapChunk)
-		m.rmap[f>>rmapChunkBits] = c
-	}
-	c[f&(rmapChunk-1)] = v
+// releaseLeaf returns block b's emptied (all-zero) leaf to the free list.
+func (m *Memory) releaseLeaf(b uint64) {
+	m.leafFree = append(m.leafFree, m.leaves[b])
+	m.leaves[b] = nil
 }
 
-// ownerAt returns the owner slot for a chunked index.
-func (m *Memory) ownerAt(idx uint32) *Owner {
-	return &m.owners[idx>>ownerChunkBits][idx&(ownerChunk-1)]
+// SetOwner registers the virtual mapping that covers the page whose head
+// frame is pfn. The frames must already be allocated.
+func (m *Memory) SetOwner(pfn uint64, o Owner) {
+	w := pack(o)
+	m.claim(pfn, o.Size)
+	m.put(pfn, w)
+}
+
+// SetOwners4K registers n 4KB mappings at consecutive VAs over
+// consecutive frames: exactly SetOwner(pfn+j, Owner{o.Space,
+// o.VA+j*4KB, Size4K}) for j < n, with one pass over each block's leaf.
+// o.Size must be Size4K. kernel.MapRun registers a run's owners with it.
+func (m *Memory) SetOwners4K(pfn, n uint64, o Owner) {
+	if n == 0 {
+		return
+	}
+	if o.Size != units.Size4K {
+		panic(fmt.Sprintf("phys: SetOwners4K of a %v owner", o.Size))
+	}
+	w := pack(o)
+	pack(Owner{Space: o.Space, VA: o.VA + (n-1)*units.Page4K, Size: o.Size})
+	for n > 0 {
+		b, lo := pfn>>blockBits, pfn&(blockFrames-1)
+		k := min(n, blockFrames-lo)
+		for f := pfn; f < pfn+k; f++ {
+			m.claim(f, units.Size4K)
+		}
+		l := m.leafOf(b)
+		for i := range k {
+			l[lo+i] = w + i
+		}
+		m.live[b] += uint16(k)
+		pfn, n, w = pfn+k, n-k, w+k
+	}
 }
 
 // ClearOwner removes the mapping registration at head frame pfn.
-func (m *Memory) ClearOwner(pfn uint64) {
-	if m.rmapAt(pfn) == 0 {
-		panic(fmt.Sprintf("phys: ClearOwner on unowned frame %d", pfn))
-	}
-	m.clearOwnerAt(pfn)
-}
+func (m *Memory) ClearOwner(pfn uint64) { m.drop(pfn) }
 
 // ClearOwners is ClearOwner on each head frame of pfns, in order: the
 // kernel's run teardown clears a whole run's owners with one call.
 func (m *Memory) ClearOwners(pfns []uint64) {
 	for _, pfn := range pfns {
-		m.ClearOwner(pfn)
+		m.drop(pfn)
 	}
 }
 
 // MoveOwners moves the mapping registration at head frame from[j] to frame
-// to[j], for each j in order. It is exactly ClearOwner(from[j]) followed by
-// SetOwner(to[j], o) with the owner o it cleared, which hands o's owner
-// slot straight back (ownerFree is LIFO), so only the reverse map changes.
+// to[j], for each j in order: exactly ClearOwner(from[j]) followed by
+// SetOwner(to[j], o) with the owner o it cleared, moving one word.
 // Compaction's page moves use it.
 func (m *Memory) MoveOwners(from, to []uint64) {
 	for j, pfn := range from {
-		idx := m.rmapAt(pfn)
-		if idx == 0 {
-			panic(fmt.Sprintf("phys: ClearOwner on unowned frame %d", pfn))
-		}
-		m.rmapSet(pfn, 0)
-		dst := to[j]
-		if !units.IsAligned(units.FrameAddr(dst), m.ownerAt(idx).Size.Bytes()) {
-			panic(fmt.Sprintf("phys: owner head pfn %d not aligned to %v", dst, m.ownerAt(idx).Size))
-		}
-		if !m.allocated.get(dst) {
-			panic(fmt.Sprintf("phys: SetOwner on free frame %d", dst))
-		}
-		if m.rmapAt(dst) != 0 {
-			panic(fmt.Sprintf("phys: frame %d already has an owner", dst))
-		}
-		m.rmapSet(dst, idx)
+		w := m.drop(pfn)
+		m.claim(to[j], sizeOf(w))
+		m.put(to[j], w)
 	}
 }
 
@@ -400,35 +488,15 @@ func (m *Memory) MoveOwners(from, to []uint64) {
 // 0 unless pfn heads a 4KB mapping. Compaction moves such a run with one
 // kernel call.
 func (m *Memory) Run4K(pfn, hi uint64) uint64 {
-	var first Owner
+	first := m.leaf4K(pfn)
+	if first == 0 {
+		return 0
+	}
 	n := uint64(0)
-	for f := pfn; f < hi && !m.unmovable.get(f); f++ {
-		idx := m.rmapAt(f)
-		if idx == 0 {
-			break
-		}
-		o := *m.ownerAt(idx)
-		if n == 0 {
-			first = o
-		}
-		if o != (Owner{Space: first.Space, VA: first.VA + n*units.Page4K, Size: units.Size4K}) {
-			break
-		}
+	for f := pfn; f < hi && !m.unmovable.get(f) && m.leaf4K(f) == first+n; f++ {
 		n++
 	}
 	return n
-}
-
-func (m *Memory) clearOwnerAt(pfn uint64) {
-	idx := m.rmapAt(pfn)
-	m.rmapSet(pfn, 0)
-	*m.ownerAt(idx) = Owner{}
-	if len(m.ownerFree) == cap(m.ownerFree) {
-		next := make([]uint32, len(m.ownerFree), 2*cap(m.ownerFree))
-		copy(next, m.ownerFree)
-		m.ownerFree = next
-	}
-	m.ownerFree = append(m.ownerFree, idx)
 }
 
 // OwnerOf resolves the mapping covering frame pfn, if any. It returns the
@@ -437,20 +505,18 @@ func (m *Memory) clearOwnerAt(pfn uint64) {
 // mapping at itself, a 2MB mapping at its 2MB-aligned head, or a 1GB mapping
 // at its 1GB-aligned head.
 func (m *Memory) OwnerOf(pfn uint64) (Owner, uint64, bool) {
-	if idx := m.rmapAt(pfn); idx != 0 {
-		return *m.ownerAt(idx), pfn, true
+	if w := m.leaf4K(pfn); w != 0 {
+		return unpack(w), pfn, true
 	}
-	head2M := pfn &^ (units.Size2M.Frames() - 1)
-	if idx := m.rmapAt(head2M); idx != 0 {
-		if o := m.ownerAt(idx); o.Size == units.Size2M {
-			return *o, head2M, true
-		}
+	// A huge page headed in pfn's block covers it: a 2MB page, or a 1GB
+	// page whose head block this is.
+	b := pfn >> blockBits
+	if w := m.heads[b]; w != 0 {
+		return unpack(w), b << blockBits, true
 	}
-	head1G := pfn &^ (units.Size1G.Frames() - 1)
-	if idx := m.rmapAt(head1G); idx != 0 {
-		if o := m.ownerAt(idx); o.Size == units.Size1G {
-			return *o, head1G, true
-		}
+	g := pfn &^ (units.Size1G.Frames() - 1) >> blockBits
+	if w := m.heads[g]; w != 0 && sizeOf(w) == units.Size1G {
+		return unpack(w), g << blockBits, true
 	}
 	return Owner{}, 0, false
 }
@@ -459,16 +525,18 @@ func (m *Memory) OwnerOf(pfn uint64) (Owner, uint64, bool) {
 // in ascending PFN order. Return false to stop early. The invariant auditor
 // uses this to cross-check the reverse map against the page tables.
 func (m *Memory) ForEachOwner(fn func(pfn uint64, o Owner) bool) {
-	for ci, c := range m.rmap {
-		if c == nil {
-			continue
+	for b, w := range m.heads {
+		base := uint64(b) << blockBits
+		// A block's head frame has one owner at most, so heads[b] comes
+		// first.
+		if w != 0 && !fn(base, unpack(w)) {
+			return
 		}
-		for i, idx := range c {
-			if idx == 0 {
-				continue
-			}
-			if !fn(uint64(ci)<<rmapChunkBits|uint64(i), *m.ownerAt(idx)) {
-				return
+		if l := m.leaves[b]; l != nil {
+			for i, w := range l {
+				if w != 0 && !fn(base+uint64(i), unpack(w)) {
+					return
+				}
 			}
 		}
 	}

@@ -215,23 +215,31 @@ func TestSetOwnerValidation(t *testing.T) {
 	}()
 }
 
-func TestOwnerIndexReuse(t *testing.T) {
+// TestLeafReuse: a block's leaf returns to the free list when its last
+// 4KB owner goes, and the next block to head 4KB pages takes it back, so
+// churn neither grows the reverse map nor allocates.
+func TestLeafReuse(t *testing.T) {
 	m := newTestMem(t, 1)
-	for i := 0; i < 100; i++ {
-		m.MarkAllocated(uint64(i), 1, false)
-		m.SetOwner(uint64(i), Owner{Space: 1, VA: uint64(i) * units.Page4K, Size: units.Size4K})
+	m.MarkAllocated(0, 2*blockFrames, false)
+	m.SetOwners4K(0, 100, Owner{Space: 1, Size: units.Size4K})
+	l := m.leaves[0]
+	for i := uint64(0); i < 100; i++ {
+		m.ClearOwner(i)
 	}
-	for i := 0; i < 100; i++ {
-		m.MarkFree(uint64(i), 1)
+	if m.leaves[0] != nil || len(m.leafFree) != 1 || m.leafFree[0] != l {
+		t.Fatal("emptied leaf was not released to the free list")
 	}
-	// Freelist reuse must not grow owners unboundedly.
-	before := len(m.owners)
-	for i := 0; i < 100; i++ {
-		m.MarkAllocated(uint64(i), 1, false)
-		m.SetOwner(uint64(i), Owner{Space: 2, VA: uint64(i) * units.Page4K, Size: units.Size4K})
+	slab := len(m.slab)
+	for i := uint64(0); i < 100; i++ {
+		m.SetOwner(blockFrames+i, Owner{Space: 2, VA: i * units.Page4K, Size: units.Size4K})
 	}
-	if len(m.owners) != before {
-		t.Errorf("owner table grew from %d to %d despite freelist", before, len(m.owners))
+	if m.leaves[1] != l || len(m.leafFree) != 0 || len(m.slab) != slab {
+		t.Error("a new leaf was carved despite a free one")
+	}
+	for i, w := range l {
+		if (w != 0) != (i < 100) {
+			t.Fatalf("reused leaf word %d = %#x", i, w)
+		}
 	}
 }
 
@@ -321,16 +329,17 @@ func TestBitsetQuick(t *testing.T) {
 
 // TestBootMatchesNewMemory: a Reset memory booted at another size must be
 // indistinguishable from a freshly created one of that size — shrunk,
-// grown beyond its capacity, and grown back within it. The regions and
-// bitset words a grow exposes are poisoned first: Boot initializes them
-// rather than trusting what the spare capacity holds.
+// grown beyond its capacity, and grown back within it. The regions,
+// bitset words and reverse-map blocks a grow exposes are poisoned first:
+// Boot initializes them rather than trusting what the spare capacity
+// holds.
 func TestBootMatchesNewMemory(t *testing.T) {
 	m := newTestMem(t, 2)
 	for _, gb := range []uint64{1, 4, 2, 3} {
 		m.MarkAllocated(0, 64, true)
 		m.SetOwner(0, Owner{Space: 1, VA: 0, Size: units.Size4K})
 		m.Reset()
-		for _, tail := range [][]uint64{m.allocated[len(m.allocated):cap(m.allocated)], m.unmovable[len(m.unmovable):cap(m.unmovable)]} {
+		for _, tail := range [][]uint64{m.allocated[len(m.allocated):cap(m.allocated)], m.unmovable[len(m.unmovable):cap(m.unmovable)], m.heads[len(m.heads):cap(m.heads)]} {
 			for i := range tail {
 				tail[i] = ^uint64(0)
 			}
@@ -338,12 +347,13 @@ func TestBootMatchesNewMemory(t *testing.T) {
 		for i, tail := 0, m.regions[len(m.regions):cap(m.regions)]; i < len(tail); i++ {
 			tail[i] = RegionStats{Zeroed: true}
 		}
+		for i, tail := 0, m.live[len(m.live):cap(m.live)]; i < len(tail); i++ {
+			tail[i] = blockFrames
+		}
 		m.Boot(gb * units.Page1G)
 		want := NewMemory(gb * units.Page1G)
-		// The one rmap chunk written above is kept, cleared, for reuse;
-		// owners are not frame-indexed and keep their (unreachable) slots.
-		want.rmap[0] = make([]uint32, rmapChunk)
-		want.owners = m.owners
+		// The one leaf written above is kept, cleared, for reuse.
+		want.leafFree, want.slab = m.leafFree, m.slab
 		if !reflect.DeepEqual(m, want) {
 			t.Fatalf("booted at %dGB: differs from NewMemory", gb)
 		}

@@ -5,15 +5,17 @@ import (
 
 	"repro/internal/fragment"
 	"repro/internal/kernel"
+	"repro/internal/stream"
 )
 
 // Machine pooling: kernel construction allocates megabytes of bookkeeping
-// (phys bitsets, buddy free lists, rmap chunk indexes) and population
-// grows megabytes more (page-table nodes, rmap/owner chunks), all of which
-// a grid run re-allocated for every job. kernel.Reset restores a used
-// kernel to a state observably identical to a freshly booted one, and
-// kernel.Boot then re-boots a Reset kernel in place into one observably
-// identical to New(memBytes, maxOrder) for any size and flavour
+// (phys bitsets, buddy free lists, the reverse map's per-block arrays) and
+// population grows megabytes more (page-table nodes, reverse-map leaves
+// for blocks that head 4KB pages), all of which a grid run re-allocated
+// for every job. kernel.Reset restores a used kernel to a state
+// observably identical to a freshly booted one, and kernel.Boot then
+// re-boots a Reset kernel in place into one observably identical to
+// New(memBytes, maxOrder) for any size and flavour
 // (DESIGN.md §5c). So every kernel is interchangeable with every other:
 // finished runs park their kernels here and later runs reuse them, arenas
 // warm, whatever their memory size and flavour.
@@ -136,5 +138,37 @@ func releaseFragmenter(f *fragment.Fragmenter) {
 	f.K, f.Cache = nil, nil
 	machinePoolMu.Lock()
 	fragPool = append(fragPool, f)
+	machinePoolMu.Unlock()
+}
+
+// Run buffers: a run's page-run buffer (batchAccesses runs, 48 KB) and
+// its MMU's sweep scratch are the same size in every run, so they are
+// parked with the machine and a run allocates neither. Parking follows the
+// Fragmenters' rules.
+type runBufs struct {
+	runs  []stream.Run
+	sizes []uint8
+}
+
+var runBufPool []runBufs
+
+// acquireRunBufs returns the most recently parked run buffers, or none
+// (nil slices, grown on first use).
+func acquireRunBufs() runBufs {
+	machinePoolMu.Lock()
+	defer machinePoolMu.Unlock()
+	n := len(runBufPool)
+	if n == 0 {
+		return runBufs{}
+	}
+	b := runBufPool[n-1]
+	runBufPool = runBufPool[:n-1]
+	return b
+}
+
+// releaseRunBufs parks b for reuse.
+func releaseRunBufs(b runBufs) {
+	machinePoolMu.Lock()
+	runBufPool = append(runBufPool, b)
 	machinePoolMu.Unlock()
 }

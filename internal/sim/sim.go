@@ -330,9 +330,9 @@ type runner struct {
 	obsBase  obsBase
 	stallNs  float64
 
-	// runs is the run-coalesced pipeline's reusable buffer; NextRuns
-	// returns at most one run per drawn reference, so batchAccesses
-	// capacity never reallocates.
+	// runs is the run-coalesced pipeline's reusable buffer, parked with
+	// the machine (see acquireRunBufs); NextRuns returns at most one run
+	// per drawn reference, so batchAccesses capacity never reallocates.
 	runs   []stream.Run
 	oracle bool // switches off every fast path (see run)
 }
@@ -404,7 +404,8 @@ func run(ctx context.Context, cfg Config, oracle bool) (*Result, error) {
 }
 
 // releaseMachine parks the run's kernels for reuse: the native kernel, or
-// the host and guest kernels of a virtualized run, and its fragmenter. Called only after
+// the host and guest kernels of a virtualized run, its fragmenter and its
+// translation buffers. Called only after
 // finish() — the Result holds copies, never pointers into kernel state, so
 // the kernels can be reset and handed to other runs.
 func (r *runner) releaseMachine() {
@@ -415,6 +416,7 @@ func (r *runner) releaseMachine() {
 	if r.frag != nil {
 		releaseFragmenter(r.frag)
 	}
+	releaseRunBufs(runBufs{runs: r.runs, sizes: r.m.SweepSizes})
 }
 
 // phase brackets fn between balanced begin/end marks on the run's recorder
@@ -517,6 +519,8 @@ func (r *runner) buildMachine() error {
 		r.k = acquireKernel(memBytes, maxOrderFor(cfg.Policy))
 	}
 	r.m = mmu.New(*cfg.TLB)
+	bufs := acquireRunBufs()
+	r.runs, r.m.SweepSizes = bufs.runs, bufs.sizes
 
 	if cfg.Fragment {
 		footprint := uint64(float64(cfg.Workload.Footprint) * cfg.Scale)
