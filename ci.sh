@@ -10,7 +10,8 @@
 # its per-fault definitions (the buddy's run of order-0 frames against
 # repeated Alloc(0), fault-around touch against the per-fault loop), of
 # teardown by runs against its per-page definition (UnmapRange and
-# UnmapRangeKeep against UnmapFree/UnmapKeep), of compaction by runs
+# UnmapRangeKeep against UnmapFree and the test-only UnmapKeep), of
+# compaction by runs
 # against its per-page definition (sequential compaction moving a run of
 # pages per kernel call against one page at a time), of a Fragmenter
 # re-applied at another size or flavour against a new one, of the reverse

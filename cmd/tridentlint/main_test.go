@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -97,8 +98,8 @@ func TestRunMergesModuleRoots(t *testing.T) {
 	if ab.String() != ba.String() {
 		t.Error("pattern order changed the merged output; findings must be globally sorted")
 	}
-	fs, err := lint.DecodeFindings(&ab)
-	if err != nil {
+	var fs []lint.Finding
+	if err := json.Unmarshal(ab.Bytes(), &fs); err != nil {
 		t.Fatalf("decoding -json output: %v", err)
 	}
 	for _, f := range fs {

@@ -1,12 +1,11 @@
 // Package audit is the whole-machine invariant auditor: one Check walks
 // every cross-module data structure the simulator keeps about the same
 // physical memory — page tables, the reverse map, the allocation and
-// unmovable bitmaps, the per-region counters, the buddy free lists, the
-// kernel-allocation table and the TLBs — and verifies they tell one
-// consistent story. It replaces "the run didn't panic" with "the machine is
-// provably coherent", and is the oracle the chaos injector
-// (internal/chaos) is verified against: after every injected failure the
-// machine must still pass.
+// unmovable bitmaps, the per-region counters, the buddy free lists and the
+// TLBs — and verifies they tell one consistent story. It replaces "the run
+// didn't panic" with "the machine is provably coherent", and is the oracle
+// the chaos injector (internal/chaos) is verified against: after every
+// injected failure the machine must still pass.
 //
 // The checks:
 //
@@ -16,13 +15,15 @@
 //  2. Every reverse-map owner points back at a live task whose page table
 //     maps that VA at that size onto that head frame (no dangling rmap).
 //  3. The per-1GB-region Free/Unmovable counters match a recount of the
-//     allocation/unmovable bitmaps, and a Zeroed region is fully free.
+//     allocation/unmovable bitmaps, no free frame is marked unmovable, and
+//     a Zeroed region is fully free. This recount is what covers unmovable
+//     frames (the fragmenter's kernel objects, §5.1.3): an unmovable chunk
+//     allocated or freed without its bits and counters agreeing fails it.
 //  4. The buddy allocator's free lists exactly tile the free space
 //     (delegated to buddy.CheckInvariants).
-//  5. Every kernel allocation's frames are allocated and unmovable.
-//  6. No TLB entry translates a VA its task no longer maps at that size
+//  5. No TLB entry translates a VA its task no longer maps at that size
 //     (the shootdown discipline held).
-//  7. Machine-wide frame counts are self-consistent.
+//  6. Machine-wide frame counts are self-consistent.
 package audit
 
 import (
@@ -50,7 +51,7 @@ type TLBView struct {
 }
 
 // Machine bundles everything one coherence check spans. K is required;
-// TLBs may be empty (check 6 is then skipped).
+// TLBs may be empty (check 5 is then skipped).
 type Machine struct {
 	K    *kernel.Kernel
 	TLBs []TLBView
@@ -112,7 +113,6 @@ func Check(m Machine) error {
 	checkLeaves(m.K, tasks, &r)
 	checkOwners(m.K, &r)
 	checkRegions(m.K.Mem, &r)
-	checkKernelAllocs(m.K, &r)
 	if err := m.K.Buddy.CheckInvariants(); err != nil {
 		r.add("buddy free lists: %v", err)
 	}
@@ -172,7 +172,7 @@ func checkOwners(k *kernel.Kernel, r *recorder) {
 	})
 }
 
-// checkRegions verifies check 3 and 7: region counters against a bitmap
+// checkRegions verifies check 3 and 6: region counters against a bitmap
 // recount, and the zeroed-implies-free rule.
 func checkRegions(mem *phys.Memory, r *recorder) {
 	var freeTotal, allocTotal uint64
@@ -208,21 +208,7 @@ func checkRegions(mem *phys.Memory, r *recorder) {
 	}
 }
 
-// checkKernelAllocs verifies check 5.
-func checkKernelAllocs(k *kernel.Kernel, r *recorder) {
-	k.ForEachKernelAlloc(func(pfn uint64, order int) bool {
-		frames := uint64(1) << uint(order)
-		for f := pfn; f < pfn+frames; f++ {
-			if !k.Mem.IsAllocated(f) || !k.Mem.IsUnmovable(f) {
-				r.add("kernel alloc order %d at pfn %d: frame %d not allocated+unmovable", order, pfn, f)
-				return true
-			}
-		}
-		return true
-	})
-}
-
-// checkTLB verifies check 6: every cached translation still exists in the
+// checkTLB verifies check 5: every cached translation still exists in the
 // task's page table at the cached size (for nested views, at the effective
 // min of the guest and host sizes backing that address).
 func checkTLB(view TLBView, r *recorder) {

@@ -13,7 +13,8 @@ import (
 )
 
 // machine builds a small kernel with one task mapping a page of each size,
-// plus a kernel allocation — every structure the auditor cross-checks.
+// plus an unmovable kernel chunk — every structure the auditor
+// cross-checks.
 type machine struct {
 	k                   *kernel.Kernel
 	task                *kernel.Task
@@ -40,7 +41,7 @@ func newMachine(t *testing.T) *machine {
 	if m.pfn4K, err = m.k.AllocMapped(m.task, m.va4K, units.Size4K); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = m.k.KernelAlloc(3); err != nil {
+	if _, err = m.k.Buddy.Alloc(3, true); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -92,7 +93,7 @@ func TestBuddyDivergenceDetected(t *testing.T) {
 	wantViolation(t, m.check(), "buddy free lists")
 }
 
-// A TLB entry surviving its mapping's teardown (check 6): with no shootdown
+// A TLB entry surviving its mapping's teardown (check 5): with no shootdown
 // wired, UnmapFree leaves the cached translation stale.
 func TestStaleTLBDetected(t *testing.T) {
 	m := newMachine(t)

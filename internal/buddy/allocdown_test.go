@@ -32,7 +32,7 @@ func TestAllocDownMatchesAllocSpecific(t *testing.T) {
 				a := New(phys.NewMemory(units.Page1G), maxOrder)
 				rng := xrand.New(seed)
 				rng.Float64()
-				frames := a.Memory().Frames()
+				frames := a.mem.Frames()
 				for f := uint64(0); f < frames; {
 					o := rng.Intn(7)
 					f = units.AlignUp(f, 1<<uint(o))
@@ -53,7 +53,7 @@ func TestAllocDownMatchesAllocSpecific(t *testing.T) {
 				}
 			}
 			windows := xrand.New(seed + 1)
-			frames := as[0].Memory().Frames()
+			frames := as[0].mem.Frames()
 			for range 20 {
 				lo := windows.Uint64n(frames)
 				hi := lo + windows.Uint64n(frames-lo+1)
@@ -63,7 +63,7 @@ func TestAllocDownMatchesAllocSpecific(t *testing.T) {
 				var ref []uint64
 				refPos := hi
 				for f := hi; f > lo && len(ref) < len(dst); f-- {
-					if as[1].Memory().IsAllocated(f - 1) {
+					if as[1].mem.IsAllocated(f - 1) {
 						continue
 					}
 					if as[1].AllocSpecific(f-1, 0, false) == nil {
@@ -87,7 +87,7 @@ func TestAllocDownMatchesAllocSpecific(t *testing.T) {
 					t.Fatalf("order-%d free chunks: %d, per-frame %d", o, len(g), len(w))
 				}
 			}
-			gm, wm := as[0].Memory(), as[1].Memory()
+			gm, wm := as[0].mem, as[1].mem
 			if gm.Region(0) != wm.Region(0) || gm.FreeFrames() != wm.FreeFrames() {
 				t.Fatalf("region %+v, %d free; per-frame %+v, %d free", gm.Region(0), gm.FreeFrames(), wm.Region(0), wm.FreeFrames())
 			}

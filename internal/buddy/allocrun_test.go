@@ -34,7 +34,7 @@ func FuzzAllocRunEquivalence(f *testing.F) {
 			// Hold all but 64MB (16384 frames), so a large want can
 			// exhaust memory.
 			for o := maxOrder; o >= 0; o-- {
-				for a.FreeFrames() >= 16384+uint64(1)<<uint(o) {
+				for a.mem.FreeFrames() >= 16384+uint64(1)<<uint(o) {
 					if _, err := a.Alloc(o, false); err != nil {
 						t.Fatal(err)
 					}
@@ -119,7 +119,7 @@ func FuzzAllocRunEquivalence(f *testing.F) {
 				t.Fatalf("order-%d free chunks: got %v, want %v", ord, g, w)
 			}
 		}
-		gm, rm := as[0].Memory(), as[1].Memory()
+		gm, rm := as[0].mem, as[1].mem
 		if gm.FreeFrames() != rm.FreeFrames() || gm.Region(0) != rm.Region(0) || gm.UnmovableFrames() != 0 {
 			t.Fatalf("region %+v, %d free; want %+v, %d free, none unmovable",
 				gm.Region(0), gm.FreeFrames(), rm.Region(0), rm.FreeFrames())

@@ -212,14 +212,8 @@ func (a *Allocator) Boot(maxOrder int) {
 // MaxOrder returns the largest order the free lists track.
 func (a *Allocator) MaxOrder() int { return a.maxOrder }
 
-// Memory returns the underlying physical memory bookkeeping.
-func (a *Allocator) Memory() *phys.Memory { return a.mem }
-
 // FreeChunks returns the number of free chunks of exactly the given order.
 func (a *Allocator) FreeChunks(order int) uint64 { return a.counts[order] }
-
-// FreeFrames returns the total number of free frames.
-func (a *Allocator) FreeFrames() uint64 { return a.mem.FreeFrames() }
 
 // Alloc allocates a 2^order-frame chunk and returns its head PFN.
 // unmovable marks the chunk as holding unmovable (kernel) data, which feeds

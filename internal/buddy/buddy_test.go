@@ -150,7 +150,7 @@ func TestAllocSpecific(t *testing.T) {
 	if err := a.AllocSpecific(target, units.Order2M, false); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Memory().IsAllocated(target) || a.Memory().IsAllocated(target-1) {
+	if !a.mem.IsAllocated(target) || a.mem.IsAllocated(target-1) {
 		t.Error("AllocSpecific claimed wrong frames")
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -188,11 +188,11 @@ func TestAllocSpecificPartiallyAllocated(t *testing.T) {
 func TestUnmovableFlagPropagates(t *testing.T) {
 	a := newAlloc(t, 1, units.TridentMaxOrder)
 	pfn, _ := a.Alloc(2, true)
-	if a.Memory().Region(0).Unmovable != 4 {
-		t.Errorf("unmovable count = %d, want 4", a.Memory().Region(0).Unmovable)
+	if a.mem.Region(0).Unmovable != 4 {
+		t.Errorf("unmovable count = %d, want 4", a.mem.Region(0).Unmovable)
 	}
 	a.Free(pfn, 2)
-	if a.Memory().Region(0).Unmovable != 0 {
+	if a.mem.Region(0).Unmovable != 0 {
 		t.Error("unmovable count not cleared on free")
 	}
 }

@@ -58,7 +58,7 @@ func FuzzCarveEquivalence(f *testing.F) {
 		a := New(phys.NewMemory(units.Page1G), maxOrder)
 		ref := New(phys.NewMemory(units.Page1G), maxOrder)
 		for _, x := range []*Allocator{a, ref} {
-			x.Memory().SetRegionZeroed(0) // any allocation must clear it
+			x.mem.SetRegionZeroed(0) // any allocation must clear it
 			// Allocating a frame of the chunk's buddy frees exactly (head, o).
 			if o < maxOrder {
 				if err := x.AllocSpecific(head^n, 0, false); err != nil {
@@ -85,7 +85,7 @@ func FuzzCarveEquivalence(f *testing.F) {
 				t.Fatalf("order-%d free chunks: got %v, want %v", ord, got, want)
 			}
 		}
-		am, rm := a.Memory(), ref.Memory()
+		am, rm := a.mem, ref.mem
 		if am.Region(0) != rm.Region(0) || am.FreeFrames() != rm.FreeFrames() || am.UnmovableFrames() != 0 {
 			t.Fatalf("region %+v, %d free; want %+v, %d free, none unmovable",
 				am.Region(0), am.FreeFrames(), rm.Region(0), rm.FreeFrames())

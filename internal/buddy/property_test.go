@@ -47,7 +47,7 @@ func TestQuickRandomOperations(t *testing.T) {
 				live = live[:len(live)-1]
 			}
 			// Conservation: free + allocated == total.
-			if a.FreeFrames()+uint64(len(owned)) != a.Memory().Frames() {
+			if a.mem.FreeFrames()+uint64(len(owned)) != a.mem.Frames() {
 				return false
 			}
 		}
@@ -70,13 +70,13 @@ func TestQuickAllocSpecific(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			order := rng.Intn(10)
 			frames := uint64(1) << uint(order)
-			pfn := rng.Uint64n(a.Memory().Frames()/frames) * frames
-			wasFree := a.Memory().AllocatedInRange(pfn, frames) == 0
+			pfn := rng.Uint64n(a.mem.Frames()/frames) * frames
+			wasFree := a.mem.AllocatedInRange(pfn, frames) == 0
 			err := a.AllocSpecific(pfn, order, false)
 			if wasFree != (err == nil) {
 				return false
 			}
-			if err == nil && a.Memory().AllocatedInRange(pfn, frames) != frames {
+			if err == nil && a.mem.AllocatedInRange(pfn, frames) != frames {
 				return false
 			}
 		}
@@ -98,8 +98,8 @@ func TestQuickFMFIBounds(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		// Allocate a random 4KB page somewhere specific to create holes.
-		pfn := rng.Uint64n(a.Memory().Frames())
-		if a.Memory().IsAllocated(pfn) {
+		pfn := rng.Uint64n(a.mem.Frames())
+		if a.mem.IsAllocated(pfn) {
 			continue
 		}
 		if err := a.AllocSpecific(pfn, 0, false); err != nil {

@@ -46,8 +46,8 @@ type System struct {
 
 // New assembles Trident over k, which must use the 1GB-extended buddy
 // (units.TridentMaxOrder). The zero-fill pool starts empty; call
-// Zero.Refill (or System.Idle) to pre-zero free regions as a freshly booted
-// kernel's idle loop would.
+// Zero.Refill to pre-zero free regions as a freshly booted kernel's idle
+// loop would.
 func New(k *kernel.Kernel, v Variant) *System {
 	zero := zerofill.New(k)
 	fp := fault.NewTrident(k, zero)
@@ -66,17 +66,3 @@ func New(k *kernel.Kernel, v Variant) *System {
 	}
 	return &System{K: k, Zero: zero, Fault: fp, Khugepaged: d}
 }
-
-// Idle runs one background housekeeping step: zero-fill up to maxZero free
-// 1GB regions, then one budgeted promotion pass over t (budgetNs <= 0 means
-// unlimited). It returns the modeled daemon nanoseconds spent; a non-nil
-// error is a failed collapse remap (see promote.Daemon.ScanTask).
-func (s *System) Idle(t *kernel.Task, maxZero int, budgetNs float64) (float64, error) {
-	s.Zero.Refill(maxZero)
-	return s.Khugepaged.ScanTask(t, budgetNs)
-}
-
-// DaemonNs returns total modeled background CPU time: promotion plus its
-// compactors. Zero-filling is excluded — it runs in the idle loop and does
-// not contend with the application (§5.1.2).
-func (s *System) DaemonNs() float64 { return s.Khugepaged.TotalNs() }

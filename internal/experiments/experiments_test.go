@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/runner"
@@ -11,35 +14,41 @@ import (
 // The experiment drivers run at Quick scale in tests; the assertions check
 // the paper's qualitative shapes, which scale preserves (see DESIGN.md §4).
 
-// rows extracts (by column name) a map key → float for rows matching the
-// given filters.
+// tableView reads a table's cells by row and column name, back through
+// the table's own CSV rendering.
 type tableView struct {
 	t   *testing.T
 	tab interface {
 		NumRows() int
-		Cell(int, int) string
-		Col(string) int
+		HeaderCSV() string
+		RowCSV(int) string
 	}
 }
 
 func (v tableView) float(row int, col string) float64 {
-	c := v.tab.Col(col)
-	if c < 0 {
-		v.t.Fatalf("missing column %q", col)
-	}
-	f, err := strconv.ParseFloat(v.tab.Cell(row, c), 64)
+	cell := v.cell(row, col)
+	f, err := strconv.ParseFloat(cell, 64)
 	if err != nil {
-		v.t.Fatalf("cell (%d,%s) = %q: %v", row, col, v.tab.Cell(row, c), err)
+		v.t.Fatalf("cell (%d,%s) = %q: %v", row, col, cell, err)
 	}
 	return f
 }
 
 func (v tableView) cell(row int, col string) string {
-	c := v.tab.Col(col)
+	c := slices.Index(v.record(v.tab.HeaderCSV()), col)
 	if c < 0 {
 		v.t.Fatalf("missing column %q", col)
 	}
-	return v.tab.Cell(row, c)
+	return v.record(v.tab.RowCSV(row))[c]
+}
+
+// record parses one CSV record.
+func (v tableView) record(line string) []string {
+	rec, err := csv.NewReader(strings.NewReader(line)).Read()
+	if err != nil {
+		v.t.Fatalf("table CSV %q: %v", line, err)
+	}
+	return rec
 }
 
 func TestFigure1Shapes(t *testing.T) {

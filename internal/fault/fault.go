@@ -315,9 +315,6 @@ func (p *Hugetlbfs) Name() string { return p.Size.String() + "-Hugetlbfs" }
 // FaultStats implements Policy.
 func (p *Hugetlbfs) FaultStats() *Stats { return &p.S }
 
-// PoolAvailable returns the number of reserved pages not yet handed out.
-func (p *Hugetlbfs) PoolAvailable() int { return len(p.pool) }
-
 // Handle implements Policy.
 //
 // Unlike THP, libHugetlbfs does not wait for the address range to be

@@ -136,8 +136,8 @@ func TestHugetlbfsPool(t *testing.T) {
 	if short != 0 {
 		t.Fatalf("reservation shortfall %d", short)
 	}
-	if h.PoolAvailable() != 3 {
-		t.Errorf("pool = %d", h.PoolAvailable())
+	if len(h.pool) != 3 {
+		t.Errorf("pool = %d", len(h.pool))
 	}
 	va, _ := task.AS.MMapAligned(4*units.Page2M, units.Page2M, vmm.KindAnon)
 	for i := 0; i < 3; i++ {
@@ -173,7 +173,7 @@ func TestHugetlbfsSkipsStack(t *testing.T) {
 	if r.Size != units.Size4K {
 		t.Errorf("stack fault used hugetlbfs: %v", r.Size)
 	}
-	if h.PoolAvailable() != 8 {
+	if len(h.pool) != 8 {
 		t.Error("pool consumed for stack")
 	}
 }
@@ -182,7 +182,7 @@ func TestHugetlbfs1GReservationShortfall(t *testing.T) {
 	k, _ := setup(t, 2)
 	// Fragment: one unmovable page per region prevents 1GB reservation.
 	for r := uint64(0); r < 2; r++ {
-		if _, err := k.KernelAlloc(0); err != nil {
+		if _, err := k.Buddy.Alloc(0, true); err != nil {
 			t.Fatal(err)
 		}
 		// Push next kernel alloc into next region.
@@ -366,8 +366,8 @@ func TestHugetlbfsGreedyBacksIncrementalHeap(t *testing.T) {
 	if m, ok := task.AS.PT.Lookup(va2); !ok || m.Size != units.Size1G {
 		t.Error("second allocation not covered by the same 1GB page")
 	}
-	if h.PoolAvailable() != 1 {
-		t.Errorf("pool = %d, want 1", h.PoolAvailable())
+	if len(h.pool) != 1 {
+		t.Errorf("pool = %d, want 1", len(h.pool))
 	}
 }
 
@@ -387,6 +387,14 @@ func TestAroundAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		first[i] = r
+	}
+	// Warm the two arounder type assertions on the path. The runtime
+	// builds a call site's type-assertion cache, an allocation, on a random
+	// ~1/1024 of its misses; once the cache holds the type, the assertion
+	// never calls into the runtime again.
+	for i := 0; i < 1<<15; i++ {
+		Around(p, task, Result{Size: units.Size2M}, 0)
+		p.(arounder).around(task, va, 0)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

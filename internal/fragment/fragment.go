@@ -127,9 +127,8 @@ func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
 	f.total = fillPages
 	f.assignWeights()
 
-	// 3. Random reclamation, chosen exactly as ReclaimRandom chooses, but
-	// the chosen pages are only marked (by fill index): they were never
-	// mapped.
+	// 3. Random reclamation: reclaim chooses the pages, but they are only
+	// marked (by fill index), since they were never mapped.
 	f.reclaimed = phys.ResizedZero(f.reclaimed[:0], int((fillPages+63)/64))
 	reclaimed := f.reclaimed
 	got := f.reclaim(cfg.FreeBytes, func(i uint32) {
@@ -279,16 +278,6 @@ func (f *Fragmenter) assignWeights() {
 	}
 }
 
-// ReclaimRandom frees randomly chosen cache pages until `bytes` more bytes
-// are free (mimicking reclaim under memory pressure). Reclaim pressure is
-// skewed across physical regions — LRU reclaim drains some parts of the
-// page cache far harder than others — so region occupancy ends up
-// heterogeneous: some 1GB regions nearly empty, others nearly full. That
-// gradient is what smart compaction exploits (Figures 6b and 7); uniformly
-// reclaimed memory would leave it nothing to choose between. Within a
-// region, freed pages are chosen at random, so the surviving occupancy is
-// non-contiguous (FMFI stays ≈1 at 2MB granularity). It returns the bytes
-// actually freed, which is less than requested only if the cache runs dry.
 // minResidentPages is the floor of cache pages reclaim leaves in every
 // region: 1024 scattered 4KB pages per 1GB keep free runs short, so even a
 // heavily drained region offers no free 1GB chunk and few 2MB chunks
@@ -296,16 +285,18 @@ func (f *Fragmenter) assignWeights() {
 // compaction source.
 const minResidentPages = 1024
 
-func (f *Fragmenter) ReclaimRandom(bytes uint64) uint64 {
-	return f.reclaim(bytes, func(i uint32) {
-		if err := f.K.UnmapFree(f.Cache, f.base+uint64(i)*units.Page4K, units.Size4K); err != nil {
-			panic("fragment: reclaim of held page failed: " + err.Error())
-		}
-	})
-}
-
-// reclaim is ReclaimRandom's selection: it drops the chosen pages from the
-// held lists and hands each one's fill index to free.
+// reclaim chooses random cache pages to free until `bytes` more bytes are
+// free (mimicking reclaim under memory pressure). It drops the chosen
+// pages from the held lists and hands each one's fill index to free.
+// Reclaim pressure is skewed across physical regions — LRU reclaim drains
+// some parts of the page cache far harder than others — so region
+// occupancy ends up heterogeneous: some 1GB regions nearly empty, others
+// nearly full. That gradient is what smart compaction exploits (Figures 6b
+// and 7); uniformly reclaimed memory would leave it nothing to choose
+// between. Within a region, freed pages are chosen at random, so the
+// surviving occupancy is non-contiguous (FMFI stays ≈1 at 2MB
+// granularity). It returns the bytes chosen, which is less than requested
+// only if the cache runs dry.
 func (f *Fragmenter) reclaim(bytes uint64, free func(i uint32)) uint64 {
 	want := bytes / units.Page4K
 	if want == 0 {

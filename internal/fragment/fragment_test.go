@@ -15,7 +15,7 @@ import (
 
 // applyPerPage is Apply's reference: the §3 methodology replayed literally.
 // It fills the page cache with one Alloc(0) + MapSpecific per free frame,
-// then reclaims through the public, unmapping ReclaimRandom.
+// then reclaims through the unmapping ReclaimRandom (export_test.go).
 func applyPerPage(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	f := &Fragmenter{
 		K:     k,

@@ -13,7 +13,7 @@ import (
 // kernel booted at one size and flavour, driven, Reset and booted again at
 // another, three times over, must after each re-boot behave exactly as a
 // kernel newly booted at that size and flavour — the same PFN for every
-// allocation, the same free lists and kernel allocations afterwards, and a
+// allocation, the same free lists and unmovable chunks afterwards, and a
 // clean audit (which includes Buddy.CheckInvariants). A chain of boots
 // reaches states a single re-boot cannot: a shrink, then a flavour switch
 // at that size, then a grow within capacity that reuses the freeOrder
@@ -59,9 +59,9 @@ func FuzzBootEquivalence(f *testing.F) {
 // drive interprets ops as kernel operations on a fresh task, auditing the
 // machine at the end, and returns what they observed: every allocation's
 // PFN (or ^0 on failure), then the free-chunk count per order and the live
-// kernel allocations. The low three bits of each byte select the
-// operation, the high four bits a 1GB-aligned VA slot (and the kernel
-// allocation order). Ops that do not apply to the slot's state are
+// unmovable chunks (head PFN, order) in allocation order. The low three
+// bits of each byte select the operation, the high four bits a 1GB-aligned
+// VA slot (and the unmovable chunk's order). Ops that do not apply to the slot's state are
 // skipped.
 func drive(t *testing.T, k *kernel.Kernel, ops []byte) []uint64 {
 	t.Helper()
@@ -69,7 +69,12 @@ func drive(t *testing.T, k *kernel.Kernel, ops []byte) []uint64 {
 	task := k.NewTask("boot")
 	sizes := [...]units.PageSize{units.Size4K, units.Size2M, units.Size1G}
 	var mapped [slots]int // 1 + index into sizes; 0 empty, -1 demoted
-	var kernelPfns, trace []uint64
+	type chunk struct {
+		pfn   uint64
+		order int
+	}
+	var unmovable []chunk
+	var trace []uint64
 	record := func(pfn uint64, err error) {
 		if err != nil {
 			pfn = ^uint64(0)
@@ -107,19 +112,17 @@ func drive(t *testing.T, k *kernel.Kernel, ops []byte) []uint64 {
 			}
 			mapped[slot] = -1
 		case 5, 6: // unmovable kernel allocation
-			pfn, err := k.KernelAlloc(arg % 10)
+			pfn, err := k.Buddy.Alloc(arg%10, true)
 			record(pfn, err)
 			if err == nil {
-				kernelPfns = append(kernelPfns, pfn)
+				unmovable = append(unmovable, chunk{pfn, arg % 10})
 			}
-		case 7: // free the oldest kernel allocation
-			if len(kernelPfns) == 0 {
+		case 7: // free the oldest unmovable allocation
+			if len(unmovable) == 0 {
 				continue
 			}
-			if err := k.KernelFree(kernelPfns[0]); err != nil {
-				t.Fatalf("KernelFree: %v", err)
-			}
-			kernelPfns = kernelPfns[1:]
+			k.Buddy.Free(unmovable[0].pfn, unmovable[0].order)
+			unmovable = unmovable[1:]
 		}
 	}
 	if err := audit.Check(audit.Machine{K: k}); err != nil {
@@ -128,9 +131,8 @@ func drive(t *testing.T, k *kernel.Kernel, ops []byte) []uint64 {
 	for o := 0; o <= k.Buddy.MaxOrder(); o++ {
 		trace = append(trace, k.Buddy.FreeChunks(o))
 	}
-	k.ForEachKernelAlloc(func(pfn uint64, order int) bool {
-		trace = append(trace, pfn, uint64(order))
-		return true
-	})
+	for _, c := range unmovable {
+		trace = append(trace, c.pfn, uint64(c.order))
+	}
 	return trace
 }

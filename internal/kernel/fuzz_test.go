@@ -11,11 +11,11 @@ import (
 
 // FuzzKernelOpsAudit drives random sequences of kernel operations — maps of
 // every page size, unmaps, range unmaps with demotion, frame exchanges,
-// unmovable kernel allocations — under a seed-driven chaos injector forcing
+// unmovable kernel chunks from the buddy — under a seed-driven chaos injector forcing
 // buddy-allocation failures, and runs the whole-machine invariant auditor
 // after every operation. Any operation sequence that leaves the page
-// tables, reverse map, region counters, buddy free lists and kernel-alloc
-// table disagreeing is a bug, regardless of whether it also misbehaves.
+// tables, reverse map, region counters (unmovable frames among them) and
+// buddy free lists disagreeing is a bug, regardless of whether it also misbehaves.
 //
 // The byte stream is interpreted op by op: the low three bits select the
 // operation, the high four bits select the 1GB-aligned VA slot (and
@@ -49,7 +49,11 @@ func FuzzKernelOpsAudit(f *testing.F) {
 		}
 		vaOf := func(i int) uint64 { return uint64(i+1) * units.Page1G }
 		var st [slots]state
-		var kernelPfns []uint64
+		type chunk struct {
+			pfn   uint64
+			order int
+		}
+		var unmovable []chunk
 
 		if len(ops) > 24 {
 			ops = ops[:24]
@@ -98,17 +102,15 @@ func FuzzKernelOpsAudit(f *testing.F) {
 					t.Fatalf("ExchangeFrames %d<->%d: %v", slot, other, err)
 				}
 			case 6: // unmovable kernel allocation
-				if pfn, err := k.KernelAlloc(arg % 4); err == nil {
-					kernelPfns = append(kernelPfns, pfn)
+				if pfn, err := k.Buddy.Alloc(arg%4, true); err == nil {
+					unmovable = append(unmovable, chunk{pfn, arg % 4})
 				}
-			case 7: // free the oldest kernel allocation
-				if len(kernelPfns) == 0 {
+			case 7: // free the oldest unmovable allocation
+				if len(unmovable) == 0 {
 					continue
 				}
-				if err := k.KernelFree(kernelPfns[0]); err != nil {
-					t.Fatalf("KernelFree: %v", err)
-				}
-				kernelPfns = kernelPfns[1:]
+				k.Buddy.Free(unmovable[0].pfn, unmovable[0].order)
+				unmovable = unmovable[1:]
 			}
 			if err := audit.Check(audit.Machine{K: k}); err != nil {
 				t.Fatalf("machine incoherent after op %#02x (injections so far: %d): %v",

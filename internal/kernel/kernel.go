@@ -50,17 +50,6 @@ type Kernel struct {
 	// a whole run.
 	Shootdown func(t *Task, va, n uint64, size units.PageSize)
 
-	// kernelAllocs tracks frames held by KernelAlloc's unmovable
-	// allocations as a chunked per-frame array:
-	// kernelAllocs[pfn>>kaChunkBits][pfn&(kaChunk-1)] is order+1 for the
-	// head of a live kernel chunk, 0 otherwise. Being an array, it makes
-	// ForEachKernelAlloc's iteration order deterministic (ascending PFN).
-	// Chunks are allocated on first write: simulator runs never call
-	// KernelAlloc (the fragmenter's unmovable objects bypass it, allocated
-	// with Buddy.AllocSpecific directly), so Boot, Reset and audits pay
-	// nothing for it there.
-	kernelAllocs [][]uint8
-
 	// Ops counts completed page-table operations since boot. The counters
 	// are deterministic functions of the op stream (never of wall time),
 	// cheap enough to keep always-on; the observability layer samples them
@@ -97,8 +86,8 @@ func New(memBytes uint64, maxOrder int) *Kernel {
 
 // Boot boots the zero Kernel, or re-boots a just-Reset one, over memBytes
 // of physical memory with buddy flavour maxOrder. A re-boot keeps every
-// arena: the phys bookkeeping, the one buddy allocator and the
-// kernelAllocs chunk index are re-sized and re-flavoured in place (see
+// arena: the phys bookkeeping and the one buddy allocator are re-sized
+// and re-flavoured in place (see
 // phys.Memory.Boot and buddy.Allocator.Boot), touching only the
 // difference. Either way the kernel is then observably identical to
 // New(memBytes, maxOrder), which lets the machine pool (internal/sim)
@@ -112,16 +101,7 @@ func (k *Kernel) Boot(memBytes uint64, maxOrder int) {
 		k.Mem.Boot(memBytes)
 		k.Buddy.Boot(maxOrder)
 	}
-	k.kernelAllocs = phys.Resized(k.kernelAllocs, kaChunks(k.Mem.Frames()))
 }
-
-// kernelAllocs chunking: 1<<16 frames (256MB of physical memory) per chunk.
-const (
-	kaChunkBits = 16
-	kaChunk     = 1 << kaChunkBits
-)
-
-func kaChunks(frames uint64) int { return int((frames + kaChunk - 1) >> kaChunkBits) }
 
 // NewTask creates a process with an empty address space (drawn from the
 // pool of Reset-harvested spaces when one is available — a reset space is
@@ -145,7 +125,7 @@ func (k *Kernel) NewTask(name string) *Task {
 // Reset returns the kernel to its just-booted state — no tasks, all memory
 // free, zeroed op counters, no shootdown hook — while retaining allocated
 // bookkeeping for reuse: the phys bitsets and chunk arrays, the buddy free
-// lists, the kernelAllocs chunks, and each dead task's address space
+// lists, and each dead task's address space
 // (harvested into the pool NewTask draws from, with its page-table node
 // arenas intact). A reset kernel is observably identical to a freshly
 // booted one; the machine pool (internal/sim) relies on that equivalence
@@ -162,9 +142,6 @@ func (k *Kernel) Reset() {
 	clear(k.tasks)
 	k.tasks = k.tasks[:0]
 	k.Shootdown = nil
-	for _, c := range k.kernelAllocs {
-		clear(c)
-	}
 	k.Ops = OpStats{}
 	k.Mem.Reset()
 	k.Buddy.Reset()
@@ -254,28 +231,14 @@ func (k *Kernel) UnmapFree(t *Task, va uint64, size units.PageSize) error {
 	return nil
 }
 
-// UnmapKeep removes the mapping but keeps the frames allocated, returning
-// the head PFN. Promotion uses this to tear down small mappings whose
-// frames it then frees in bulk.
-func (k *Kernel) UnmapKeep(t *Task, va uint64, size units.PageSize) (uint64, error) {
-	pfn, err := t.AS.PT.Unmap(va, size)
-	if err != nil {
-		return 0, err
-	}
-	k.Mem.ClearOwner(pfn)
-	k.shootdown(t, va, 1, size)
-	k.Ops.Unmaps++
-	return pfn, nil
-}
-
 // UnmapRangeKeep tears down every leaf mapping wholly inside [lo, hi) in
 // one page-table pass (pagetable.UnmapRuns), keeping the frames allocated.
 // For each run of pages cleared from one table, in ascending VA order, it
 // clears their owners, shoots the whole run down with one call and counts
-// its unmaps, then invokes fn. The observable effect is exactly a sequence
-// of UnmapKeep calls over the range's mappings in ascending VA order: the
-// owner clears keep their order, the counts are sums, and a run's
-// shootdown covers exactly its pages.
+// its unmaps, then invokes fn. The observable effect is exactly that of
+// unmapping the range's mappings one at a time in ascending VA order,
+// keeping their frames: the owner clears keep their order, the counts are
+// sums, and a run's shootdown covers exactly its pages.
 func (k *Kernel) UnmapRangeKeep(t *Task, lo, hi uint64, fn func(pagetable.Run)) {
 	t.AS.PT.UnmapRuns(lo, hi, func(r pagetable.Run) {
 		k.Mem.ClearOwners(r.PFNs)
@@ -426,50 +389,6 @@ func (k *Kernel) DemotePage(t *Task, va uint64) error {
 	k.shootdown(t, va, 1, m.Size)
 	k.Ops.Demotes++
 	return nil
-}
-
-// KernelAlloc allocates an unmovable kernel chunk of the given order
-// (inodes, DMA buffers, page-cache metadata — the objects that defeat
-// compaction, §5.1.3). Returns the head PFN.
-func (k *Kernel) KernelAlloc(order int) (uint64, error) {
-	pfn, err := k.Buddy.Alloc(order, true)
-	if err != nil {
-		return 0, err
-	}
-	c := k.kernelAllocs[pfn>>kaChunkBits]
-	if c == nil {
-		c = make([]uint8, kaChunk)
-		k.kernelAllocs[pfn>>kaChunkBits] = c
-	}
-	c[pfn&(kaChunk-1)] = uint8(order + 1)
-	return pfn, nil
-}
-
-// KernelFree releases a kernel allocation made with KernelAlloc.
-func (k *Kernel) KernelFree(pfn uint64) error {
-	c := k.kernelAllocs[pfn>>kaChunkBits]
-	if c == nil || c[pfn&(kaChunk-1)] == 0 {
-		return fmt.Errorf("kernel: KernelFree of unknown pfn %d", pfn)
-	}
-	order := int(c[pfn&(kaChunk-1)]) - 1
-	c[pfn&(kaChunk-1)] = 0
-	k.Buddy.Free(pfn, order)
-	return nil
-}
-
-// ForEachKernelAlloc visits every live kernel allocation as (head PFN,
-// order), in ascending PFN order. Return false to stop early.
-func (k *Kernel) ForEachKernelAlloc(fn func(pfn uint64, order int) bool) {
-	for ci, c := range k.kernelAllocs {
-		for i, enc := range c {
-			if enc == 0 {
-				continue
-			}
-			if !fn(uint64(ci)<<kaChunkBits|uint64(i), int(enc)-1) {
-				return
-			}
-		}
-	}
 }
 
 func (k *Kernel) shootdown(t *Task, va, n uint64, size units.PageSize) {

@@ -284,9 +284,12 @@ func TestExchangeFramesSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestKernelAllocUnmovable: a kernel object's chunk — the unmovable
+// allocation that defeats compaction (§5.1.3) — is marked unmovable frame
+// by frame and in its region's counter, and freeing it clears both.
 func TestKernelAllocUnmovable(t *testing.T) {
 	k := newKernel(t, 1)
-	pfn, err := k.KernelAlloc(3)
+	pfn, err := k.Buddy.Alloc(3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,51 +299,9 @@ func TestKernelAllocUnmovable(t *testing.T) {
 	if k.Mem.Region(units.RegionOfFrame(pfn)).Unmovable != 8 {
 		t.Error("region unmovable counter wrong")
 	}
-	if err := k.KernelFree(pfn); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.KernelFree(pfn); err == nil {
-		t.Error("double kernel free succeeded")
-	}
-	if k.Mem.UnmovableFrames() != 0 {
+	k.Buddy.Free(pfn, 3)
+	if k.Mem.IsUnmovable(pfn) || k.Mem.UnmovableFrames() != 0 {
 		t.Error("unmovable frames leaked")
-	}
-}
-
-// TestKernelAllocsChunkedOnFirstWrite: the kernel-allocation index costs
-// nothing until KernelAlloc writes it, then materializes one chunk per
-// 256MB touched and still iterates in ascending PFN order.
-func TestKernelAllocsChunkedOnFirstWrite(t *testing.T) {
-	k := newKernel(t, 1)
-	for ci, c := range k.kernelAllocs {
-		if c != nil {
-			t.Fatalf("chunk %d allocated at boot", ci)
-		}
-	}
-	var want []uint64
-	for _, order := range []int{16, 16, 0} {
-		pfn, err := k.KernelAlloc(order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, pfn)
-	}
-	var got []uint64
-	k.ForEachKernelAlloc(func(pfn uint64, order int) bool {
-		got = append(got, pfn)
-		return true
-	})
-	if !slices.Equal(got, want) || !slices.IsSorted(got) {
-		t.Fatalf("ForEachKernelAlloc = %v, want ascending %v", got, want)
-	}
-	live := 0
-	for _, c := range k.kernelAllocs {
-		if c != nil {
-			live++
-		}
-	}
-	if live != 3 {
-		t.Errorf("%d chunks materialized, want 3", live)
 	}
 }
 

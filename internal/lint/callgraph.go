@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -35,14 +34,9 @@ type callNode struct {
 	fn   *types.Func
 	pkg  *Package
 	decl *ast.FuncDecl
-	// edges is in source-encounter order (deterministic).
-	edges []callEdge
-}
-
-// callEdge is one may-call relationship.
-type callEdge struct {
-	callee *callNode
-	pos    token.Pos
+	// edges holds n's may-call callees in source-encounter order
+	// (deterministic).
+	edges []*callNode
 }
 
 // label renders the node for diagnostics, module path elided:
@@ -59,7 +53,6 @@ func (n *callNode) label() string {
 // callGraph is the module-wide graph. Build with (*Module).graph(), which
 // caches: every interprocedural check shares one instance.
 type callGraph struct {
-	m     *Module
 	nodes map[*types.Func]*callNode
 	// funcs is in deterministic order: packages sorted by Rel, files in
 	// FileNames order, declarations in source order.
@@ -75,7 +68,6 @@ func (m *Module) graph() *callGraph {
 		return m.cg
 	}
 	g := &callGraph{
-		m:         m,
 		nodes:     map[*types.Func]*callNode{},
 		implCache: map[*types.Func][]*callNode{},
 	}
@@ -149,7 +141,7 @@ func (g *callGraph) buildEdges(n *callNode) {
 			}
 			if fn, ok := info.Uses[e].(*types.Func); ok {
 				if callee := g.nodes[canonical(fn)]; callee != nil {
-					n.edges = append(n.edges, callEdge{callee: callee, pos: e.Pos()})
+					n.edges = append(n.edges, callee)
 				}
 			}
 		case *ast.SelectorExpr:
@@ -158,7 +150,7 @@ func (g *callGraph) buildEdges(n *callNode) {
 			}
 			if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
 				for _, callee := range g.resolveMethod(info, e, fn) {
-					n.edges = append(n.edges, callEdge{callee: callee, pos: e.Pos()})
+					n.edges = append(n.edges, callee)
 				}
 			}
 		}
@@ -176,7 +168,7 @@ func (g *callGraph) addCallEdges(n *callNode, call *ast.CallExpr) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			if callee := g.nodes[canonical(fn)]; callee != nil {
-				n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
+				n.edges = append(n.edges, callee)
 			}
 		}
 	case *ast.SelectorExpr:
@@ -186,12 +178,12 @@ func (g *callGraph) addCallEdges(n *callNode, call *ast.CallExpr) {
 		}
 		if sel := info.Selections[fun]; sel != nil && isInterface(sel.Recv()) {
 			for _, callee := range g.implementors(n.pkg, sel.Recv(), fn) {
-				n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
+				n.edges = append(n.edges, callee)
 			}
 			return
 		}
 		if callee := g.nodes[canonical(fn)]; callee != nil {
-			n.edges = append(n.edges, callEdge{callee: callee, pos: call.Pos()})
+			n.edges = append(n.edges, callee)
 		}
 	}
 }
@@ -312,10 +304,10 @@ func (g *callGraph) closure(base map[*callNode]string) (member map[*callNode]boo
 			if member[n] {
 				continue
 			}
-			for _, e := range n.edges {
-				if member[e.callee] {
+			for _, callee := range n.edges {
+				if member[callee] {
 					member[n] = true
-					why[n] = fmt.Sprintf("calls %s, which %s", e.callee.label(), why[e.callee])
+					why[n] = fmt.Sprintf("calls %s, which %s", callee.label(), why[callee])
 					changed = true
 					break
 				}

@@ -35,8 +35,8 @@ func nodeByLabel(t *testing.T, g *callGraph, label string) *callNode {
 func edgeLabels(n *callNode) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, e := range n.edges {
-		if l := e.callee.label(); !seen[l] {
+	for _, callee := range n.edges {
+		if l := callee.label(); !seen[l] {
 			seen[l] = true
 			out = append(out, l)
 		}

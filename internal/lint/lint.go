@@ -11,7 +11,7 @@ import (
 )
 
 // Finding is one diagnostic. The JSON field names are the -json output
-// schema; FindingsJSON/DecodeFindings round-trip it.
+// schema.
 type Finding struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
@@ -49,10 +49,9 @@ const ignoreCheck = "ignore"
 
 // directive is one parsed //lint:ignore comment.
 type directive struct {
-	file   string
-	line   int
-	check  string
-	reason string
+	file  string
+	line  int
+	check string
 }
 
 // Run executes checks against m, applies //lint:ignore suppressions, and
@@ -137,10 +136,9 @@ func (m *Module) directives() ([]directive, []Finding) {
 					continue
 				}
 				dirs = append(dirs, directive{
-					file:   pos.Filename,
-					line:   pos.Line,
-					check:  fields[0],
-					reason: strings.Join(fields[1:], " "),
+					file:  pos.Filename,
+					line:  pos.Line,
+					check: fields[0],
 				})
 			}
 		}
@@ -177,14 +175,4 @@ func FindingsJSON(w io.Writer, fs []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(fs)
-}
-
-// DecodeFindings parses FindingsJSON output back; tests round-trip the
-// schema through it.
-func DecodeFindings(r io.Reader) ([]Finding, error) {
-	var fs []Finding
-	if err := json.NewDecoder(r).Decode(&fs); err != nil {
-		return nil, err
-	}
-	return fs, nil
 }

@@ -2,10 +2,12 @@ package lint
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -16,6 +18,26 @@ func load(t *testing.T, dir string) *Module {
 		t.Fatalf("Load(%s): %v", dir, err)
 	}
 	return m
+}
+
+var self struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+// selfModule loads the repo's own module once for every test that scans
+// it (TestSelfClean, TestNoTestOnlyCode).
+func selfModule(t *testing.T) *Module {
+	t.Helper()
+	self.once.Do(func() { self.m, self.err = Load(filepath.Join("..", "..")) })
+	if self.err != nil {
+		t.Fatalf("Load: %v", self.err)
+	}
+	if self.m.Path != "repro" {
+		t.Fatalf("loaded module %q, want repro", self.m.Path)
+	}
+	return self.m
 }
 
 // want is one expected golden finding, matched by check, file suffix and a
@@ -130,8 +152,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := FindingsJSON(&buf, fs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeFindings(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var back []Finding
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("decoding own output: %v", err)
 	}
 	if !reflect.DeepEqual(fs, back) {
@@ -151,10 +173,7 @@ func TestJSONRoundTrip(t *testing.T) {
 // module must lint clean. If this fails, run `go run ./cmd/tridentlint
 // ./...` for the findings and fix (or suppress with a reason) each one.
 func TestSelfClean(t *testing.T) {
-	m := load(t, filepath.Join("..", ".."))
-	if m.Path != "repro" {
-		t.Fatalf("loaded module %q, want repro", m.Path)
-	}
+	m := selfModule(t)
 	if got := Run(m, Checks()); len(got) != 0 {
 		for _, f := range got {
 			t.Errorf("repo is not lint-clean: %s", f)

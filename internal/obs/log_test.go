@@ -64,7 +64,7 @@ func TestCorrelatedIdempotent(t *testing.T) {
 // only, anything else is 405 with an Allow header — never an empty 200.
 func TestRegistryServeHTTPMethods(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("t_total", "test counter").Inc()
+	reg.CounterFunc("t_total", "test counter", func() float64 { return 1 })
 
 	do := func(method string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -114,7 +114,7 @@ type Sample struct {
 
 // DefaultMaxEvents caps the number of trace events retained per run. A 4KB
 // policy can fault millions of pages during population; past the cap,
-// events are counted in Dropped rather than retained, and the trace
+// events are counted as dropped rather than retained, and the trace
 // records the dropped total explicitly (no silent truncation).
 const DefaultMaxEvents = 200_000
 
@@ -148,14 +148,6 @@ func (o *Run) Active() bool {
 
 // EventsOn reports whether trace events should be emitted.
 func (o *Run) EventsOn() bool { return o != nil && o.Events }
-
-// Now returns the current simulated event time.
-func (o *Run) Now() Tick {
-	if o == nil {
-		return 0
-	}
-	return o.tick
-}
 
 // Advance moves the event clock forward by n ticks.
 func (o *Run) Advance(n uint64) {
@@ -231,45 +223,4 @@ func (o *Run) Empty() bool {
 		return true
 	}
 	return len(o.events) == 0 && len(o.samples) == 0 && len(o.phases) == 0
-}
-
-// Dropped returns the number of events discarded by the MaxEvents cap.
-func (o *Run) Dropped() uint64 {
-	if o == nil {
-		return 0
-	}
-	return o.dropped
-}
-
-// EventCount returns the number of retained trace events.
-func (o *Run) EventCount() int {
-	if o == nil {
-		return 0
-	}
-	return len(o.events)
-}
-
-// SampleCount returns the number of recorded time-series rows.
-func (o *Run) SampleCount() int {
-	if o == nil {
-		return 0
-	}
-	return len(o.samples)
-}
-
-// Samples returns the recorded time series (not a copy; callers must not
-// mutate it).
-func (o *Run) Samples() []Sample {
-	if o == nil {
-		return nil
-	}
-	return o.samples
-}
-
-// Phases returns the recorded phase marks (not a copy).
-func (o *Run) Phases() []PhaseMark {
-	if o == nil {
-		return nil
-	}
-	return o.phases
 }

@@ -17,9 +17,6 @@ func TestNilRunSafe(t *testing.T) {
 	if o.Active() || o.EventsOn() {
 		t.Error("nil run reports active")
 	}
-	if o.Now() != 0 {
-		t.Error("nil run has nonzero clock")
-	}
 	o.Advance(10)
 	if o.BatchDone(2000) {
 		t.Error("nil run wants a sample")
@@ -28,11 +25,8 @@ func TestNilRunSafe(t *testing.T) {
 	o.Phase("measure", false)
 	o.Emit(EvFault, "4KB", units.Size4K, 0, 0, true)
 	o.AddSample(Sample{})
-	if !o.Empty() || o.Dropped() != 0 || o.EventCount() != 0 || o.SampleCount() != 0 {
+	if !o.Empty() {
 		t.Error("nil run recorded something")
-	}
-	if o.Samples() != nil || o.Phases() != nil {
-		t.Error("nil run returns non-nil slices")
 	}
 
 	var ob *Observer
@@ -42,9 +36,6 @@ func TestNilRunSafe(t *testing.T) {
 	ob.Flush(nil)
 	if err := ob.Close(); err != nil {
 		t.Errorf("nil observer Close: %v", err)
-	}
-	if ob.RunCount() != 0 {
-		t.Error("nil observer has runs")
 	}
 }
 
@@ -66,10 +57,10 @@ func TestRunClockAndSampling(t *testing.T) {
 	if fires != 3 {
 		t.Errorf("fires = %d, want 3", fires)
 	}
-	if o.Now() != Tick(9*2000) {
-		t.Errorf("clock = %d, want %d", o.Now(), 9*2000)
+	if o.tick != Tick(9*2000) {
+		t.Errorf("clock = %d, want %d", o.tick, 9*2000)
 	}
-	s := o.Samples()
+	s := o.samples
 	if len(s) != 3 || s[0].Batch != 3 || s[2].Batch != 9 || s[1].Tick != Tick(6*2000) {
 		t.Errorf("samples mis-stamped: %+v", s)
 	}
@@ -90,11 +81,11 @@ func TestRunEventCap(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		o.Emit(EvFault, "4KB", units.Size4K, 0, 0, true)
 	}
-	if o.EventCount() != 5 {
-		t.Errorf("retained %d events, want 5", o.EventCount())
+	if len(o.events) != 5 {
+		t.Errorf("retained %d events, want 5", len(o.events))
 	}
-	if o.Dropped() != 7 {
-		t.Errorf("dropped = %d, want 7", o.Dropped())
+	if o.dropped != 7 {
+		t.Errorf("dropped = %d, want 7", o.dropped)
 	}
 }
 
@@ -152,8 +143,8 @@ func TestObserverGolden(t *testing.T) {
 		r.Phase("measure", false)
 		ob.Flush(r)
 	}
-	if ob.RunCount() != 2 {
-		t.Fatalf("RunCount = %d, want 2", ob.RunCount())
+	if len(ob.runs) != 2 {
+		t.Fatalf("%d runs flushed, want 2", len(ob.runs))
 	}
 	if err := ob.Close(); err != nil {
 		t.Fatal(err)
@@ -240,12 +231,8 @@ func TestObserverNoOutputWhenEmpty(t *testing.T) {
 // the Prometheus text format, sorted by name, with quantile series.
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_total", "a counter")
-	c.Add(41)
-	c.Inc()
-	g := reg.Gauge("b_gauge", "a gauge")
-	g.Set(7)
-	g.Add(-2)
+	reg.CounterFunc("test_total", "a counter", func() float64 { return 42 })
+	reg.GaugeFunc("b_gauge", "a gauge", func() float64 { return 5 })
 	reg.GaugeFunc("a_func", "computed", func() float64 { return 2.5 })
 	s := reg.Summary("dur_ms", "latencies", 0.5, 0.99)
 	for i := 1; i <= 100; i++ {
@@ -291,8 +278,9 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("invalid", func() { reg.Counter("1bad", "") })
-	mustPanic("empty", func() { reg.Gauge("", "") })
-	reg.Counter("dup", "")
-	mustPanic("duplicate", func() { reg.Counter("dup", "") })
+	zero := func() float64 { return 0 }
+	mustPanic("invalid", func() { reg.CounterFunc("1bad", "", zero) })
+	mustPanic("empty", func() { reg.GaugeFunc("", "", zero) })
+	reg.CounterFunc("dup", "", zero)
+	mustPanic("duplicate", func() { reg.CounterFunc("dup", "", zero) })
 }

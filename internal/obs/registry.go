@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -60,48 +59,6 @@ func validMetricName(name string) bool {
 		}
 	}
 	return true
-}
-
-// Counter is a monotonically increasing metric safe for concurrent use.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", func(emit func(string, float64)) {
-		emit(name, float64(c.Value()))
-	})
-	return c
-}
-
-// Gauge is a settable metric safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", func(emit func(string, float64)) {
-		emit(name, float64(g.Value()))
-	})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape time.

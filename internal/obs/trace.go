@@ -70,16 +70,6 @@ func (ob *Observer) Flush(r *Run) {
 	ob.mu.Unlock()
 }
 
-// RunCount returns the number of registered (non-empty) runs.
-func (ob *Observer) RunCount() int {
-	if ob == nil {
-		return 0
-	}
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	return len(ob.runs)
-}
-
 // Close renders all flushed runs. When no run recorded anything, no files
 // are created (an experiment served entirely from the memo cache traces
 // nothing — only the first execution of a configuration is observable).

@@ -61,7 +61,6 @@ type Mapping struct {
 type Table struct {
 	root        *node // level 4 (PML4)
 	mappedBytes [units.NumPageSizes]uint64
-	mappedPages [units.NumPageSizes]uint64
 	wc          walkCache
 
 	// Free lists of reclaimed (all-zero, see newNode) page-table nodes,
@@ -144,7 +143,6 @@ func (t *Table) Reset() {
 	t.reclaim(t.root)
 	t.root = t.newNode(4)
 	t.mappedBytes = [units.NumPageSizes]uint64{}
-	t.mappedPages = [units.NumPageSizes]uint64{}
 	t.invalidate()
 }
 
@@ -273,7 +271,6 @@ func (t *Table) Map(va, pfn uint64, size units.PageSize) error {
 	n.entries[i] = e
 	n.live++
 	t.mappedBytes[size] += size.Bytes()
-	t.mappedPages[size]++
 	t.wc.leaf, t.wc.leafIdx = n, i
 	t.wc.leafLo, t.wc.leafHi, t.wc.leafSize = va, va+size.Bytes(), size
 	switch target {
@@ -308,7 +305,6 @@ func (t *Table) MapRun(va, pfn, count uint64) (uint64, error) {
 		if mapped := uint64(i - first); mapped > 0 {
 			n.live += i - first
 			t.mappedBytes[units.Size4K] += mapped * units.Page4K
-			t.mappedPages[units.Size4K] += mapped
 			done += mapped
 			t.wc.leafIdx = i - 1
 			t.wc.leafLo = va + (done-1)*units.Page4K
@@ -411,7 +407,6 @@ func (t *Table) Unmap(va uint64, size units.PageSize) (uint64, error) {
 	n.entries[i] = 0
 	n.live--
 	t.mappedBytes[size] -= size.Bytes()
-	t.mappedPages[size]--
 	// Reclaim now-empty tables bottom-up, returning them to the node pool
 	// (they are all-zero at this point, the state newNode hands back out).
 	for level := target + 1; level <= 4 && n.live == 0; level++ {
@@ -524,7 +519,6 @@ func (t *Table) endRun(n *node, va uint64, level int, fn func(Run)) {
 	k := len(t.runPFNs)
 	n.live -= k
 	t.mappedBytes[size] -= uint64(k) * size.Bytes()
-	t.mappedPages[size] -= uint64(k)
 	fn(Run{VA: va, Size: size, PFNs: t.runPFNs})
 	t.runPFNs = t.runPFNs[:0]
 }
@@ -769,16 +763,10 @@ func (t *Table) forEachEntry(n *node, level int, base, lo, hi uint64, fn func(*n
 // MappedBytes returns the bytes currently mapped with the given page size.
 func (t *Table) MappedBytes(size units.PageSize) uint64 { return t.mappedBytes[size] }
 
-// MappedPages returns the number of leaf mappings of the given page size.
-func (t *Table) MappedPages(size units.PageSize) uint64 { return t.mappedPages[size] }
-
-// TotalMappedBytes returns the bytes mapped at any page size.
-func (t *Table) TotalMappedBytes() uint64 {
-	var sum uint64
-	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		sum += t.mappedBytes[s]
-	}
-	return sum
+// MappedPages returns the number of leaf mappings of the given page size,
+// derived from MappedBytes. Only tests ask for it.
+func (t *Table) MappedPages(size units.PageSize) uint64 {
+	return t.mappedBytes[size] / size.Bytes()
 }
 
 // Demote splits the huge leaf at va into 512 mappings of the next smaller

@@ -147,7 +147,7 @@ func TestUnmapRoundtrip(t *testing.T) {
 	if _, ok := pt.Lookup(units.Page2M); ok {
 		t.Error("still mapped after unmap")
 	}
-	if pt.TotalMappedBytes() != 0 {
+	if pt.MappedBytes(units.Size2M) != 0 {
 		t.Error("mapped bytes not zero")
 	}
 	// Remapping at a different size must now work (tables reclaimed or not).

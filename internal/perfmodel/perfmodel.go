@@ -169,12 +169,3 @@ func (w WorkloadModel) Evaluate(s TranslationStats, daemonOverhead float64) Perf
 	}
 	return Perf{WalkCycleFraction: frac, CyclesPerAccess: exec}
 }
-
-// Speedup returns how much faster b is than a (a is the baseline):
-// >1 means b outperforms a.
-func Speedup(a, b Perf) float64 {
-	if b.CyclesPerAccess == 0 {
-		return 0
-	}
-	return a.CyclesPerAccess / b.CyclesPerAccess
-}

@@ -115,17 +115,6 @@ func TestEvaluateDaemonOverhead(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	a := Perf{CyclesPerAccess: 20}
-	b := Perf{CyclesPerAccess: 10}
-	if got := Speedup(a, b); got != 2 {
-		t.Errorf("Speedup = %v", got)
-	}
-	if Speedup(a, Perf{}) != 0 {
-		t.Error("zero-cycle perf should give 0 speedup")
-	}
-}
-
 func TestOverlapReducesExposure(t *testing.T) {
 	s := TranslationStats{Accesses: 1000, WalkMemAccesses: 2000}
 	full := WorkloadModel{BaseCyclesPerAccess: 8, Overlap: 1}.Evaluate(s, 0)

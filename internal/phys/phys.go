@@ -72,8 +72,7 @@ type Memory struct {
 	leafFree []*[blockFrames]uint64
 	slab     [][blockFrames]uint64
 
-	allocFrames     uint64
-	unmovableFrames uint64
+	allocFrames uint64
 }
 
 // NewMemory creates the bookkeeping for a machine with the given physical
@@ -109,7 +108,6 @@ func (m *Memory) Reset() {
 	}
 	clear(m.live)
 	m.allocFrames = 0
-	m.unmovableFrames = 0
 }
 
 // Boot sizes a Memory with every frame free — the zero Memory, or the
@@ -188,8 +186,14 @@ func (m *Memory) FreeFrames() uint64 { return m.frames - m.allocFrames }
 // AllocatedFrames returns the machine-wide count of allocated frames.
 func (m *Memory) AllocatedFrames() uint64 { return m.allocFrames }
 
-// UnmovableFrames returns the machine-wide count of unmovable frames.
-func (m *Memory) UnmovableFrames() uint64 { return m.unmovableFrames }
+// UnmovableFrames returns the machine-wide count of unmovable frames, the
+// sum of the region counters. Only tests ask for it.
+func (m *Memory) UnmovableFrames() (n uint64) {
+	for _, r := range m.regions {
+		n += r.Unmovable
+	}
+	return n
+}
 
 // IsAllocated reports whether frame pfn is allocated.
 func (m *Memory) IsAllocated(pfn uint64) bool { return m.allocated.get(pfn) }
@@ -222,9 +226,6 @@ func (m *Memory) MarkAllocated(pfn, count uint64, unmovable bool) {
 		f = end
 	}
 	m.allocFrames += count
-	if unmovable {
-		m.unmovableFrames += count
-	}
 }
 
 // MarkAllocatedExcept is MarkAllocated(f, 1, false) for every frame f in
@@ -284,7 +285,6 @@ func (m *Memory) MarkFree(pfn, count uint64) {
 		if u := m.unmovable.countRange(f, end-f); u > 0 {
 			m.unmovable.clearAll(f, end-f)
 			m.regions[r].Unmovable -= u
-			m.unmovableFrames -= u
 		}
 		f = end
 	}
@@ -591,8 +591,6 @@ func (m *Memory) checkRange(pfn, count uint64) {
 type bitset []uint64
 
 func (b bitset) get(i uint64) bool { return b[i/64]&(1<<(i%64)) != 0 }
-func (b bitset) set(i uint64)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) clear(i uint64)    { b[i/64] &^= 1 << (i % 64) }
 
 // rangeMask returns the bits of word w that fall inside [lo, lo+n).
 func rangeMask(w, lo, n uint64) uint64 {
@@ -644,10 +642,4 @@ func (b bitset) clearAll(lo, n uint64) {
 	for w := lo / 64; w <= (lo+n-1)/64; w++ {
 		b[w] &^= rangeMask(w, lo, n)
 	}
-}
-func (b bitset) popcount() (n uint64) {
-	for _, w := range b {
-		n += uint64(bits.OnesCount64(w))
-	}
-	return n
 }

@@ -312,15 +312,17 @@ func TestBitsetQuick(t *testing.T) {
 		b := make(bitset, 1<<16/64)
 		set := map[uint64]bool{}
 		for _, i := range indices {
-			b.set(uint64(i))
-			set[uint64(i)] = true
+			if !set[uint64(i)] {
+				b.setRange(uint64(i), 1, "set")
+				set[uint64(i)] = true
+			}
 		}
 		for i := uint64(0); i < 1<<16; i++ {
 			if b.get(i) != set[i] {
 				return false
 			}
 		}
-		return b.popcount() == uint64(len(set))
+		return b.countRange(0, 1<<16) == uint64(len(set))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

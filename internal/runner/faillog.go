@@ -30,14 +30,6 @@ func (l *FailureLog) All() []Failure {
 	return append([]Failure(nil), l.fails...)
 }
 
-// Empty reports whether nothing failed (durability notes do not count —
-// the runs they annotate delivered correct results).
-func (l *FailureLog) Empty() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.fails) == 0
-}
-
 // Notes returns the accumulated durability notes in insertion order:
 // corrupt store entries that were quarantined and re-executed, and
 // store writes that exhausted their retry budget. They never fail a run,

@@ -174,12 +174,3 @@ func JobWallQuantiles(ps []float64) (int, []float64) {
 	defer trackMu.Unlock()
 	return jobWall.Count(), jobWall.Quantiles(ps)
 }
-
-// ResetProgress discards all progress tracking (tests).
-func ResetProgress() {
-	trackMu.Lock()
-	defer trackMu.Unlock()
-	trackList = nil
-	trackIdx = map[string]*tracker{}
-	jobWall.Reset()
-}

@@ -2,14 +2,25 @@ package runner
 
 import (
 	"testing"
+
+	"repro/internal/stats"
 )
+
+// resetProgress discards all progress tracking.
+func resetProgress() {
+	trackMu.Lock()
+	defer trackMu.Unlock()
+	trackList = nil
+	trackIdx = map[string]*tracker{}
+	jobWall = stats.Histogram{}
+}
 
 // TestProgressTracking: a labelled batch shows up in Progress with the
 // done/failed partition matching the report, and goes inactive when the
 // batch ends.
 func TestProgressTracking(t *testing.T) {
-	ResetProgress()
-	defer ResetProgress()
+	resetProgress()
+	defer resetProgress()
 
 	jobs := make([]Job, 5)
 	for i := range jobs {
@@ -67,8 +78,8 @@ func TestProgressTracking(t *testing.T) {
 
 // TestProgressUnlabelled: batches without a label are not tracked.
 func TestProgressUnlabelled(t *testing.T) {
-	ResetProgress()
-	defer ResetProgress()
+	resetProgress()
+	defer resetProgress()
 	Execute([]Job{{Run: func() any { return nil }, Commit: func(any) {}}}, Options{})
 	if got := Progress(); len(got) != 0 {
 		t.Errorf("unlabelled batch tracked: %+v", got)

@@ -212,8 +212,8 @@ func TestCheckpointCorruptEntryNoteAndRerun(t *testing.T) {
 	// The failure log files notes separately from failures.
 	var fl FailureLog
 	fl.Add(rep)
-	if !fl.Empty() || len(fl.Notes()) != 1 {
-		t.Fatalf("FailureLog: Empty=%v notes=%d, want true and 1", fl.Empty(), len(fl.Notes()))
+	if len(fl.fails) != 0 || len(fl.Notes()) != 1 {
+		t.Fatalf("FailureLog: %d failures, %d notes, want 0 and 1", len(fl.fails), len(fl.Notes()))
 	}
 }
 

@@ -573,19 +573,11 @@ func (s *Service) drain() error {
 }
 
 // Draining reports whether admission is closed (readyz uses it). It flips
-// when a drain completes or when Drain() is called explicitly.
+// when a drain completes.
 func (s *Service) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-// Drain closes admission immediately (the HTTP layer keeps serving reads).
-// Run still finishes its in-flight sweep before returning.
-func (s *Service) Drain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
 }
 
 // runSweep executes one sweep with deadline budget and deterministic

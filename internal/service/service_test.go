@@ -136,7 +136,10 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("over-limit submission: %v, want ErrQueueFull", err)
 	}
 
-	s.Drain()
+	// Close admission as a drain does.
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
 	e := tinyReq()
 	e.Client = "late"
 	if _, err := s.Submit(e); err != ErrDraining {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/mmu"
+	"repro/internal/pagetable"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -61,13 +62,11 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 512; i++ {
-		pfn, err := k.UnmapKeep(task, va+i*units.Page2M, units.Size2M)
-		if err != nil {
-			t.Fatal(err)
+	k.UnmapRangeKeep(task, va, va+units.Page1G, func(r pagetable.Run) {
+		for _, pfn := range r.PFNs {
+			k.Buddy.Free(pfn, r.Size.Order())
 		}
-		k.Buddy.Free(pfn, units.Size2M.Order())
-	}
+	})
 	if err := k.MapSpecific(task, va, huge, units.Size1G); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,90 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/units"
 )
+
+// rendered is what an Observer writes for one recorded run: the trace JSON
+// and series CSV as bytes, the trace's events, and the series rows keyed
+// by column.
+type rendered struct {
+	trace, series []byte
+	events        []renderedEvent
+	rows          []map[string]string
+}
+
+// renderedEvent is the part of a trace event the tests read.
+type renderedEvent struct {
+	Name string `json:"name"`
+	Ph   string `json:"ph"`
+	Ts   uint64 `json:"ts"`
+	Tid  int    `json:"tid"`
+}
+
+// render writes r through an Observer, as a traced experiment does, and
+// reads both files back.
+func render(t *testing.T, r *obs.Run) rendered {
+	t.Helper()
+	dir := t.TempDir()
+	tracePath, seriesPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "series.csv")
+	ob := obs.NewObserver(tracePath, seriesPath, 0, false)
+	ob.Flush(r)
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out rendered
+	var err error
+	if out.trace, err = os.ReadFile(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []renderedEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	out.events = doc.TraceEvents
+	// A run with no samples writes no series file.
+	if out.series, err = os.ReadFile(seriesPath); os.IsNotExist(err) {
+		return out
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(bytes.NewReader(out.series)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[1:] {
+		row := map[string]string{}
+		for i, col := range recs[0] {
+			row[col] = rec[i]
+		}
+		out.rows = append(out.rows, row)
+	}
+	return out
+}
+
+// sumCols parses and adds the named integer columns of a series row.
+func sumCols(t *testing.T, row map[string]string, cols ...string) (n uint64) {
+	t.Helper()
+	for _, c := range cols {
+		v, err := strconv.ParseUint(row[c], 10, 64)
+		if err != nil {
+			t.Fatalf("series column %s: %v", c, err)
+		}
+		n += v
+	}
+	return n
+}
 
 // TestObsPureObserver is the tentpole invariant: full tracing + per-batch
 // sampling must not change a single measured number. The recorder observes
@@ -41,16 +119,12 @@ func TestObsDeterministicTimestamps(t *testing.T) {
 		}
 		return cfg.Obs
 	}
-	a, b := trace(), trace()
-	if !reflect.DeepEqual(a.Phases(), b.Phases()) {
-		t.Error("phase marks differ between identical runs")
+	a, b := render(t, trace()), render(t, trace())
+	if !bytes.Equal(a.trace, b.trace) {
+		t.Error("phase marks, events or drop counts differ between identical runs")
 	}
-	if !reflect.DeepEqual(a.Samples(), b.Samples()) {
+	if !bytes.Equal(a.series, b.series) {
 		t.Error("samples differ between identical runs")
-	}
-	if a.EventCount() != b.EventCount() || a.Dropped() != b.Dropped() {
-		t.Errorf("event stream differs: %d/%d events, %d/%d dropped",
-			a.EventCount(), b.EventCount(), a.Dropped(), b.Dropped())
 	}
 }
 
@@ -66,17 +140,25 @@ func TestObsRunRecordsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := render(t, o)
 
 	// Phases: balanced, nested, non-decreasing ticks, the canonical order.
 	var stack []string
-	var lastTick obs.Tick
+	var lastTick uint64
 	seen := map[string]bool{}
-	for _, p := range o.Phases() {
-		if p.Tick < lastTick {
-			t.Fatalf("phase %q tick %d < previous %d", p.Name, p.Tick, lastTick)
+	events := 0
+	for _, p := range out.events {
+		if p.Ph == "i" {
+			events++
 		}
-		lastTick = p.Tick
-		if p.Begin {
+		if p.Tid != 1 || (p.Ph != "B" && p.Ph != "E") {
+			continue
+		}
+		if p.Ts < lastTick {
+			t.Fatalf("phase %q tick %d < previous %d", p.Name, p.Ts, lastTick)
+		}
+		lastTick = p.Ts
+		if p.Ph == "B" {
 			stack = append(stack, p.Name)
 			seen[p.Name] = true
 		} else {
@@ -97,37 +179,33 @@ func TestObsRunRecordsEverything(t *testing.T) {
 		}
 	}
 
-	if o.EventCount() == 0 {
+	if events == 0 {
 		t.Fatal("no events recorded")
 	}
-	if o.SampleCount() == 0 {
+	if len(out.rows) == 0 {
 		t.Fatal("no samples recorded")
 	}
 
-	samples := o.Samples()
 	var accTotal uint64
-	for _, s := range samples {
-		for _, a := range s.Accesses {
-			accTotal += a
-		}
+	for _, row := range out.rows {
+		accTotal += sumCols(t, row, "acc_4k", "acc_2m", "acc_1g")
 	}
 	if accTotal == 0 {
 		t.Error("samples carry no translation activity")
 	}
-	final := samples[len(samples)-1]
-	if final.Phase != "measure" {
-		t.Errorf("final sample phase = %q, want measure", final.Phase)
+	final := out.rows[len(out.rows)-1]
+	if final["phase"] != "measure" {
+		t.Errorf("final sample phase = %q, want measure", final["phase"])
 	}
-	if final.FreeFrames == 0 {
+	if sumCols(t, final, "free_frames") == 0 {
 		t.Error("final sample has zero free frames on an 8GB machine")
 	}
 	// The run mapped memory (res says so); the gauge must agree it's nonzero.
-	var mappedRes, mappedSample uint64
-	for _, sz := range []units.PageSize{units.Size4K, units.Size2M, units.Size1G} {
-		mappedRes += res.MappedFinal[sz]
-		mappedSample += final.Mapped[sz]
+	var mappedRes uint64
+	for _, b := range res.MappedFinal {
+		mappedRes += b
 	}
-	if mappedRes > 0 && mappedSample == 0 {
+	if mappedRes > 0 && sumCols(t, final, "mapped_4k", "mapped_2m", "mapped_1g") == 0 {
 		t.Error("result shows mapped memory but the sampler gauge is zero")
 	}
 }
@@ -149,7 +227,7 @@ func TestObsSampleCadence(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	n1, n3 := every1.SampleCount(), every3.SampleCount()
+	n1, n3 := len(render(t, every1).rows), len(render(t, every3).rows)
 	if n1 == 0 || n3 == 0 {
 		t.Fatalf("sampling recorded nothing (every1=%d every3=%d)", n1, n3)
 	}

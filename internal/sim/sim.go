@@ -31,7 +31,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/virt"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 	"repro/internal/zerofill"
 )
 
@@ -310,7 +309,6 @@ type runner struct {
 	// while).
 	earlyTrans *perfmodel.TranslationStats
 
-	rng *xrand.Rand
 	res *Result
 
 	// ctx is checked at access-batch granularity so cancellation lands
@@ -359,7 +357,7 @@ func run(ctx context.Context, cfg Config, oracle bool) (*Result, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("sim: no workload")
 	}
-	r := &runner{cfg: cfg, ctx: ctx, rng: xrand.New(cfg.Seed ^ 0xdecade), oracle: oracle}
+	r := &runner{cfg: cfg, ctx: ctx, oracle: oracle}
 	r.res = &Result{Workload: cfg.Workload.Name, Policy: cfg.Policy.String()}
 	if cfg.Virtualized {
 		r.res.Policy = cfg.Policy.String() + "+" + cfg.HostPolicy.String()

@@ -1,4 +1,4 @@
-// Package stats provides the counters, histograms and tabular/CSV rendering
+// Package stats provides the histograms and tabular/CSV rendering
 // used by the experiment harness. It deliberately mirrors what the paper's
 // measurement scripts produce: one CSV per experiment, one row per
 // (workload, configuration) pair.
@@ -10,23 +10,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Histogram collects float64 samples and reports order statistics.
 // It stores raw samples; the simulator's sample counts are modest
@@ -55,20 +38,6 @@ func (h *Histogram) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(h.samples))
-}
-
-// Max returns the largest sample, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	m := h.samples[0]
-	for _, v := range h.samples[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using
@@ -112,12 +81,6 @@ func (h *Histogram) Quantiles(ps []float64) []float64 {
 	return out
 }
 
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sorted = false
-}
-
 // Table accumulates rows of named columns and renders them as aligned text
 // or CSV. Column order is fixed by the header given at construction.
 type Table struct {
@@ -147,29 +110,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
-
-// Columns returns a copy of the header.
-func (t *Table) Columns() []string { return append([]string(nil), t.header...) }
-
-// Cell returns the rendered cell at (row, col).
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
-
-// Float parses the cell at (row, col) as a float64.
-func (t *Table) Float(row, col int) (float64, error) {
-	var v float64
-	_, err := fmt.Sscanf(t.rows[row][col], "%g", &v)
-	return v, err
-}
-
-// Col returns the index of the named column, or -1.
-func (t *Table) Col(name string) int {
-	for i, h := range t.header {
-		if h == name {
-			return i
-		}
-	}
-	return -1
-}
 
 func formatCell(c interface{}) string {
 	switch v := c.(type) {

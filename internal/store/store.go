@@ -95,8 +95,7 @@ func Open(url string) (*Store, error) {
 	return New(d, DefaultRetry), nil
 }
 
-// Driver exposes the wrapped backend (tests reach through for
-// driver-specific assertions like Mem.QuarantinedKeys).
+// Driver exposes the wrapped backend.
 func (s *Store) Driver() Driver { return s.d }
 
 // SetLogger attaches a structured logger for the store's durability

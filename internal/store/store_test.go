@@ -229,8 +229,8 @@ func TestMemQuarantine(t *testing.T) {
 	if _, err := s.Get("k1"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get(corrupt mem entry) = %v, want ErrCorrupt", err)
 	}
-	if q := m.QuarantinedKeys(); len(q) != 1 || q[0] != "k1" {
-		t.Fatalf("QuarantinedKeys = %v, want [k1]", q)
+	if m.Has("k1") {
+		t.Fatal("corrupt entry still stored after quarantine")
 	}
 	if keys, _ := s.Keys(); len(keys) != 0 {
 		t.Fatalf("Keys after quarantine = %v, want empty", keys)

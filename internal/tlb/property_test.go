@@ -57,7 +57,7 @@ func TestTLBMatchesReferenceModel(t *testing.T) {
 	f := func(seed uint64, setsRaw, waysRaw uint8) bool {
 		sets := 1 << (setsRaw % 4) // 1..8
 		ways := int(waysRaw%4) + 1 // 1..4
-		tlb := NewTLB("prop", sets, ways)
+		tlb := NewTLB(sets, ways)
 		ref := newRefLRU(sets, ways)
 		rng := xrand.New(seed)
 		for op := 0; op < 500; op++ {
@@ -113,7 +113,7 @@ func FuzzLRUInclusion(f *testing.F) {
 		var tlbs [8]*TLB
 		var misses [len(tlbs)]int
 		for w := range tlbs {
-			tlbs[w] = NewTLB("inclusion", sets, w+1)
+			tlbs[w] = NewTLB(sets, w+1)
 		}
 		for i, op := range ops {
 			tag := uint64(op & 0x1f)

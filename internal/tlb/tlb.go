@@ -28,7 +28,6 @@ import (
 // contiguous in one cache line — and invalid ways are encoded as a reserved
 // tag value instead of a parallel bool slice.
 type TLB struct {
-	name string
 	sets int
 	ways int
 	// mask is sets-1 when sets is a power of two (the common case; set
@@ -74,14 +73,14 @@ type TLB struct {
 const invalidTag = ^uint64(0)
 
 // NewTLB creates a TLB with the given geometry. entries = sets*ways.
-func NewTLB(name string, sets, ways int) *TLB {
+func NewTLB(sets, ways int) *TLB {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("tlb: invalid geometry %dx%d", sets, ways))
 	}
 	if ways > 255 {
 		panic(fmt.Sprintf("tlb: %d ways overflows the per-set live counter", ways))
 	}
-	t := &TLB{name: name, sets: sets, ways: ways}
+	t := &TLB{sets: sets, ways: ways}
 	if sets&(sets-1) == 0 {
 		t.mask = uint64(sets - 1)
 	}
@@ -92,9 +91,6 @@ func NewTLB(name string, sets, ways int) *TLB {
 	t.live = make([]uint8, sets)
 	return t
 }
-
-// Entries returns the total capacity.
-func (t *TLB) Entries() int { return t.sets * t.ways }
 
 // base returns the flat-slice offset of tag's set.
 func (t *TLB) base(tag uint64) int {
@@ -140,15 +136,11 @@ func (t *TLB) sigDel(s int, tag uint64) {
 	t.sigs[4*s+int(b>>3)] -= 1 << ((b & 7) * 8)
 }
 
-// absent reports whether the signature proves tag is not in its set. A false
-// result proves nothing (disabled filter, or a bucket collision with a live
-// tag), so the caller probes; a true result makes the probe skippable — it
-// would find nothing and touch nothing. absentIn is the same test for a
-// caller that has already computed tag's set index and wants to reuse it.
-func (t *TLB) absent(tag uint64) bool {
-	return t.sigs != nil && t.absentIn(t.setOf(tag), tag)
-}
-
+// absentIn reports whether the signature proves tag is not in set s, the
+// set index its caller has already computed. A false result proves nothing
+// (disabled filter, or a bucket collision with a live tag), so the caller
+// probes; a true result makes the probe skippable — it would find nothing
+// and touch nothing.
 func (t *TLB) absentIn(s int, tag uint64) bool {
 	if t.sigs == nil {
 		return false
@@ -198,17 +190,6 @@ func (t *TLB) mayContain(tag uint64, s units.PageSize) bool {
 func (t *TLB) Lookup(tag uint64) bool {
 	b := t.base(tag)
 	return t.lines[b] == tag || t.lookupHitSlow(tag, b)
-}
-
-// Probe checks for tag without updating LRU state.
-func (t *TLB) Probe(tag uint64) bool {
-	b := t.base(tag)
-	for _, line := range t.lines[b : b+t.ways] {
-		if line == tag {
-			return true
-		}
-	}
-	return false
 }
 
 func (t *TLB) lookupHitSlow(tag uint64, b int) bool {
@@ -407,12 +388,12 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	h := &Hierarchy{}
 	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
 		g := cfg.L1[s]
-		h.l1[s] = NewTLB("L1-"+s.String(), g.Sets, g.Ways)
+		h.l1[s] = NewTLB(g.Sets, g.Ways)
 	}
-	shared := NewTLB("L2-shared", cfg.L2Shared.Sets, cfg.L2Shared.Ways)
+	shared := NewTLB(cfg.L2Shared.Sets, cfg.L2Shared.Ways)
 	h.l2[units.Size4K] = shared
 	h.l2[units.Size2M] = shared
-	h.l2[units.Size1G] = NewTLB("L2-1GB", cfg.L2Huge.Sets, cfg.L2Huge.Ways)
+	h.l2[units.Size1G] = NewTLB(cfg.L2Huge.Sets, cfg.L2Huge.Ways)
 	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
 		h.l1[s].trackSizes()
 	}
@@ -434,30 +415,13 @@ func tag(va uint64, size units.PageSize) uint64 {
 	return va>>(12+9*uint(size)) | uint64(size+1)<<60
 }
 
-// Access translates one reference to a page of known size, updating TLB
-// contents. It returns where the translation was found; Miss means a page
-// walk is required (the MMU performs it and the entry has already been
-// installed for subsequent accesses).
-func (h *Hierarchy) Access(va uint64, size units.PageSize) Level {
-	t := tag(va, size)
-	if h.l1[size].Lookup(t) {
-		return HitL1
-	}
-	if h.l2[size].Lookup(t) {
-		h.l1[size].Insert(t)
-		return HitL2
-	}
-	h.l2[size].Insert(t)
-	h.l1[size].Insert(t)
-	return Miss
-}
-
 // Probe translates one reference whose page size is not known up front by
 // probing every per-size sub-TLB with the VA alone and recovering the page
 // size from the tag that hits. On a hit it performs exactly the state
-// updates Access(va, size) would have performed — L1 hits promote to MRU,
-// L2 hits additionally install the entry in L1 — so a Probe hit is
-// bit-identical to an Access call with the mapped size. On a full miss
+// updates of one lookup at the mapped size — L1 hits promote to MRU, L2
+// hits additionally install the entry in L1 — so a Probe hit is
+// bit-identical to the per-size reference Access (kept with the package's
+// tests) called with the mapped size. On a full miss
 // nothing is touched; the caller resolves the size from the page table and
 // installs the entry (AccessMissedAll).
 //
@@ -573,11 +537,11 @@ func (h *Hierarchy) ProbeL2(va uint64) (units.PageSize, bool) {
 	return 0, false
 }
 
-// AccessMissedAll performs Access's Miss arm for a reference already proven
+// AccessMissedAll installs the translation of a reference already proven
 // — by a completed Probe, or by SweepL1Runs followed by ProbeL2 — to miss
-// every structure in the hierarchy. The guaranteed-miss lookups are
-// skipped and the installs skip their duplicate-promotion scans; content
-// transitions are exactly Access's on a full miss.
+// every structure in the hierarchy: into its size's L2, then its L1, as a
+// full miss does. The installs skip their duplicate-promotion scans, since
+// the tag is known absent.
 func (h *Hierarchy) AccessMissedAll(va uint64, size units.PageSize) {
 	t := tag(va, size)
 	h.l2[size].insertMissed(t)
@@ -656,9 +620,8 @@ type PWC struct {
 // NewPWC builds the paging-structure caches from cfg.
 func NewPWC(cfg Config) *PWC {
 	p := &PWC{}
-	names := [3]string{"PWC-PDE", "PWC-PDPTE", "PWC-PML4E"}
 	for i, g := range cfg.PWC {
-		p.caches[i] = NewTLB(names[i], g.Sets, g.Ways)
+		p.caches[i] = NewTLB(g.Sets, g.Ways)
 	}
 	return p
 }

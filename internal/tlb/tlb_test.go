@@ -9,7 +9,7 @@ import (
 )
 
 func TestTLBBasicHitMiss(t *testing.T) {
-	tl := NewTLB("t", 4, 2)
+	tl := NewTLB(4, 2)
 	if tl.Lookup(1) {
 		t.Error("empty TLB hit")
 	}
@@ -25,12 +25,12 @@ func TestTLBGeometryValidation(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewTLB("bad", 0, 4)
+	NewTLB(0, 4)
 }
 
 func TestTLBLRUEviction(t *testing.T) {
 	// 1 set, 2 ways: inserting 3 distinct tags must evict the LRU.
-	tl := NewTLB("t", 1, 2)
+	tl := NewTLB(1, 2)
 	tl.Insert(10)
 	tl.Insert(20)
 	tl.Lookup(10) // 10 becomes MRU
@@ -47,7 +47,7 @@ func TestTLBLRUEviction(t *testing.T) {
 }
 
 func TestTLBSetIsolation(t *testing.T) {
-	tl := NewTLB("t", 4, 1)
+	tl := NewTLB(4, 1)
 	// Tags 0..3 land in distinct sets; none should evict another.
 	for tag := uint64(0); tag < 4; tag++ {
 		tl.Insert(tag)
@@ -60,7 +60,7 @@ func TestTLBSetIsolation(t *testing.T) {
 }
 
 func TestTLBInsertExistingPromotes(t *testing.T) {
-	tl := NewTLB("t", 1, 2)
+	tl := NewTLB(1, 2)
 	tl.Insert(1)
 	tl.Insert(2)
 	tl.Insert(1) // promote, not duplicate
@@ -71,7 +71,7 @@ func TestTLBInsertExistingPromotes(t *testing.T) {
 }
 
 func TestTLBInvalidateAndFlush(t *testing.T) {
-	tl := NewTLB("t", 2, 2)
+	tl := NewTLB(2, 2)
 	tl.Insert(1)
 	tl.Insert(2)
 	tl.Invalidate(1)
@@ -88,7 +88,7 @@ func TestTLBInvalidateAndFlush(t *testing.T) {
 }
 
 func TestProbeDoesNotPerturb(t *testing.T) {
-	tl := NewTLB("t", 1, 2)
+	tl := NewTLB(1, 2)
 	tl.Insert(1)
 	tl.Insert(2) // order: 2 MRU, 1 LRU
 	tl.Probe(1)  // must NOT promote
@@ -329,7 +329,7 @@ func TestInvalidateRangeMatchesPerPage(t *testing.T) {
 				for i := uint64(0); i < n; i++ {
 					b.InvalidatePage(base+i*s.Bytes(), s)
 				}
-				for _, pair := range [][2]*TLB{
+				for j, pair := range [][2]*TLB{
 					{a.l1[0], b.l1[0]}, {a.l1[1], b.l1[1]}, {a.l1[2], b.l1[2]},
 					{a.l2[units.Size4K], b.l2[units.Size4K]}, {a.l2[units.Size1G], b.l2[units.Size1G]},
 				} {
@@ -337,8 +337,8 @@ func TestInvalidateRangeMatchesPerPage(t *testing.T) {
 					if !slices.Equal(x.lines, y.lines) || !slices.Equal(x.live, y.live) ||
 						!slices.Equal(x.sizeCounts, y.sizeCounts) || !slices.Equal(x.sigs, y.sigs) ||
 						x.liveBySize != y.liveBySize {
-						t.Fatalf("%dx%d %s after invalidating %d %v pages at %#x: range and per-page states differ",
-							x.sets, x.ways, x.name, n, s, base)
+						t.Fatalf("%dx%d structure %d after invalidating %d %v pages at %#x: range and per-page states differ",
+							x.sets, x.ways, j, n, s, base)
 					}
 				}
 			}

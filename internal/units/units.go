@@ -109,15 +109,6 @@ func (s PageSize) String() string {
 // OrderSize returns the byte size of a buddy chunk of the given order.
 func OrderSize(order int) uint64 { return Page4K << uint(order) }
 
-// OrderForSize returns the smallest order whose chunk size is >= size.
-func OrderForSize(size uint64) int {
-	order := 0
-	for OrderSize(order) < size {
-		order++
-	}
-	return order
-}
-
 // Align rounds addr down to the nearest multiple of align (a power of two).
 func Align(addr, align uint64) uint64 { return addr &^ (align - 1) }
 
@@ -127,14 +118,8 @@ func AlignUp(addr, align uint64) uint64 { return (addr + align - 1) &^ (align - 
 // IsAligned reports whether addr is a multiple of align (a power of two).
 func IsAligned(addr, align uint64) bool { return addr&(align-1) == 0 }
 
-// FrameNumber returns the PFN containing physical address pa.
-func FrameNumber(pa uint64) uint64 { return pa / Page4K }
-
 // FrameAddr returns the physical address of frame pfn.
 func FrameAddr(pfn uint64) uint64 { return pfn * Page4K }
-
-// RegionNumber returns the 1GB region index containing physical address pa.
-func RegionNumber(pa uint64) uint64 { return pa / Page1G }
 
 // RegionOfFrame returns the 1GB region index containing frame pfn.
 func RegionOfFrame(pfn uint64) uint64 { return pfn / (Page1G / Page4K) }

@@ -77,25 +77,6 @@ func TestOrderSize(t *testing.T) {
 	}
 }
 
-func TestOrderForSize(t *testing.T) {
-	cases := []struct {
-		size uint64
-		want int
-	}{
-		{1, 0},
-		{Page4K, 0},
-		{Page4K + 1, 1},
-		{Page2M, 9},
-		{Page2M + 1, 10},
-		{Page1G, 18},
-	}
-	for _, c := range cases {
-		if got := OrderForSize(c.size); got != c.want {
-			t.Errorf("OrderForSize(%d) = %d, want %d", c.size, got, c.want)
-		}
-	}
-}
-
 func TestAlignment(t *testing.T) {
 	if Align(Page2M+123, Page2M) != Page2M {
 		t.Error("Align down failed")
@@ -130,18 +111,12 @@ func TestAlignProperties(t *testing.T) {
 }
 
 func TestFrameRegionArithmetic(t *testing.T) {
-	pa := uint64(5*Page1G + 7*Page4K)
-	if FrameNumber(pa) != 5*FramesPerRegion+7 {
-		t.Errorf("FrameNumber = %d", FrameNumber(pa))
+	pfn := uint64(5*FramesPerRegion + 7)
+	if FrameAddr(pfn) != 5*Page1G+7*Page4K {
+		t.Errorf("FrameAddr = %d", FrameAddr(pfn))
 	}
-	if FrameAddr(FrameNumber(pa)) != Align(pa, Page4K) {
-		t.Error("FrameAddr/FrameNumber roundtrip failed")
-	}
-	if RegionNumber(pa) != 5 {
-		t.Errorf("RegionNumber = %d", RegionNumber(pa))
-	}
-	if RegionOfFrame(FrameNumber(pa)) != 5 {
-		t.Errorf("RegionOfFrame = %d", RegionOfFrame(FrameNumber(pa)))
+	if RegionOfFrame(pfn) != 5 {
+		t.Errorf("RegionOfFrame = %d", RegionOfFrame(pfn))
 	}
 }
 

@@ -91,13 +91,6 @@ func New(host *kernel.Kernel, hostPolicy fault.Policy, guest *kernel.Kernel) (*V
 // HostPT returns the gPA→hPA table (the EPT).
 func (vm *VM) HostPT() *pagetable.Table { return vm.HostTask.AS.PT }
 
-// BootLatencyNs returns the modeled time to back the guest's memory given
-// the host fault policy's accumulated latency — the §5.1.2 VM-boot
-// experiment (70GB VM: 25 s → 13 s with async zero-fill).
-func (vm *VM) BootLatencyNs(hostPolicy fault.Policy) float64 {
-	return hostPolicy.FaultStats().TotalLatencyNs
-}
-
 // ExchangeGPAs performs one hypercall exchanging the gPA→hPA mappings of
 // each (src, dst) pair of 2MB-aligned, 2MB-sized guest-physical ranges.
 // batched=false models the pre-batching design: one hypercall per pair.
@@ -224,6 +217,3 @@ func (b *PvBridge) Flush() float64 {
 	b.pairs = b.pairs[:0]
 	return ns
 }
-
-// Pending returns the number of buffered exchange pairs.
-func (b *PvBridge) Pending() int { return len(b.pairs) }

@@ -35,7 +35,11 @@ func thpPolicy(k *kernel.Kernel) fault.Policy { return fault.NewTHP(k) }
 
 func TestNewVMBacksAllGuestMemory(t *testing.T) {
 	_, vm := newVM(t, 4, 2, tridentPolicy)
-	if got := vm.HostPT().TotalMappedBytes(); got != 2*units.Page1G {
+	var got uint64
+	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
+		got += vm.HostPT().MappedBytes(s)
+	}
+	if got != 2*units.Page1G {
 		t.Errorf("backed bytes = %d", got)
 	}
 	// Trident host backs with 1GB pages.
@@ -159,8 +163,8 @@ func TestPvBridgeEndToEnd(t *testing.T) {
 	d := promote.NewTrident(vm.Guest, zero)
 	bridge := vm.AttachPvExchange(d, true)
 	d.ScanTask(gt, 0)
-	if bridge.Pending() != 512 {
-		t.Fatalf("pending exchanges = %d, want 512", bridge.Pending())
+	if len(bridge.pairs) != 512 {
+		t.Fatalf("pending exchanges = %d, want 512", len(bridge.pairs))
 	}
 	bridge.Flush()
 	if vm.S.PagesExchanged != 512 {
@@ -173,7 +177,7 @@ func TestPvBridgeEndToEnd(t *testing.T) {
 	if m, ok := gt.AS.PT.Lookup(gva); !ok || m.Size != units.Size1G {
 		t.Error("guest 1GB mapping missing after pv promotion")
 	}
-	if bridge.Pending() != 0 {
+	if len(bridge.pairs) != 0 {
 		t.Error("bridge not drained")
 	}
 }
@@ -201,7 +205,7 @@ func TestGuestFaultPoliciesWorkInsideVM(t *testing.T) {
 func TestNewVMValidation(t *testing.T) {
 	host := kernel.New(2*units.Page1G, units.TridentMaxOrder)
 	guest := kernel.New(units.Page1G, units.TridentMaxOrder)
-	if _, err := guest.KernelAlloc(0); err != nil {
+	if _, err := guest.Buddy.Alloc(0, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(host, thpPolicy(host), guest); err == nil {

@@ -36,6 +36,14 @@ func trident(k *kernel.Kernel) fault.Policy {
 	return fault.NewTrident(k, z)
 }
 
+// mappedBytes returns the bytes task maps at any page size.
+func mappedBytes(task *kernel.Task) (n uint64) {
+	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
+		n += task.AS.PT.MappedBytes(s)
+	}
+	return n
+}
+
 func TestAllSpecsComplete(t *testing.T) {
 	specs := All()
 	if len(specs) != 12 {
@@ -84,7 +92,7 @@ func TestInstantiateFootprint(t *testing.T) {
 	}
 	// All heap bytes are mapped (touched at instantiation); allow the tiny
 	// untouched gap pages.
-	mapped := inst.Task.AS.PT.TotalMappedBytes()
+	mapped := mappedBytes(inst.Task)
 	if mapped < want {
 		t.Errorf("mapped = %d < footprint %d", mapped, want)
 	}
@@ -244,7 +252,7 @@ func TestInstantiateAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapped := task.AS.PT.TotalMappedBytes()
+			mapped := mappedBytes(task)
 			if mapped == 0 {
 				t.Fatal("nothing mapped")
 			}

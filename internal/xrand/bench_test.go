@@ -2,20 +2,6 @@ package xrand
 
 import "testing"
 
-// BenchmarkZipfNext measures one Zipf draw at a workload-typical shape
-// (2^20 items, s = 0.99): a quantile-index lookup plus a short binary
-// search over the bracketed CDF range.
-func BenchmarkZipfNext(b *testing.B) {
-	z := NewZipf(New(1), 1<<20, 0.99)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += z.Next()
-	}
-	_ = sink
-}
-
 // BenchmarkUint64n pins the base generator's cost for comparison.
 func BenchmarkUint64n(b *testing.B) {
 	r := New(1)

@@ -62,99 +62,10 @@ func (r *Rand) Float64() float64 {
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Split returns a new independent generator derived from r's stream.
-// Useful for giving each subsystem its own stream from one experiment seed.
-func (r *Rand) Split() *Rand { return New(r.Uint64()) }
-
-// Zipf generates Zipf-distributed values over [0, n): value k is drawn with
-// probability proportional to 1/(k+1)^s. It is used to model skewed
-// ("hot/cold") access patterns such as key-value-store key popularity.
-type Zipf struct {
-	r   *Rand
-	n   uint64
-	s   float64
-	cdf []float64 // cumulative distribution, len n (built once)
-	// qidx is the quantile index over the CDF: qidx[j] is the draw for
-	// u = j/Q exactly (Q = len(qidx)-1, a power of two), so the answer for
-	// any u in [j/Q, (j+1)/Q) lies in [qidx[j], qidx[j+1]] by monotonicity
-	// and the per-draw binary search narrows to that sliver of the CDF.
-	qidx []int32
-}
-
-// NewZipf returns a Zipf generator over [0, n) with exponent s > 0.
-// Construction is O(n); n is expected to be modest (regions, not bytes).
-func NewZipf(r *Rand, n uint64, s float64) *Zipf {
-	if n == 0 {
-		panic("xrand: NewZipf with n == 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := uint64(0); k < n; k++ {
-		sum += 1 / math.Pow(float64(k+1), s)
-		cdf[k] = sum
-	}
-	for k := range cdf {
-		cdf[k] /= sum
-	}
-	z := &Zipf{r: r, n: n, s: s, cdf: cdf}
-	// Quantile count: a power of two (so u*Q is an exact scaling and
-	// floor(u*Q) bins u exactly) of the same magnitude as n, bounded to keep
-	// the index a fraction of the CDF's own footprint.
-	q := 256
-	for uint64(q) < n && q < 1<<16 {
-		q <<= 1
-	}
-	z.qidx = make([]int32, q+1)
-	k := 0
-	for j := 0; j <= q; j++ {
-		// qidx[j] = smallest k with cdf[k] >= j/q, capped at n-1 — exactly
-		// the value Next's search would return for u = j/q.
-		u := float64(j) / float64(q)
-		for k < int(n)-1 && cdf[k] < u {
-			k++
-		}
-		z.qidx[j] = int32(k)
-	}
-	return z
-}
-
-// Next returns the next Zipf-distributed value in [0, n).
-//
-// The quantile index narrows the search to [qidx[j], qidx[j+1]]; within
-// that range the loop is the same binary search over the same CDF with the
-// same comparisons, so the draw→value mapping is bit-identical to searching
-// [0, n) — the invariant "smallest k with cdf[k] >= u" does not depend on
-// how tightly the initial bounds bracket the answer.
-func (z *Zipf) Next() uint64 {
-	u := z.r.Float64()
-	j := int(u * float64(len(z.qidx)-1))
-	lo, hi := int(z.qidx[j]), int(z.qidx[j+1])
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return uint64(lo)
 }

@@ -97,18 +97,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(13)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -120,50 +108,6 @@ func TestShufflePreservesElements(t *testing.T) {
 	if sum != 36 {
 		t.Fatalf("shuffle lost elements: %v", s)
 	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(17)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Error("split children produced identical first values")
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(23)
-	z := NewZipf(r, 100, 1.2)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	// Rank 0 must be the most popular, and substantially hotter than rank 50.
-	if counts[0] <= counts[1] {
-		t.Errorf("zipf rank 0 (%d) not hotter than rank 1 (%d)", counts[0], counts[1])
-	}
-	if counts[0] < 10*counts[50] {
-		t.Errorf("zipf insufficiently skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	r := New(29)
-	z := NewZipf(r, 7, 0.8)
-	for i := 0; i < 10000; i++ {
-		if v := z.Next(); v >= 7 {
-			t.Fatalf("zipf out of range: %d", v)
-		}
-	}
-}
-
-func TestZipfPanicsOnZeroN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewZipf(New(1), 0, 1)
 }
 
 func TestZeroValueUsable(t *testing.T) {
