@@ -52,7 +52,8 @@ chaos:
 # another size or flavour against a new one
 # (fragment.FuzzReapplyEquivalence), ten of the reverse map's operations
 # at every page size against a map[pfn]Owner model (phys.FuzzReverseMap),
-# and ten of the TLB's
+# ten of munmap's in-place VMA edit against the rebuilt list
+# (vmm.FuzzMUnmapEquivalence), and ten of the TLB's
 # LRU inclusion law (with the set count fixed, more ways never miss more,
 # tlb.FuzzLRUInclusion), and ten of whole runs on drawn configs against
 # the oracle that switches off every fast path (sim.FuzzRunEquivalence).
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompactRunEquivalence -fuzztime 10s ./internal/compact
 	$(GO) test -run '^$$' -fuzz FuzzReapplyEquivalence -fuzztime 10s ./internal/fragment
 	$(GO) test -run '^$$' -fuzz FuzzReverseMap -fuzztime 10s ./internal/phys
+	$(GO) test -run '^$$' -fuzz FuzzMUnmapEquivalence -fuzztime 10s ./internal/vmm
 	$(GO) test -run '^$$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 	$(GO) test -run '^$$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 

@@ -15,7 +15,8 @@
 # against its per-page definition (sequential compaction moving a run of
 # pages per kernel call against one page at a time), of a Fragmenter
 # re-applied at another size or flavour against a new one, of the reverse
-# map against a map[pfn]Owner model (FuzzReverseMap), of the TLB's LRU
+# map against a map[pfn]Owner model (FuzzReverseMap), of munmap's in-place
+# VMA edit against the rebuilt list (FuzzMUnmapEquivalence), of the TLB's LRU
 # inclusion law (more ways never miss more), of whole runs
 # on drawn configs against the oracle that switches off every fast path
 # (FuzzRunEquivalence: translation one reference at a time, population
@@ -96,6 +97,7 @@ go test -run '^$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kerne
 go test -run '^$' -fuzz FuzzCompactRunEquivalence -fuzztime 10s ./internal/compact
 go test -run '^$' -fuzz FuzzReapplyEquivalence -fuzztime 10s ./internal/fragment
 go test -run '^$' -fuzz FuzzReverseMap -fuzztime 10s ./internal/phys
+go test -run '^$' -fuzz FuzzMUnmapEquivalence -fuzztime 10s ./internal/vmm
 go test -run '^$' -fuzz FuzzLRUInclusion -fuzztime 10s ./internal/tlb
 go test -run '^$' -fuzz FuzzRunEquivalence -fuzztime 10s ./internal/sim
 go test -run '^$' -bench=. -benchtime=1x ./...

@@ -20,7 +20,8 @@
 package compact
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/perfmodel"
@@ -309,6 +310,9 @@ type Smart struct {
 	// and whether a 1GB chunk was available afterwards. The observability
 	// layer uses it; nil in ordinary runs.
 	OnAttempt func(copiedBytes uint64, ok bool)
+
+	// targets is compact's target-region list, reused by every attempt.
+	targets []regionFree
 }
 
 // NewSmart creates a smart compactor over k.
@@ -358,7 +362,10 @@ func (c *Smart) compact() bool {
 	}
 	// Order candidate target regions by ascending free count (fullest
 	// first), excluding the source.
-	targets := make([]regionFree, 0, nRegions-1)
+	if cap(c.targets) < int(nRegions) {
+		c.targets = make([]regionFree, 0, nRegions)
+	}
+	targets := c.targets[:0]
 	var targetFree uint64
 	for r := uint64(0); r < nRegions; r++ {
 		if int(r) == source {
@@ -375,11 +382,13 @@ func (c *Smart) compact() bool {
 	if targetFree < units.FramesPerRegion-bestFree {
 		return false
 	}
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].free != targets[j].free {
-			return targets[i].free < targets[j].free
+	// The order is total (regions are distinct), so any sort gives the same
+	// list; slices.SortFunc sorts without allocating.
+	slices.SortFunc(targets, func(a, b regionFree) int {
+		if a.free != b.free {
+			return cmp.Compare(a.free, b.free)
 		}
-		return targets[i].r < targets[j].r
+		return cmp.Compare(a.r, b.r)
 	})
 
 	tf := &regionTargets{k: c.K, regions: targets}

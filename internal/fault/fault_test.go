@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/kernel"
@@ -373,20 +372,38 @@ func TestHugetlbfsGreedyBacksIncrementalHeap(t *testing.T) {
 
 // TestAroundAllocatesNothing: fault-around's run path — window, frames,
 // mapping, stats and the trace hook — makes no heap allocation once the
-// window's leaf table exists.
+// window's leaf table exists. One cycle faults the first page of each
+// window, fills the rest by fault-around and unmaps them all again, which
+// returns each leaf table to the page table's node pool for the next
+// cycle. testing.AllocsPerRun reports whole allocations per cycle, so an
+// allocation the runtime makes in the background, once in many cycles,
+// reads as zero, while one per window reads as at least the window count.
 func TestAroundAllocatesNothing(t *testing.T) {
 	k, task := setup(t, 1)
 	const windows = 40
 	va, _ := task.AS.MMapAligned(windows*units.Page2M, units.Page2M, vmm.KindAnon)
 	hooked := 0
 	p := Traced(NewBase4K(k), func(Result) { hooked++ })
-	var first [windows]Result
-	for i := range first {
-		r, err := p.Handle(task, va+uint64(i)*units.Page2M)
-		if err != nil {
+	var mapped uint64
+	cycle := func() {
+		for i := uint64(0); i < windows; i++ {
+			r, err := p.Handle(task, va+i*units.Page2M)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, _, err := Around(p, task, r, va+windows*units.Page2M)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped += n
+		}
+		if err := k.UnmapRange(task, va, va+windows*units.Page2M); err != nil {
 			t.Fatal(err)
 		}
-		first[i] = r
+	}
+	cycle()
+	if mapped != windows*511 || hooked != windows*512 {
+		t.Fatalf("mapped %d pages, hooked %d faults; want %d and %d", mapped, hooked, windows*511, windows*512)
 	}
 	// Warm the two arounder type assertions on the path. The runtime
 	// builds a call site's type-assertion cache, an allocation, on a random
@@ -396,21 +413,7 @@ func TestAroundAllocatesNothing(t *testing.T) {
 		Around(p, task, Result{Size: units.Size2M}, 0)
 		p.(arounder).around(task, va, 0)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var mapped uint64
-	for _, r := range first {
-		n, _, err := Around(p, task, r, va+windows*units.Page2M)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped += n
-	}
-	runtime.ReadMemStats(&after)
-	if mapped != windows*511 || hooked != windows*512 {
-		t.Fatalf("mapped %d pages, hooked %d faults; want %d and %d", mapped, hooked, windows*511, windows*512)
-	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("fault-around made %d heap allocations over %d windows", n, windows)
+	if allocs := testing.AllocsPerRun(25, cycle); allocs != 0 {
+		t.Fatalf("a cycle of %d faults with fault-around made %v heap allocations", windows, allocs)
 	}
 }

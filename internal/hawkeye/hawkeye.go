@@ -18,6 +18,8 @@
 package hawkeye
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/compact"
@@ -60,6 +62,11 @@ type Daemon struct {
 	CoverageThreshold float64
 	S                 Stats
 
+	// Cands is Sample's candidate buffer, reused by every pass. A new
+	// Daemon may be handed a parked one: the machine pool (internal/sim)
+	// keeps it between runs, so a run's scans regrow nothing.
+	Cands []Candidate
+
 	// bloat remembers populated bytes at promotion time per huge page, for
 	// recovery decisions.
 	bloat map[bloatKey]uint64
@@ -80,8 +87,8 @@ func New(k *kernel.Kernel) *Daemon {
 	}
 }
 
-// candidate is a promotable 2MB span with its sampled access coverage.
-type candidate struct {
+// Candidate is a promotable 2MB span with its sampled access coverage.
+type Candidate struct {
 	va       uint64
 	coverage float64
 }
@@ -89,9 +96,9 @@ type candidate struct {
 // Sample runs one kbinmanager pass over t: for every 2MB-mappable span
 // currently mapped with 4KB pages, read how many PTE access bits the
 // hardware set since the last pass, then clear them. It returns the
-// candidates sorted hottest-first.
-func (d *Daemon) Sample(t *kernel.Task) []candidate {
-	var cands []candidate
+// candidates sorted hottest-first, in d.Cands: valid until the next pass.
+func (d *Daemon) Sample(t *kernel.Task) []Candidate {
+	cands := d.Cands[:0]
 	t.AS.ForEachAligned(units.Size2M, func(va uint64, _ vmm.Kind) bool {
 		// Skip spans already huge-mapped or unpopulated.
 		if m, ok := t.AS.PT.Lookup(va); ok && m.Size != units.Size4K {
@@ -103,15 +110,18 @@ func (d *Daemon) Sample(t *kernel.Task) []candidate {
 		if accessed == 0 {
 			return true
 		}
-		cands = append(cands, candidate{va: va, coverage: float64(accessed) / 512})
+		cands = append(cands, Candidate{va: va, coverage: float64(accessed) / 512})
 		return true
 	})
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].coverage != cands[j].coverage {
-			return cands[i].coverage > cands[j].coverage
+	// The order is total (no two candidates share a va), so any sort gives
+	// the same slice; slices.SortFunc sorts without allocating.
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if a.coverage != b.coverage {
+			return cmp.Compare(b.coverage, a.coverage)
 		}
-		return cands[i].va < cands[j].va
+		return cmp.Compare(a.va, b.va)
 	})
+	d.Cands = cands
 	return cands
 }
 

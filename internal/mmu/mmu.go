@@ -51,16 +51,35 @@ type MMU struct {
 	ShadowCheck bool
 
 	// SweepSizes is TranslateRuns' reusable per-run page-size scratch,
-	// grown to the longest run slice seen. A new MMU may be handed a
-	// parked one: the machine pool (internal/sim) keeps it between runs.
+	// grown to the longest run slice seen; Reset keeps it.
 	SweepSizes []uint8
+
+	// cfg is the geometry TLB, PWC and HostPWC were built with.
+	cfg tlb.Config
 }
 
 // New creates an MMU with the given translation-cache config. It serves
 // native and virtualized runs alike: the host table passed to Translate
 // and TranslateRuns selects the mode.
 func New(cfg tlb.Config) *MMU {
-	return &MMU{TLB: tlb.NewHierarchy(cfg), PWC: tlb.NewPWC(cfg), HostPWC: tlb.NewPWC(cfg)}
+	return &MMU{TLB: tlb.NewHierarchy(cfg), PWC: tlb.NewPWC(cfg), HostPWC: tlb.NewPWC(cfg), cfg: cfg}
+}
+
+// Reset returns m to the state New(cfg) builds, so the machine pool
+// (internal/sim) can hand one MMU to run after run: empty TLBs and
+// paging-structure caches, zero statistics and the shadow check off.
+// Only SweepSizes, pure scratch, and the TLB hierarchy's probe hints, pure
+// performance state, carry over. At m's own geometry the caches are
+// flushed in place; at another one Reset allocates new ones, as New does.
+func (m *MMU) Reset(cfg tlb.Config) {
+	if cfg != m.cfg {
+		*m = MMU{TLB: tlb.NewHierarchy(cfg), PWC: tlb.NewPWC(cfg), HostPWC: tlb.NewPWC(cfg), SweepSizes: m.SweepSizes, cfg: cfg}
+		return
+	}
+	m.TLB.FlushAll()
+	m.PWC.Flush()
+	m.HostPWC.Flush()
+	*m = MMU{TLB: m.TLB, PWC: m.PWC, HostPWC: m.HostPWC, SweepSizes: m.SweepSizes, cfg: cfg}
 }
 
 // Translate performs one reference. With a nil hpt it translates va

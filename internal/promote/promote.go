@@ -22,7 +22,6 @@ package promote
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/compact"
 	"repro/internal/kernel"
@@ -130,9 +129,6 @@ type Daemon struct {
 	// one fails (Linux's deferred-compaction behaviour: don't hammer an
 	// allocation that just proved expensive and hopeless).
 	defer1G bool
-	// spans is a scratch buffer reused across scans so the hot promotion
-	// path does not regrow it on every pass.
-	spans []uint64
 }
 
 // New creates a promotion daemon. zero may be nil (no pre-zeroed targets).
@@ -162,33 +158,35 @@ func NewTrident(k *kernel.Kernel, zero *zerofill.Daemon) *Daemon {
 // nanoseconds spent, including compaction triggered by this scan. A non-nil
 // error means a collapse failed midway through its remap — a kernel-model
 // inconsistency that the caller should surface, not ignore.
+//
+// The pass walks the VMAs twice, from the cursor to the end and then from
+// the start up to the cursor, instead of listing the spans first: nothing
+// a span's promotion does (remaps, compaction, pv exchanges, which remap
+// the host's task) edits t's VMAs, so both walks see the span list a
+// listing would have held.
 func (d *Daemon) ScanTask(t *kernel.Task, budgetNs float64) (float64, error) {
 	startNs := d.totalNs()
 	spent := func() float64 { return d.totalNs() - startNs }
 
-	spans := d.spans[:0]
-	t.AS.ForEachAligned(units.Size2M, func(va uint64, _ vmm.Kind) bool {
-		spans = append(spans, va)
-		return true
-	})
-	d.spans = spans
-	if len(spans) == 0 {
-		return 0, nil
-	}
 	d.defer1G = false
-	begin := sort.Search(len(spans), func(i int) bool { return spans[i] >= d.resume[t] })
-	for i := 0; i < len(spans); i++ {
-		span := spans[(begin+i)%len(spans)]
-		err := d.processSpan(t, span)
-		d.resume[t] = span + units.Page2M
-		if err != nil {
-			return spent(), err
-		}
-		if budgetNs > 0 && spent() > budgetNs {
-			break
-		}
+	cursor := d.resume[t]
+	var err error
+	stopped := false
+	visit := func(va uint64, _ vmm.Kind) bool {
+		err = d.processSpan(t, va)
+		d.resume[t] = va + units.Page2M
+		stopped = err != nil || budgetNs > 0 && spent() > budgetNs
+		return !stopped
 	}
-	return spent(), nil
+	t.AS.ForEachAligned(units.Size2M, func(va uint64, kind vmm.Kind) bool {
+		return va < cursor || visit(va, kind)
+	})
+	if !stopped {
+		t.AS.ForEachAligned(units.Size2M, func(va uint64, kind vmm.Kind) bool {
+			return va < cursor && visit(va, kind)
+		})
+	}
+	return spent(), err
 }
 
 // processSpan applies Figure 5's per-region logic to the 2MB span at va.

@@ -61,6 +61,10 @@ import (
 type Job struct {
 	Cfg   sim.Config
 	Build func(*sim.Result)
+	// Fingerprint, when set, is Fingerprint(Cfg), already computed by a
+	// caller that needed it anyway (the sweep service keys its journal
+	// rows by it); the runner uses it instead of hashing Cfg again.
+	Fingerprint string
 
 	Run    func() any
 	Commit func(any)
@@ -332,25 +336,30 @@ func Execute(jobs []Job, opts Options) *Report {
 			opts.Obs.Flush(r.obs)
 		}
 		src := r.source()
-		if opts.Log != nil {
+		// Debug for a delivered job: one line per job is high-volume
+		// happy-path data — the event stream and metrics carry it at
+		// default levels. A dropped record costs nothing, not even the
+		// fingerprint, which the memo tiers may not have computed.
+		level, msg := slog.LevelDebug, "job delivered"
+		if !r.delivered() {
+			level, msg = slog.LevelError, "job failed"
+		}
+		if opts.Log != nil && opts.Log.Enabled(context.Background(), level) {
 			attrs := []any{"experiment", opts.Label, "index", i, "job", jobName(j),
 				"source", src, "wall_ms", r.wallMs}
 			if j.Run == nil && j.Cfg.Workload != nil {
-				attrs = append(attrs, "fingerprint", Fingerprint(j.Cfg))
-			}
-			if r.delivered() {
-				// Debug: one line per job is high-volume happy-path data —
-				// the event stream and metrics carry it at default levels.
-				opts.Log.Debug("job delivered", attrs...)
-			} else {
-				if r.err != nil {
-					attrs = append(attrs, "err", r.err)
+				if r.fp == "" {
+					r.fp = Fingerprint(j.Cfg)
 				}
-				if r.panicked != nil {
-					attrs = append(attrs, "panic", fmt.Sprint(r.panicked))
-				}
-				opts.Log.Error("job failed", attrs...)
+				attrs = append(attrs, "fingerprint", r.fp)
 			}
+			if r.err != nil {
+				attrs = append(attrs, "err", r.err)
+			}
+			if r.panicked != nil {
+				attrs = append(attrs, "panic", fmt.Sprint(r.panicked))
+			}
+			opts.Log.Log(context.Background(), level, msg, attrs...)
 		}
 		if opts.OnJob != nil {
 			opts.OnJob(jobName(j), src, r.wallMs)
@@ -375,6 +384,7 @@ type jobResult struct {
 	obs       *obs.Run
 	phaseWall map[string]float64 // wall ms per sim phase (executed jobs only)
 	wallMs    float64
+	fp        string // the job's fingerprint, if given or computed (see cachedRun)
 }
 
 // delivered reports whether the job's callback will run (no failure of any
@@ -485,7 +495,8 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options) {
 		}
 	}
 	cfg.Obs = orun
-	res, src, note, e := cachedRun(ctx, cfg, opts.Store)
+	r.fp = j.Fingerprint
+	res, src, note, e := cachedRun(ctx, cfg, &r.fp, opts.Store)
 	r.cached = src == srcHit
 	r.fromStore = src == srcStore
 	r.note = note
@@ -552,8 +563,10 @@ var (
 // plain measured data; drivers only read it). The note return carries
 // durability incidents that did not prevent the job (corrupt entries
 // recomputed, store writes degraded); it is non-nil only for the arrival
-// that performed the work (single-flight latecomers report nothing).
-func cachedRun(ctx context.Context, cfg sim.Config, st *store.Store) (*sim.Result, runSource, error, error) {
+// that performed the work (single-flight latecomers report nothing). *fp is
+// cfg's fingerprint if the caller knows it, else empty; the store tier
+// fills it in when it has to compute it, so no job hashes its key twice.
+func cachedRun(ctx context.Context, cfg sim.Config, fp *string, st *store.Store) (*sim.Result, runSource, error, error) {
 	if cfg.Workload == nil {
 		res, err := sim.RunContext(ctx, cfg)
 		return res, srcExecuted, nil, err
@@ -575,10 +588,11 @@ func cachedRun(ctx context.Context, cfg sim.Config, st *store.Store) (*sim.Resul
 				e.panicked = p
 			}
 		}()
-		var fp string
 		if st != nil {
-			fp = fingerprintKey(key)
-			res, lerr := storeLoad(st, fp)
+			if *fp == "" {
+				*fp = fingerprintKey(key)
+			}
+			res, lerr := storeLoad(st, *fp)
 			if res != nil {
 				storeHits.Add(1)
 				e.res = res
@@ -594,7 +608,7 @@ func cachedRun(ctx context.Context, cfg sim.Config, st *store.Store) (*sim.Resul
 			// Store trouble degrades durability, never correctness: the
 			// computed result is delivered either way, and the two notes
 			// (unusable entry, failed republish) chain.
-			if serr := storeSave(st, fp, e.res); serr != nil {
+			if serr := storeSave(st, *fp, e.res); serr != nil {
 				e.note = errors.Join(e.note, serr)
 			}
 		}

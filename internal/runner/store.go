@@ -23,10 +23,15 @@ import (
 // fingerprintKey renders a cacheKey to its canonical content address: the
 // hex SHA-256 of the key's %#v rendering. keyOf leaves no live pointer in
 // the key, so the rendering — and therefore the fingerprint — is stable
-// across processes and machines.
+// across processes and machines. fmt.Appendf renders exactly the bytes
+// fmt.Sprintf returns, here into a stack buffer that fits the ~1.2 KB
+// rendering, so no per-key string is built (a longer one grows past it).
 func fingerprintKey(key cacheKey) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", key)))
-	return hex.EncodeToString(sum[:])
+	var buf [2048]byte
+	sum := sha256.Sum256(fmt.Appendf(buf[:0], "%#v", key))
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], sum[:])
+	return string(dst[:])
 }
 
 // Fingerprint returns cfg's canonical memo fingerprint — the key under

@@ -2,7 +2,10 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func fsStore(t *testing.T) (*store.Store, string) {
@@ -259,5 +263,27 @@ func TestFingerprintStability(t *testing.T) {
 	seeded.Seed++
 	if Fingerprint(seeded) == fp {
 		t.Fatal("distinct configs share a fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins the fingerprint of one fixed config, and
+// checks it against the definition fingerprintKey must keep: the hex
+// SHA-256 of fmt.Sprintf("%#v", keyOf(cfg)). Every fs: store names its
+// entries by fingerprint, so a rendering change, however faithful, would
+// leave every existing store cold.
+func TestFingerprintGolden(t *testing.T) {
+	const golden = "66007ff61b0ca0dac4d81b870c8a2247d7c6b0b985272ad410ab8b88a8b597aa"
+	spec, ok := workload.ByName("Redis")
+	if !ok {
+		t.Fatal("no Redis workload")
+	}
+	cfg := sim.Config{Workload: spec, Policy: sim.PolicyTrident, MemGB: 16, Scale: 0.25,
+		Accesses: 100_000, Seed: 7, Fragment: true}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", keyOf(cfg))))
+	if def := hex.EncodeToString(sum[:]); def != golden {
+		t.Errorf("hex(sha256(%%#v of the key)) = %s, want %s: the key's rendering changed", def, golden)
+	}
+	if fp := Fingerprint(cfg); fp != golden {
+		t.Errorf("Fingerprint = %s, want %s", fp, golden)
 	}
 }

@@ -423,6 +423,27 @@ func gridConfigs(req SweepRequest) []sim.Config {
 	return cfgs
 }
 
+// gridJobs is the sweep's grid as runner jobs whose results fill tab. Each
+// job carries its cell's fingerprint from sw.fps, so the runner keys the
+// result store by it without hashing the config again; TestGridJobsFingerprints
+// pins that it equals the fingerprint of the job's own config.
+func gridJobs(sw *sweep, tab *stats.Table) []runner.Job {
+	cfgs := gridConfigs(sw.req)
+	jobs := make([]runner.Job, len(cfgs))
+	for idx, cfg := range cfgs {
+		// Result callbacks fire in submission order as the completed
+		// prefix grows (runner streaming delivery), so row index == table
+		// row index, and each row event carries the exact CSV bytes the
+		// final report will contain.
+		jobs[idx] = runner.Sim(cfg, func(r *sim.Result) {
+			tab.AddRow(r.Workload, r.Policy, r.Perf.CyclesPerAccess, r.Perf.WalkCycleFraction)
+			sw.events.row(sw.id, idx, sw.fps[idx], tab.RowCSV(idx))
+		})
+		jobs[idx].Fingerprint = sw.fps[idx]
+	}
+	return jobs
+}
+
 // gridFingerprints is the memo fingerprint of each grid cell — the store
 // keys that Completed probes and that row events carry.
 func gridFingerprints(req SweepRequest) []string {
@@ -667,20 +688,8 @@ func (s *Service) backoffWait(ctx context.Context, d time.Duration) {
 // any resume point — the determinism contract the reports inherit from
 // TestParallelDeterminism and TestStoreKillAndResume.
 func (s *Service) executeGrid(ctx context.Context, sw *sweep, log *slog.Logger) (*runner.Report, string, int) {
-	req := sw.req
 	tab := stats.NewTable("sweep "+sw.id, "workload", "policy", "cycles_per_access", "walk_cycle_fraction")
-	cfgs := gridConfigs(req)
-	jobs := make([]runner.Job, len(cfgs))
-	for idx, cfg := range cfgs {
-		// Result callbacks fire in submission order as the completed
-		// prefix grows (runner streaming delivery), so row index == table
-		// row index, and each row event carries the exact CSV bytes the
-		// final report will contain.
-		jobs[idx] = runner.Sim(cfg, func(r *sim.Result) {
-			tab.AddRow(r.Workload, r.Policy, r.Perf.CyclesPerAccess, r.Perf.WalkCycleFraction)
-			sw.events.row(sw.id, idx, sw.fps[idx], tab.RowCSV(idx))
-		})
-	}
+	jobs := gridJobs(sw, tab)
 	sw.events.sweepStarted(sw.id, len(jobs), tab.HeaderCSV())
 	s.inFlight.Store(int64(len(jobs)))
 	defer s.inFlight.Store(0)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -76,6 +77,33 @@ func TestSweepIDContentAddressed(t *testing.T) {
 	b.Seed++
 	if sweepID(a) == sweepID(b) {
 		t.Fatal("distinct requests share an id")
+	}
+}
+
+// TestGridJobsFingerprints pins that the fingerprint a sweep computes at
+// submission for each grid cell is the memo fingerprint of the config the
+// runner executes for that cell: the runner keys the result store by
+// Job.Fingerprint without hashing Cfg again, so a mismatch would serve and
+// save results under another configuration's key.
+func TestGridJobsFingerprints(t *testing.T) {
+	s := newService(t, Config{})
+	req := tinyReq()
+	req.Workloads = []string{"GUPS", "Redis"}
+	req.Fragment = true
+	sw := s.newSweep(sweepID(req), req, gridFingerprints(req))
+	jobs := gridJobs(sw, stats.NewTable("t", "workload", "policy", "cycles_per_access", "walk_cycle_fraction"))
+	if len(jobs) != 6 {
+		t.Fatalf("%d jobs, want 6", len(jobs))
+	}
+	seen := map[string]bool{}
+	for i, j := range jobs {
+		if want := runner.Fingerprint(j.Cfg); j.Fingerprint != want {
+			t.Errorf("job %d (%s/%s): fingerprint %s, want %s", i, j.Cfg.Workload.Name, j.Cfg.Policy, j.Fingerprint, want)
+		}
+		seen[j.Fingerprint] = true
+	}
+	if len(seen) != len(jobs) {
+		t.Errorf("%d distinct fingerprints for %d cells", len(seen), len(jobs))
 	}
 }
 

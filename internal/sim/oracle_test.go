@@ -13,8 +13,11 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fragment"
+	"repro/internal/hawkeye"
 	"repro/internal/kernel"
+	"repro/internal/mmu"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/tlb"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -229,7 +232,10 @@ func drawTLB(b uint8) *tlb.Config {
 // booted at prime%7+1 GB, of Trident's buddy flavour when prime is odd, and
 // one Fragmenter applied to it, so the run re-boots a kernel and re-applies
 // a Fragmenter first used at another size or flavour (kernel.Boot and
-// fragment.Fragmenter.Apply, the machine pool's contract).
+// fragment.Fragmenter.Apply, the machine pool's contract). It also parks a
+// run kit whose MMU a run has left dirty, at Skylake's TLB geometry when
+// prime is odd and at tinyTLB's when it is even, so the run resets an MMU
+// in place or rebuilds it (mmu.MMU.Reset).
 func primePool(prime uint8) {
 	if prime == 0 {
 		return
@@ -246,6 +252,21 @@ func primePool(prime uint8) {
 	}
 	releaseKernel(k)
 	releaseFragmenter(f)
+	geometry := *tinyTLB()
+	if prime%2 == 1 {
+		geometry = tlb.Skylake()
+	}
+	m := mmu.New(geometry)
+	for size := units.PageSize(0); size < units.NumPageSizes; size++ {
+		va := uint64(prime)<<32 + uint64(size)<<30
+		m.TLB.AccessMissedAll(va, size)
+		m.PWC.WalkAccesses(va, size)
+		m.HostPWC.WalkAccesses(va, size)
+		m.BySize[size].Accesses = uint64(prime)
+		m.TLB.SweepL1Runs([]stream.Run{{Access: stream.Access{VA: va}, Len: 1}}, make([]uint8, 1))
+	}
+	m.Faults, m.ShadowCheck = 1, true
+	releaseRunKit(runKit{m: m, runs: make([]stream.Run, 0, 8), cands: make([]hawkeye.Candidate, 3)})
 }
 
 // FuzzRunEquivalence is TestRunScalarEquivalence over drawn configs: any

@@ -4,8 +4,11 @@ import (
 	"sync"
 
 	"repro/internal/fragment"
+	"repro/internal/hawkeye"
 	"repro/internal/kernel"
+	"repro/internal/mmu"
 	"repro/internal/stream"
+	"repro/internal/tlb"
 )
 
 // Machine pooling: kernel construction allocates megabytes of bookkeeping
@@ -141,34 +144,52 @@ func releaseFragmenter(f *fragment.Fragmenter) {
 	machinePoolMu.Unlock()
 }
 
-// Run buffers: a run's page-run buffer (batchAccesses runs, 48 KB) and
-// its MMU's sweep scratch are the same size in every run, so they are
-// parked with the machine and a run allocates neither. Parking follows the
-// Fragmenters' rules.
-type runBufs struct {
+// Run kits: a run's MMU and its scratch buffers have the same shape in
+// every run of a geometry, so they are parked with the machine and a warm
+// run allocates none of them. A kit holds
+//   - the MMU: its TLB hierarchy and paging-structure caches (flat line
+//     arrays, per-set size counts and signatures) and TranslateRuns' sweep
+//     scratch, reset on acquire (mmu.MMU.Reset: caches emptied, statistics
+//     zeroed, the shadow check off);
+//   - the page-run buffer (batchAccesses runs, 48 KB), which the workload
+//     refills from empty each batch;
+//   - HawkEye's candidate list, which each kbinmanager pass refills from
+//     empty (hawkeye.Daemon.Cands).
+//
+// Parking follows the Fragmenters' rules. The pool is unkeyed: an acquire
+// takes the most recently parked kit, and if its MMU was built for another
+// TLB geometry, Reset allocates new caches for the run's, as mmu.New would.
+// So the pool never holds more kits than runs were in flight at once,
+// however many geometries a grid sweeps (experiments.TLBSweep varies them
+// per job). Nothing in a kit refers to a kernel.
+type runKit struct {
+	m     *mmu.MMU
 	runs  []stream.Run
-	sizes []uint8
+	cands []hawkeye.Candidate
 }
 
-var runBufPool []runBufs
+var kitPool []runKit
 
-// acquireRunBufs returns the most recently parked run buffers, or none
-// (nil slices, grown on first use).
-func acquireRunBufs() runBufs {
+// acquireRunKit returns a parked kit reset to a new MMU's state at geometry
+// cfg, or a new kit (an MMU and nil buffers, grown on first use).
+func acquireRunKit(cfg tlb.Config) runKit {
 	machinePoolMu.Lock()
-	defer machinePoolMu.Unlock()
-	n := len(runBufPool)
+	n := len(kitPool)
 	if n == 0 {
-		return runBufs{}
+		machinePoolMu.Unlock()
+		return runKit{m: mmu.New(cfg)}
 	}
-	b := runBufPool[n-1]
-	runBufPool = runBufPool[:n-1]
-	return b
+	kit := kitPool[n-1]
+	kitPool[n-1] = runKit{}
+	kitPool = kitPool[:n-1]
+	machinePoolMu.Unlock()
+	kit.m.Reset(cfg)
+	return kit
 }
 
-// releaseRunBufs parks b for reuse.
-func releaseRunBufs(b runBufs) {
+// releaseRunKit parks kit for reuse.
+func releaseRunKit(kit runKit) {
 	machinePoolMu.Lock()
-	runBufPool = append(runBufPool, b)
+	kitPool = append(kitPool, kit)
 	machinePoolMu.Unlock()
 }

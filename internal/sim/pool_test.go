@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/kernel"
@@ -10,14 +11,14 @@ import (
 
 // drainMachinePool empties the machine pool and returns the kernels it
 // held, in pool order, so that the next acquire boots a fresh kernel; the
-// parked Fragmenters are dropped too. Tests that compare a pooled run
-// against a fresh one call it where the fresh boot is meant: the pool
-// serves any parked kernel to a run of any size.
+// parked Fragmenters and run kits are dropped too. Tests that compare a
+// pooled run against a fresh one call it where the fresh boot is meant:
+// the pool serves any parked kernel to a run of any size.
 func drainMachinePool() []*kernel.Kernel {
 	machinePoolMu.Lock()
 	defer machinePoolMu.Unlock()
 	parked := machinePool
-	machinePool, fragPool = nil, nil
+	machinePool, fragPool, kitPool = nil, nil, nil
 	return parked
 }
 
@@ -130,4 +131,55 @@ func BenchmarkKernelReuse(b *testing.B) {
 			dirty(b, kernel.New(memBytes, maxOrder))
 		}
 	})
+}
+
+// TestWarmRunAllocs pins the warm-run allocation invariant (DESIGN.md
+// §5c): once the machine pool has parked what a run of a config uses —
+// kernels, Fragmenter, run kit — the next such run allocates a fixed
+// number of objects, whatever its footprint and access count. Whatever
+// grows with either (a span list regrown per scan, a VMA list rebuilt per
+// munmap, a lut rebuilt per insert batch) changes the count between the
+// two scales or the two access counts. testing.AllocsPerRun warms each
+// config with a run of its own before it counts. The runtime's own
+// background work now and then lands an allocation in a measured run (about
+// one run in 300 of a warm virtualized run, more right after the heap
+// grows); it only ever adds, so while the counts disagree each config is
+// measured again, twice at most, and keeps its lowest count.
+func TestWarmRunAllocs(t *testing.T) {
+	for _, name := range []string{"GUPS", "Redis"} {
+		for _, policy := range []PolicyKind{PolicyTHP, PolicyHawkEye, PolicyTrident} {
+			for _, mode := range []string{"native", "virtualized", "fragmented"} {
+				t.Run(name+"/"+policy.String()+"/"+mode, func(t *testing.T) {
+					var cfgs []Config
+					for _, scale := range []float64{0.125, 0.25} {
+						for _, accesses := range []int{20_000, 40_000} {
+							cfg := testConfig(name, policy)
+							cfg.Scale, cfg.Accesses = scale, accesses
+							switch mode {
+							case "virtualized":
+								cfg.Virtualized, cfg.HostPolicy = true, policy
+							case "fragmented":
+								cfg.Fragment = true
+							}
+							cfgs = append(cfgs, cfg)
+						}
+					}
+					counts := make([]float64, len(cfgs))
+					for attempt := 0; attempt < 3; attempt++ {
+						for i, cfg := range cfgs {
+							n := testing.AllocsPerRun(2, func() { mustRun(t, cfg) })
+							if attempt == 0 || n < counts[i] {
+								counts[i] = n
+							}
+						}
+						if slices.Min(counts) == slices.Max(counts) {
+							t.Logf("%v objects per warm run", counts[0])
+							return
+						}
+					}
+					t.Fatalf("warm runs allocate %v objects at (scale, accesses) = (0.125, 20k), (0.125, 40k), (0.25, 20k), (0.25, 40k); want one count", counts)
+				})
+			}
+		}
+	}
 }

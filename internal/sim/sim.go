@@ -329,9 +329,12 @@ type runner struct {
 	stallNs  float64
 
 	// runs is the run-coalesced pipeline's reusable buffer, parked with
-	// the machine (see acquireRunBufs); NextRuns returns at most one run
+	// the machine (see acquireRunKit); NextRuns returns at most one run
 	// per drawn reference, so batchAccesses capacity never reallocates.
-	runs   []stream.Run
+	runs []stream.Run
+	// cands is HawkEye's parked candidate buffer, handed to the measured
+	// HawkEye daemon and taken back from it at release.
+	cands  []hawkeye.Candidate
 	oracle bool // switches off every fast path (see run)
 }
 
@@ -403,7 +406,7 @@ func run(ctx context.Context, cfg Config, oracle bool) (*Result, error) {
 
 // releaseMachine parks the run's kernels for reuse: the native kernel, or
 // the host and guest kernels of a virtualized run, its fragmenter and its
-// translation buffers. Called only after
+// run kit (MMU and scratch buffers). Called only after
 // finish() — the Result holds copies, never pointers into kernel state, so
 // the kernels can be reset and handed to other runs.
 func (r *runner) releaseMachine() {
@@ -414,7 +417,10 @@ func (r *runner) releaseMachine() {
 	if r.frag != nil {
 		releaseFragmenter(r.frag)
 	}
-	releaseRunBufs(runBufs{runs: r.runs, sizes: r.m.SweepSizes})
+	if r.hawk != nil {
+		r.cands = r.hawk.Cands
+	}
+	releaseRunKit(runKit{m: r.m, runs: r.runs, cands: r.cands})
 }
 
 // phase brackets fn between balanced begin/end marks on the run's recorder
@@ -516,9 +522,8 @@ func (r *runner) buildMachine() error {
 	} else {
 		r.k = acquireKernel(memBytes, maxOrderFor(cfg.Policy))
 	}
-	r.m = mmu.New(*cfg.TLB)
-	bufs := acquireRunBufs()
-	r.runs, r.m.SweepSizes = bufs.runs, bufs.sizes
+	kit := acquireRunKit(*cfg.TLB)
+	r.m, r.runs, r.cands = kit.m, kit.runs, kit.cands
 
 	if cfg.Fragment {
 		footprint := uint64(float64(cfg.Workload.Footprint) * cfg.Scale)
@@ -695,6 +700,7 @@ func (r *runner) buildPolicy(k *kernel.Kernel, kind PolicyKind, measured bool) (
 		if measured {
 			if kind == PolicyHawkEye {
 				r.hawk = hawkeye.New(k)
+				r.hawk.Cands = r.cands
 			} else {
 				r.promoted = promote.New(k, nil)
 			}
@@ -1082,7 +1088,15 @@ func (r *runner) measure() error {
 	r.obsResetTrans()
 	wl := r.cfg.Workload
 
+	// Every full batch closes one request and, for a store that keeps
+	// inserting, extends the heap once.
 	var reqHist stats.Histogram
+	if wl.Throughput {
+		reqHist.Grow(r.cfg.Accesses / batchAccesses)
+		if wl.RequestInsertBytes > 0 {
+			r.inst.ReserveExtends(r.cfg.Accesses / batchAccesses)
+		}
+	}
 	var reqWalkBase perfmodel.TranslationStats
 	var reqStall float64
 	var totalStall float64

@@ -468,26 +468,47 @@ func TestPvRestoresHostMappings(t *testing.T) {
 // freshly booted one. The pool is drained first, so the first run boots
 // and the second provably executes on the first run's Reset kernels — any
 // Reset leak (stale mapping, frame owner, buddy state, task ID, chaos
-// hook) shows up as a Result difference.
+// hook) shows up as a Result difference. The same holds for the run kit:
+// the second run reuses the first one's MMU, flushed in place, and a
+// HawkEye run the first one's candidate list. In the rows with another
+// TLB geometry, the first run uses Skylake's, so the second run's MMU
+// gets new caches at the test geometry; the pool must still hold one kit.
 func TestKernelReuseDeterminism(t *testing.T) {
-	for _, virt := range []bool{false, true} {
-		virt := virt
-		name := "native"
-		if virt {
-			name = "virtualized"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := testConfig("GUPS", PolicyTrident)
+	for _, row := range []struct {
+		name           string
+		policy         PolicyKind
+		virt, otherTLB bool
+	}{
+		{"native", PolicyTrident, false, false},
+		{"virtualized", PolicyTrident, true, false},
+		{"native after another TLB geometry", PolicyTrident, false, true},
+		{"virtualized after another TLB geometry", PolicyTrident, true, true},
+		{"HawkEye", PolicyHawkEye, false, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := testConfig("GUPS", row.policy)
 			cfg.Accesses = 40_000
 			cfg.ShadowCheck = true
-			if virt {
+			if row.virt {
 				cfg.Virtualized = true
-				cfg.HostPolicy = PolicyTrident
+				cfg.HostPolicy = row.policy
 			}
 			fresh := freshRun(t, cfg)
+			if row.otherTLB {
+				other := cfg
+				other.TLB = &tlb.Config{}
+				*other.TLB = tlb.Skylake()
+				freshRun(t, other)
+			}
 			pooled := mustRun(t, cfg)
 			if !reflect.DeepEqual(fresh, pooled) {
 				t.Errorf("pooled-kernel run differs from fresh-kernel run:\nfresh:  %+v\npooled: %+v", fresh, pooled)
+			}
+			machinePoolMu.Lock()
+			kits := len(kitPool)
+			machinePoolMu.Unlock()
+			if kits != 1 {
+				t.Errorf("pool holds %d run kits, want the 1 both runs shared", kits)
 			}
 		})
 	}

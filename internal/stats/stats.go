@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,6 +25,10 @@ func (h *Histogram) Record(v float64) {
 	h.samples = append(h.samples, v)
 	h.sorted = false
 }
+
+// Grow makes room for n more samples, so the next n Records do not
+// reallocate.
+func (h *Histogram) Grow(n int) { h.samples = slices.Grow(h.samples, n) }
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int { return len(h.samples) }

@@ -12,6 +12,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/pagetable"
@@ -181,35 +182,37 @@ func (as *AddressSpace) MMapStack(size uint64) (uint64, error) {
 // MUnmap removes [va, va+size) from the VMA list, splitting VMAs as needed.
 // All leaf mappings in the range must have been unmapped from the page
 // table by the caller (the kernel layer does this, releasing frames).
+//
+// The list is edited in place: the VMAs overlapping the range form one
+// index range [i, j), replaced by what survives of its two ends.
+// Population's gap and churn loops unmap once per piece, so a list rebuilt
+// per call would make garbage quadratic in the VMA count.
 func (as *AddressSpace) MUnmap(va, size uint64) error {
 	if size == 0 || size%units.Page4K != 0 || va%units.Page4K != 0 {
 		return fmt.Errorf("vmm: bad munmap va=%#x size=%d", va, size)
 	}
 	end := va + size
+	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > va })
+	j := i
 	covered := uint64(0)
-	for _, v := range as.vmas {
-		lo, hi := max64(v.Start, va), min64(v.End, end)
-		if lo < hi {
-			covered += hi - lo
-		}
+	for ; j < len(as.vmas) && as.vmas[j].Start < end; j++ {
+		v := as.vmas[j]
+		covered += min(v.End, end) - max(v.Start, va)
 	}
 	if covered != size {
 		return ErrBadUnmap
 	}
-	var out []VMA
-	for _, v := range as.vmas {
-		if v.End <= va || v.Start >= end {
-			out = append(out, v)
-			continue
-		}
-		if v.Start < va {
-			out = append(out, VMA{v.Start, va, v.Kind})
-		}
-		if v.End > end {
-			out = append(out, VMA{end, v.End, v.Kind})
-		}
+	var rest [2]VMA
+	n := 0
+	if first := as.vmas[i]; first.Start < va {
+		rest[n] = VMA{first.Start, va, first.Kind}
+		n++
 	}
-	as.vmas = out
+	if last := as.vmas[j-1]; last.End > end {
+		rest[n] = VMA{end, last.End, last.Kind}
+		n++
+	}
+	as.vmas = slices.Replace(as.vmas, i, j, rest[:n]...)
 	return nil
 }
 
@@ -337,18 +340,4 @@ func (as *AddressSpace) mergeAround(i int) {
 		as.vmas[i-1].End = as.vmas[i].End
 		as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

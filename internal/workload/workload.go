@@ -27,6 +27,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
@@ -254,22 +255,30 @@ func All() []*Spec {
 	}
 }
 
-// ByName returns the spec with the given name.
+// table is All() built once, for ByName and Sensitive to copy from: the
+// sweep service looks up every grid cell's spec by name. A Spec holds no
+// pointer, so a shallow copy shares nothing with the table.
+var table = All()
+
+// ByName returns a new copy of the spec with the given name.
 func ByName(name string) (*Spec, bool) {
-	for _, s := range All() {
+	for _, s := range table {
 		if s.Name == name {
-			return s, true
+			c := *s
+			return &c, true
 		}
 	}
 	return nil, false
 }
 
-// Sensitive returns the shaded eight 1GB-sensitive workloads.
+// Sensitive returns new copies of the shaded eight 1GB-sensitive
+// workloads.
 func Sensitive() []*Spec {
 	var out []*Spec
-	for _, s := range All() {
+	for _, s := range table {
 		if s.Sensitive1G {
-			out = append(out, s)
+			c := *s
+			out = append(out, &c)
 		}
 	}
 	return out
@@ -326,26 +335,39 @@ type segments struct {
 	// position b<<lutShift, so at() starts from the right neighbourhood and
 	// advances at most the few segments sharing that bucket instead of
 	// binary-searching the whole cumulative table on every draw. Rebuilt
-	// lazily after add() (segments arrive in batches, draws in millions).
+	// lazily after add() (segments arrive in batches, draws in millions),
+	// into the same array: add empties it (an empty lut means stale), and
+	// the array is sized for as many segments as starts has room for.
 	lut      []int32
 	lutShift uint
+}
+
+// makeSegments returns empty segments with room for n.
+func makeSegments(n int) segments {
+	return segments{starts: make([]uint64, 0, n), cum: make([]uint64, 0, n)}
 }
 
 func (s *segments) add(start, size uint64) {
 	s.starts = append(s.starts, start)
 	s.cum = append(s.cum, s.total)
 	s.total += size
-	s.lut = nil
+	s.lut = s.lut[:0]
 }
 
 // buildLut indexes byte positions at a granularity that keeps the table at
-// most ~4 entries per segment, bounding both memory and the advance loop.
+// most ~4 entries per segment, bounding both memory and the advance loop:
+// it has at most 4*len(starts)+1 entries, so an array of 4*cap(starts)+1
+// serves every rebuild until starts itself regrows.
 func (s *segments) buildLut() {
 	shift := uint(12)
 	for s.total>>shift > uint64(4*len(s.starts)) {
 		shift++
 	}
-	lut := make([]int32, s.total>>shift+1)
+	n := int(s.total>>shift + 1)
+	if cap(s.lut) < n {
+		s.lut = make([]int32, 0, max(n, 4*cap(s.starts)+1))
+	}
+	lut := s.lut[:n]
 	seg := 0
 	for b := range lut {
 		pos := uint64(b) << shift
@@ -361,7 +383,7 @@ func (s *segments) buildLut() {
 // last segment whose cumulative start is <= pos — the same segment the
 // previous sort.Search implementation selected.
 func (s *segments) at(pos uint64) uint64 {
-	if s.lut == nil {
+	if len(s.lut) == 0 {
 		s.buildLut()
 	}
 	i := int(s.lut[pos>>s.lutShift])
@@ -431,11 +453,12 @@ func (s *Spec) InstantiateObserved(k *kernel.Kernel, task *kernel.Task, policy f
 		piece = 4 * units.MiB
 	}
 	type region struct{ va, size uint64 }
-	var pieces []region
 	nPieces := 0
 	if piece > 0 && remaining > 0 {
 		nPieces = int((remaining + piece - 1) / piece)
 	}
+	// One region per piece; churn replaces a region after removing one.
+	pieces := make([]region, 0, nPieces)
 	gapEvery := 0
 	if s.Alloc.Gaps > 0 && nPieces > s.Alloc.Gaps {
 		gapEvery = nPieces / (s.Alloc.Gaps + 1)
@@ -548,9 +571,11 @@ func (inst *Instance) touch(policy fault.Policy, va, size uint64) (float64, erro
 // buildSegments derives the linearized heap, the 1GB-unmappable fringe and
 // the hot window from the final VMA layout.
 func (inst *Instance) buildSegments(scale float64) {
-	inst.heap = segments{}
-	inst.fringe = segments{}
-	for _, v := range inst.Task.AS.VMAs() {
+	vmas := inst.Task.AS.VMAs()
+	// Each VMA adds at most one heap and two fringe segments.
+	inst.heap = makeSegments(len(vmas))
+	inst.fringe = makeSegments(2 * len(vmas))
+	for _, v := range vmas {
 		if v.Kind == vmm.KindStack {
 			continue
 		}
@@ -603,10 +628,10 @@ func (inst *Instance) refreshPlan() {
 	inst.plan.fringeBound = rejectBound(inst.fringe.total)
 	inst.plan.heapBound = rejectBound(inst.heap.total)
 	inst.plan.hotBound = rejectBound(inst.hotBytes)
-	if inst.heap.total > 0 && inst.heap.lut == nil {
+	if inst.heap.total > 0 && len(inst.heap.lut) == 0 {
 		inst.heap.buildLut()
 	}
-	if inst.fringe.total > 0 && inst.fringe.lut == nil {
+	if inst.fringe.total > 0 && len(inst.fringe.lut) == 0 {
 		inst.fringe.buildLut()
 	}
 }
@@ -702,6 +727,14 @@ func draw(rng *xrand.Rand, n, bound uint64) uint64 {
 
 func scaleBytes(b uint64, scale float64) uint64 {
 	return units.AlignUp(uint64(float64(b)*scale), units.Page4K)
+}
+
+// ReserveExtends makes room for n more Extend calls, so that a run's
+// measurement-time inserts regrow no array: the heap gains room for n
+// segments, and its next lut rebuild sizes the lut for all of them.
+func (inst *Instance) ReserveExtends(n int) {
+	inst.heap.starts = slices.Grow(inst.heap.starts, n)
+	inst.heap.cum = slices.Grow(inst.heap.cum, n)
 }
 
 // Extend allocates `bytes` more heap (one incremental piece) and touches it

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -74,13 +75,41 @@ func TestAllSpecsComplete(t *testing.T) {
 	}
 }
 
+// TestByName also checks that ByName and Sensitive hand out copies equal
+// to All's specs: a caller's edit must not reach the next caller, and a
+// Spec must stay pointer-free for a shallow copy to be a full one.
 func TestByName(t *testing.T) {
-	if _, ok := ByName("GUPS"); !ok {
-		t.Error("GUPS missing")
-	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("bogus name found")
 	}
+	for _, want := range All() {
+		got, ok := ByName(want.Name)
+		if !ok || *got != *want {
+			t.Fatalf("ByName(%q) = %+v, %v; want %+v", want.Name, got, ok, *want)
+		}
+		got.Footprint++
+		if again, _ := ByName(want.Name); *again != *want {
+			t.Fatalf("an edit to ByName(%q)'s spec reached the next call", want.Name)
+		}
+	}
+	Sensitive()[0].Footprint++
+	if got, want := Sensitive()[0], All()[0]; *got != *want {
+		t.Fatal("an edit to Sensitive()'s spec reached the next call")
+	}
+	var pointerFree func(typ reflect.Type, path string)
+	pointerFree = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				pointerFree(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			pointerFree(typ.Elem(), path+"[i]")
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %v: a shallow copy of a Spec would share it", path, typ.Kind())
+		}
+	}
+	pointerFree(reflect.TypeOf(Spec{}), "Spec")
 }
 
 func TestInstantiateFootprint(t *testing.T) {
