@@ -45,8 +45,11 @@ chaos:
 # MapSpecific, ten of a kernel re-booted through a chain of sizes and
 # flavours against newly booted ones (kernel.Boot), and ten each of
 # fault-around's run of order-0 frames against repeated Alloc(0) and of
-# fault-around population against the per-fault loop, ten of teardown by
-# runs against its per-page definition (kernel.FuzzUnmapRangeEquivalence),
+# fault-around population against the per-fault loop, ten of the buddy's
+# free lists after random operations and re-boots against the maximal
+# aligned blocks of the free frames (buddy.FuzzFreeListsMatchModel), ten
+# of teardown by runs against its per-page definition
+# (kernel.FuzzUnmapRangeEquivalence),
 # ten of compaction by runs against its per-page definition
 # (compact.FuzzCompactRunEquivalence), ten of a Fragmenter re-applied at
 # another size or flavour against a new one
@@ -66,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
+	$(GO) test -run '^$$' -fuzz FuzzFreeListsMatchModel -fuzztime 10s ./internal/buddy
 	$(GO) test -run '^$$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz FuzzCompactRunEquivalence -fuzztime 10s ./internal/compact

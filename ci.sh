@@ -9,6 +9,8 @@
 # the machine pool's contract), and of population by fault-around against
 # its per-fault definitions (the buddy's run of order-0 frames against
 # repeated Alloc(0), fault-around touch against the per-fault loop), of
+# the buddy's free lists after random operations and re-boots against the
+# maximal aligned blocks of the free frames (FuzzFreeListsMatchModel), of
 # teardown by runs against its per-page definition (UnmapRange and
 # UnmapRangeKeep against UnmapFree and the test-only UnmapKeep), of
 # compaction by runs
@@ -92,6 +94,7 @@ go test -run '^$' -fuzz FuzzCarveEquivalence -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzMapRunEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzBootEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzAllocRunEquivalence -fuzztime 10s ./internal/buddy
+go test -run '^$' -fuzz FuzzFreeListsMatchModel -fuzztime 10s ./internal/buddy
 go test -run '^$' -fuzz FuzzFaultAroundEquivalence -fuzztime 10s ./internal/workload
 go test -run '^$' -fuzz FuzzUnmapRangeEquivalence -fuzztime 10s ./internal/kernel
 go test -run '^$' -fuzz FuzzCompactRunEquivalence -fuzztime 10s ./internal/compact

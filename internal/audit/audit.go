@@ -19,7 +19,8 @@
 //     a Zeroed region is fully free. This recount is what covers unmovable
 //     frames (the fragmenter's kernel objects, §5.1.3): an unmovable chunk
 //     allocated or freed without its bits and counters agreeing fails it.
-//  4. The buddy allocator's free lists exactly tile the free space
+//  4. The buddy allocator's free lists exactly tile the free space, fully
+//     coalesced: no free chunk below max order has a wholly free buddy
 //     (delegated to buddy.CheckInvariants).
 //  5. No TLB entry translates a VA its task no longer maps at that size
 //     (the shootdown discipline held).

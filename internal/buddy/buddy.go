@@ -11,6 +11,8 @@
 // every simulation run deterministic. Frees coalesce with buddies exactly as
 // in Linux. The allocator is the single authority over frame state and keeps
 // phys.Memory's bitmaps and per-region counters in sync on every operation.
+// Its own state is one bitmap of free-chunk heads per order, a bit per
+// 2^order frames: about two bits per frame over all orders.
 package buddy
 
 import (
@@ -31,33 +33,19 @@ type Allocator struct {
 	mem      *phys.Memory
 	maxOrder int
 
-	// freeOrder[pfn>>foChunkBits][pfn&(foChunkSize-1)] holds order+1 for
-	// the free chunk headed at pfn, or 0 if pfn is not the head of a free
-	// chunk. Chunks materialize on first write: a nil chunk means "no write
-	// since New", whose contents are the deterministic initial tiling (the
-	// maxOrder-aligned heads hold maxOrder+1, everything else 0), so reads
-	// reconstruct them without ever allocating. Regions of physical memory
-	// the run never touches therefore cost no allocation or zeroing — at
-	// full machine scale the flat array was tens of MB of memclr per
-	// kernel construction.
-	freeOrder [][]int8
-
 	// free holds the free-chunk heads per order as exact bitmaps over chunk
 	// indexes (pfn >> order), replacing the earlier lazy-deletion min-heap:
 	// insert/remove are single bit operations, and pop scans words upward
 	// from a per-order cursor — "lowest-addressed chunk first" falls out of
 	// bit order, so the allocation sequence (and with it every simulated
-	// run) is bit-identical to the heap version's.
+	// run) is bit-identical to the heap version's. They are the only record
+	// of which chunks are free: an order-aligned pfn heads a free chunk of
+	// order o iff bit pfn>>o of free[o] is set (isFree), which is all that
+	// Free's buddy test and AllocSpecific's cover search ask.
 	free []freeList
 
 	// counts are the live free-chunk counts per order.
 	counts []uint64
-
-	// covered is CheckInvariants's reusable coverage bitset (one bit per
-	// frame), sized and cleared per call and reallocated only to grow; the
-	// map it replaced allocated per invocation on every fragmentation
-	// snapshot.
-	covered []uint64
 
 	// FailAlloc, if set, is consulted on every Alloc and AllocSpecific;
 	// returning true forces ErrNoMemory as if no contiguous chunk existed.
@@ -77,53 +65,8 @@ func New(mem *phys.Memory, maxOrder int) *Allocator {
 	return a
 }
 
-// freeOrder chunking: 1<<16 frames (256MB of physical memory) per chunk.
-const (
-	foChunkBits = 16
-	foChunkSize = 1 << foChunkBits
-)
-
-// freeOrderAt reads the order+1 code for pfn. A nil chunk reproduces the
-// initial tiling Boot established: maxOrder+1 at maxOrder-aligned heads,
-// 0 elsewhere.
-func (a *Allocator) freeOrderAt(pfn uint64) int8 {
-	if c := a.freeOrder[pfn>>foChunkBits]; c != nil {
-		return c[pfn&(foChunkSize-1)]
-	}
-	if pfn&(uint64(1)<<uint(a.maxOrder)-1) == 0 {
-		return int8(a.maxOrder) + 1
-	}
-	return 0
-}
-
-// setFreeOrder writes the order+1 code for pfn, materializing the chunk
-// with the initial tiling pattern on first write.
-func (a *Allocator) setFreeOrder(pfn uint64, v int8) {
-	ci := pfn >> foChunkBits
-	c := a.freeOrder[ci]
-	if c == nil {
-		c = make([]int8, foChunkSize)
-		stamp(c, int(ci), a.maxOrder, int8(a.maxOrder)+1)
-		a.freeOrder[ci] = c
-	}
-	c[pfn&(foChunkSize-1)] = v
-}
-
-// stamp writes v at every order-aligned PFN of freeOrder chunk ci, c.
-// With v = order+1 over a cleared chunk, that is the initial tiling
-// pattern of max order order; it depends only on the chunk's index, not on
-// the memory size, since memory is a whole number of chunks.
-func stamp(c []int8, ci, order int, v int8) {
-	align := uint64(1) << uint(order)
-	base := uint64(ci) << foChunkBits
-	for p := (base + align - 1) &^ (align - 1); p < base+foChunkSize; p += align {
-		c[p-base] = v
-	}
-}
-
 // tile puts the maxOrder chunks with indexes [from, to) on the free
-// bitmap. Their freeOrder side is the initial tiling pattern, which every
-// chunk holds from materialization or Reset on.
+// bitmap.
 func (a *Allocator) tile(from, to uint64) {
 	w := a.free[a.maxOrder].words
 	for idx := from; idx < to; idx++ {
@@ -133,21 +76,12 @@ func (a *Allocator) tile(from, to uint64) {
 }
 
 // Reset returns the allocator to its post-Boot state — all memory free,
-// tiled with maxOrder chunks — while retaining the allocated backing:
-// materialized freeOrder chunks are rewritten to the initial tiling
-// pattern (reads through them are then identical to reads through the nil
-// chunks New leaves), the free bitmaps are cleared and re-seeded, and the
-// per-run FailAlloc hook is dropped so a pooled allocator cannot carry a
-// stale chaos injector into its next run. The caller must Reset the
-// underlying phys.Memory alongside (the kernel's Reset does) to keep the
-// two views consistent.
+// tiled with maxOrder chunks — while retaining the allocated backing: the
+// free bitmaps are cleared and re-seeded, and the per-run FailAlloc hook is
+// dropped so a pooled allocator cannot carry a stale chaos injector into
+// its next run. The caller must Reset the underlying phys.Memory alongside
+// (the kernel's Reset does) to keep the two views consistent.
 func (a *Allocator) Reset() {
-	for ci, c := range a.freeOrder {
-		if c != nil {
-			clear(c)
-			stamp(c, ci, a.maxOrder, int8(a.maxOrder)+1)
-		}
-	}
 	for o := range a.free {
 		clear(a.free[o].words)
 		a.free[o].cursor = 0
@@ -164,20 +98,17 @@ func (a *Allocator) Reset() {
 // bitmap words past the old end are cleared, and the maxOrder tiling
 // gains or loses the chunks between the two sizes — or, when the max
 // order changes, the old tiling is withdrawn and the new one seeded.
-// freeOrder chunks past the old end are reused as they are, which rests on
-// one invariant: every materialized chunk, including those in spare
-// capacity past len, holds the tiling pattern of the current max order.
-// Reset keeps it inside the memory, and a change of max order rewrites
-// the pattern in freeOrder[:cap].
 func (a *Allocator) Boot(maxOrder int) {
 	if maxOrder < units.Order2M || maxOrder > units.TridentMaxOrder {
 		panic(fmt.Sprintf("buddy: unsupported max order %d", maxOrder))
 	}
 	frames := a.mem.Frames()
-	oldChunks := uint64(len(a.freeOrder)) << foChunkBits >> uint(a.maxOrder)
 	newChunks := frames >> uint(maxOrder)
 	var keep uint64 // tiling chunks that stay free as they are
 	if a.counts != nil {
+		// Memory is whole GBs, so the order-0 bitmap has exactly one word
+		// per 64 frames of the old size.
+		oldChunks := uint64(len(a.free[0].words)) * 64 >> uint(a.maxOrder)
 		if a.counts[a.maxOrder] != oldChunks {
 			panic("buddy: Boot of an allocator that is not Reset")
 		}
@@ -189,15 +120,6 @@ func (a *Allocator) Boot(maxOrder int) {
 			w[idx>>6] &^= 1 << (idx & 63)
 		}
 		a.counts[a.maxOrder] = keep
-	}
-	a.freeOrder = phys.Resized(a.freeOrder, int((frames+foChunkSize-1)>>foChunkBits))
-	if maxOrder != a.maxOrder {
-		for ci, c := range a.freeOrder[:cap(a.freeOrder)] {
-			if c != nil {
-				stamp(c, ci, a.maxOrder, 0)
-				stamp(c, ci, maxOrder, int8(maxOrder)+1)
-			}
-		}
 	}
 	a.maxOrder = maxOrder
 	a.free = phys.Resized(a.free, maxOrder+1)
@@ -324,7 +246,7 @@ func (a *Allocator) AllocSpecific(pfn uint64, order int, unmovable bool) error {
 func (a *Allocator) coverOf(pfn uint64, order int) (uint64, int) {
 	for o := order; o <= a.maxOrder; o++ {
 		h := pfn &^ ((uint64(1) << uint(o)) - 1)
-		if int(a.freeOrderAt(h)) == o+1 {
+		if a.isFree(h, o) {
 			return h, o
 		}
 	}
@@ -472,7 +394,7 @@ func (a *Allocator) Free(pfn uint64, order int) {
 	a.mem.MarkFree(pfn, uint64(1)<<uint(order)) // panics on double free
 	for order < a.maxOrder {
 		buddyPfn := pfn ^ (uint64(1) << uint(order))
-		if buddyPfn >= a.mem.Frames() || int(a.freeOrderAt(buddyPfn)) != order+1 {
+		if buddyPfn >= a.mem.Frames() || !a.isFree(buddyPfn, order) {
 			break
 		}
 		a.removeFree(buddyPfn, order)
@@ -585,8 +507,14 @@ type freeList struct {
 	cursor int
 }
 
+// isFree reports whether the order-aligned pfn heads a free chunk of the
+// order.
+func (a *Allocator) isFree(pfn uint64, order int) bool {
+	idx := pfn >> uint(order)
+	return a.free[order].words[idx>>6]&(1<<(idx&63)) != 0
+}
+
 func (a *Allocator) insertFree(pfn uint64, order int) {
-	a.setFreeOrder(pfn, int8(order)+1)
 	idx := pfn >> uint(order)
 	fl := &a.free[order]
 	w := int(idx >> 6)
@@ -608,54 +536,50 @@ func (a *Allocator) popFree(order int) uint64 {
 		fl.cursor = w
 		b := bits.TrailingZeros64(word)
 		fl.words[w] = word &^ (1 << uint(b))
-		pfn := (uint64(w)*64 + uint64(b)) << uint(order)
-		a.setFreeOrder(pfn, 0)
 		a.counts[order]--
-		return pfn
+		return (uint64(w)*64 + uint64(b)) << uint(order)
 	}
 	panic(fmt.Sprintf("buddy: count says order %d has free chunks but bitmap is empty", order))
 }
 
 // removeFree removes a specific chunk from its free list.
 func (a *Allocator) removeFree(pfn uint64, order int) {
-	if int(a.freeOrderAt(pfn)) != order+1 {
-		panic(fmt.Sprintf("buddy: removeFree(%d, %d) but freeOrder is %d",
-			pfn, order, int(a.freeOrderAt(pfn))-1))
+	if !units.IsAligned(pfn, uint64(1)<<uint(order)) || !a.isFree(pfn, order) {
+		panic(fmt.Sprintf("buddy: removeFree(%d, %d) of no free chunk", pfn, order))
 	}
-	a.setFreeOrder(pfn, 0)
 	idx := pfn >> uint(order)
 	a.free[order].words[idx>>6] &^= 1 << (idx & 63)
 	a.counts[order]--
 }
 
-// CheckInvariants verifies internal consistency (used by tests): every free
-// chunk head is aligned and carries its order in freeOrder, chunks do not
-// overlap, and the free-frame total matches phys.Memory. It returns an
-// error describing the first violation.
+// CheckInvariants verifies internal consistency (used by tests and the
+// auditor): every free chunk is free in phys and lies inside no larger free
+// chunk, the free-frame total matches phys.Memory, and — buddy coalescing
+// being confluent (DESIGN.md §5c) — no free chunk below max order has a
+// wholly free buddy, which a complete coalesce would have merged with it.
+// It returns an error describing the first violation.
 func (a *Allocator) CheckInvariants() error {
 	var freeFrames uint64
-	a.covered = phys.ResizedZero(a.covered[:0], int((a.mem.Frames()+63)/64))
 	for order := 0; order <= a.maxOrder; order++ {
 		heads := a.FreeChunkHeads(order)
 		if uint64(len(heads)) != a.counts[order] {
 			return fmt.Errorf("order %d: %d heads vs count %d", order, len(heads), a.counts[order])
 		}
+		size := uint64(1) << uint(order)
 		for _, pfn := range heads {
-			size := uint64(1) << uint(order)
-			if !units.IsAligned(pfn, size) {
-				return fmt.Errorf("order %d chunk at %d misaligned", order, pfn)
+			if pfn+size > a.mem.Frames() {
+				return fmt.Errorf("order %d chunk at %d lies past the end of memory", order, pfn)
 			}
-			if got := int(a.freeOrderAt(pfn)) - 1; got != order {
-				return fmt.Errorf("order %d chunk at %d has freeOrder %d", order, pfn, got)
+			if f := a.mem.NextAllocated(pfn, pfn+size); f < pfn+size {
+				return fmt.Errorf("frame %d free in buddy but allocated in phys", f)
 			}
-			for f := pfn; f < pfn+size; f++ {
-				if a.covered[f/64]&(1<<(f%64)) != 0 {
-					return fmt.Errorf("frame %d covered by two free chunks", f)
+			for o := order + 1; o <= a.maxOrder; o++ {
+				if h := pfn &^ (uint64(1)<<uint(o) - 1); a.isFree(h, o) {
+					return fmt.Errorf("order %d chunk at %d lies inside order %d chunk at %d", order, pfn, o, h)
 				}
-				a.covered[f/64] |= 1 << (f % 64)
-				if a.mem.IsAllocated(f) {
-					return fmt.Errorf("frame %d free in buddy but allocated in phys", f)
-				}
+			}
+			if buddy := pfn ^ size; order < a.maxOrder && a.mem.NextAllocated(buddy, buddy+size) == buddy+size {
+				return fmt.Errorf("order %d chunk at %d has a wholly free buddy", order, pfn)
 			}
 			freeFrames += size
 		}

@@ -356,11 +356,10 @@ func BenchmarkAllocFree2M(b *testing.B) {
 // another size and flavour must be indistinguishable from a new one —
 // shrunk, grown beyond its capacity, and grown back within it. The flavour
 // switches at each shrink, in both directions, and before each shrink a
-// freeOrder chunk is materialized at the top of memory: the chunk then
-// sits in spare capacity through the switch, and the next grow, of the
-// same flavour, reuses it, so Boot must have rewritten the pattern in
-// spare capacity too. The bitmap words a grow exposes are poisoned first:
-// Boot clears them rather than trusting what the spare capacity holds.
+// 2MB chunk at the top of memory is allocated and freed, so the bitmap
+// words that then sit in spare capacity were written. The bitmap words a
+// grow exposes are poisoned first: Boot clears them rather than trusting
+// what the spare capacity holds.
 func TestBootMatchesNew(t *testing.T) {
 	for _, first := range []int{units.StockMaxOrder, units.TridentMaxOrder} {
 		other := units.StockMaxOrder + units.TridentMaxOrder - first
@@ -387,28 +386,18 @@ func TestBootMatchesNew(t *testing.T) {
 			a.mem.Boot(step.gb * units.Page1G)
 			a.Boot(step.maxOrder)
 			want := New(phys.NewMemory(step.gb*units.Page1G), step.maxOrder)
-			// The freeOrder chunks the allocations wrote are kept for
-			// reuse, in the initial tiling pattern.
-			for ci, c := range a.freeOrder {
-				if c != nil {
-					pfn := uint64(ci) << foChunkBits
-					want.setFreeOrder(pfn, want.freeOrderAt(pfn))
-				}
-			}
 			if !reflect.DeepEqual(a, want) {
 				t.Fatalf("max order %d, then booted at %dGB, max order %d: differs from New", first, step.gb, step.maxOrder)
 			}
 			if err := a.CheckInvariants(); err != nil {
 				t.Fatalf("max order %d, then booted at %dGB, max order %d: %v", first, step.gb, step.maxOrder, err)
 			}
-			a.covered = nil
 		}
 	}
 }
 
-// TestCheckInvariantsAfterGrow is a regression test: CheckInvariants keeps
-// its coverage bitset between calls, so it must size it to the memory on
-// each call, or an audit after a grow indexes past its end.
+// TestCheckInvariantsAfterGrow: an audit after a grow reads the grown
+// memory's bitmaps, and the chunks the grow added pass it.
 func TestCheckInvariantsAfterGrow(t *testing.T) {
 	a := newAlloc(t, 1, units.TridentMaxOrder)
 	if err := a.CheckInvariants(); err != nil {

@@ -16,8 +16,8 @@ import (
 // allocation, the same free lists and unmovable chunks afterwards, and a
 // clean audit (which includes Buddy.CheckInvariants). A chain of boots
 // reaches states a single re-boot cannot: a shrink, then a flavour switch
-// at that size, then a grow within capacity that reuses the freeOrder
-// chunks the switch had to rewrite in spare capacity.
+// at that size, then a grow within capacity that reuses the free-bitmap
+// words the switch left in spare capacity.
 //
 // sizes holds the four memory sizes (1–4GB) in its bit pairs, low pair
 // first, and flavours the four flavours in its low four bits; ops is split

@@ -59,15 +59,16 @@ type Mapping struct {
 // therefore not safe for concurrent use; each simulated run owns its tables
 // exclusively (DESIGN.md §5).
 type Table struct {
-	root        *node // level 4 (PML4)
+	root        *dir // level 4 (PML4)
 	mappedBytes [units.NumPageSizes]uint64
 	wc          walkCache
 
-	// Free lists of reclaimed (all-zero, see newNode) page-table nodes,
-	// split by shape: inner nodes carry a 512-pointer children slice,
-	// level-1 nodes do not.
-	poolInner []*node
-	poolLeaf  []*node
+	// Free lists of reclaimed (all-zero, see newDir) page-table pages,
+	// split by shape: directories above level 2 carry a dirs slice, level-2
+	// directories a pages slice, and leaf tables are bare pages.
+	poolDirs  []*dir
+	poolPDs   []*dir
+	poolPages []*page
 
 	// runPFNs is UnmapRuns' reused buffer of the pending run's frames.
 	runPFNs []uint64
@@ -76,94 +77,139 @@ type Table struct {
 // walkCache remembers where the previous walk ended, so spatially-local
 // walks resolve without re-descending from the PML4: the last leaf entry
 // (any size) answers repeats within the same page, and the last page-table
-// node reached at level 2 (a PD, covering 1GB of VA) answers neighbours in
-// the same 1GB window from two levels down. It caches structure, not entry
-// contents — hits re-read the live entry, so flag updates (accessed/dirty
-// bits, Replace's PFN swap) need no invalidation; any structural change
-// (Map/Unmap/Demote) drops the cache wholesale.
+// directory reached at level 2 (a PD, covering 1GB of VA) answers
+// neighbours in the same 1GB window from two levels down. It caches
+// structure, not entry contents — hits re-read the live entry, so flag
+// updates (accessed/dirty bits, Replace's PFN swap) need no invalidation;
+// any structural change (Map/Unmap/Demote) drops the cache wholesale.
 type walkCache struct {
-	leaf     *node // node holding the cached leaf entry; nil when invalid
+	leaf     *page // table holding the cached leaf entry; nil when invalid
 	leafIdx  int
 	leafLo   uint64 // VA span [leafLo, leafHi) of the cached leaf page
 	leafHi   uint64
 	leafSize units.PageSize
 
-	pd   *node // level-2 node covering [pdLo, pdLo+1GB); nil when invalid
+	pd   *dir // level-2 directory covering [pdLo, pdLo+1GB); nil when invalid
 	pdLo uint64
 }
 
 // invalidate drops the walk cache (called on any structural mutation).
 func (t *Table) invalidate() { t.wc = walkCache{} }
 
-type node struct {
-	entries  [512]uint64
-	children []*node // allocated only for levels > 1
-	live     int     // number of present entries, for table reclamation
+// page is one page-table page's 512 entries and nothing else, so a leaf
+// (level-1) table is a single 4096-byte allocation, which Go's 4096-byte
+// size class holds without slack. Its present-entry count lives in the
+// level-2 directory above it.
+type page [512]uint64
+
+// dir is a page-table page at level 2, 3 or 4 (PD, PDPT, PML4): its
+// entries, the table under each present non-PS entry — a dir above level
+// 2, a leaf page at level 2 — and present-entry counts for table
+// reclamation: its own in live, and at level 2 each leaf page's in used.
+type dir struct {
+	entries page
+	live    uint16
+	dirs    []*dir   // levels 3 and 4 only
+	pages   []*page  // level 2 only
+	used    []uint16 // level 2 only: used[i] counts pages[i]'s present entries
 }
 
-// newNode returns a zeroed node for the given level, reusing a reclaimed
-// one when available: Unmap only reclaims nodes with live == 0, and a node
-// with no present entries is provably all-zero (entries are zeroed when
+// child returns the table under present non-PS entry i of d, which is at
+// the given level, and, above level 2, its dir.
+func (d *dir) child(level, i int) (*page, *dir) {
+	if level == 2 {
+		return d.pages[i], nil
+	}
+	c := d.dirs[i]
+	return &c.entries, c
+}
+
+// newDir returns a zeroed directory for the given level, reusing a
+// reclaimed one when available: Unmap only reclaims tables with no present
+// entries, and such a table is provably all-zero (entries are zeroed when
 // their mapping or child is removed, and child pointers are nil'd on
-// reclamation), so pooled nodes need no clearing. The fault path maps and
-// unmaps intermediate tables constantly under churn/compaction; reuse keeps
-// that off the allocator.
-func (t *Table) newNode(level int) *node {
-	if level > 1 {
-		if k := len(t.poolInner); k > 0 {
-			n := t.poolInner[k-1]
-			t.poolInner = t.poolInner[:k-1]
-			return n
-		}
-		return &node{children: make([]*node, 512)}
+// reclamation), so pooled tables need no clearing. The fault path maps and
+// unmaps intermediate tables constantly under churn/compaction; reuse
+// keeps that off the allocator.
+func (t *Table) newDir(level int) *dir {
+	pool := &t.poolDirs
+	if level == 2 {
+		pool = &t.poolPDs
 	}
-	if k := len(t.poolLeaf); k > 0 {
-		n := t.poolLeaf[k-1]
-		t.poolLeaf = t.poolLeaf[:k-1]
-		return n
+	if k := len(*pool); k > 0 {
+		d := (*pool)[k-1]
+		*pool = (*pool)[:k-1]
+		return d
 	}
-	return &node{}
+	if level == 2 {
+		return &dir{pages: make([]*page, 512), used: make([]uint16, 512)}
+	}
+	return &dir{dirs: make([]*dir, 512)}
+}
+
+// newPage returns a zeroed leaf table, reusing a reclaimed one as newDir
+// does.
+func (t *Table) newPage() *page {
+	if k := len(t.poolPages); k > 0 {
+		p := t.poolPages[k-1]
+		t.poolPages = t.poolPages[:k-1]
+		return p
+	}
+	return new(page)
+}
+
+// freeDir returns an emptied (all-zero) directory to its pool.
+func (t *Table) freeDir(d *dir) {
+	if d.pages != nil {
+		t.poolPDs = append(t.poolPDs, d)
+	} else {
+		t.poolDirs = append(t.poolDirs, d)
+	}
 }
 
 // New creates an empty page table.
 func New() *Table {
 	t := &Table{}
-	t.root = t.newNode(4)
+	t.root = t.newDir(4)
 	return t
 }
 
-// Reset empties the table in place, reclaiming every allocated node into
-// the pools, so the next population's node allocations are all pool hits.
-// A reset table is observably identical to a fresh one: the pools only
-// hand out all-zero nodes (reclaim restores that state), and every other
-// field returns to its New value. The machine pool (internal/sim) relies
-// on this to reuse kernels across runs without re-allocating their
+// Reset empties the table in place, reclaiming every allocated table into
+// the pools, so the next population's table allocations are all pool
+// hits. A reset table is observably identical to a fresh one: the pools
+// only hand out all-zero tables (reclaim restores that state), and every
+// other field returns to its New value. The machine pool (internal/sim)
+// relies on this to reuse kernels across runs without re-allocating their
 // page-table arenas.
 func (t *Table) Reset() {
 	t.reclaim(t.root)
-	t.root = t.newNode(4)
+	t.root = t.newDir(4)
 	t.mappedBytes = [units.NumPageSizes]uint64{}
 	t.invalidate()
 }
 
-// reclaim zeroes n, detaches and reclaims its subtree, and returns n to
-// its pool — re-establishing newNode's all-zero invariant.
-func (t *Table) reclaim(n *node) {
-	if n.live != 0 {
-		n.entries = [512]uint64{}
-		n.live = 0
+// reclaim zeroes d, detaches and reclaims its subtree, and returns d to
+// its pool — re-establishing newDir's all-zero invariant.
+func (t *Table) reclaim(d *dir) {
+	if d.live != 0 {
+		d.entries = page{}
+		d.live = 0
 	}
-	if n.children != nil {
-		for i, c := range n.children {
-			if c != nil {
-				t.reclaim(c)
-				n.children[i] = nil
-			}
+	for i, c := range d.dirs {
+		if c != nil {
+			t.reclaim(c)
+			d.dirs[i] = nil
 		}
-		t.poolInner = append(t.poolInner, n)
-	} else {
-		t.poolLeaf = append(t.poolLeaf, n)
 	}
+	for i, p := range d.pages {
+		if p != nil {
+			*p = page{}
+			d.used[i] = 0
+			d.pages[i] = nil
+			t.poolPages = append(t.poolPages, p)
+		}
+	}
+	t.freeDir(d)
 }
 
 // leafLevel returns the level at which a page of the given size terminates:
@@ -233,51 +279,56 @@ func (t *Table) Map(va, pfn uint64, size units.PageSize) error {
 	// the cache below — the fault path's map-then-retranslate pattern hits
 	// it without a fresh descent.
 	target := leafLevel(size)
-	var pd *node
-	n := t.root
-	level := 4
+	d, level := t.root, 4
 	if target <= 2 {
 		if wc := &t.wc; wc.pd != nil && va-wc.pdLo < units.Page1G {
 			// A valid cached PD was reached through present non-PS entries
 			// at levels 4–3; Map never mutates a present entry and Unmap
 			// invalidates the cache, so those two levels need no revisit —
-			// they would neither create nodes nor detect overlap.
-			n, level = wc.pd, 2
+			// they would neither create tables nor detect overlap.
+			d, level = wc.pd, 2
 		}
 	}
-	for ; level > target; level-- {
+	for ; level > max(target, 2); level-- {
 		i := index(va, level)
-		if n.entries[i]&flagPresent == 0 {
-			child := t.newNode(level - 1)
-			n.children[i] = child
-			n.entries[i] = flagPresent
-			n.live++
-		} else if n.entries[i]&flagPS != 0 {
+		if d.entries[i]&flagPresent == 0 {
+			d.dirs[i] = t.newDir(level - 1)
+			d.entries[i] = flagPresent
+			d.live++
+		} else if d.entries[i]&flagPS != 0 {
 			return ErrOverlap // covered by a larger leaf
 		}
-		if level == 2 {
-			pd = n
+		d = d.dirs[i]
+	}
+	// d is the directory at level max(target, 2); the leaf entry goes in
+	// it, or for 4KB in the leaf table under it.
+	tbl, live := &d.entries, &d.live
+	if target == 1 {
+		i := index(va, 2)
+		if d.entries[i]&flagPresent == 0 {
+			d.pages[i] = t.newPage()
+			d.entries[i] = flagPresent
+			d.live++
+		} else if d.entries[i]&flagPS != 0 {
+			return ErrOverlap
 		}
-		n = n.children[i]
+		tbl, live = d.pages[i], &d.used[i]
 	}
 	i := index(va, target)
-	if n.entries[i]&flagPresent != 0 {
+	if tbl[i]&flagPresent != 0 {
 		return ErrOverlap // same-size leaf, or a table holding smaller leaves
 	}
 	e := uint64(flagPresent) | pfn<<pfnShift
 	if target > 1 {
 		e |= flagPS
 	}
-	n.entries[i] = e
-	n.live++
+	tbl[i] = e
+	*live++
 	t.mappedBytes[size] += size.Bytes()
-	t.wc.leaf, t.wc.leafIdx = n, i
+	t.wc.leaf, t.wc.leafIdx = tbl, i
 	t.wc.leafLo, t.wc.leafHi, t.wc.leafSize = va, va+size.Bytes(), size
-	switch target {
-	case 1: // pd was captured on the way down
-		t.wc.pd, t.wc.pdLo = pd, units.Align(va, units.Page1G)
-	case 2: // n itself is the PD holding the new 2MB leaf
-		t.wc.pd, t.wc.pdLo = n, units.Align(va, units.Page1G)
+	if target <= 2 { // d is the PD holding the new leaf or its table
+		t.wc.pd, t.wc.pdLo = d, units.Align(va, units.Page1G)
 	}
 	return nil
 }
@@ -296,14 +347,15 @@ func (t *Table) MapRun(va, pfn, count uint64) (uint64, error) {
 		}
 		done++
 		// MaxVA is 2MB-aligned, so the rest of the leaf table lies below it.
-		n, first := t.wc.leaf, t.wc.leafIdx+1
+		// Map left the leaf table's PD in the walk cache.
+		tbl, first := t.wc.leaf, t.wc.leafIdx+1
 		last := min(512, first+int(count-done))
 		i := first
-		for ; i < last && n.entries[i]&flagPresent == 0; i++ {
-			n.entries[i] = flagPresent | (pfn+done+uint64(i-first))<<pfnShift
+		for ; i < last && tbl[i]&flagPresent == 0; i++ {
+			tbl[i] = flagPresent | (pfn+done+uint64(i-first))<<pfnShift
 		}
 		if mapped := uint64(i - first); mapped > 0 {
-			n.live += i - first
+			t.wc.pd.used[index(t.wc.leafLo, 2)] += uint16(mapped)
 			t.mappedBytes[units.Size4K] += mapped * units.Page4K
 			done += mapped
 			t.wc.leafIdx = i - 1
@@ -324,25 +376,27 @@ func (t *Table) MapRun(va, pfn, count uint64) (uint64, error) {
 // intermediate entry means the whole window is unmapped, a PS leaf that
 // all of it is mapped.
 func (t *Table) Unmapped4K(va, count uint64) uint64 {
-	n, level := t.root, 4
+	d, level := t.root, 4
 	if wc := &t.wc; wc.pd != nil && va-wc.pdLo < units.Page1G {
-		n, level = wc.pd, 2
+		d, level = wc.pd, 2
 	}
-	for ; level > 1; level-- {
+	for ; ; level-- {
 		i := index(va, level)
-		if n.entries[i]&flagPresent == 0 {
+		if d.entries[i]&flagPresent == 0 {
 			return count
 		}
-		if n.entries[i]&flagPS != 0 {
+		if d.entries[i]&flagPS != 0 {
 			return 0
 		}
-		n = n.children[i]
+		if level == 2 {
+			tbl, first := d.pages[i], index(va, 1)
+			i := first
+			for last := first + int(count); i < last && tbl[i]&flagPresent == 0; i++ {
+			}
+			return uint64(i - first)
+		}
+		d = d.dirs[i]
 	}
-	first := index(va, 1)
-	i := first
-	for last := first + int(count); i < last && n.entries[i]&flagPresent == 0; i++ {
-	}
-	return uint64(i - first)
 }
 
 // Overlaps reports whether any leaf mapping intersects the naturally
@@ -362,19 +416,19 @@ func (t *Table) Unmapped4K(va, count uint64) uint64 {
 // without iterating the subtree (ForEach) or faulting in a trial Map.
 func (t *Table) Overlaps(va uint64, size units.PageSize) bool {
 	target := leafLevel(size)
-	n := t.root
+	tbl, d := &t.root.entries, t.root
 	for level := 4; level > target; level-- {
 		i := index(va, level)
-		e := n.entries[i]
+		e := tbl[i]
 		if e&flagPresent == 0 {
 			return false
 		}
 		if e&flagPS != 0 {
 			return true
 		}
-		n = n.children[i]
+		tbl, d = d.child(level, i)
 	}
-	return n.entries[index(va, target)]&flagPresent != 0
+	return tbl[index(va, target)]&flagPresent != 0
 }
 
 // Unmap removes the leaf mapping of exactly the given size at va and returns
@@ -385,18 +439,27 @@ func (t *Table) Unmap(va uint64, size units.PageSize) (uint64, error) {
 	}
 	t.invalidate()
 	target := leafLevel(size)
-	var path [5]*node
-	n := t.root
-	for level := 4; level > target; level-- {
-		path[level] = n
+	top := max(target, 2) // level of the directory holding the leaf or its table
+	var path [5]*dir
+	d := t.root
+	for level := 4; level > top; level-- {
+		path[level] = d
 		i := index(va, level)
-		if n.entries[i]&flagPresent == 0 || n.entries[i]&flagPS != 0 {
+		if d.entries[i]&flagPresent == 0 || d.entries[i]&flagPS != 0 {
 			return 0, ErrNotMapped
 		}
-		n = n.children[i]
+		d = d.dirs[i]
+	}
+	tbl, live := &d.entries, &d.live
+	if target == 1 {
+		i := index(va, 2)
+		if d.entries[i]&flagPresent == 0 || d.entries[i]&flagPS != 0 {
+			return 0, ErrNotMapped
+		}
+		tbl, live = d.pages[i], &d.used[i]
 	}
 	i := index(va, target)
-	e := n.entries[i]
+	e := tbl[i]
 	if e&flagPresent == 0 {
 		return 0, ErrNotMapped
 	}
@@ -404,26 +467,26 @@ func (t *Table) Unmap(va uint64, size units.PageSize) (uint64, error) {
 		return 0, ErrNotMapped // intermediate table, not a leaf of this size
 	}
 	pfn := e >> pfnShift
-	n.entries[i] = 0
-	n.live--
+	tbl[i] = 0
+	*live--
 	t.mappedBytes[size] -= size.Bytes()
-	// Reclaim now-empty tables bottom-up, returning them to the node pool
-	// (they are all-zero at this point, the state newNode hands back out).
-	for level := target + 1; level <= 4 && n.live == 0; level++ {
+	// Reclaim now-empty tables bottom-up, returning them to their pools
+	// (they are all-zero at this point, the state newDir hands back out).
+	if target == 1 && *live == 0 {
+		pi := index(va, 2)
+		t.poolPages = append(t.poolPages, d.pages[pi])
+		d.pages[pi] = nil
+		d.entries[pi] = 0
+		d.live--
+	}
+	for level := top + 1; level <= 4 && d.live == 0; level++ {
 		parent := path[level]
-		if parent == nil {
-			break
-		}
 		pi := index(va, level)
-		parent.children[pi] = nil
+		parent.dirs[pi] = nil
 		parent.entries[pi] = 0
 		parent.live--
-		if n.children != nil {
-			t.poolInner = append(t.poolInner, n)
-		} else {
-			t.poolLeaf = append(t.poolLeaf, n)
-		}
-		n = parent
+		t.freeDir(d)
+		d = parent
 	}
 	return pfn, nil
 }
@@ -444,7 +507,7 @@ type Run struct {
 // entries of one node, so a run never crosses a leaf table or spans an
 // unmapped page, and fn is invoked once per run, right after its entries
 // are cleared and before the node is reclaimed. fn must not touch the
-// table. Counter updates, the node-reclaim sequence (and with it the node
+// table. Counter updates, the table-reclaim sequence (and with it the
 // pools' contents) and the final structure are exactly those of per-page
 // Unmap calls over the same mappings in ascending VA order — the one
 // traversal merely replaces their per-page root descents. Leaves only
@@ -457,10 +520,13 @@ func (t *Table) UnmapRuns(lo, hi uint64, fn func(Run)) {
 		return
 	}
 	t.invalidate()
-	t.unmapNode(t.root, 4, 0, lo, hi, fn)
+	t.unmapTable(&t.root.entries, &t.root.live, t.root, 4, 0, lo, hi, fn)
 }
 
-func (t *Table) unmapNode(n *node, level int, base, lo, hi uint64, fn func(Run)) {
+// unmapTable clears the leaves of table tbl, at the given level, that lie
+// wholly inside [lo, hi); *live is tbl's present-entry count, and d is
+// tbl's dir (nil at level 1).
+func (t *Table) unmapTable(tbl *page, live *uint16, d *dir, level int, base, lo, hi uint64, fn func(Run)) {
 	span := uint64(1) << uint(12+9*(level-1)) // bytes covered per entry
 	first, last := 0, 511
 	if base < lo {
@@ -471,53 +537,59 @@ func (t *Table) unmapNode(n *node, level int, base, lo, hi uint64, fn func(Run))
 	}
 	start := -1 // entry index of the pending run's first page
 	for i := first; i <= last; i++ {
-		e := n.entries[i]
+		e := tbl[i]
 		entryBase := base + uint64(i)*span
 		leaf := e&flagPresent != 0 && (level == 1 || e&flagPS != 0)
 		if leaf && entryBase >= lo && entryBase+span <= hi {
 			if start < 0 {
 				start = i
 			}
-			n.entries[i] = 0
+			tbl[i] = 0
 			t.runPFNs = append(t.runPFNs, e>>pfnShift)
 			continue
 		}
 		// An absent entry, a larger leaf sticking out of the range or a
 		// child table ends the pending run.
 		if start >= 0 {
-			t.endRun(n, base+uint64(start)*span, level, fn)
+			t.endRun(live, base+uint64(start)*span, level, fn)
 			start = -1
 		}
 		if e&flagPresent == 0 || leaf {
 			continue
 		}
-		child := n.children[i]
-		t.unmapNode(child, level-1, entryBase, lo, hi, fn)
 		// Reclaim an emptied table exactly where sequential Unmaps would:
 		// right after the removal that emptied it, before any later VA is
 		// touched, child-before-parent.
-		if child.live == 0 {
-			n.entries[i] = 0
-			n.children[i] = nil
-			n.live--
-			if child.children != nil {
-				t.poolInner = append(t.poolInner, child)
-			} else {
-				t.poolLeaf = append(t.poolLeaf, child)
+		if level == 2 {
+			p := d.pages[i]
+			if t.unmapTable(p, &d.used[i], nil, 1, entryBase, lo, hi, fn); d.used[i] != 0 {
+				continue
 			}
+			d.pages[i] = nil
+			t.poolPages = append(t.poolPages, p)
+		} else {
+			c := d.dirs[i]
+			if t.unmapTable(&c.entries, &c.live, c, level-1, entryBase, lo, hi, fn); c.live != 0 {
+				continue
+			}
+			d.dirs[i] = nil
+			t.freeDir(c)
 		}
+		tbl[i] = 0
+		*live--
 	}
 	if start >= 0 {
-		t.endRun(n, base+uint64(start)*span, level, fn)
+		t.endRun(live, base+uint64(start)*span, level, fn)
 	}
 }
 
-// endRun accounts the pending run of cleared entries of node n, starting
-// at va, and hands it to fn.
-func (t *Table) endRun(n *node, va uint64, level int, fn func(Run)) {
+// endRun accounts the pending run of cleared entries of a table at the
+// given level whose present-entry count is *live, starting at va, and
+// hands it to fn.
+func (t *Table) endRun(live *uint16, va uint64, level int, fn func(Run)) {
 	size := sizeOfLevel(level)
 	k := len(t.runPFNs)
-	n.live -= k
+	*live -= uint16(k)
 	t.mappedBytes[size] -= uint64(k) * size.Bytes()
 	fn(Run{VA: va, Size: size, PFNs: t.runPFNs})
 	t.runPFNs = t.runPFNs[:0]
@@ -530,7 +602,7 @@ func (t *Table) Lookup(va uint64) (Mapping, bool) {
 		return Mapping{}, false
 	}
 	if wc := &t.wc; wc.leaf != nil && va-wc.leafLo < wc.leafHi-wc.leafLo {
-		e := wc.leaf.entries[wc.leafIdx]
+		e := wc.leaf[wc.leafIdx]
 		return Mapping{
 			VA:       wc.leafLo,
 			PFN:      e >> pfnShift,
@@ -539,11 +611,11 @@ func (t *Table) Lookup(va uint64) (Mapping, bool) {
 			Dirty:    e&flagDirty != 0,
 		}, true
 	}
-	n, i, level, ok := t.descend(va)
+	tbl, i, level, ok := t.descend(va)
 	if !ok {
 		return Mapping{}, false
 	}
-	e := n.entries[i]
+	e := tbl[i]
 	size := sizeOfLevel(level)
 	return Mapping{
 		VA:       units.Align(va, size.Bytes()),
@@ -555,31 +627,39 @@ func (t *Table) Lookup(va uint64) (Mapping, bool) {
 }
 
 // descend walks to the leaf entry covering va, starting from the cached PD
-// node when va falls in its 1GB window, and refreshes the walk cache along
-// the way. It returns the node and index of the leaf entry and its level,
-// or ok=false if va is unmapped.
-func (t *Table) descend(va uint64) (n *node, i, level int, ok bool) {
-	n, level = t.root, 4
+// when va falls in its 1GB window, and refreshes the walk cache along the
+// way. It returns the table and index of the leaf entry and its level, or
+// ok=false if va is unmapped.
+func (t *Table) descend(va uint64) (tbl *page, i, level int, ok bool) {
+	d, level := t.root, 4
 	if wc := &t.wc; wc.pd != nil && va-wc.pdLo < units.Page1G {
-		n, level = wc.pd, 2
+		d, level = wc.pd, 2
 	}
-	for ; level >= 1; level-- {
+	for ; level >= 2; level-- {
 		i = index(va, level)
-		e := n.entries[i]
+		e := d.entries[i]
 		if e&flagPresent == 0 {
 			return nil, 0, 0, false
 		}
-		if level == 1 || e&flagPS != 0 {
-			size := sizeOfLevel(level)
-			lo := units.Align(va, size.Bytes())
-			t.wc.leaf, t.wc.leafIdx = n, i
-			t.wc.leafLo, t.wc.leafHi, t.wc.leafSize = lo, lo+size.Bytes(), size
-			return n, i, level, true
+		tbl = &d.entries
+		if e&flagPS == 0 {
+			if level == 3 {
+				t.wc.pd, t.wc.pdLo = d.dirs[i], units.Align(va, units.Page1G)
+			}
+			if level > 2 {
+				d = d.dirs[i]
+				continue
+			}
+			tbl, i, level = d.pages[i], index(va, 1), 1
+			if tbl[i]&flagPresent == 0 {
+				return nil, 0, 0, false
+			}
 		}
-		if level == 3 {
-			t.wc.pd, t.wc.pdLo = n.children[i], units.Align(va, units.Page1G)
-		}
-		n = n.children[i]
+		size := sizeOfLevel(level)
+		lo := units.Align(va, size.Bytes())
+		t.wc.leaf, t.wc.leafIdx = tbl, i
+		t.wc.leafLo, t.wc.leafHi, t.wc.leafSize = lo, lo+size.Bytes(), size
+		return tbl, i, level, true
 	}
 	return nil, 0, 0, false
 }
@@ -602,22 +682,22 @@ func (t *Table) Translate(va uint64, write bool) (uint64, Mapping, bool) {
 	if va >= MaxVA {
 		return 0, Mapping{}, false
 	}
-	var n *node
+	var tbl *page
 	var i int
 	if wc := &t.wc; wc.leaf != nil && va-wc.leafLo < wc.leafHi-wc.leafLo {
-		n, i = wc.leaf, wc.leafIdx
+		tbl, i = wc.leaf, wc.leafIdx
 	} else {
 		var ok bool
-		n, i, _, ok = t.descend(va)
+		tbl, i, _, ok = t.descend(va)
 		if !ok {
 			return 0, Mapping{}, false
 		}
 	}
-	e := n.entries[i] | flagAccessed
+	e := tbl[i] | flagAccessed
 	if write {
 		e |= flagDirty
 	}
-	n.entries[i] = e
+	tbl[i] = e
 	size := t.wc.leafSize
 	m := Mapping{
 		VA:       t.wc.leafLo,
@@ -648,29 +728,30 @@ func (t *Table) Replace(va uint64, size units.PageSize, newPFN uint64) error {
 // does not change, so the walk cache stays valid.
 func (t *Table) ReplaceRun(va uint64, size units.PageSize, pfns, old []uint64) (int, error) {
 	target := leafLevel(size)
-	var n *node
+	var tbl *page
 	for j, pfn := range pfns {
 		v := va + uint64(j)*size.Bytes()
 		i := index(v, target)
-		if n == nil || i == 0 {
+		if tbl == nil || i == 0 {
 			if err := checkVA(v, size); err != nil {
 				return j, err
 			}
-			n = t.root
+			var d *dir
+			tbl, d = &t.root.entries, t.root
 			for level := 4; level > target; level-- {
-				e := n.entries[index(v, level)]
+				e := tbl[index(v, level)]
 				if e&flagPresent == 0 || e&flagPS != 0 {
 					return j, ErrNotMapped
 				}
-				n = n.children[index(v, level)]
+				tbl, d = d.child(level, index(v, level))
 			}
 		}
-		e := n.entries[i]
+		e := tbl[i]
 		if e&flagPresent == 0 || (target > 1 && e&flagPS == 0) {
 			return j, ErrNotMapped
 		}
 		old[j] = e >> pfnShift
-		n.entries[i] = e&(flagPresent|flagAccessed|flagDirty|flagPS) | pfn<<pfnShift
+		tbl[i] = e&(flagPresent|flagAccessed|flagDirty|flagPS) | pfn<<pfnShift
 	}
 	return len(pfns), nil
 }
@@ -684,10 +765,10 @@ func (t *Table) ForEach(lo, hi uint64, fn func(Mapping) bool) {
 	if lo >= hi {
 		return
 	}
-	t.walkNode(t.root, 4, 0, lo, hi, fn)
+	walkTable(&t.root.entries, t.root, 4, 0, lo, hi, fn)
 }
 
-func (t *Table) walkNode(n *node, level int, base, lo, hi uint64, fn func(Mapping) bool) bool {
+func walkTable(tbl *page, d *dir, level int, base, lo, hi uint64, fn func(Mapping) bool) bool {
 	span := uint64(1) << uint(12+9*(level-1)) // bytes covered per entry
 	first, last := 0, 511
 	if base < lo {
@@ -697,7 +778,7 @@ func (t *Table) walkNode(n *node, level int, base, lo, hi uint64, fn func(Mappin
 		last = int((hi - base - 1) / span)
 	}
 	for i := first; i <= last; i++ {
-		e := n.entries[i]
+		e := tbl[i]
 		if e&flagPresent == 0 {
 			continue
 		}
@@ -716,7 +797,8 @@ func (t *Table) walkNode(n *node, level int, base, lo, hi uint64, fn func(Mappin
 			}
 			continue
 		}
-		if !t.walkNode(n.children[i], level-1, entryBase, lo, hi, fn) {
+		ct, cd := d.child(level, i)
+		if !walkTable(ct, cd, level-1, entryBase, lo, hi, fn) {
 			return false
 		}
 	}
@@ -728,16 +810,21 @@ func (t *Table) walkNode(n *node, level int, base, lo, hi uint64, fn func(Mappin
 // PTE-access-bit sampling primitive of §4.3 and of HawkEye's kbinmanager.
 func (t *Table) ClearAccessed(lo, hi uint64) int {
 	cleared := 0
-	t.forEachEntry(t.root, 4, 0, lo, hi, func(n *node, i int) {
-		if n.entries[i]&flagAccessed != 0 {
-			n.entries[i] &^= flagAccessed
+	t.forEachEntry(lo, hi, func(e *uint64) {
+		if *e&flagAccessed != 0 {
+			*e &^= flagAccessed
 			cleared++
 		}
 	})
 	return cleared
 }
 
-func (t *Table) forEachEntry(n *node, level int, base, lo, hi uint64, fn func(*node, int)) {
+// forEachEntry calls fn on every leaf entry intersecting [lo, hi).
+func (t *Table) forEachEntry(lo, hi uint64, fn func(*uint64)) {
+	eachEntry(&t.root.entries, t.root, 4, 0, lo, hi, fn)
+}
+
+func eachEntry(tbl *page, d *dir, level int, base, lo, hi uint64, fn func(*uint64)) {
 	span := uint64(1) << uint(12+9*(level-1))
 	first, last := 0, 511
 	if base < lo {
@@ -747,16 +834,17 @@ func (t *Table) forEachEntry(n *node, level int, base, lo, hi uint64, fn func(*n
 		last = int((hi - base - 1) / span)
 	}
 	for i := first; i <= last; i++ {
-		e := n.entries[i]
+		e := tbl[i]
 		if e&flagPresent == 0 {
 			continue
 		}
 		entryBase := base + uint64(i)*span
 		if level == 1 || e&flagPS != 0 {
-			fn(n, i)
+			fn(&tbl[i])
 			continue
 		}
-		t.forEachEntry(n.children[i], level-1, entryBase, lo, hi, fn)
+		ct, cd := d.child(level, i)
+		eachEntry(ct, cd, level-1, entryBase, lo, hi, fn)
 	}
 }
 
@@ -805,12 +893,12 @@ func (t *Table) Demote(va uint64) error {
 }
 
 func (t *Table) setFlags(va uint64, accessed, dirty bool) {
-	t.forEachEntry(t.root, 4, 0, va, va+1, func(n *node, i int) {
+	t.forEachEntry(va, va+1, func(e *uint64) {
 		if accessed {
-			n.entries[i] |= flagAccessed
+			*e |= flagAccessed
 		}
 		if dirty {
-			n.entries[i] |= flagDirty
+			*e |= flagDirty
 		}
 	})
 }

@@ -415,7 +415,7 @@ func TestMapRunWalkCacheMatchesMap(t *testing.T) {
 	cacheOf := func(tb *Table) cached {
 		c := cached{tb.wc.leafIdx, tb.wc.leafLo, tb.wc.leafHi, tb.wc.pdLo, tb.wc.leafSize, 0, tb.wc.pd != nil}
 		if tb.wc.leaf != nil {
-			c.entry = tb.wc.leaf.entries[tb.wc.leafIdx]
+			c.entry = tb.wc.leaf[tb.wc.leafIdx]
 		}
 		return c
 	}

@@ -12,9 +12,10 @@ import (
 )
 
 // Machine pooling: kernel construction allocates megabytes of bookkeeping
-// (phys bitsets, buddy free lists, the reverse map's per-block arrays) and
-// population grows megabytes more (page-table nodes, reverse-map leaves
-// for blocks that head 4KB pages), all of which a grid run re-allocated
+// (phys bitsets, the buddy's per-order free bitmaps, the reverse map's
+// per-block arrays) and population grows megabytes more (4KB page-table
+// pages and the directories above them, reverse-map leaves for blocks
+// that head 4KB pages), all of which a grid run re-allocated
 // for every job. kernel.Reset restores a used kernel to a state
 // observably identical to a freshly booted one, and kernel.Boot then
 // re-boots a Reset kernel in place into one observably identical to

@@ -527,7 +527,8 @@ func (r *runner) buildMachine() error {
 
 	if cfg.Fragment {
 		footprint := uint64(float64(cfg.Workload.Footprint) * cfg.Scale)
-		free := footprint + footprint/2 + units.Page1G
+		// Apply reclaims whole frames, so ask for whole frames.
+		free := units.AlignUp(footprint+footprint/2+units.Page1G, units.Page4K)
 		if free > r.k.Mem.Bytes() {
 			return fmt.Errorf("sim: machine too small to fragment and fit %s", cfg.Workload.Name)
 		}

@@ -169,6 +169,24 @@ func TestFragmentedRun(t *testing.T) {
 	}
 }
 
+// TestFragmentedRunUnalignedFootprint is a regression test: at Scale 0.1
+// GUPS's footprint is not a whole number of 4KB frames, and the free
+// memory the run asks the fragmenter for (1.5 footprints plus 1GB) must be
+// rounded up to whole frames, or Apply cannot reclaim exactly that much
+// and the run fails.
+func TestFragmentedRunUnalignedFootprint(t *testing.T) {
+	for _, gb := range []uint64{8, 12} {
+		cfg := testConfig("GUPS", PolicyTrident)
+		cfg.MemGB, cfg.Scale, cfg.Accesses, cfg.Fragment = gb, 0.1, 20_000, true
+		if fp := uint64(float64(cfg.Workload.Footprint) * cfg.Scale); fp%units.Page4K == 0 {
+			t.Fatalf("footprint %d B is a whole number of frames; the test needs one that is not", fp)
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("%dGB: %v", gb, err)
+		}
+	}
+}
+
 func TestTridentNCUsesNormalCompactionOnly(t *testing.T) {
 	cfg := testConfig("SVM", PolicyTridentNC)
 	cfg.Fragment = true
@@ -537,7 +555,7 @@ func freshRun(t *testing.T, cfg Config) *Result {
 // that grow it beyond its capacity and shrink it, a Trident run at the
 // shrunk size, and a Trident run that grows it again within its capacity.
 // The two same-size rows switch the flavour in both directions; the last
-// grow reuses the buddy freeOrder chunks that lay in spare capacity
+// grow reuses the buddy free-bitmap words that lay in spare capacity
 // through the second switch. One Fragmenter likewise serves every row,
 // re-applied at each size and flavour. A virtualized run's guest is served
 // by a former 16GB host kernel. Every run fragments memory, checks the TLB fast
