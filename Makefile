@@ -38,10 +38,11 @@ chaos:
 	$(GO) test -race ./internal/chaos ./internal/audit
 	$(GO) test -race -run 'TestChaos|TestAuditEvery|TestObs' ./internal/sim
 
-# Fuzz smoke: ten seconds of audit-checked random kernel-op sequences under
+# Fuzz smoke: ten seconds of audit-checked random kernel-op sequences
+# (mappings and a page-cache file's insertions, moves and drops) under
 # chaos-injected buddy failures, ten of the fragmenter's computed fill
-# against its per-page reference, and ten each of the fill's bulk-commit
-# primitives (buddy carve, run mapping) against per-page AllocSpecific and
+# against its per-page reference, and ten each of the fill's buddy carve
+# and of fault-around's run mapping against per-page AllocSpecific and
 # MapSpecific, ten of a kernel re-booted through a chain of sizes and
 # flavours against newly booted ones (kernel.Boot), and ten each of
 # fault-around's run of order-0 frames against repeated Alloc(0) and of
@@ -50,8 +51,8 @@ chaos:
 # aligned blocks of the free frames (buddy.FuzzFreeListsMatchModel), ten
 # of teardown by runs against its per-page definition
 # (kernel.FuzzUnmapRangeEquivalence),
-# ten of compaction by runs against its per-page definition
-# (compact.FuzzCompactRunEquivalence), ten of a Fragmenter re-applied at
+# ten of compaction by runs, mapped and file-owned, against its per-page
+# definition (compact.FuzzCompactRunEquivalence), ten of a Fragmenter re-applied at
 # another size or flavour against a new one
 # (fragment.FuzzReapplyEquivalence), ten of the reverse map's operations
 # at every page size against a map[pfn]Owner model (phys.FuzzReverseMap),

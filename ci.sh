@@ -2,9 +2,10 @@
 # Tier-1 verification (ROADMAP.md): build, vet, a gofmt gate, full tests, the race
 # detector on the concurrent packages, the shadow-coherence tests and the
 # chaos/audit robustness suites, 10s fuzz smokes of the audit-checked
-# kernel-op fuzzer, of the fragmenter's computed-vs-per-page equivalence
-# and of its two bulk-commit primitives against their per-page
-# definitions (buddy carve, run mapping), of a kernel re-booted through
+# kernel-op fuzzer (mappings and a page-cache file's insertions, moves and
+# drops), of the fragmenter's computed-vs-per-page equivalence, of the
+# buddy carve it commits with and of the run mapping fault-around commits
+# with against their per-page definitions, of a kernel re-booted through
 # a chain of sizes and flavours against newly booted ones (kernel.Boot,
 # the machine pool's contract), and of population by fault-around against
 # its per-fault definitions (the buddy's run of order-0 frames against
@@ -15,7 +16,7 @@
 # UnmapRangeKeep against UnmapFree and the test-only UnmapKeep), of
 # compaction by runs
 # against its per-page definition (sequential compaction moving a run of
-# pages per kernel call against one page at a time), of a Fragmenter
+# mapped or file pages per kernel call against one page at a time), of a Fragmenter
 # re-applied at another size or flavour against a new one, of the reverse
 # map against a map[pfn]Owner model (FuzzReverseMap), of munmap's in-place
 # VMA edit against the rebuilt list (FuzzMUnmapEquivalence), of the TLB's LRU

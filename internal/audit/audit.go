@@ -11,9 +11,13 @@
 //
 //  1. Every mapped leaf in every task's page table covers frames that are
 //     allocated in phys, with the reverse map registering exactly that
-//     (space, VA, size) at the leaf's head frame.
+//     (space, VA, size) at the leaf's head frame. A file (kernel.NewFile)
+//     maps nothing.
 //  2. Every reverse-map owner points back at a live task whose page table
 //     maps that VA at that size onto that head frame (no dangling rmap).
+//     An owner whose task is a file is a cached page instead: a 4KB page
+//     at an offset inside the file's extent (its VMAs) that no other frame
+//     claims, and the file's owners number its Cached pages.
 //  3. The per-1GB-region Free/Unmovable counters match a recount of the
 //     allocation/unmovable bitmaps, no free frame is marked unmovable, and
 //     a Zeroed region is fully free. This recount is what covers unmovable
@@ -112,7 +116,7 @@ func Check(m Machine) error {
 	var r recorder
 	tasks := sortedTasks(m.K)
 	checkLeaves(m.K, tasks, &r)
-	checkOwners(m.K, &r)
+	checkOwners(m.K, tasks, &r)
 	checkRegions(m.K.Mem, &r)
 	if err := m.K.Buddy.CheckInvariants(); err != nil {
 		r.add("buddy free lists: %v", err)
@@ -135,6 +139,10 @@ func checkLeaves(k *kernel.Kernel, tasks []*kernel.Task, r *recorder) {
 	mem := k.Mem
 	for _, t := range tasks {
 		t.AS.PT.ForEach(0, pagetable.MaxVA, func(m pagetable.Mapping) bool {
+			if t.File {
+				r.add("file %s: page table maps %v@%#x → pfn %d", t.Name, m.Size, m.VA, m.PFN)
+				return true
+			}
 			frames := m.Size.Frames()
 			if m.PFN+frames > mem.Frames() {
 				r.add("task %s: leaf %v@%#x → pfn %d beyond physical memory", t.Name, m.Size, m.VA, m.PFN)
@@ -157,12 +165,21 @@ func checkLeaves(k *kernel.Kernel, tasks []*kernel.Task, r *recorder) {
 }
 
 // checkOwners verifies check 2: every reverse-map entry has a live mapping
-// behind it.
-func checkOwners(k *kernel.Kernel, r *recorder) {
+// behind it, or is a page cached once in a file, and each file's owners
+// number its cached pages.
+func checkOwners(k *kernel.Kernel, tasks []*kernel.Task, r *recorder) {
+	var cached map[uint32]*fileOffsets // by file space, built as files turn up
 	k.Mem.ForEachOwner(func(pfn uint64, o phys.Owner) bool {
 		t, ok := k.TaskByID(o.Space)
 		if !ok {
 			r.add("rmap: pfn %d owned by dead space %d", pfn, o.Space)
+			return true
+		}
+		if t.File {
+			if cached == nil {
+				cached = map[uint32]*fileOffsets{}
+			}
+			checkFilePage(t, pfn, o, cached, r)
 			return true
 		}
 		m, ok := t.AS.PT.Lookup(o.VA)
@@ -171,6 +188,53 @@ func checkOwners(k *kernel.Kernel, r *recorder) {
 		}
 		return true
 	})
+	for _, t := range tasks {
+		if !t.File {
+			continue
+		}
+		var owners uint64
+		if seen := cached[t.AS.ID]; seen != nil {
+			owners = seen.owners
+		}
+		if owners != t.Cached {
+			r.add("file %s: caches %d pages, the reverse map holds %d", t.Name, t.Cached, owners)
+		}
+	}
+}
+
+// fileOffsets holds one bit per 4KB offset of a file's extent, the span
+// from its lowest VMA's start, set once a frame has claimed the offset,
+// and counts the file's owners.
+type fileOffsets struct {
+	lo     uint64
+	bits   []uint64
+	owners uint64
+}
+
+// checkFilePage verifies check 2 for pfn, whose owner o is a page of file
+// t, and marks o's offset claimed in cached.
+func checkFilePage(t *kernel.Task, pfn uint64, o phys.Owner, cached map[uint32]*fileOffsets, r *recorder) {
+	if o.Size != units.Size4K {
+		r.add("rmap: pfn %d claims a %v page of file %s, which caches 4KB pages", pfn, o.Size, t.Name)
+		return
+	}
+	if _, ok := t.AS.FindVMA(o.VA); !ok {
+		r.add("rmap: pfn %d claims offset %#x of file %s, outside its extent", pfn, o.VA, t.Name)
+		return
+	}
+	seen := cached[o.Space]
+	if seen == nil {
+		vmas := t.AS.VMAs()
+		lo, hi := vmas[0].Start, vmas[len(vmas)-1].End
+		seen = &fileOffsets{lo: lo, bits: make([]uint64, ((hi-lo)/units.Page4K+63)/64)}
+		cached[o.Space] = seen
+	}
+	seen.owners++
+	i := (o.VA - seen.lo) / units.Page4K
+	if seen.bits[i/64]&(1<<(i%64)) != 0 {
+		r.add("rmap: pfn %d claims offset %#x of file %s, which another frame caches", pfn, o.VA, t.Name)
+	}
+	seen.bits[i/64] |= 1 << (i % 64)
 }
 
 // checkRegions verifies check 3 and 6: region counters against a bitmap

@@ -10,6 +10,7 @@ import (
 	"repro/internal/phys"
 	"repro/internal/tlb"
 	"repro/internal/units"
+	"repro/internal/vmm"
 )
 
 // machine builds a small kernel with one task mapping a page of each size,
@@ -141,4 +142,66 @@ func TestViolationCapTruncates(t *testing.T) {
 	if !strings.Contains(ae.Error(), "20 violations") || !strings.Contains(ae.Error(), "first 16") {
 		t.Fatalf("message lacks the totals:\n%v", ae)
 	}
+}
+
+// withFile adds a file of 16 4KB offsets to m's machine, with frames
+// cached at offsets 0 and 1, and returns it, its extent's start and the
+// cached frames.
+func withFile(t *testing.T, m *machine) (*kernel.Task, uint64, uint64) {
+	t.Helper()
+	file := m.k.NewFile("cache")
+	base, err := file.AS.MMap(16*units.Page4K, vmm.KindAnon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfn, err := m.k.Buddy.Alloc(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.k.AddFilePages(file, base, pfn, 2)
+	if err := m.check(); err != nil {
+		t.Fatalf("clean machine with a file failed the audit: %v", err)
+	}
+	return file, base, pfn
+}
+
+// Two frames caching one offset of a file (check 2).
+func TestFileOffsetCachedTwiceDetected(t *testing.T) {
+	m := newMachine(t)
+	file, base, pfn := withFile(t, m)
+	m.k.Mem.ClearOwner(pfn + 1)
+	m.k.Mem.SetOwner(pfn+1, phys.Owner{Space: file.AS.ID, VA: base, Size: units.Size4K})
+	wantViolation(t, m.check(), "which another frame caches")
+}
+
+// A cached page past the file's extent, or larger than 4KB (check 2).
+func TestFileOwnerOutsideExtentDetected(t *testing.T) {
+	m := newMachine(t)
+	file, base, pfn := withFile(t, m)
+	m.k.Mem.ClearOwner(pfn + 1)
+	m.k.Mem.SetOwner(pfn+1, phys.Owner{Space: file.AS.ID, VA: base + 16*units.Page4K, Size: units.Size4K})
+	wantViolation(t, m.check(), "outside its extent")
+
+	m.k.Mem.ClearOwner(m.pfn2M)
+	m.k.Mem.SetOwner(m.pfn2M, phys.Owner{Space: file.AS.ID, VA: base, Size: units.Size2M})
+	wantViolation(t, m.check(), "which caches 4KB pages")
+}
+
+// A cached page whose frame was freed without dropping it from the file,
+// which still counts it (check 2).
+func TestFreedFilePageDetected(t *testing.T) {
+	m := newMachine(t)
+	_, _, pfn := withFile(t, m)
+	m.k.Buddy.Free(pfn, 0)
+	wantViolation(t, m.check(), "file cache: caches 2 pages, the reverse map holds 1")
+}
+
+// A file's page table maps nothing (check 1).
+func TestMappedFileDetected(t *testing.T) {
+	m := newMachine(t)
+	file, base, _ := withFile(t, m)
+	if _, err := m.k.AllocMapped(file, base+4*units.Page4K, units.Size4K); err != nil {
+		t.Fatal(err)
+	}
+	wantViolation(t, m.check(), "file cache: page table maps")
 }

@@ -139,9 +139,9 @@ func (c *Normal) compact(targetOrder int) bool {
 // unmovable or unowned page it abandons the block (copies so far wasted).
 //
 // It moves pages a run at a time: a stretch of frames heading 4KB pages of
-// one task at consecutive VAs (phys.Memory.Run4K, at most maxRun long)
-// resolves its task once, claims its destinations in one downward pass of
-// the free scanner (takeRun) and moves with one kernel.MoveRun. The
+// one task (or file) at consecutive VAs (phys.Memory.Run4K, at most maxRun
+// long) resolves its task once, claims its destinations in one downward
+// pass of the free scanner (takeRun) and moves with one kernel.MoveRun. The
 // checks, destinations, claim order and per-page accounting are exactly
 // those of moving the run's pages one at a time: a run's pages pass the
 // checks its first page passes, and its moves touch no frame the claims
@@ -184,10 +184,12 @@ func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uin
 		if o.Size == units.Size4K {
 			dests := buf[:mem.Run4K(f, min(end, f+maxRun))]
 			claimed := target.takeRun(dests, end)
-			old, err := c.K.MoveRun(task, o.VA, units.Size4K, dests[:claimed])
+			moved, err := c.K.MoveRun(task, o.VA, units.Size4K, f, dests[:claimed])
+			if moved > 0 {
+				frees.Add(f, uint64(moved))
+			}
 			ns := perfmodel.CopyNs(units.Page4K) + perfmodel.PTEUpdateNs
-			for _, pfn := range old {
-				frees.Add(pfn, 1)
+			for range moved {
 				copied += units.Page4K
 				c.PagesMoved++
 				c.Nanoseconds += ns
@@ -196,10 +198,10 @@ func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uin
 				// A destination was claimed but its move failed: release it
 				// and the ones claimed after it, leaving the scanner where
 				// the failed page's claim left it.
-				for _, d := range dests[len(old):claimed] {
+				for _, d := range dests[moved:claimed] {
 					c.K.Buddy.Free(d, 0)
 				}
-				target.pos = dests[len(old)]
+				target.pos = dests[moved]
 				return copied, false
 			}
 			if claimed < len(dests) {
@@ -219,13 +221,12 @@ func (c *Normal) evacuateBlock(block, frames uint64, target *targetScanner) (uin
 		if !ok {
 			return copied, false
 		}
-		old, err := c.K.MovePage(task, o.VA, o.Size, dest)
-		if err != nil {
+		if err := c.K.MovePage(task, o.VA, o.Size, head, dest); err != nil {
 			// Destination was claimed but the move failed; release it.
 			c.K.Buddy.Free(dest, o.Size.Order())
 			return copied, false
 		}
-		frees.Add(old, o.Size.Frames())
+		frees.Add(head, o.Size.Frames())
 		copied += o.Size.Bytes()
 		c.PagesMoved++
 		c.Nanoseconds += perfmodel.CopyNs(o.Size.Bytes()) + perfmodel.PTEUpdateNs
@@ -428,14 +429,13 @@ func (c *Smart) compact() bool {
 			c.BytesCopied += copied
 			return false
 		}
-		old, err := c.K.MovePage(task, o.VA, o.Size, dest)
-		if err != nil {
+		if err := c.K.MovePage(task, o.VA, o.Size, head, dest); err != nil {
 			c.K.Buddy.Free(dest, o.Size.Order())
 			c.BytesWasted += copied
 			c.BytesCopied += copied
 			return false
 		}
-		c.K.Buddy.Free(old, o.Size.Order())
+		c.K.Buddy.Free(head, o.Size.Order())
 		c.PagesMoved++
 		if c.OnPvMove != nil && o.Size == units.Size2M {
 			// Copy-less: the hypervisor exchanges the frames behind the old

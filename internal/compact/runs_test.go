@@ -82,12 +82,11 @@ func evacuatePerPage(c *Normal, block, frames uint64, target *targetScanner) (ui
 		if !ok {
 			return copied, false
 		}
-		old, err := movePerPage(c.K, task, o.VA, o.Size, dest)
-		if err != nil {
+		if err := movePerPage(c.K, task, o.VA, o.Size, head, dest); err != nil {
 			c.K.Buddy.Free(dest, o.Size.Order())
 			return copied, false
 		}
-		frees.Add(old, o.Size.Frames())
+		frees.Add(head, o.Size.Frames())
 		copied += o.Size.Bytes()
 		c.PagesMoved++
 		c.Nanoseconds += perfmodel.CopyNs(o.Size.Bytes()) + perfmodel.PTEUpdateNs
@@ -96,23 +95,31 @@ func evacuatePerPage(c *Normal, block, frames uint64, target *targetScanner) (ui
 	return copied, true
 }
 
-// movePerPage is a one-page move spelled out: look the mapping up,
-// repoint it, re-register its owner and shoot it down.
-func movePerPage(k *kernel.Kernel, t *kernel.Task, va uint64, size units.PageSize, newPFN uint64) (uint64, error) {
-	m, ok := t.AS.PT.Lookup(va)
-	if !ok || m.Size != size || m.VA != va {
-		return 0, fmt.Errorf("no %v mapping at %#x", size, va)
+// movePerPage is a one-page move from frame src spelled out: for a mapped
+// task, look the mapping up, repoint it, re-register its owner and shoot
+// it down; for a file, check src's owner and re-register it.
+func movePerPage(k *kernel.Kernel, t *kernel.Task, va uint64, size units.PageSize, src, newPFN uint64) error {
+	owner := phys.Owner{Space: t.AS.ID, VA: va, Size: size}
+	if t.File {
+		if o, head, ok := k.Mem.OwnerOf(src); !ok || head != src || o != owner {
+			return fmt.Errorf("no %v page cached at %#x", size, va)
+		}
+	} else {
+		m, ok := t.AS.PT.Lookup(va)
+		if !ok || m.Size != size || m.VA != va || m.PFN != src {
+			return fmt.Errorf("no %v mapping at %#x", size, va)
+		}
+		if err := t.AS.PT.Replace(va, size, newPFN); err != nil {
+			return err
+		}
 	}
-	if err := t.AS.PT.Replace(va, size, newPFN); err != nil {
-		return 0, err
-	}
-	k.Mem.ClearOwner(m.PFN)
-	k.Mem.SetOwner(newPFN, phys.Owner{Space: t.AS.ID, VA: va, Size: size})
-	if k.Shootdown != nil {
+	k.Mem.ClearOwner(src)
+	k.Mem.SetOwner(newPFN, owner)
+	if k.Shootdown != nil && !t.File {
 		k.Shootdown(t, va, 1, size)
 	}
 	k.Ops.Moves++
-	return m.PFN, nil
+	return nil
 }
 
 // compactDraw is one generated compaction scenario: FuzzCompactRunEquivalence's
@@ -129,19 +136,30 @@ type compactDraw struct {
 }
 
 // layOutFragmented allocates k's memory from frame 0 up, a segment at a
-// time: free gaps, runs of 4KB pages of one of three tasks at consecutive
-// frames (VAs consecutive but for an occasional skipped page, so runs
-// break), 2MB pages (some demoted into 512-page runs), unmovable frames
-// and allocated frames with no owner; every 2MB block left empty gets one
-// 4KB page. The top of memory is then allocated densely, ownerless, so the
-// free scanner runs dry.
+// time: free gaps, runs of 4KB pages of one of three tasks or of a
+// page-cache file at consecutive frames (VAs consecutive but for an
+// occasional skipped page, so runs break), 2MB pages of the tasks (some
+// demoted into 512-page runs), unmovable frames and allocated frames with
+// no owner; every 2MB block left empty gets one 4KB page. The top of
+// memory is then allocated densely, ownerless, so the free scanner runs
+// dry.
 func layOutFragmented(t *testing.T, k *kernel.Kernel, d compactDraw) {
 	t.Helper()
 	rng := xrand.New(d.seed)
-	tasks := []*kernel.Task{k.NewTask("a"), k.NewTask("b"), k.NewTask("c")}
-	var cursor [3]uint64
+	tasks := []*kernel.Task{k.NewTask("a"), k.NewTask("b"), k.NewTask("c"), k.NewFile("cache")}
+	var cursor [4]uint64
 	for i := range cursor {
 		cursor[i] = uint64(i+1) * 64 * units.Page1G
+	}
+	// map4K puts page f at tasks[i]'s cursor: mapped, or cached in the file.
+	map4K := func(i int, f uint64) {
+		if tasks[i].File {
+			k.AddFilePages(tasks[i], cursor[i], f, 1)
+			return
+		}
+		if err := k.MapSpecific(tasks[i], cursor[i], f, units.Size4K); err != nil {
+			t.Fatal(err)
+		}
 	}
 	frames := k.Mem.Frames()
 	topStart := frames - frames*uint64(d.top)/512
@@ -178,12 +196,10 @@ func layOutFragmented(t *testing.T, k *kernel.Kernel, d compactDraw) {
 			cursor[i] = va + units.Page2M
 			f += 512
 		case r < 40:
-			i := rng.Intn(3)
+			i := rng.Intn(len(tasks))
 			for n := 1 + rng.Intn(700); n > 0 && f < topStart; n-- {
 				alloc(f, 0, false)
-				if err := k.MapSpecific(tasks[i], cursor[i], f, units.Size4K); err != nil {
-					t.Fatal(err)
-				}
+				map4K(i, f)
 				cursor[i] += units.Page4K
 				if rng.Intn(64) == 0 {
 					cursor[i] += units.Page4K
@@ -198,11 +214,9 @@ func layOutFragmented(t *testing.T, k *kernel.Kernel, d compactDraw) {
 	// free 2MB chunk is left and every Compact call has work to do.
 	for b := uint64(0); b+512 <= topStart; b += 512 {
 		if k.Mem.AllocatedInRange(b, 512) == 0 {
-			f, i := b+uint64(rng.Intn(512)), rng.Intn(3)
+			f, i := b+uint64(rng.Intn(512)), rng.Intn(len(tasks))
 			alloc(f, 0, false)
-			if err := k.MapSpecific(tasks[i], cursor[i], f, units.Size4K); err != nil {
-				t.Fatal(err)
-			}
+			map4K(i, f)
 			cursor[i] += units.Page4K
 		}
 	}
@@ -217,8 +231,8 @@ func layOutFragmented(t *testing.T, k *kernel.Kernel, d compactDraw) {
 // its per-page reference (compactPerPage). Two identical machines, laid out
 // by layOutFragmented, run the same sequence of 2MB- and 1GB-targeted
 // Compact calls under the same FailAlloc and Abort draws, one by runs and
-// one page at a time. They must agree on every call's outcome, the page
-// tables, the reverse map, the buddy free lists and counts, the region
+// one page at a time. Runs of file pages move by their owners alone. They
+// must agree on every call's outcome, the page tables, the reverse map, the buddy free lists and counts, the region
 // counters, the op counts, the Stats bit for bit, the scanner positions,
 // the FailAlloc calls and the expanded (task, page, size) sequence of
 // shootdowns.

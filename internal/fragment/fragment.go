@@ -3,12 +3,15 @@
 // Index reaches ~0.95, then let random-offset reads drive reclamation so
 // that freed memory comes back in non-contiguous 4KB holes.
 //
-// The simulator's equivalent: a "pagecache" task maps movable 4KB pages
+// The simulator's equivalent: a "pagecache" file caches movable 4KB pages
 // over all free memory (low addresses first, like the buddy), unmovable
 // kernel objects are clustered into a few regions (Linux's migrate-type
 // grouping keeps unmovable allocations together — and Illuminator [43]
 // showed what happens when it fails), and finally random pages are freed
-// until the requested amount of free-but-scattered memory remains.
+// until the requested amount of free-but-scattered memory remains. As in
+// Linux, a cached page is mapped in no page table: it is a reverse-map
+// owner at its offset in the file (kernel.NewFile), which is all
+// compaction needs to move it.
 //
 // After Apply, FMFI at 2MB granularity is ≈1: a workload's large-page
 // faults fail until compaction runs, exactly the regime of Figures 10/11
@@ -46,7 +49,8 @@ type Fragmenter struct {
 	Cache *kernel.Task
 
 	rng xrand.Rand
-	// base is the cache VMA's start: fill page i maps at base + i*4KB.
+	// base is the cache VMA's start, the file's offset 0: fill page i is
+	// cached at base + i*4KB.
 	base uint64
 	// held groups cache pages, by fill index, under the 1GB physical region
 	// of their frame (indexed by region), so reclaim can apply per-region
@@ -71,12 +75,12 @@ type Fragmenter struct {
 // for later reclamation.
 //
 // The page-cache fill and the first reclaim are computed, not replayed:
-// the machine ends in exactly the state that mapping a cache page over
-// every free frame and then unmapping the reclaimed ones would leave
-// (buddy free lists, page table, reverse map, region counters, the held
-// lists and the rng position), but only the pages that survive reclaim
-// are ever allocated and mapped, a buddy chunk and a run of pages at a
-// time. kernel.Ops counts that work alone.
+// the machine ends in exactly the state that caching a page over every
+// free frame and then dropping the reclaimed ones would leave (buddy free
+// lists, reverse map, region counters, the held lists and the rng
+// position), but only the pages that survive reclaim are ever allocated
+// and cached, a buddy chunk and a run of pages at a time. kernel.Ops
+// counts that work alone.
 func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	f := new(Fragmenter)
 	if err := f.Apply(k, cfg); err != nil {
@@ -92,7 +96,7 @@ func Apply(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 // internal/sim, parks Fragmenters for that). On error f is left partly
 // applied and must be applied again before use.
 func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
-	f.K, f.Cache = k, k.NewTask("pagecache")
+	f.K, f.Cache = k, k.NewFile("pagecache")
 	f.rng = *xrand.New(cfg.Seed)
 	// 1. Clustered unmovable kernel objects.
 	if err := f.placeUnmovable(cfg.UnmovableBytes); err != nil {
@@ -103,7 +107,8 @@ func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
 	// hands out the free chunks of order 0, then order 1, and so on, lowest
 	// address first within an order and frames ascending within a chunk
 	// (splitting a chunk refills only lower orders, which the rest of that
-	// chunk then drains). The i-th page of that order maps at base + i*4KB.
+	// chunk then drains). The i-th page of that order is cached at
+	// base + i*4KB.
 	fillPages := k.Mem.FreeFrames()
 	if err := f.mapCache(fillPages); err != nil {
 		return err
@@ -128,7 +133,7 @@ func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
 	f.assignWeights()
 
 	// 3. Random reclamation: reclaim chooses the pages, but they are only
-	// marked (by fill index), since they were never mapped.
+	// marked (by fill index), since they were never cached.
 	f.reclaimed = phys.ResizedZero(f.reclaimed[:0], int((fillPages+63)/64))
 	reclaimed := f.reclaimed
 	got := f.reclaim(cfg.FreeBytes, func(i uint32) {
@@ -139,7 +144,7 @@ func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
 	// together inside a chunk, so the chunk's slice of the reclaimed
 	// bitmap, shifted to the chunk's head, is its free-frame mask. The
 	// buddy carves the chunk by that mask, and each run of surviving frames
-	// maps as one run of pages.
+	// joins the page cache as one run of pages.
 	f.free = phys.ResizedZero(f.free[:0], int((k.Mem.Frames()+63)/64))
 	free := f.free
 	fill := uint64(0)
@@ -153,9 +158,7 @@ func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
 					break
 				}
 				stop := nextBit(free, pfn, end, true)
-				if _, err := k.MapRun(f.Cache, f.base+(fill+pfn-h)*units.Page4K, pfn, stop-pfn); err != nil {
-					return fmt.Errorf("fragment: fill map: %w", err)
-				}
+				k.AddFilePages(f.Cache, f.base+(fill+pfn-h)*units.Page4K, pfn, stop-pfn)
 				pfn = stop
 			}
 			fill += n
@@ -167,7 +170,8 @@ func (f *Fragmenter) Apply(k *kernel.Kernel, cfg Config) error {
 	return nil
 }
 
-// mapCache maps the cache VMA for a fill of pages pages.
+// mapCache maps the cache VMA, the file's extent, for a fill of pages
+// pages.
 func (f *Fragmenter) mapCache(pages uint64) error {
 	if pages > math.MaxUint32 {
 		return fmt.Errorf("fragment: %d fill pages overflow the held lists' indexes", pages)

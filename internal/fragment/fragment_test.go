@@ -14,12 +14,13 @@ import (
 )
 
 // applyPerPage is Apply's reference: the §3 methodology replayed literally.
-// It fills the page cache with one Alloc(0) + MapSpecific per free frame,
-// then reclaims through the unmapping ReclaimRandom (export_test.go).
+// It fills the page cache with one Alloc(0) + AddFilePages per free frame,
+// then reclaims through ReclaimRandom (export_test.go), which drops one
+// page at a time.
 func applyPerPage(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 	f := &Fragmenter{
 		K:     k,
-		Cache: k.NewTask("pagecache"),
+		Cache: k.NewFile("pagecache"),
 		rng:   *xrand.New(cfg.Seed),
 	}
 	if err := f.placeUnmovable(cfg.UnmovableBytes); err != nil {
@@ -35,9 +36,7 @@ func applyPerPage(k *kernel.Kernel, cfg Config) (*Fragmenter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fragment: fill alloc: %w", err)
 		}
-		if err := k.MapSpecific(f.Cache, f.base+i*units.Page4K, pfn, units.Size4K); err != nil {
-			return nil, fmt.Errorf("fragment: fill map: %w", err)
-		}
+		k.AddFilePages(f.Cache, f.base+i*units.Page4K, pfn, 1)
 		region := units.RegionOfFrame(pfn)
 		f.held[region] = append(f.held[region], uint32(i))
 		f.total++
@@ -57,6 +56,7 @@ type machineState struct {
 	free     uint64
 	owners   []ownerAt
 	mappings []pagetable.Mapping
+	cached   uint64 // the cache file's page count
 }
 
 type ownerAt struct {
@@ -85,6 +85,7 @@ func stateOf(t *testing.T, k *kernel.Kernel, cache *kernel.Task) machineState {
 		s.mappings = append(s.mappings, m)
 		return true
 	})
+	s.cached = cache.Cached
 	return s
 }
 
@@ -106,6 +107,9 @@ func requireSameState(t *testing.T, what string, got, want machineState) {
 	}
 	if !slices.Equal(got.mappings, want.mappings) {
 		t.Fatalf("%s: cache page tables differ (%d vs %d mappings)", what, len(got.mappings), len(want.mappings))
+	}
+	if got.cached != want.cached {
+		t.Fatalf("%s: the cache file counts %d pages, want %d", what, got.cached, want.cached)
 	}
 }
 
@@ -134,8 +138,8 @@ func requireSameFragmenter(t *testing.T, what string, got, want *Fragmenter) {
 // FuzzApplyEquivalence checks that Apply's computed fill-and-reclaim leaves
 // the machine exactly as the per-page reference does, and that the two
 // fragmenters keep reclaiming identically afterwards. Only kernel.Ops
-// differs: Apply never maps the pages reclaim frees, so it performs that
-// many fewer maps and unmaps.
+// differs: Apply never caches the pages reclaim frees, so it performs that
+// many fewer maps (page-cache insertions) and unmaps (drops).
 func FuzzApplyEquivalence(f *testing.F) {
 	// gb%6+1 is the machine size in GB.
 	f.Add(uint8(0), true, uint64(1), uint16(0), uint16(128))
@@ -179,7 +183,7 @@ func FuzzApplyEquivalence(f *testing.F) {
 			t.Fatalf("ReclaimRandom freed %d bytes, reference %d", g, w)
 		}
 		if ref.Ops.Unmaps-opsRef.Unmaps != k.Ops.Unmaps-ops.Unmaps {
-			t.Fatal("ReclaimRandom unmapped different page counts")
+			t.Fatal("ReclaimRandom dropped different page counts")
 		}
 		requireSameState(t, "after ReclaimRandom", stateOf(t, k, cache), stateOf(t, ref, cacheRef))
 		requireSameFragmenter(t, "after ReclaimRandom", fk, fr)

@@ -102,8 +102,8 @@ func TestReappliedFragmenterMatchesFresh(t *testing.T) {
 }
 
 // TestReapplyAllocs pins a reused Fragmenter's heap use: applied again at
-// the same size, Apply allocates one object, the page-cache kernel.Task
-// that NewTask creates, at every memory size. Its buffers (held lists,
+// the same size, Apply allocates one object, the page-cache file's
+// kernel.Task that NewFile creates, at every memory size. Its buffers (held lists,
 // chunk heads, bitmaps, weights) and the kernel's arenas are all reused.
 func TestReapplyAllocs(t *testing.T) {
 	for _, gb := range []uint64{1, 2, 4} {
@@ -118,7 +118,7 @@ func TestReapplyAllocs(t *testing.T) {
 		}
 		cycle()
 		if allocs := testing.AllocsPerRun(5, cycle); allocs != 1 {
-			t.Errorf("%d GB: a reused Apply allocates %v objects, want 1 (the cache task)", gb, allocs)
+			t.Errorf("%d GB: a reused Apply allocates %v objects, want 1 (the cache file's task)", gb, allocs)
 		}
 	}
 }

@@ -21,10 +21,20 @@ import (
 	"repro/internal/vmm"
 )
 
-// Task is a process: an address space plus accounting.
+// Task is a process: an address space plus accounting. A file task
+// (NewFile) stands for a file held in the page cache instead.
 type Task struct {
 	Name string
 	AS   *vmm.AddressSpace
+	// File marks a file task. Its VMAs are the file's extent, and each of
+	// its cached pages is a 4KB reverse-map owner (its space, the page's
+	// offset VA) that no page table maps: Linux keeps page-cache pages in
+	// the file's mapping, not in any process's page table.
+	File bool
+	// Cached counts a file's cached pages (Linux's nrpages): AddFilePages
+	// adds to it, and dropping a page must take it off. The invariant
+	// auditor checks it against the reverse map.
+	Cached uint64
 
 	// Faults counts minor page faults served, by page size actually mapped.
 	Faults [units.NumPageSizes]uint64
@@ -47,7 +57,7 @@ type Kernel struct {
 	// repointed so the simulation's TLBs can be invalidated: the n pages of
 	// the given size at va, va+size, … are affected. Single-page operations
 	// pass n = 1; run teardown (UnmapRange, UnmapRangeKeep) and MoveRun pass
-	// a whole run.
+	// a whole run. File pages are never shot down: no TLB caches them.
 	Shootdown func(t *Task, va, n uint64, size units.PageSize)
 
 	// Ops counts completed page-table operations since boot. The counters
@@ -67,9 +77,9 @@ type Kernel struct {
 
 // OpStats counts the kernel's primitive page-table operations.
 type OpStats struct {
-	Maps      uint64 // mappings established (fault, promotion, zero-pool)
+	Maps      uint64 // mappings established (fault, promotion, zero-pool) and page-cache insertions
 	Unmaps    uint64 // mappings removed (free or keep-frames)
-	Moves     uint64 // compaction page moves
+	Moves     uint64 // compaction page moves, file pages included
 	Exchanges uint64 // Trident_pv frame exchanges
 	Demotes   uint64 // huge-page demotions
 }
@@ -132,8 +142,9 @@ func (k *Kernel) NewTask(name string) *Task {
 // to reuse kernels across runs, and it is pinned by the run-twice
 // determinism tests. Tasks are harvested last first, so NewTask, which
 // takes the most recently harvested space, gives the k-th task after a
-// Reset the k-th task's space: each warm arena keeps its role (a run's
-// page cache, its workload), and no arena grows to another role's size.
+// Reset the k-th task's space: a run's workload gets the warm arena of
+// the workload before it, and no arena grows to another role's size (a
+// fragmented run's page-cache file, task 1, holds no page-table page).
 func (k *Kernel) Reset() {
 	for i := len(k.tasks) - 1; i >= 0; i-- {
 		k.tasks[i].AS.Reset()
@@ -169,6 +180,15 @@ func (k *Kernel) TaskByID(id uint32) (*Task, bool) {
 // the caller must not modify it, and it is valid until the next NewTask or
 // Reset.
 func (k *Kernel) Tasks() []*Task { return k.tasks[:len(k.tasks):len(k.tasks)] }
+
+// NewFile creates a file task (see Task.File). Its address space comes
+// from NewTask's pool, so task IDs stay dense, but its page table stays
+// empty.
+func (k *Kernel) NewFile(name string) *Task {
+	t := k.NewTask(name)
+	t.File = true
+	return t
+}
 
 // AllocMapped allocates a physical page of the given size and maps it at va
 // in t's address space, registering the reverse map. It returns the head
@@ -207,14 +227,24 @@ func (k *Kernel) mapOwned(t *Task, va, pfn uint64, size units.PageSize) error {
 // MapSpecific(t, va+j*4KB, pfn+j, units.Size4K) for j = 0, 1, … up to
 // count or the first error, which it returns; it descends the page table
 // once per leaf table instead of once per page, and registers the owners
-// with one pass over each reverse-map leaf (phys.SetOwners4K). The
-// fragmenter commits the page cache's surviving runs with it, and
-// fault-around its runs of 4KB faults.
+// with one pass over each reverse-map leaf (phys.SetOwners4K).
+// Fault-around maps its runs of 4KB faults with it.
 func (k *Kernel) MapRun(t *Task, va, pfn, count uint64) (uint64, error) {
 	n, err := t.AS.PT.MapRun(va, pfn, count)
 	k.Mem.SetOwners4K(pfn, n, phys.Owner{Space: t.AS.ID, VA: va, Size: units.Size4K})
 	k.Ops.Maps += n
 	return n, err
+}
+
+// AddFilePages inserts count already-allocated 4KB frames into file t's
+// page cache at consecutive offsets, va+j*4KB → pfn+j: it registers their
+// owners with one pass over each reverse-map leaf (phys.SetOwners4K) and
+// counts each as a map, but maps nothing. The fragmenter commits its page
+// cache's surviving runs with it.
+func (k *Kernel) AddFilePages(t *Task, va, pfn, count uint64) {
+	k.Mem.SetOwners4K(pfn, count, phys.Owner{Space: t.AS.ID, VA: va, Size: units.Size4K})
+	t.Cached += count
+	k.Ops.Maps += count
 }
 
 // UnmapFree removes the mapping of the given size at va and returns its
@@ -249,41 +279,62 @@ func (k *Kernel) UnmapRangeKeep(t *Task, lo, hi uint64, fn func(pagetable.Run)) 
 	})
 }
 
-// MovePage is MoveRun of one page: it repoints the mapping at va to newPFN
-// and returns the old head frame, still allocated and ownerless.
-func (k *Kernel) MovePage(t *Task, va uint64, size units.PageSize, newPFN uint64) (uint64, error) {
-	old, err := k.MoveRun(t, va, size, []uint64{newPFN})
-	if err != nil {
-		return 0, err
-	}
-	return old[0], nil
+// MovePage is MoveRun of one page: it moves the page at va from head
+// frame src to newPFN, leaving src allocated and ownerless.
+func (k *Kernel) MovePage(t *Task, va uint64, size units.PageSize, src, newPFN uint64) error {
+	_, err := k.MoveRun(t, va, size, src, []uint64{newPFN})
+	return err
 }
 
-// MoveRun repoints the len(dests) mappings of the given size at va,
-// va+size, … from their current frames to dests (already allocated by the
-// caller) and returns their old head frames, in a buffer the kernel reuses
-// until its next MoveRun. The old frames stay allocated, with no owner:
-// the caller frees them, which lets compaction release a block's sources
-// in one batch. The page table is descended once per node
-// (pagetable.ReplaceRun), each reverse-map entry moves to its new frame
-// (phys.MoveOwners), the run is shot down with one call and counted as
-// len(dests) moves. The effect is exactly that of moving the pages one at
-// a time in VA order, up to the first page not mapped at that size: its
-// error is returned with the frames moved before it. This is the
-// page-table half of a compaction move; the caller accounts the data copy.
-func (k *Kernel) MoveRun(t *Task, va uint64, size units.PageSize, dests []uint64) ([]uint64, error) {
-	k.movePFNs = phys.Resized(k.movePFNs, len(dests))
-	n, err := t.AS.PT.ReplaceRun(va, size, dests, k.movePFNs)
-	old := k.movePFNs[:n]
+// MoveRun moves the len(dests) pages of the given size at va, va+size, …
+// from head frames src, src+size, … — where the caller found them through
+// the reverse map — to dests (already allocated by the caller), and
+// returns how many it moved. The old frames stay allocated, with no
+// owner: the caller frees them, which lets compaction release a block's
+// sources in one batch. A mapped task's page table is descended once per
+// node (pagetable.ReplaceRun), each replaced entry must have pointed at its
+// source frame, and the run is shot down with one call. A file page moves
+// by its owner word alone, and only while src's owner is that page: no
+// page table maps it and no TLB caches it. Either way each reverse-map
+// entry moves to its new frame (phys.MoveOwners) and the run counts as
+// that many moves. The effect is exactly that of moving the pages one at
+// a time in VA order, up to the first page not mapped (for a file, not
+// cached) at that size: its error is returned with the count moved before
+// it. This is the page-table half of a compaction move; the caller
+// accounts the data copy.
+func (k *Kernel) MoveRun(t *Task, va uint64, size units.PageSize, src uint64, dests []uint64) (int, error) {
+	old := phys.Resized(k.movePFNs, len(dests))
+	k.movePFNs = old
+	n := 0
+	if t.File {
+		for ; n < len(dests); n++ {
+			pfn := src + uint64(n)*size.Frames()
+			o, head, ok := k.Mem.OwnerOf(pfn)
+			if !ok || head != pfn || o != (phys.Owner{Space: t.AS.ID, VA: va + uint64(n)*size.Bytes(), Size: size}) {
+				break
+			}
+			old[n] = pfn
+		}
+	} else {
+		n, _ = t.AS.PT.ReplaceRun(va, size, dests, old)
+		for j, pfn := range old[:n] {
+			if want := src + uint64(j)*size.Frames(); pfn != want {
+				panic(fmt.Sprintf("kernel: MoveRun: %s maps %v@%#x at pfn %d, not at source pfn %d",
+					t.Name, size, va+uint64(j)*size.Bytes(), pfn, want))
+			}
+		}
+	}
 	if n > 0 {
-		k.Mem.MoveOwners(old, dests[:n])
-		k.shootdown(t, va, uint64(n), size)
+		k.Mem.MoveOwners(old[:n], dests[:n])
+		if !t.File {
+			k.shootdown(t, va, uint64(n), size)
+		}
 		k.Ops.Moves += uint64(n)
 	}
-	if err != nil {
-		return old, fmt.Errorf("kernel: MoveRun: no %v mapping at %#x", size, va+uint64(n)*size.Bytes())
+	if n < len(dests) {
+		return n, fmt.Errorf("kernel: MoveRun: no %v mapping at %#x", size, va+uint64(n)*size.Bytes())
 	}
-	return old, nil
+	return n, nil
 }
 
 // ExchangeFrames swaps the physical frames behind two same-size mappings

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/buddy"
+	"repro/internal/phys"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -141,8 +142,7 @@ func TestMovePage(t *testing.T) {
 	}
 	var shot bool
 	k.Shootdown = func(tt *Task, va, n uint64, size units.PageSize) { shot = n == 1 }
-	old, err := k.MovePage(task, 0, units.Size4K, newPFN)
-	if err != nil {
+	if err := k.MovePage(task, 0, units.Size4K, oldPFN, newPFN); err != nil {
 		t.Fatal(err)
 	}
 	if !shot {
@@ -152,8 +152,8 @@ func TestMovePage(t *testing.T) {
 	if m.PFN != newPFN {
 		t.Errorf("PFN after move = %d", m.PFN)
 	}
-	if old != oldPFN || !k.Mem.IsAllocated(oldPFN) {
-		t.Errorf("MovePage returned old frame %d (allocated: %v), want %d still allocated", old, k.Mem.IsAllocated(oldPFN), oldPFN)
+	if !k.Mem.IsAllocated(oldPFN) {
+		t.Errorf("MovePage freed old frame %d", oldPFN)
 	}
 	if _, _, _, ok := k.OwnerTask(oldPFN); ok {
 		t.Error("old frame kept its owner")
@@ -166,20 +166,48 @@ func TestMovePage(t *testing.T) {
 func TestMovePageErrors(t *testing.T) {
 	k := newKernel(t, 1)
 	task := k.NewTask("p")
-	if _, err := k.MovePage(task, 0, units.Size4K, 1); err == nil {
+	if err := k.MovePage(task, 0, units.Size4K, 0, 1); err == nil {
 		t.Error("MovePage of unmapped va succeeded")
 	}
-	if _, err := k.AllocMapped(task, 0, units.Size2M); err != nil {
+	pfn, err := k.AllocMapped(task, 0, units.Size2M)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Wrong size.
-	if _, err := k.MovePage(task, 0, units.Size4K, 1); err == nil {
+	if err := k.MovePage(task, 0, units.Size4K, pfn, 1); err == nil {
 		t.Error("MovePage with wrong size succeeded")
 	}
 	// Interior address (not the head).
-	if _, err := k.MovePage(task, units.Page4K, units.Size2M, 1); err == nil {
+	if err := k.MovePage(task, units.Page4K, units.Size2M, pfn, 1); err == nil {
 		t.Error("MovePage at non-head va succeeded")
 	}
+	// A file page must be cached at the source frame.
+	file := k.NewFile("f")
+	if err := k.MovePage(file, 0, units.Size4K, pfn, 1); err == nil {
+		t.Error("MovePage of an uncached file page succeeded")
+	}
+}
+
+// TestMovePageSourceMismatchPanics pins MoveRun's check of a mapped page's
+// source frame: a page table that maps the page elsewhere than the
+// reverse map said is an incoherent machine, not a failed move.
+func TestMovePageSourceMismatchPanics(t *testing.T) {
+	k := newKernel(t, 1)
+	task := k.NewTask("p")
+	pfn, err := k.AllocMapped(task, 0, units.Size4K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest, err := k.Buddy.Alloc(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MovePage from the wrong source frame did not panic")
+		}
+	}()
+	_ = k.MovePage(task, 0, units.Size4K, pfn+1, dest)
 }
 
 // TestMoveRunStopsAtUnmappedPage pins MoveRun's partial move: across a
@@ -209,9 +237,8 @@ func TestMoveRunStopsAtUnmappedPage(t *testing.T) {
 	var shot []uint64
 	k.Shootdown = func(_ *Task, va, n uint64, size units.PageSize) { shot = append(shot, va, n) }
 	dests := []uint64{dst, dst + 1, dst + 2, dst + 3, dst + 4, dst + 5}
-	old, err := k.MoveRun(task, va, units.Size4K, dests)
-	if err == nil || !slices.Equal(old, []uint64{src, src + 1, src + 2, src + 3}) {
-		t.Fatalf("MoveRun = %v, %v; want frames %d-%d and an error at the unmapped page", old, err, src, src+3)
+	if n, err := k.MoveRun(task, va, units.Size4K, src, dests); err == nil || n != 4 {
+		t.Fatalf("MoveRun = %d, %v; want 4 and an error at the unmapped page", n, err)
 	}
 	if !slices.Equal(shot, []uint64{va, 4}) || k.Ops.Moves != 4 {
 		t.Fatalf("shootdowns %v, %d moves; want one shootdown of the 4 moved pages", shot, k.Ops.Moves)
@@ -234,6 +261,46 @@ func TestMoveRunStopsAtUnmappedPage(t *testing.T) {
 		if _, _, _, owned := k.OwnerTask(src + j); j < 4 && owned {
 			t.Errorf("old frame %d kept its owner", src+j)
 		}
+	}
+}
+
+// TestMoveFileRunStopsAtUncachedPage is TestMoveRunStopsAtUnmappedPage for
+// a file: the pages before the first uncached one move by their owners
+// alone, counted as moves and never shot down, and the file's page table
+// stays empty.
+func TestMoveFileRunStopsAtUncachedPage(t *testing.T) {
+	k := newKernel(t, 1)
+	file := k.NewFile("f")
+	const va = units.Page2M - 3*units.Page4K
+	src, err := k.Buddy.Alloc(3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.AddFilePages(file, va, src, 4)
+	k.AddFilePages(file, va+5*units.Page4K, src+5, 1)
+	dst, err := k.Buddy.Alloc(3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Shootdown = func(*Task, uint64, uint64, units.PageSize) { t.Error("a file page was shot down") }
+	dests := []uint64{dst, dst + 1, dst + 2, dst + 3, dst + 4, dst + 5}
+	if n, err := k.MoveRun(file, va, units.Size4K, src, dests); err == nil || n != 4 || k.Ops.Moves != 4 {
+		t.Fatalf("MoveRun = %d, %v, %d moves; want 4 and an error at the uncached page", n, err, k.Ops.Moves)
+	}
+	for j := uint64(0); j < 6; j++ {
+		want := src + j
+		if j < 4 {
+			want = dst + j
+		}
+		if _, o, _, ok := k.OwnerTask(want); j != 4 && (!ok || o != (phys.Owner{Space: file.AS.ID, VA: va + j*units.Page4K, Size: units.Size4K})) {
+			t.Errorf("frame %d: owner %+v, %v; want page %d", want, o, ok, j)
+		}
+		if _, _, _, owned := k.OwnerTask(src + j); j < 4 && owned {
+			t.Errorf("old frame %d kept its owner", src+j)
+		}
+	}
+	if k.Ops.Maps != 5 || file.MappedBytes(units.Size4K) != 0 {
+		t.Errorf("%d maps, %d bytes mapped; want 5 page-cache insertions and nothing mapped", k.Ops.Maps, file.MappedBytes(units.Size4K))
 	}
 }
 

@@ -57,3 +57,6 @@ func (t *Table) footprint() (bytes uint64, leafTables int) {
 	bytes += slice(cap(t.poolPages), ptr, true) + uint64(len(t.poolPages))*pageBytes
 	return bytes, leafTables
 }
+
+// Footprint is footprint for tests outside the package.
+func (t *Table) Footprint() (bytes uint64, leafTables int) { return t.footprint() }

@@ -434,7 +434,8 @@ func (m *Memory) SetOwner(pfn uint64, o Owner) {
 // SetOwners4K registers n 4KB mappings at consecutive VAs over
 // consecutive frames: exactly SetOwner(pfn+j, Owner{o.Space,
 // o.VA+j*4KB, Size4K}) for j < n, with one pass over each block's leaf.
-// o.Size must be Size4K. kernel.MapRun registers a run's owners with it.
+// o.Size must be Size4K. kernel.MapRun registers a run's owners with it,
+// and kernel.AddFilePages a run of page-cache pages.
 func (m *Memory) SetOwners4K(pfn, n uint64, o Owner) {
 	if n == 0 {
 		return

@@ -77,11 +77,10 @@ func TestShadowCoherencePrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := k.MovePage(task, va, units.Size1G, moved)
-	if err != nil {
+	if err := k.MovePage(task, va, units.Size1G, huge, moved); err != nil {
 		t.Fatal(err)
 	}
-	k.Buddy.Free(old, units.Size1G.Order())
+	k.Buddy.Free(huge, units.Size1G.Order())
 	touch("after MovePage")
 
 	// Demotion back to 2MB pieces (bloat recovery), then a pv-style frame

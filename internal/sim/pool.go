@@ -149,7 +149,7 @@ func releaseFragmenter(f *fragment.Fragmenter) {
 // every run of a geometry, so they are parked with the machine and a warm
 // run allocates none of them. A kit holds
 //   - the MMU: its TLB hierarchy and paging-structure caches (flat line
-//     arrays, per-set size counts and signatures) and TranslateRuns' sweep
+//     arrays, per-set live counts and signatures) and TranslateRuns' sweep
 //     scratch, reset on acquire (mmu.MMU.Reset: caches emptied, statistics
 //     zeroed, the shadow check off);
 //   - the page-run buffer (batchAccesses runs, 48 KB), which the workload

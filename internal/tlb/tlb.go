@@ -37,21 +37,16 @@ type TLB struct {
 	// lines holds sets×ways entries; within a set, most-recently-used
 	// first. invalidTag marks empty ways.
 	lines []uint64
-	// sizeCounts, when non-nil, holds sets×units.NumPageSizes counters of
-	// live entries per size salt, maintained by Insert/insertMissed/
-	// Invalidate/Flush. The Hierarchy enables it on its structures so
-	// probe sweeps can skip scanning a set that holds no entry of the
-	// probed size — a guaranteed miss, and miss probes touch no state, so
-	// the skip is invisible. Nil (disabled) for PWCs, whose tags carry no
-	// size salt.
-	sizeCounts []uint8
-	// liveBySize totals the live entries per size salt across all sets,
-	// maintained alongside sizeCounts. A zero total proves any probe for
-	// that size misses without even computing its tag.
-	liveBySize [units.NumPageSizes]uint32
+	// liveBySize totals the live entries per size salt (tag>>60) across
+	// all sets, maintained by Insert/insertMissed/Invalidate/Flush. A zero
+	// total proves any probe for that size misses without even computing
+	// its tag — and miss probes touch no state, so the skip is invisible.
+	// PWC tags carry no salt and count under salt 0, which nothing reads.
+	liveBySize [units.NumPageSizes + 1]uint32
 	// live counts the non-invalidated ways per set. live[s] == ways proves
 	// the set is full, so an insert's empty-way scan can be skipped (a full
-	// set always evicts the LRU way).
+	// set always evicts the LRU way); live[s] == 0 proves a probe of set s
+	// misses (mayContain).
 	live []uint8
 	// sigs, when enabled by trackSig, is a per-set counting signature over
 	// the set's live tags: 32 byte-wide buckets packed into four uint64 words
@@ -105,11 +100,6 @@ func (t *TLB) setOf(tag uint64) int {
 	return int(tag % uint64(t.sets))
 }
 
-// trackSizes enables the per-set size-salt summary (see sizeCounts).
-func (t *TLB) trackSizes() {
-	t.sizeCounts = make([]uint8, t.sets*int(units.NumPageSizes))
-}
-
 // trackSig enables the per-set counting signature (see sigs).
 func (t *TLB) trackSig() { t.sigs = make([]uint64, 4*t.sets) }
 
@@ -149,17 +139,8 @@ func (t *TLB) absentIn(s int, tag uint64) bool {
 	return t.sigs[4*s+int(b>>3)]>>((b&7)*8)&0xff == 0
 }
 
-// countInc adjusts the size-salt counter for tag's set by d (±1). set is
-// tag's set index, which every caller has already computed. No-op when the
-// summary is disabled.
-func (t *TLB) countInc(tag uint64, set, d int) {
-	if t.sizeCounts == nil {
-		return
-	}
-	s := int(tag>>60) - 1
-	t.sizeCounts[set*int(units.NumPageSizes)+s] += uint8(d)
-	t.liveBySize[s] += uint32(d)
-}
+// countInc adjusts the live total of tag's size salt by d (±1).
+func (t *TLB) countInc(tag uint64, d int) { t.liveBySize[tag>>60] += uint32(d) }
 
 // setFull reports whether set s holds no invalidated way. A true result
 // lets an insert skip the empty-way scan entirely: a full set's insert
@@ -168,20 +149,13 @@ func (t *TLB) setFull(s int) bool { return t.live[s] == uint8(t.ways) }
 
 // hasSize reports whether any live entry of the given size exists anywhere in
 // the TLB; false proves a probe for that size would miss regardless of VA.
-// Always true when the summary is disabled.
-func (t *TLB) hasSize(s units.PageSize) bool {
-	return t.sizeCounts == nil || t.liveBySize[s] != 0
-}
+func (t *TLB) hasSize(s units.PageSize) bool { return t.liveBySize[s+1] != 0 }
 
-// mayContain reports whether tag's set can hold an entry of the given size;
-// false proves a probe would miss without scanning the ways. Always true
-// when the summary is disabled.
-func (t *TLB) mayContain(tag uint64, s units.PageSize) bool {
-	if t.sizeCounts == nil {
-		return true
-	}
-	return t.sizeCounts[t.setOf(tag)*int(units.NumPageSizes)+int(s)] != 0
-}
+// mayContain reports whether tag's set holds any live entry; false proves
+// a probe would miss without scanning the ways. The Hierarchy asks it of
+// its L1s only, each of which holds one page size, so a set with a live
+// entry there holds one of the probed size.
+func (t *TLB) mayContain(tag uint64) bool { return t.live[t.setOf(tag)] != 0 }
 
 // Lookup probes for tag, promoting it to MRU on a hit. The MRU way is
 // tested before the general scan: it is where temporal locality lands, and
@@ -247,12 +221,12 @@ func (t *TLB) insertMissed(tag uint64) {
 		}
 	}
 	if old := set[slot]; old != invalidTag {
-		t.countInc(old, s, -1)
+		t.countInc(old, -1)
 		t.sigDel(s, old)
 	} else {
 		t.live[s]++
 	}
-	t.countInc(tag, s, +1)
+	t.countInc(tag, +1)
 	t.sigAdd(s, tag)
 	for j := slot; j > 0; j-- {
 		set[j] = set[j-1]
@@ -271,7 +245,7 @@ func (t *TLB) Invalidate(tag uint64) {
 	for w, line := range set {
 		if line == tag {
 			set[w] = invalidTag
-			t.countInc(tag, s, -1)
+			t.countInc(tag, -1)
 			t.sigDel(s, tag)
 			t.live[s]--
 			return
@@ -298,7 +272,7 @@ func (t *TLB) invalidateRange(first, n uint64) {
 		if line-first < n { // invalidTag and other sizes' salts fall outside
 			s := w / t.ways
 			t.lines[w] = invalidTag
-			t.countInc(line, s, -1)
+			t.countInc(line, -1)
 			t.sigDel(s, line)
 			t.live[s]--
 		}
@@ -310,10 +284,7 @@ func (t *TLB) Flush() {
 	for i := range t.lines {
 		t.lines[i] = invalidTag
 	}
-	for i := range t.sizeCounts {
-		t.sizeCounts[i] = 0
-	}
-	t.liveBySize = [units.NumPageSizes]uint32{}
+	t.liveBySize = [units.NumPageSizes + 1]uint32{}
 	clear(t.live)
 	clear(t.sigs)
 }
@@ -394,11 +365,6 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	h.l2[units.Size4K] = shared
 	h.l2[units.Size2M] = shared
 	h.l2[units.Size1G] = NewTLB(cfg.L2Huge.Sets, cfg.L2Huge.Ways)
-	for s := units.PageSize(0); s < units.NumPageSizes; s++ {
-		h.l1[s].trackSizes()
-	}
-	shared.trackSizes()
-	h.l2[units.Size1G].trackSizes()
 	shared.trackSig()
 	h.l2[units.Size1G].trackSig()
 	return h
@@ -483,7 +449,7 @@ sweep:
 					continue
 				}
 				t := tag(va, s)
-				if h.l1[s].mayContain(t, s) && h.l1[s].Lookup(t) {
+				if h.l1[s].mayContain(t) && h.l1[s].Lookup(t) {
 					sizes[k] = uint8(s)
 					hint = s
 					continue sweep

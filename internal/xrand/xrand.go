@@ -34,13 +34,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n called with n == 0")
 	}
-	// Lemire's nearly-divisionless bounded generation would be overkill here;
-	// modulo bias is negligible for the ranges the simulator uses (< 2^40),
-	// but reject the biased tail anyway so property tests on uniformity hold.
-	max := math.MaxUint64 - math.MaxUint64%n
+	// Reject the biased tail: draws at or above MaxUint64 - MaxUint64%n.
+	// That bound costs a division, but every draw at or below MaxUint64 - n
+	// lies under it, so only a draw in the top n values needs it (as in
+	// Lemire's nearly-divisionless method): the same draws are accepted, at
+	// one division per call instead of two.
 	for {
 		v := r.Uint64()
-		if v < max {
+		if v <= math.MaxUint64-n || v < math.MaxUint64-math.MaxUint64%n {
 			return v % n
 		}
 	}

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,51 @@ func TestUint64nBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// uint64nTwoDivisions is Uint64n's definition: reject every draw at or
+// above MaxUint64 - MaxUint64%n, with the bound computed up front.
+func uint64nTwoDivisions(r *Rand, n uint64) uint64 {
+	bound := math.MaxUint64 - math.MaxUint64%n
+	for {
+		if v := r.Uint64(); v < bound {
+			return v % n
+		}
+	}
+}
+
+// TestUint64nMatchesDefinition pins Uint64n's lazily computed rejection
+// bound against the definition: the same values and the same number of
+// draws, over bounds of every magnitude. Bounds above 2^63 reject about
+// half their draws, so the slow path is taken often there.
+func TestUint64nMatchesDefinition(t *testing.T) {
+	ns := New(17)
+	got, want := New(23), New(23)
+	for i := 0; i < 20000; i++ {
+		var n uint64
+		switch i % 4 {
+		case 0:
+			n = ns.Uint64()%1000 + 1
+		case 1:
+			n = 1<<18 + ns.Uint64()%(1<<18)
+		case 2:
+			n = ns.Uint64() | 1<<63 // above 2^63
+		default:
+			n = ns.Uint64() >> (ns.Uint64() % 64)
+			n = max(n, 1)
+		}
+		if g, w := got.Uint64n(n), uint64nTwoDivisions(want, n); g != w {
+			t.Fatalf("call %d: Uint64n(%d) = %d, definition %d", i, n, g, w)
+		}
+		if got.state != want.state {
+			t.Fatalf("call %d: Uint64n(%d) drew a different number of values", i, n)
+		}
+	}
+	for _, n := range []uint64{1, 2, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64} {
+		if g, w := got.Uint64n(n), uint64nTwoDivisions(want, n); g != w || got.state != want.state {
+			t.Fatalf("Uint64n(%d) = %d, definition %d", n, g, w)
+		}
 	}
 }
 
